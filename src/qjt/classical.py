@@ -10,153 +10,76 @@ characters.
 
 from __future__ import annotations
 
-import itertools
-
-from .ring import AlgType, RingElem, make_type
+from .ring import AlgType, RingElem, make_type, terms_text
 from .shapes import Partition, SkewShape, shape
 from .jacobitrudi import chi_h
+from .tableaux import enumerate_tableaux
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in z_1..z_N with integer coefficients
+# Characters in weight coordinates: z_k^e is the RingElem factor (k, 0, e).
 
 
-class ZPoly:
-    """Sparse Laurent polynomial; keys are exponent tuples of length nvars."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: dict | None = None):
-        self.nvars = nvars
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def const(nvars: int, c: int = 1) -> "ZPoly":
-        return ZPoly(nvars, {(0,) * nvars: c})
-
-    def __add__(self, other: "ZPoly") -> "ZPoly":
-        assert self.nvars == other.nvars
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return ZPoly(self.nvars, out)
-
-    def __mul__(self, other) -> "ZPoly":
-        if isinstance(other, int):
-            return ZPoly(self.nvars, {k: c * other for k, c in self.terms.items()})
-        assert self.nvars == other.nvars
-        out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, 0) + c1 * c2
-        return ZPoly(self.nvars, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ZPoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def eval_ones(self) -> int:
-        return sum(self.terms.values())
-
-    def normalize_projective(self) -> "ZPoly":
-        """Canonical form modulo z_1*...*z_N = 1: shift each exponent vector
-        so its minimum entry is zero."""
-        out: dict = {}
-        for k, c in self.terms.items():
-            m = min(k)
-            k2 = tuple(e - m for e in k)
-            out[k2] = out.get(k2, 0) + c
-        return ZPoly(self.nvars, out)
-
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for k, c in sorted(self.terms.items()):
-            factors = [
-                f"z{i + 1}" + (f"^{e}" if e != 1 else "")
-                for i, e in enumerate(k)
-                if e
-            ]
-            body = "*".join(factors) if factors else "1"
-            if c == 1 and factors:
-                parts.append(body)
-            elif c == -1 and factors:
-                parts.append("-" + body)
-            else:
-                parts.append(f"{c}*{body}" if factors else str(c))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
-
-    def __repr__(self):
-        return f"ZPoly({self.to_text()})"
+def _dense(m: tuple, nvars: int) -> list[int]:
+    """Exponent vector (e_1..e_nvars) of a z-monomial."""
+    exps = [0] * nvars
+    for k, _s, e in m:
+        exps[k - 1] = e
+    return exps
 
 
-def beta_to_z(t: AlgType, e: RingElem) -> ZPoly:
+def z_text(p: RingElem) -> str:
+    """Text of a z-character, its terms sorted by exponent vector."""
+    nvars = max((k for m in p.terms for k, _s, _e in m), default=0)
+    return terms_text(
+        ([f"z{k}" + (f"^{e}" if e != 1 else "") for k, _s, e in m], c)
+        for m, c in sorted(p.terms.items(), key=lambda mc: _dense(mc[0], nvars))
+    )
+
+
+def normalize_projective(p: RingElem, nvars: int) -> RingElem:
+    """Canonical form modulo z_1*...*z_nvars = 1: shift each exponent vector
+    so its minimum entry is zero."""
+    out = RingElem.zero()
+    for m, c in p.terms.items():
+        low = min(_dense(m, nvars))
+        out = out + RingElem.monomial([*m, *((k, 0, -low) for k in range(1, nvars + 1))], c)
+    return out
+
+
+def beta_to_z(t: AlgType, e: RingElem) -> RingElem:
     """Express the classical projection in weight coordinates z_i.
 
     The i-th fundamental weight corresponds to z_1*...*z_i, for type A in
     n+1 variables (modulo the determinant relation) and for type C in n
     variables.
     """
-    nvars = t.rank + 1 if t.family == "A" else t.rank
-    out: dict = {}
+    out = RingElem.zero()
     for m, c in e.beta().terms.items():
-        exps = [0] * nvars
-        for i, _s, exp in m:
-            for j in range(i):
-                exps[j] += exp
-        k = tuple(exps)
-        out[k] = out.get(k, 0) + c
-    p = ZPoly(nvars, out)
-    return p.normalize_projective() if t.family == "A" else p
+        out = out + RingElem.monomial(
+            ((k, 0, exp) for i, _s, exp in m for k in range(1, i + 1)), c
+        )
+    return normalize_projective(out, t.rank + 1) if t.family == "A" else out
+
+
+def _require_rows(p: Partition, limit: int, name: str) -> None:
+    if len(p) > limit:
+        raise ValueError(
+            f"{name} allows at most {limit} rows; ({p.to_text()}) has {len(p)}"
+        )
 
 
 # ---------------------------------------------------------------------------
 # Schur polynomials and Littlewood-Richardson coefficients
 
 
-def _ssyt(s: SkewShape, max_entry: int):
-    """Semistandard fillings of the skew shape with entries 1..max_entry."""
-    boxes = s.boxes()
-    filling: dict = {}
-
-    def rec(idx):
-        if idx == len(boxes):
-            yield dict(filling)
-            return
-        i, j = boxes[idx]
-        left = filling.get((i, j - 1), 1)
-        above = filling.get((i - 1, j))
-        lo = max(left, above + 1 if above is not None else 1)
-        for v in range(lo, max_entry + 1):
-            filling[(i, j)] = v
-            yield from rec(idx + 1)
-        filling.pop((i, j), None)
-
-    yield from rec(0)
-
-
-def schur_poly(lam, nvars: int) -> ZPoly:
-    """Schur polynomial s_lambda(z_1..z_nvars) as a tableau sum."""
-    s = shape(lam)
-    out: dict = {}
-    for f in _ssyt(s, nvars):
-        exps = [0] * nvars
-        for v in f.values():
-            exps[v - 1] += 1
-        k = tuple(exps)
-        out[k] = out.get(k, 0) + 1
-    return ZPoly(nvars, out)
+def schur_poly(lam, nvars: int) -> RingElem:
+    """Schur polynomial s_lambda(z_1..z_nvars) as a sum over semistandard
+    tableaux, which are the type A_{nvars-1} tableaux."""
+    out = RingElem.zero()
+    for T in enumerate_tableaux(AlgType("A", nvars - 1), shape(lam), "hv"):
+        out = out + RingElem.monomial((c, 0, 1) for row in T.cells for c in row)
+    return out
 
 
 def lr_coeff(lam, mu, nu) -> int:
@@ -168,10 +91,11 @@ def lr_coeff(lam, mu, nu) -> int:
     s = SkewShape(lam_p, mu_p)
     count = 0
     lnu = len(nu_p)
-    for f in _ssyt(s, lnu if lnu else 1):
+    for T in enumerate_tableaux(AlgType("A", max(lnu, 1) - 1), s, "hv"):
         content = [0] * (lnu + 1)
-        for v in f.values():
-            content[v - 1] += 1
+        for row in T.cells:
+            for v in row:
+                content[v - 1] += 1
         if tuple(content[:lnu]) != nu_p.parts:
             continue
         # reverse reading word: right to left along rows, top to bottom
@@ -179,7 +103,7 @@ def lr_coeff(lam, mu, nu) -> int:
         ok = True
         for i in range(1, len(lam_p) + 1):
             for j in range(lam_p[i], mu_p[i], -1):
-                v = f[(i, j)]
+                v = T.entry(i, j)
                 running[v - 1] += 1
                 if v > 1 and running[v - 1] > running[v - 2]:
                     ok = False
@@ -195,7 +119,7 @@ def lr_coeff(lam, mu, nu) -> int:
 # Symplectic characters via King tableaux
 
 
-def sp_character(mu, n: int) -> ZPoly:
+def sp_character(mu, n: int) -> RingElem:
     """Character of the rank-n symplectic irreducible with highest weight mu,
     as a sum over King tableaux.
 
@@ -204,16 +128,17 @@ def sp_character(mu, n: int) -> ZPoly:
     are at least i.  A letter k contributes z_k, its primed partner z_k^-1.
     """
     mu_p = Partition(mu)
-    assert len(mu_p) <= n
-    s = shape(mu_p)
-    boxes = s.boxes()
+    _require_rows(mu_p, n, f"C{n}")
+    boxes = shape(mu_p).boxes()
     filling: dict = {}
-    out: dict = {}
+    out = RingElem.zero()
 
-    def rec(idx, exps):
+    def rec(idx):
+        nonlocal out
         if idx == len(boxes):
-            k = tuple(exps)
-            out[k] = out.get(k, 0) + 1
+            out = out + RingElem.monomial(
+                (v // 2 + 1, 0, -1 if v % 2 else 1) for v in filling.values()
+            )
             return
         i, j = boxes[idx]
         left = filling.get((i, j - 1), 0)
@@ -221,14 +146,11 @@ def sp_character(mu, n: int) -> ZPoly:
         lo = max(left, above + 1 if above is not None else 0, 2 * (i - 1))
         for v in range(lo, 2 * n):
             filling[(i, j)] = v
-            k, barred = v // 2, v % 2
-            exps[k] += -1 if barred else 1
-            rec(idx + 1, exps)
-            exps[k] -= -1 if barred else 1
+            rec(idx + 1)
         filling.pop((i, j), None)
 
-    rec(0, [0] * n)
-    return ZPoly(n, out)
+    rec(0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -270,34 +192,34 @@ def decomposition_multiplicities(lam, n: int) -> dict:
 
 
 def verify_decomposition_C(lam, n: int) -> dict:
-    lam_p = Partition(lam)
-    assert len(lam_p) <= n
     t = make_type("C", n)
+    lam_p = Partition(lam)
+    _require_rows(lam_p, n, str(t))
     lhs = beta_to_z(t, chi_h(t, shape(lam_p)))
     mult = decomposition_multiplicities(lam_p.parts, n)
-    rhs = ZPoly(n)
+    rhs = RingElem.zero()
     for mu, c in sorted(mult.items()):
-        rhs = rhs + sp_character(mu, n) * c
+        rhs = rhs + sp_character(mu, n).scalar_mul(c)
     return {
         "type": f"C{n}",
         "lambda": list(lam_p.parts),
         "multiplicities": {",".join(map(str, mu)) or "(empty)": c for mu, c in sorted(mult.items())},
-        "lhs": lhs.to_text(),
-        "rhs": rhs.to_text(),
+        "lhs": z_text(lhs),
+        "rhs": z_text(rhs),
         "equal": lhs == rhs,
     }
 
 
 def verify_decomposition_A(lam, n: int) -> dict:
-    lam_p = Partition(lam)
-    assert len(lam_p) <= n + 1
     t = make_type("A", n)
+    lam_p = Partition(lam)
+    _require_rows(lam_p, n + 1, str(t))
     lhs = beta_to_z(t, chi_h(t, shape(lam_p)))
-    rhs = schur_poly(lam_p.parts, n + 1).normalize_projective()
+    rhs = normalize_projective(schur_poly(lam_p.parts, n + 1), n + 1)
     return {
         "type": f"A{n}",
         "lambda": list(lam_p.parts),
-        "lhs": lhs.to_text(),
-        "rhs": rhs.to_text(),
+        "lhs": z_text(lhs),
+        "rhs": z_text(rhs),
         "equal": lhs == rhs,
     }

@@ -8,15 +8,11 @@ import json
 import random
 import sys
 
-from .ring import letter_str, make_type
+from .ring import ZERO, letter_str, make_type
 from .shapes import parse_partition, shape
 from .series import check_HE
 from .jacobitrudi import chi_h, chi_e
-from .paths import (
-    no_ordinary_tuples,
-    nonintersecting_tuples,
-    signed_path_sum,
-)
+from .paths import signed_path_sum, surviving_tuples
 from .tableaux import (
     RULESETS,
     enumerate_tableaux,
@@ -47,12 +43,11 @@ def cmd_qchar(args) -> int:
     t = _type_from(args)
     s = _shape_from(args)
     out = {}
-    if args.form in ("h", "both"):
-        out["h"] = chi_h(t, s, args.offset).to_json_obj()
-        out["h_text"] = chi_h(t, s, args.offset).to_text()
-    if args.form in ("e", "both"):
-        out["e"] = chi_e(t, s, args.offset).to_json_obj()
-        out["e_text"] = chi_e(t, s, args.offset).to_text()
+    for form, chi in (("h", chi_h), ("e", chi_e)):
+        if args.form in (form, "both"):
+            x = chi(t, s, args.offset)
+            out[form] = x.to_json_obj()
+            out[f"{form}_text"] = x.to_text()
     obj = {
         "type": str(t),
         "lambda": list(s.lam),
@@ -67,8 +62,8 @@ def cmd_tableaux(args) -> int:
     t = _type_from(args)
     s = _shape_from(args)
     ruleset = resolve_ruleset(t, s, args.ruleset)
-    tabs = list(enumerate_tableaux(t, s, ruleset=ruleset))
-    total = tableau_sum(t, s, args.offset, ruleset=ruleset)
+    tabs = enumerate_tableaux(t, s, ruleset=ruleset)
+    total = sum((T.weight(t, args.offset) for T in tabs), ZERO)
     obj = {
         "type": str(t),
         "lambda": list(s.lam),
@@ -97,15 +92,12 @@ def cmd_tableaux(args) -> int:
 def cmd_paths(args) -> int:
     t = _type_from(args)
     s = _shape_from(args)
-    tuples = (
-        nonintersecting_tuples(t, s)
-        if t.family == "A"
-        else no_ordinary_tuples(t, s)
-    )
     items = []
-    for p in tuples:
+    total = ZERO
+    for p in surviving_tuples(t, s):
         d = p.to_json_obj()
         d["sign"] = p.sign()
+        total = total + p.weight(t, args.offset).scalar_mul(d["sign"])
         d["transposed_pairs"] = [
             [i + 1, j + 1] for i, j in p.transposed_pairs(t)
         ]
@@ -117,7 +109,7 @@ def cmd_paths(args) -> int:
         "mu": list(s.mu),
         "count": len(items),
         "tuples": items,
-        "signed_sum": signed_path_sum(t, s, args.offset).to_text(),
+        "signed_sum": total.to_text(),
     }
 
     def text(o):

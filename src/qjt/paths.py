@@ -302,14 +302,16 @@ def p_tilde(t: AlgType, s: SkewShape) -> list[PathTuple]:
     return list(enumerate_tuples(t, s, pair_ok=ok, adjacent_only=True))
 
 
+def surviving_tuples(t: AlgType, s: SkewShape) -> list[PathTuple]:
+    """The type's surviving tuple class: nonintersecting for A, no
+    ordinarily intersecting pair otherwise."""
+    return nonintersecting_tuples(t, s) if t.family == "A" else no_ordinary_tuples(t, s)
+
+
 def signed_path_sum(t: AlgType, s: SkewShape, a_offset: int = 0) -> RingElem:
     """The cancellation-free signed sum over the type's surviving tuple class."""
-    if t.family == "A":
-        tuples = nonintersecting_tuples(t, s)
-    else:
-        tuples = no_ordinary_tuples(t, s)
     out = ZERO
-    for pt in tuples:
+    for pt in surviving_tuples(t, s):
         w = pt.weight(t, a_offset)
         out = out + (w if pt.sign() == 1 else -w)
     return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .ring import AlgType
 from .shapes import Partition, SkewShape
-from .paths import Path, PathTuple, endpoints
+from .paths import Path, PathTuple, classify_pair, endpoints, is_transposed
 
 
 class NotApplicable(Exception):
@@ -101,8 +101,6 @@ def retuple(t: AlgType, s: SkewShape, paths) -> PathTuple:
 
 def r_y_pair(t: AlgType, p1: Path, p2: Path, y: int) -> tuple:
     """Resolve the pair along heights ±y (y >= 1) or 0 (see r_0 cases)."""
-    from .paths import classify_pair, is_transposed
-
     if y == 0 and classify_pair(t, p1, p2) == "specially" and is_transposed(
         t, p1, p2
     ):

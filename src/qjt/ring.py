@@ -86,6 +86,27 @@ def parse_letter(s: str) -> int:
 # Ring elements
 
 
+def terms_text(terms: Iterable[tuple[list[str], int]]) -> str:
+    """Signed-sum text of (factor strings, coefficient) pairs, in the given
+    order; "0" for no terms."""
+    parts = []
+    for factors, c in terms:
+        if not factors:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append("*".join(factors))
+        elif c == -1:
+            parts.append("-" + "*".join(factors))
+        else:
+            parts.append("*".join([str(c)] + factors))
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
 class RingElem:
     """Sparse Laurent polynomial in the Y[i,s] variables.
 
@@ -219,23 +240,10 @@ class RingElem:
         return sorted(self.terms.items())
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            factors = [f"Y[{i},{s}]" + (f"^{e}" if e != 1 else "") for i, s, e in m]
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append("*".join([str(c)] + factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return terms_text(
+            ([f"Y[{i},{s}]" + (f"^{e}" if e != 1 else "") for i, s, e in m], c)
+            for m, c in self.sorted_terms()
+        )
 
     def to_json_obj(self) -> dict:
         return {

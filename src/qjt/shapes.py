@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .ring import ONE, AlgType, RingElem, delta, z_product
+from .ring import AlgType, RingElem, delta
 
 
 def parse_partition(text: str) -> tuple[int, ...]:
@@ -150,14 +150,3 @@ def hw_monomial(t: AlgType, s: SkewShape, a_offset: int = 0) -> RingElem:
         else:
             factors.append((h, aj, 1))
     return RingElem.monomial(factors)
-
-
-def tableau_weight_raw(
-    t: AlgType, s: SkewShape, entries: dict[tuple[int, int], int], a_offset: int = 0
-) -> RingElem:
-    """f-image of prod over boxes of z_{entry, a + 2(j-i) delta}."""
-    d = delta(t)
-    out = ONE
-    for (i, j), c in sorted(entries.items()):
-        out = out * z_product(t, [(c, a_offset + 2 * (j - i) * d)])
-    return out

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .ring import ZERO, AlgType, RingElem, delta, letter_order, letter_str, letters, parse_letter, z_product
 from .shapes import SkewShape, shape
-from .paths import Path, PathTuple
+from .paths import Path, PathTuple, band, east_labels, endpoints, no_ordinary_tuples
 
 
 class Tableau(NamedTuple):
@@ -337,8 +337,6 @@ def column_companions(t: AlgType, c: tuple) -> tuple:
     col = shape([1] * l)
     target = z_product(t, [(c[i], -2 * i) for i in range(l)])
     k = max(i for i in range(l) if _cmp(t, c[i], n) <= 0) + 1  # 1-based
-    from .paths import no_ordinary_tuples
-
     matches = []
     for pt in no_ordinary_tuples(t, col):
         if len(pt.transposed_pairs(t)) != 1:
@@ -349,8 +347,6 @@ def column_companions(t: AlgType, c: tuple) -> tuple:
     pt = matches[0]
     assert len(pt.paths[k - 1].east_steps()) == 0
     assert len(pt.paths[k].east_steps()) == 2
-    from .paths import east_labels
-
     d = []
     for i in range(l):
         if i == k - 1:
@@ -503,8 +499,6 @@ def tableau_sum(t: AlgType, s: SkewShape, a_offset: int = 0, ruleset: str = "aut
 
 
 def path_tuple_to_tableau(t: AlgType, pt: PathTuple) -> Tableau:
-    from .paths import east_labels
-
     assert pt.pi == tuple(range(len(pt.pi))), "rows permuted; no tableau attached"
     rows = tuple(tuple(c for c, _s in east_labels(t, p)) for p in pt.paths)
     return Tableau(pt.shape, rows)
@@ -517,43 +511,21 @@ def _row_heights(t: AlgType, row: tuple) -> list[int]:
         return [c - 1 for c in row]
     if t.family == "B":
         return [c - n - 1 if c > 0 else (0 if c == 0 else n + 1 + c) for c in row]
-    # C: entries n and -n may sit at height 0, where they must alternate
-    # -n, n, ..., -n, n as a contiguous block; all other heights are forced
-    def fixed(c):
-        return c - n - 1 if 0 < c < n else (n + 1 + c if -n < c < 0 else None)
-
-    candidates = []
+    # C: an n or n-bar sits at height 0 inside the block n-bar, n, ...,
+    # n-bar, n that starts at the first n-bar directly followed by n; any
+    # other n sits just below the axis and any other n-bar just above it
+    hs = [c - n - 1 if c > 0 else n + 1 + c for c in row]
     m = len(row)
-    for p in range(m + 1):
-        for q in range(p, m + 1):  # block row[p:q] at height 0
-            block = row[p:q]
-            if len(block) % 2 == 1:
-                continue
-            if any(block[x] != (-n if x % 2 == 0 else n) for x in range(len(block))):
-                continue
-            hs = []
-            good = True
-            for x, c in enumerate(row):
-                if p <= x < q:
-                    hs.append(0)
-                    continue
-                h = fixed(c)
-                if h is None:
-                    h = -1 if c == n else 1  # below/above the axis
-                if x < p and h >= 0 or x >= q and h <= 0:
-                    good = False
-                    break
-                hs.append(h)
-            if good and all(hs[x] <= hs[x + 1] for x in range(m - 1)):
-                candidates.append(hs)
-    uniq = {tuple(h) for h in candidates}
-    assert len(uniq) == 1, (row, uniq)
-    return list(uniq.pop())
+    p = next((x for x in range(m - 1) if row[x] == -n and row[x + 1] == n), m)
+    while p + 1 < m and row[p] == -n and row[p + 1] == n:
+        hs[p] = hs[p + 1] = 0
+        p += 2
+    if any(hs[x] > hs[x + 1] for x in range(m - 1)):
+        raise ValueError(f"row {row} is realized by no path in {t}")
+    return hs
 
 
 def tableau_to_path_tuple(t: AlgType, T: Tableau) -> PathTuple:
-    from .paths import band, endpoints
-
     bot, top = band(t)
     s = T.shape
     us, vs = endpoints(t, s)

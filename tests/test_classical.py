@@ -3,7 +3,6 @@
 import pytest
 
 from qjt.classical import (
-    ZPoly,
     beta_to_z,
     decomposition_multiplicities,
     lr_coeff,
@@ -12,11 +11,16 @@ from qjt.classical import (
     verify_decomposition_A,
     verify_decomposition_C,
 )
-from qjt.ring import make_type
+from qjt.ring import RingElem, make_type
 from qjt.shapes import Partition, shape
 from qjt.jacobitrudi import chi_h
 
 from test_shapes import all_partitions
+
+
+def dim(p):
+    """Value at z = 1, the dimension of a character."""
+    return sum(p.terms.values())
 
 
 def test_lr_basic_values():
@@ -47,28 +51,29 @@ def test_schur_product_expands_by_lr():
     cases = [((2,), (1, 1)), ((2, 1), (1,)), ((1, 1), (1, 1))]
     for mu, nu in cases:
         prod = schur_poly(mu, nvars) * schur_poly(nu, nvars)
-        total = ZPoly(nvars)
+        total = RingElem.zero()
         size = sum(mu) + sum(nu)
         for lam in all_partitions(size, nvars, size):
             if sum(lam) != size:
                 continue
             c = lr_coeff(lam, mu, nu)
             if c:
-                total = total + schur_poly(lam, nvars) * c
+                total = total + schur_poly(lam, nvars).scalar_mul(c)
         assert prod == total
 
 
 def test_sp_character_small_cases():
     p = sp_character((1,), 2)
-    assert p == ZPoly(2, {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1})
-    assert sp_character((), 2).eval_ones() == 1
-    assert sp_character((1, 1), 2).eval_ones() == 5
+    # z_k^e is the factor (k, 0, e)
+    assert p == RingElem({((1, 0, 1),): 1, ((1, 0, -1),): 1, ((2, 0, 1),): 1, ((2, 0, -1),): 1})
+    assert dim(sp_character((), 2)) == 1
+    assert dim(sp_character((1, 1), 2)) == 5
     # Weyl dimension checks for C_2: V(2w1)=10, V(w1+w2)=16, V(2w2)=14
-    assert sp_character((2,), 2).eval_ones() == 10
-    assert sp_character((2, 1), 2).eval_ones() == 16
-    assert sp_character((2, 2), 2).eval_ones() == 14
+    assert dim(sp_character((2,), 2)) == 10
+    assert dim(sp_character((2, 1), 2)) == 16
+    assert dim(sp_character((2, 2), 2)) == 14
     # C_3 adjoint V(2w1) has dimension 21
-    assert sp_character((2,), 3).eval_ones() == 21
+    assert dim(sp_character((2,), 3)) == 21
 
 
 def test_sp_character_dimension_positive_and_grows_along_columns():
@@ -78,7 +83,7 @@ def test_sp_character_dimension_positive_and_grows_along_columns():
     for n in (2, 3):
         dims = {}
         for mu in all_partitions(4, n, 4):
-            dims[mu] = sp_character(mu, n).eval_ones()
+            dims[mu] = dim(sp_character(mu, n))
             assert dims[mu] > 0
         for mu, d in dims.items():
             grown = (mu[0] + 1,) + mu[1:] if mu else (1,)
@@ -91,11 +96,11 @@ def test_sp_character_weyl_symmetry():
     for mu in [(2, 1), (3,), (1, 1)]:
         p = sp_character(mu, 2)
         for axis in (0, 1):
-            flipped = {}
-            for k, c in p.terms.items():
-                k2 = tuple(-e if i == axis else e for i, e in enumerate(k))
-                flipped[k2] = c
-            assert ZPoly(2, flipped) == p
+            flipped = {
+                tuple((k, s, -e if k == axis + 1 else e) for k, s, e in m): c
+                for m, c in p.terms.items()
+            }
+            assert RingElem(flipped) == p
 
 
 def test_beta_projection_on_z_variables():
@@ -137,3 +142,47 @@ def test_decomposition_multiplicities_examples():
     assert decomposition_multiplicities((2,), 2) == {(): 1, (2,): 1}
     assert decomposition_multiplicities((1, 1), 2) == {(1, 1): 1}
     assert decomposition_multiplicities((2, 1), 2) == {(1,): 1, (2, 1): 1}
+
+
+# lhs/rhs text of the decomposition reports: terms ordered by exponent
+# vector (z_1 first), factors z1^2*z2, A reduced modulo z_1*...*z_{n+1} = 1
+GOLDEN_Z_TEXT = [
+    (verify_decomposition_A, (2,), 1, "1 + z2^2 + z1^2"),
+    (
+        verify_decomposition_A, (2, 1), 2,
+        "2 + z2*z3^2 + z2^2*z3 + z1*z3^2 + z1*z2^2 + z1^2*z3 + z1^2*z2",
+    ),
+    (
+        verify_decomposition_A, (2, 1, 1), 3,
+        "3 + z2*z3*z4^2 + z2*z3^2*z4 + z2^2*z3*z4 + z1*z3*z4^2 + z1*z3^2*z4"
+        " + z1*z2*z4^2 + z1*z2*z3^2 + z1*z2^2*z4 + z1*z2^2*z3 + z1^2*z3*z4"
+        " + z1^2*z2*z4 + z1^2*z2*z3",
+    ),
+    (
+        verify_decomposition_C, (2, 1), 2,
+        "z1^-2*z2^-1 + z1^-2*z2 + z1^-1*z2^-2 + 3*z1^-1 + z1^-1*z2^2 + 3*z2^-1"
+        " + 3*z2 + z1*z2^-2 + 3*z1 + z1*z2^2 + z1^2*z2^-1 + z1^2*z2",
+    ),
+    (
+        verify_decomposition_C, (1, 1), 3,
+        "z1^-1*z2^-1 + z1^-1*z3^-1 + z1^-1*z3 + z1^-1*z2 + z2^-1*z3^-1"
+        " + z2^-1*z3 + 2 + z2*z3^-1 + z2*z3 + z1*z2^-1 + z1*z3^-1 + z1*z3 + z1*z2",
+    ),
+]
+
+
+@pytest.mark.parametrize("verify,lam,n,text", GOLDEN_Z_TEXT)
+def test_decomposition_z_text_golden(verify, lam, n, text):
+    r = verify(lam, n)
+    assert r["lhs"] == text
+    assert r["rhs"] == text
+
+
+@pytest.mark.parametrize(
+    "fn,n",
+    [(verify_decomposition_C, 2), (verify_decomposition_A, 1), (sp_character, 2)],
+    ids=["C", "A", "sp"],
+)
+def test_row_limit_is_a_value_error(fn, n):
+    with pytest.raises(ValueError, match="at most"):
+        fn((1, 1, 1), n)

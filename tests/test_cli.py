@@ -1,9 +1,13 @@
 """CLI surface: argument handling, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qjt
 from qjt.cli import main
 from qjt.ring import make_type, RingElem
 from qjt.series import h_coeff
@@ -115,3 +119,18 @@ def test_usage_errors_exit_2(capsys):
         "--lambda", "1", "--mu", "2",
     )
     assert rc == 2
+
+
+def test_classical_row_limit_fails_closed(capsys):
+    argv = ["classical", "--type", "C", "--rank", "2", "--lambda", "1,1,1"]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert "at most 2 rows" in err
+    # the check must survive python -O, which strips assert statements
+    src = os.path.dirname(os.path.dirname(qjt.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "qjt.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "at most 2 rows" in proc.stderr

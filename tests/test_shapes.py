@@ -12,8 +12,8 @@ from qjt.shapes import (
     hw_monomial,
     parse_partition,
     shape,
-    tableau_weight_raw,
 )
+from qjt.tableaux import Tableau
 
 
 def all_partitions(max_size, max_len=None, max_part=None):
@@ -106,8 +106,12 @@ def test_hw_monomial_matches_tableau_weight():
                 if s.depth() > t.rank:
                     continue
                 hw = highest_weight_tableau(s)
+                rows = tuple(
+                    tuple(hw[(i, j)] for j in range(s.mu[i] + 1, s.lam[i] + 1))
+                    for i in range(1, len(s.lam) + 1)
+                )
                 for off in (0, 3):
-                    assert hw_monomial(t, s, off) == tableau_weight_raw(t, s, hw, off), (
+                    assert hw_monomial(t, s, off) == Tableau(s, rows).weight(t, off), (
                         t, lam, mu, off,
                     )
 

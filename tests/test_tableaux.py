@@ -1,11 +1,14 @@
+import itertools
+
 import pytest
 
 from qjt.jacobitrudi import chi_h
 from qjt.paths import p_tilde
-from qjt.ring import make_type, parse_letter
+from qjt.ring import letters, make_type, parse_letter
 from qjt.shapes import shape
 from qjt.tableaux import (
     Tableau,
+    _row_heights,
     column_companions,
     enumerate_tableaux,
     is_valid,
@@ -242,6 +245,58 @@ def test_tableau_path_bijection_counts(fam, n):
         assert {path_tuple_to_tableau(t, pt).cells for pt in tuples} == {
             tb.cells for tb in tabs
         }
+
+
+def row_heights_search(t, row):
+    """Every height assignment for a C row: try each alternating n-bar, n
+    block at height 0 and keep the weakly increasing results."""
+    n = t.rank
+
+    def fixed(c):
+        return c - n - 1 if 0 < c < n else (n + 1 + c if -n < c < 0 else None)
+
+    candidates = set()
+    m = len(row)
+    for p in range(m + 1):
+        for q in range(p, m + 1):  # block row[p:q] at height 0
+            block = row[p:q]
+            if len(block) % 2 == 1:
+                continue
+            if any(block[x] != (-n if x % 2 == 0 else n) for x in range(len(block))):
+                continue
+            hs = []
+            good = True
+            for x, c in enumerate(row):
+                if p <= x < q:
+                    hs.append(0)
+                    continue
+                h = fixed(c)
+                if h is None:
+                    h = -1 if c == n else 1  # below/above the axis
+                if x < p and h >= 0 or x >= q and h <= 0:
+                    good = False
+                    break
+                hs.append(h)
+            if good and all(hs[x] <= hs[x + 1] for x in range(m - 1)):
+                candidates.add(tuple(hs))
+    return candidates
+
+
+def test_row_heights_closed_form_matches_search():
+    # every letter sequence of length <= 5, valid rows or not
+    rows_seen = 0
+    for n in (2, 3, 4):
+        t = make_type("C", n)
+        for m in range(6):
+            for row in itertools.product(letters(t), repeat=m):
+                rows_seen += 1
+                found = row_heights_search(t, row)
+                if len(found) == 1:
+                    assert tuple(_row_heights(t, row)) in found, row
+                else:
+                    with pytest.raises(ValueError):
+                        _row_heights(t, row)
+    assert rows_seen == 48145
 
 
 def test_serialization():
