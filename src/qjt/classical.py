@@ -40,11 +40,10 @@ def z_text(p: RingElem) -> str:
 def normalize_projective(p: RingElem, nvars: int) -> RingElem:
     """Canonical form modulo z_1*...*z_nvars = 1: shift each exponent vector
     so its minimum entry is zero."""
-    out = RingElem.zero()
-    for m, c in p.terms.items():
-        low = min(_dense(m, nvars))
-        out = out + RingElem.monomial([*m, *((k, 0, -low) for k in range(1, nvars + 1))], c)
-    return out
+    return RingElem.sum(
+        RingElem.monomial([*m, *((k, 0, -min(_dense(m, nvars))) for k in range(1, nvars + 1))], c)
+        for m, c in p.terms.items()
+    )
 
 
 def beta_to_z(t: AlgType, e: RingElem) -> RingElem:
@@ -54,11 +53,10 @@ def beta_to_z(t: AlgType, e: RingElem) -> RingElem:
     n+1 variables (modulo the determinant relation) and for type C in n
     variables.
     """
-    out = RingElem.zero()
-    for m, c in e.beta().terms.items():
-        out = out + RingElem.monomial(
-            ((k, 0, exp) for i, _s, exp in m for k in range(1, i + 1)), c
-        )
+    out = RingElem.sum(
+        RingElem.monomial(((k, 0, exp) for i, _s, exp in m for k in range(1, i + 1)), c)
+        for m, c in e.beta().terms.items()
+    )
     return normalize_projective(out, t.rank + 1) if t.family == "A" else out
 
 
@@ -76,10 +74,10 @@ def _require_rows(p: Partition, limit: int, name: str) -> None:
 def schur_poly(lam, nvars: int) -> RingElem:
     """Schur polynomial s_lambda(z_1..z_nvars) as a sum over semistandard
     tableaux, which are the type A_{nvars-1} tableaux."""
-    out = RingElem.zero()
-    for T in enumerate_tableaux(AlgType("A", nvars - 1), shape(lam), "hv"):
-        out = out + RingElem.monomial((c, 0, 1) for row in T.cells for c in row)
-    return out
+    return RingElem.sum(
+        RingElem.monomial((c, 0, 1) for row in T.cells for c in row)
+        for T in enumerate_tableaux(AlgType("A", nvars - 1), shape(lam), "hv")
+    )
 
 
 def lr_coeff(lam, mu, nu) -> int:
@@ -131,14 +129,11 @@ def sp_character(mu, n: int) -> RingElem:
     _require_rows(mu_p, n, f"C{n}")
     boxes = shape(mu_p).boxes()
     filling: dict = {}
-    out = RingElem.zero()
+    monomials = []
 
     def rec(idx):
-        nonlocal out
         if idx == len(boxes):
-            out = out + RingElem.monomial(
-                (v // 2 + 1, 0, -1 if v % 2 else 1) for v in filling.values()
-            )
+            monomials.append(RingElem.monomial((v // 2 + 1, 0, -1 if v % 2 else 1) for v in filling.values()))
             return
         i, j = boxes[idx]
         left = filling.get((i, j - 1), 0)
@@ -150,7 +145,7 @@ def sp_character(mu, n: int) -> RingElem:
         filling.pop((i, j), None)
 
     rec(0)
-    return out
+    return RingElem.sum(monomials)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +192,7 @@ def verify_decomposition_C(lam, n: int) -> dict:
     _require_rows(lam_p, n, str(t))
     lhs = beta_to_z(t, chi_h(t, shape(lam_p)))
     mult = decomposition_multiplicities(lam_p.parts, n)
-    rhs = RingElem.zero()
-    for mu, c in sorted(mult.items()):
-        rhs = rhs + sp_character(mu, n).scalar_mul(c)
+    rhs = RingElem.sum(sp_character(mu, n).scalar_mul(c) for mu, c in sorted(mult.items()))
     return {
         "type": f"C{n}",
         "lambda": list(lam_p.parts),

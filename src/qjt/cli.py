@@ -8,7 +8,7 @@ import json
 import random
 import sys
 
-from .ring import ZERO, letter_str, make_type
+from .ring import RingElem, letter_str, make_type
 from .shapes import parse_partition, shape
 from .series import check_HE
 from .jacobitrudi import chi_h, chi_e
@@ -63,7 +63,7 @@ def cmd_tableaux(args) -> int:
     s = _shape_from(args)
     ruleset = resolve_ruleset(t, s, args.ruleset)
     tabs = enumerate_tableaux(t, s, ruleset=ruleset)
-    total = sum((T.weight(t, args.offset) for T in tabs), ZERO)
+    total = RingElem.sum(T.weight(t, args.offset) for T in tabs)
     obj = {
         "type": str(t),
         "lambda": list(s.lam),
@@ -92,12 +92,12 @@ def cmd_tableaux(args) -> int:
 def cmd_paths(args) -> int:
     t = _type_from(args)
     s = _shape_from(args)
+    tuples = surviving_tuples(t, s)
+    total = RingElem.sum(p.weight(t, args.offset).scalar_mul(p.sign()) for p in tuples)
     items = []
-    total = ZERO
-    for p in surviving_tuples(t, s):
+    for p in tuples:
         d = p.to_json_obj()
         d["sign"] = p.sign()
-        total = total + p.weight(t, args.offset).scalar_mul(d["sign"])
         d["transposed_pairs"] = [
             [i + 1, j + 1] for i, j in p.transposed_pairs(t)
         ]

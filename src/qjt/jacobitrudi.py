@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .ring import ONE, ZERO, AlgType, RingElem, delta
+from .ring import ONE, AlgType, RingElem, delta
 from .series import e_coeff, h_coeff
 from .shapes import SkewShape
 
@@ -25,14 +25,11 @@ def determinant(matrix: list[list[RingElem]]) -> RingElem:
         out = memo.get(key)
         if out is not None:
             return out
-        out = ZERO
-        for pos, j in enumerate(sorted(cols)):
-            entry = matrix[row][j]
-            if entry.is_zero():
-                continue
-            sub = minor(row + 1, cols - {j})
-            term = entry * sub
-            out = out + (term if pos % 2 == 0 else -term)
+        out = RingElem.sum_products(
+            (-1 if pos % 2 else 1, matrix[row][j], minor(row + 1, cols - {j}))
+            for pos, j in enumerate(sorted(cols))
+            if not matrix[row][j].is_zero()
+        )
         memo[key] = out
         return out
 

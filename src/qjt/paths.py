@@ -15,7 +15,7 @@ import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
-from .ring import ONE, ZERO, AlgType, RingElem, f_hom
+from .ring import AlgType, RingElem, z_product
 from .shapes import SkewShape
 
 
@@ -142,10 +142,7 @@ def east_labels(t: AlgType, p: Path) -> list[tuple[int, int]]:
 
 
 def path_weight(t: AlgType, p: Path, a_offset: int = 0) -> RingElem:
-    out = ONE
-    for letter, shift in east_labels(t, p):
-        out = out * f_hom(t, letter, shift + a_offset)
-    return out
+    return z_product(t, [(letter, shift + a_offset) for letter, shift in east_labels(t, p)])
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +198,9 @@ class PathTuple(NamedTuple):
         return sgn
 
     def weight(self, t: AlgType, a_offset: int = 0) -> RingElem:
-        out = ONE
-        for p in self.paths:
-            out = out * path_weight(t, p, a_offset)
-        return out
+        return z_product(
+            t, [(letter, shift + a_offset) for p in self.paths for letter, shift in east_labels(t, p)]
+        )
 
     def transposed_pairs(self, t: AlgType) -> list[tuple[int, int]]:
         out = []
@@ -281,9 +277,14 @@ def no_ordinary_tuples(t: AlgType, s: SkewShape) -> list[PathTuple]:
     return list(enumerate_tuples(t, s, pair_ok=_no_ordinary(t)))
 
 
+def _require_C(t: AlgType, name: str) -> None:
+    if t.family != "C":
+        raise ValueError(f"{name} is defined for type C only, not {t}")
+
+
 def p_k_tuples(t: AlgType, s: SkewShape) -> dict[int, list[PathTuple]]:
     """The decomposition of the no-ordinary set by number of transposed pairs."""
-    assert t.family == "C"
+    _require_C(t, "p_k_tuples")
     out: dict[int, list[PathTuple]] = {}
     for pt in no_ordinary_tuples(t, s):
         out.setdefault(len(pt.transposed_pairs(t)), []).append(pt)
@@ -292,7 +293,7 @@ def p_k_tuples(t: AlgType, s: SkewShape) -> dict[int, list[PathTuple]]:
 
 def p_tilde(t: AlgType, s: SkewShape) -> list[PathTuple]:
     """Tuples with no adjacent pair ordinarily intersecting or transposed."""
-    assert t.family == "C"
+    _require_C(t, "p_tilde")
 
     def ok(p, q):
         if classify_pair(t, p, q) == "ordinarily":
@@ -310,8 +311,4 @@ def surviving_tuples(t: AlgType, s: SkewShape) -> list[PathTuple]:
 
 def signed_path_sum(t: AlgType, s: SkewShape, a_offset: int = 0) -> RingElem:
     """The cancellation-free signed sum over the type's surviving tuple class."""
-    out = ZERO
-    for pt in surviving_tuples(t, s):
-        w = pt.weight(t, a_offset)
-        out = out + (w if pt.sign() == 1 else -w)
-    return out
+    return RingElem.sum(pt.weight(t, a_offset).scalar_mul(pt.sign()) for pt in surviving_tuples(t, s))

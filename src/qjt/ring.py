@@ -7,6 +7,21 @@ pushed through the type-dependent monomial substitution ``f_hom`` at
 construction time, so the generating relations between the z's hold
 automatically and equality is plain structural equality.
 
+A ring element stores each monomial as one packed integer key (Monagan and
+Pearce's packed exponent vectors).  The exponent of Y[i,s] is a balanced
+w-bit digit at slot (s - lo) * n + i - 1: spectral shift major, node index
+minor, with lo, the stride n and the width w kept per element.  Multiplying
+two monomials is then one integer add, and a spectral shift is O(1): it
+moves lo and shares the key dict.  Operands of +, * and == are aligned first
+(a lower lo is a left shift of the keys; a larger n or w is a re-encoding).
+Each element tracks a bound on its exponents; when a product could exceed
+the digit range, the operands are re-encoded at twice the width, so a digit
+never wraps.  Sums and products are accumulated in one fresh dict
+(``RingElem.sum``, ``RingElem.sum_products``); no stored dict is ever
+mutated, so shifted elements may share one.  The (i, s, e) tuple form,
+``RingElem.terms``, is decoded only when read (text, JSON, classical
+projection) and cached.
+
 Letters are encoded as ints: k > 0 is the unbarred letter k, 0 is the type-B
 zero letter, -k is the barred letter k-bar.
 """
@@ -110,106 +125,146 @@ def terms_text(terms: Iterable[tuple[list[str], int]]) -> str:
 class RingElem:
     """Sparse Laurent polynomial in the Y[i,s] variables.
 
-    terms maps a monomial to its nonzero integer coefficient; a monomial is a
-    tuple of (i, s, e) factors with nonzero exponent e, sorted by (i, s).
+    Stored form: a dict from packed monomial keys (see the module docstring)
+    to nonzero integer coefficients, with the layout's base shift lo, stride
+    n (the largest index i), width w, and a bound b < 2**(w - 1) on every
+    |e|.  Constants (key 0) fit every layout.
+
+    ``terms`` is the decoded form: a dict from monomials, each a tuple of
+    (i, s, e) factors with nonzero exponent e sorted by (i, s), to
+    coefficients.  It is decoded on first use and cached, and is read-only.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_keys", "_lo", "_n", "_w", "_b", "_terms")
 
     def __init__(self, terms: dict | None = None):
-        self.terms = terms if terms is not None else {}
+        self._set(*_encode([(_exponents(m), c) for m, c in (terms or {}).items()]))
+
+    def _set(self, keys: dict, lo: int, n: int, w: int, b: int):
+        self._keys, self._lo, self._n, self._w, self._b = keys, lo, n, w, b
+        self._terms = None
+
+    @staticmethod
+    def _make(keys: dict, lo: int, n: int, w: int, b: int) -> "RingElem":
+        x = object.__new__(RingElem)
+        x._set(keys, lo, n, w, b)
+        return x
+
+    @staticmethod
+    def _from_exponents(items: list[tuple[dict, int]], n: int = 1) -> "RingElem":
+        """Sum of coef * prod Y[i,s]^e over ({(i, s): e}, coef) items, with
+        stride at least n."""
+        return RingElem._make(*_encode(items, n))
 
     # -- constructors
 
     @staticmethod
     def zero() -> "RingElem":
-        return RingElem({})
+        return RingElem._make({}, 0, 1, _W0, 0)
 
     @staticmethod
     def const(c: int) -> "RingElem":
-        return RingElem({(): c} if c else {})
+        return RingElem._make({0: c} if c else {}, 0, 1, _W0, 0)
 
     @staticmethod
     def monomial(factors: Iterable[tuple[int, int, int]], coef: int = 1) -> "RingElem":
-        if coef == 0:
-            return RingElem({})
-        acc: dict[tuple[int, int], int] = {}
-        for i, s, e in factors:
-            acc[(i, s)] = acc.get((i, s), 0) + e
-        key = tuple(sorted((i, s, e) for (i, s), e in acc.items() if e))
-        return RingElem({key: coef})
+        return RingElem._from_exponents([(_exponents(factors), coef)])
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            lo, n, w = self._lo, self._n, self._w
+            self._terms = {
+                tuple(sorted(
+                    (slot % n + 1, slot // n + lo, e) for slot, e in enumerate(_digits(key, w)) if e
+                )): c
+                for key, c in self._keys.items()
+            }
+        return self._terms
+
+    # -- sums and products
+
+    @staticmethod
+    def sum(elems: Iterable["RingElem"]) -> "RingElem":
+        """The sum of elems, accumulated in one new dict."""
+        elems = list(elems)
+        keys, lo, n, w = _align(elems, 0)
+        acc: dict = {}
+        get = acc.get
+        for ks in keys:
+            for k, c in ks.items():
+                acc[k] = get(k, 0) + c
+        b = max((x._b for x in elems), default=0)
+        return RingElem._make({k: c for k, c in acc.items() if c}, lo, n, w, b)
+
+    @staticmethod
+    def sum_products(triples: Iterable[tuple[int, "RingElem", "RingElem"]]) -> "RingElem":
+        """sum of c * a * b over (c, a, b), accumulated in one new dict: the
+        ring's only multiplication."""
+        triples = [(c, x, y) for c, x, y in triples if c and x._keys and y._keys]
+        bound = max((x._b + y._b for _, x, y in triples), default=0)
+        keys, lo, n, w = _align([z for _, x, y in triples for z in (x, y)], bound)
+        acc: dict = {}
+        get = acc.get
+        for (c, _x, _y), ka, kb in zip(triples, keys[0::2], keys[1::2]):
+            if len(ka) > len(kb):
+                ka, kb = kb, ka
+            items = kb.items()
+            for k1, c1 in ka.items():
+                c1 *= c
+                for k2, c2 in items:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+        return RingElem._make({k: v for k, v in acc.items() if v}, lo, n, w, bound)
 
     # -- ring operations
 
     def __add__(self, other: "RingElem") -> "RingElem":
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            c2 = terms.get(m, 0) + c
-            if c2:
-                terms[m] = c2
-            else:
-                del terms[m]
-        return RingElem(terms)
+        return RingElem.sum((self, other))
 
     def __neg__(self) -> "RingElem":
-        return RingElem({m: -c for m, c in self.terms.items()})
+        return self.scalar_mul(-1)
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + (-other)
 
     def __mul__(self, other: "RingElem") -> "RingElem":
-        if len(self.terms) > len(other.terms):
-            self, other = other, self
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            d1 = {(i, s): e for i, s, e in m1}
-            for m2, c2 in other.terms.items():
-                acc = dict(d1)
-                for i, s, e in m2:
-                    k = (i, s)
-                    e2 = acc.get(k, 0) + e
-                    if e2:
-                        acc[k] = e2
-                    else:
-                        del acc[k]
-                key = tuple(sorted((i, s, e) for (i, s), e in acc.items()))
-                c = terms.get(key, 0) + c1 * c2
-                if c:
-                    terms[key] = c
-                else:
-                    del terms[key]
-        return RingElem(terms)
+        return RingElem.sum_products(((1, self, other),))
 
     def scalar_mul(self, c: int) -> "RingElem":
         if c == 0:
-            return RingElem({})
-        return RingElem({m: c * cc for m, cc in self.terms.items()})
+            return RingElem.zero()
+        return RingElem._make({k: c * cc for k, cc in self._keys.items()}, self._lo, self._n, self._w, self._b)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RingElem) and self.terms == other.terms
+        if not isinstance(other, RingElem):
+            return False
+        if len(self._keys) != len(other._keys):
+            return False
+        a, b = _align((self, other), 0)[0]
+        return a == b
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._keys
 
     def is_one(self) -> bool:
-        return self.terms == {(): 1}
+        return self._keys == {0: 1}
 
     def num_terms(self) -> int:
         """Number of monomials counted with multiplicity (sum of |coef|)."""
-        return sum(abs(c) for c in self.terms.values())
+        return sum(abs(c) for c in self._keys.values())
 
     # -- shifts and projections
 
     def shift_spectral(self, d: int) -> "RingElem":
-        """Translate every spectral shift by d."""
+        """Translate every spectral shift by d: a new base, the same keys
+        (the dict is shared, never mutated)."""
         if d == 0:
             return self
-        return RingElem(
-            {tuple((i, s + d, e) for i, s, e in m): c for m, c in self.terms.items()}
-        )
+        return RingElem._make(self._keys, self._lo + d, self._n, self._w, self._b)
 
     def beta(self) -> "RingElem":
         """Classical projection: forget spectral shifts, Y[i,s] -> y_i.
@@ -217,22 +272,9 @@ class RingElem:
         The result is represented as a RingElem with all shifts zero,
         i.e. a Laurent polynomial in y_1..y_n.
         """
-        terms: dict = {}
-        for m, c in self.terms.items():
-            acc: dict[int, int] = {}
-            for i, _s, e in m:
-                e2 = acc.get(i, 0) + e
-                if e2:
-                    acc[i] = e2
-                else:
-                    del acc[i]
-            key = tuple((i, 0, e) for i, e in sorted(acc.items()))
-            c2 = terms.get(key, 0) + c
-            if c2:
-                terms[key] = c2
-            else:
-                del terms[key]
-        return RingElem(terms)
+        return RingElem._from_exponents(
+            [(_exponents((i, 0, e) for i, _s, e in m), c) for m, c in self.terms.items()], self._n
+        )
 
     # -- serialization
 
@@ -255,14 +297,108 @@ class RingElem:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "RingElem":
-        terms = {}
-        for term in obj["terms"]:
-            m = tuple(sorted((f["i"], f["s"], f["e"]) for f in term["factors"]))
-            terms[m] = term["coef"]
-        return RingElem(terms)
+        return RingElem._from_exponents(
+            [(_exponents((f["i"], f["s"], f["e"]) for f in term["factors"]), term["coef"]) for term in obj["terms"]]
+        )
 
     def __repr__(self):
         return f"RingElem({self.to_text()})"
+
+
+# ---------------------------------------------------------------------------
+# Packed keys
+
+
+_W0 = 8  # digit width of a new element; doubled while the bound needs it
+
+
+def _width(bound: int) -> int:
+    """Smallest width (8, 16, 32, ...) whose balanced digits hold |e| <= bound."""
+    w = _W0
+    while bound >= 1 << (w - 1):
+        w *= 2
+    return w
+
+
+def _exponents(factors: Iterable[tuple[int, int, int]]) -> dict[tuple[int, int], int]:
+    """{(i, s): e} of a product of factors, repeated (i, s) added."""
+    acc: dict[tuple[int, int], int] = {}
+    for i, s, e in factors:
+        acc[(i, s)] = acc.get((i, s), 0) + e
+    return acc
+
+
+def _encode(items: list[tuple[dict, int]], n: int = 1) -> tuple[dict, int, int, int, int]:
+    """Packed (keys, lo, n, w, b) of the sum of coef * monomial over
+    ({(i, s): e}, coef) items; lo is the least shift with a nonzero exponent."""
+    items = [({k: e for k, e in exps.items() if e}, c) for exps, c in items if c]
+    slots = [k for exps, _ in items for k in exps]
+    if any(i < 1 for i, _ in slots):
+        raise ValueError(f"variable index must be positive: {min(i for i, _ in slots)}")
+    n = max([n] + [i for i, _ in slots])
+    lo = min((s for _, s in slots), default=0)
+    b = max((abs(e) for exps, _ in items for e in exps.values()), default=0)
+    w = _width(b)
+    keys: dict[int, int] = {}
+    for exps, c in items:
+        key = sum(e << (w * ((s - lo) * n + i - 1)) for (i, s), e in exps.items())
+        keys[key] = keys.get(key, 0) + c
+    return {k: c for k, c in keys.items() if c}, lo, n, w, b
+
+
+def _digits(key: int, w: int) -> list[int]:
+    """Balanced base-2**w digits of key, least significant first (w a
+    multiple of 8).  Adding half a digit to every place makes each digit
+    non-negative, so the digits are read off the bytes."""
+    nb = w // 8
+    m = key.bit_length() // w + 1
+    half = 1 << (w - 1)
+    raw = (key + int.from_bytes(half.to_bytes(nb, "little") * m, "little")).to_bytes(m * nb, "little")
+    if nb == 1:
+        return [x - half for x in raw]
+    return [int.from_bytes(raw[j : j + nb], "little") - half for j in range(0, m * nb, nb)]
+
+
+def _is_const(x: RingElem) -> bool:
+    keys = x._keys
+    return not keys or (len(keys) == 1 and 0 in keys)
+
+
+def _align(elems, bound: int) -> tuple[list[dict], int, int, int]:
+    """The keys of elems in one layout (lo, n, w): the least lo, the largest
+    n, and the largest w, widened until bound fits.  Keys already in the
+    layout are returned as they are, not copied."""
+    live = [x for x in elems if not _is_const(x)]
+    if not live:
+        return [x._keys for x in elems], 0, 1, _width(bound)
+    lo = min(x._lo for x in live)
+    n = max(x._n for x in live)
+    w = max(_width(bound), max(x._w for x in live))
+    out = []
+    for x in elems:
+        keys = x._keys
+        if not _is_const(x):
+            if x._n != n or x._w != w:
+                keys = _recode(x, lo, n, w)
+            elif x._lo != lo:
+                sh = w * n * (x._lo - lo)
+                keys = {k << sh: c for k, c in keys.items()}
+        out.append(keys)
+    return out, lo, n, w
+
+
+def _recode(x: RingElem, lo: int, n: int, w: int) -> dict:
+    """x's keys in the layout (lo, n, w), with lo <= x._lo, n >= x._n and
+    w >= x._w."""
+    out = {}
+    for key, c in x._keys.items():
+        new = 0
+        for slot, e in enumerate(_digits(key, x._w)):
+            if e:
+                s, i = divmod(slot, x._n)
+                new += e << (w * ((s + x._lo - lo) * n + i))
+        out[new] = c
+    return out
 
 
 ZERO = RingElem.zero()
@@ -373,20 +509,22 @@ _F_CACHE: dict[tuple[AlgType, int], list[tuple[int, int, int]]] = {}
 
 def f_hom(t: AlgType, letter: int, shift: int = 0) -> RingElem:
     """Image of z_{letter, a+shift} as a Y-monomial."""
-    key = (t, letter)
-    facs = _F_CACHE.get(key)
-    if facs is None:
-        facs = _f_factors(t, letter)
-        _F_CACHE[key] = facs
-    return RingElem.monomial((i, s + shift, e) for i, s, e in facs)
+    return z_product(t, [(letter, shift)])
 
 
 def z_product(t: AlgType, zvars: Iterable[tuple[int, int]]) -> RingElem:
-    """f-image of a product of z-variables given as (letter, shift) pairs."""
-    out = ONE
+    """f-image of a product of z-variables given as (letter, shift) pairs:
+    one exponent vector, packed once."""
+    exps: dict[tuple[int, int], int] = {}
+    get = exps.get
     for letter, shift in zvars:
-        out = out * f_hom(t, letter, shift)
-    return out
+        facs = _F_CACHE.get((t, letter))
+        if facs is None:
+            facs = _F_CACHE[(t, letter)] = _f_factors(t, letter)
+        for i, s, e in facs:
+            k = (i, s + shift)
+            exps[k] = get(k, 0) + e
+    return RingElem._from_exponents([(exps, 1)], t.rank)
 
 
 # ---------------------------------------------------------------------------

@@ -32,33 +32,30 @@ class Series:
         return Series([ONE] + [ZERO] * trunc, delta_)
 
     def __mul__(self, other: "Series") -> "Series":
-        assert self.delta == other.delta
+        if self.delta != other.delta:
+            raise ValueError(f"series with spectral steps {self.delta} and {other.delta} do not multiply")
         trunc = min(self.trunc, other.trunc)
         d = self.delta
-        out = []
-        for k in range(trunc + 1):
-            acc = ZERO
-            for i in range(k + 1):
-                a, b = self.coeffs[i], other.coeffs[k - i]
-                if a.is_zero() or b.is_zero():
-                    continue
-                acc = acc + a * b.shift_spectral(-2 * d * i)
-            out.append(acc)
-        return Series(out, d)
+        a, b = self.coeffs, other.coeffs
+        return Series(
+            [
+                RingElem.sum_products((1, a[i], b[k - i].shift_spectral(-2 * d * i)) for i in range(k + 1))
+                for k in range(trunc + 1)
+            ],
+            d,
+        )
 
     def inverse(self) -> "Series":
         """Two-sided inverse; requires constant coefficient 1."""
-        assert self.coeffs[0] == ONE
+        if self.coeffs[0] != ONE:
+            raise ValueError("only a series with constant coefficient 1 is inverted")
         d = self.delta
+        s = self.coeffs
         inv = [ONE]
         for k in range(1, self.trunc + 1):
-            acc = ZERO
-            for i in range(1, k + 1):
-                s = self.coeffs[i]
-                if s.is_zero():
-                    continue
-                acc = acc + s * inv[k - i].shift_spectral(-2 * d * i)
-            inv.append(-acc)
+            inv.append(
+                RingElem.sum_products((-1, s[i], inv[k - i].shift_spectral(-2 * d * i)) for i in range(1, k + 1))
+            )
         return Series(inv, d)
 
     def negate_x(self) -> "Series":

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .ring import ZERO, AlgType, RingElem, delta, letter_order, letter_str, letters, parse_letter, z_product
+from .ring import AlgType, RingElem, delta, letter_order, letter_str, letters, parse_letter, z_product
 from .shapes import SkewShape, shape
 from .paths import Path, PathTuple, band, east_labels, endpoints, no_ordinary_tuples
 
@@ -61,8 +61,11 @@ def tableau_from_rows(s: SkewShape, rows) -> Tableau:
     cells = tuple(
         tuple(c if isinstance(c, int) else parse_letter(c) for c in row) for row in rows
     )
+    if len(cells) != len(s.lam):
+        raise ValueError(f"{len(cells)} rows given for a shape with {len(s.lam)} rows")
     for i, row in enumerate(cells, start=1):
-        assert len(row) == s.lam[i] - s.mu[i], f"row {i} has wrong length"
+        if len(row) != s.lam[i] - s.mu[i]:
+            raise ValueError(f"row {i} has {len(row)} entries, the shape has {s.lam[i] - s.mu[i]}")
     return Tableau(s, cells)
 
 
@@ -488,10 +491,7 @@ def enumerate_tableaux(t: AlgType, s: SkewShape, ruleset: str = "auto"):
 
 
 def tableau_sum(t: AlgType, s: SkewShape, a_offset: int = 0, ruleset: str = "auto") -> RingElem:
-    out = ZERO
-    for T in enumerate_tableaux(t, s, ruleset):
-        out = out + T.weight(t, a_offset)
-    return out
+    return RingElem.sum(T.weight(t, a_offset) for T in enumerate_tableaux(t, s, ruleset))
 
 
 # ---------------------------------------------------------------------------

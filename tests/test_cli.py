@@ -1,5 +1,6 @@
 """CLI surface: argument handling, output formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -134,3 +135,31 @@ def test_classical_row_limit_fails_closed(capsys):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "at most 2 rows" in proc.stderr
+
+
+# sha256 of stdout, captured before the ring kept its monomials packed.
+GOLDEN = {
+    ("qchar --type B --rank 3 --lambda 2,1 --offset -3 --form both", "text"):
+        "7981fd982812f37d747fa99e4517dc890e039b2d92e449ba2509c6c3e488d449",
+    ("qchar --type B --rank 3 --lambda 2,1 --offset -3 --form both", "json"):
+        "cb66f9e589b093c9cc6d83b1627c6691e1e496558c8abf07cbb7ffb280864fa5",
+    ("paths --type C --rank 2 --lambda 2,1,1", "text"):
+        "05391a37f90a2808c75ddc911b8749311be345346784ad3738ebf6ab48fa761c",
+    ("paths --type C --rank 2 --lambda 2,1,1", "json"):
+        "d1e01ad8fc4a63da104eed0ed7a6d9584ec258e0e1a5229ccccf549ab262ad25",
+    ("tableaux --type C --rank 3 --lambda 1,1,1,1 --ruleset columns", "text"):
+        "a0a97a0b86870f9d7fff574beba304abbb3fe94e2e8a389d7830355a7cb2f40f",
+    ("tableaux --type C --rank 3 --lambda 1,1,1,1 --ruleset columns", "json"):
+        "7a2b22aa88161739ab20c1c52db336ae8a1376940da825751049a180918405b7",
+    ("classical --type C --rank 2 --lambda 2,1", "text"):
+        "d7ea851df34451f1c585f31c41e00d2be9eb82b472501135333dd451b7752e23",
+    ("classical --type C --rank 2 --lambda 2,1", "json"):
+        "be86269bcba81013699ce5aabd4533e3970e995c2662609148e3f44c507e1359",
+}
+
+
+@pytest.mark.parametrize("argv,output", sorted(GOLDEN))
+def test_golden_stdout(capsys, argv, output):
+    rc, out, _ = run(capsys, *argv.split(), "--output", output)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(argv, output)]

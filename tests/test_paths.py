@@ -26,6 +26,7 @@ from qjt.ring import ZERO, delta, f_hom, make_type, z_product
 from qjt.series import h_coeff
 from qjt.shapes import shape
 
+from optimized import error_under_O
 from test_shapes import all_partitions, subpartitions
 
 
@@ -197,3 +198,14 @@ def test_offset_shift():
     t = make_type("C", 2)
     s = shape((2, 1))
     assert signed_path_sum(t, s, 4) == chi_h(t, s, 4)
+
+
+def test_C_only_tuple_classes_fail_closed():
+    B2 = make_type("B", 2)
+    for fn in (p_tilde, p_k_tuples):
+        with pytest.raises(ValueError, match="type C only"):
+            fn(B2, shape((2, 1)))
+        assert error_under_O(
+            f"from qjt.paths import {fn.__name__}; from qjt.ring import make_type; from qjt.shapes import shape; "
+            f"{fn.__name__}(make_type('B', 2), shape((2, 1)))"
+        ).startswith(f"ValueError: {fn.__name__} is defined for type C only")

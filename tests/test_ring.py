@@ -214,3 +214,123 @@ def test_text_form():
     assert x.to_text() == "1 + Y[1,0] - 2*Y[2,3]^-1"
     assert ZERO.to_text() == "0"
     assert ONE.to_text() == "1"
+
+
+# ---------------------------------------------------------------------------
+# The packed kernel against the tuple-merge reference on decoded terms
+
+
+def ref_mul(x: dict, y: dict) -> dict:
+    """The tuple-merging product: every pair of monomials merged as an
+    (i, s) -> e dict and sorted back into a tuple."""
+    terms: dict = {}
+    for m1, c1 in x.items():
+        d1 = {(i, s): e for i, s, e in m1}
+        for m2, c2 in y.items():
+            acc = dict(d1)
+            for i, s, e in m2:
+                e2 = acc.get((i, s), 0) + e
+                if e2:
+                    acc[(i, s)] = e2
+                else:
+                    del acc[(i, s)]
+            key = tuple(sorted((i, s, e) for (i, s), e in acc.items()))
+            c = terms.get(key, 0) + c1 * c2
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
+    return terms
+
+
+def ref_add(x: dict, y: dict, c: int = 1) -> dict:
+    terms = dict(x)
+    for m, cc in y.items():
+        v = terms.get(m, 0) + c * cc
+        if v:
+            terms[m] = v
+        else:
+            terms.pop(m, None)
+    return terms
+
+
+def canonical(pairs) -> dict:
+    """{sorted (i, s, e) tuple: coef} of a sum of (factors, coef) pairs."""
+    out: dict = {}
+    for factors, c in pairs:
+        acc: dict = {}
+        for i, s, e in factors:
+            acc[(i, s)] = acc.get((i, s), 0) + e
+        out = ref_add(out, {tuple(sorted((i, s, e) for (i, s), e in acc.items() if e)): c})
+    return out
+
+
+# Indices up to 5 mix strides; exponents up to 300 cross the 8-bit digits.
+factor = st.tuples(
+    st.integers(1, 5), st.integers(-8, 8), st.one_of(st.integers(-3, 3), st.integers(-300, 300))
+)
+term_dicts = st.lists(st.tuples(st.lists(factor, max_size=4), st.integers(-4, 4)), max_size=5).map(canonical)
+shifts = st.integers(-20, 20)
+
+
+def build(terms: dict, d: int) -> RingElem:
+    """An element equal to `terms`, reached through a shifted layout."""
+    return RingElem(terms).shift_spectral(-d).shift_spectral(d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_dicts, term_dicts, shifts, st.integers(-3, 3))
+def test_kernel_matches_reference(x, y, d, c):
+    X, Y = build(x, d), RingElem(y)
+    assert RingElem(x).terms == x
+    assert (X * Y).terms == ref_mul(x, y)
+    assert (X + Y).terms == ref_add(x, y)
+    assert (X - Y).terms == ref_add(x, y, -1)
+    assert (-X).terms == ref_add({}, x, -1)
+    assert X.scalar_mul(c).terms == ({m: c * v for m, v in x.items()} if c else {})
+    assert X.shift_spectral(d).terms == {tuple((i, s + d, e) for i, s, e in m): v for m, v in x.items()}
+    assert (X == Y) == (x == y)
+    assert X == RingElem(x) and hash(X) == hash(RingElem(x))
+    assert (X * Y).is_zero() == (not ref_mul(x, y))
+    assert X.is_one() == (x == {(): 1})
+    assert RingElem.sum([X, Y, X]).terms == ref_add(ref_add(x, y), x)
+    assert RingElem.sum_products([(c, X, Y), (2, Y, X)]).terms == ref_add({}, ref_mul(x, y), c + 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_dicts, shifts)
+def test_kernel_cancellation_and_layouts(x, d):
+    X = RingElem(x)
+    assert (X - X).is_zero() and (X - X).terms == {}
+    assert (X + (-X)) == ZERO
+    assert X.shift_spectral(d) - X.shift_spectral(d) == ZERO
+    # the same polynomial in different layouts: equal, with equal hashes
+    Z = (X + y_monomial(5, -30)) - y_monomial(5, -30)
+    assert Z == X and hash(Z) == hash(X)
+    assert X * ONE == X == ONE * X
+
+
+def test_kernel_width_widens():
+    m = RingElem.monomial([(1, 0, 200)])
+    assert (m * m).terms == {((1, 0, 400),): 1}
+    assert (m * m.scalar_mul(-1) * m).terms == {((1, 0, 600),): -1}
+    big = RingElem.monomial([(2, 3, 40000), (1, -2, -1)])
+    assert (big * big).terms == {((1, -2, -2), (2, 3, 80000)): 1}
+    inv = RingElem.monomial([(2, 3, -40000), (1, -2, 1)])
+    assert (big * inv).is_one()
+    assert (big * inv * y_monomial(1, 0)).terms == {((1, 0, 1),): 1}
+    assert (m * m + y_monomial(1, 0)).terms == {((1, 0, 1),): 1, ((1, 0, 400),): 1}
+
+
+def test_kernel_mixed_strides_and_constants():
+    # classical weight coordinates (k, 0, e) run past the rank of f_hom's type
+    z4 = RingElem.monomial([(4, 0, 1)])
+    x = f_hom(C2, 1, 0) * z4
+    assert x.terms == {((1, 0, 1), (4, 0, 1)): 1}
+    assert (x + f_hom(C2, -2, 3)).terms == {((1, 0, 1), (4, 0, 1)): 1, ((1, 7, 1), (2, 8, -1)): 1}
+    assert RingElem.monomial([]).is_one() and RingElem.monomial([]).terms == {(): 1}
+    assert RingElem.monomial([(1, 2, 1), (1, 2, -1)]) == ONE
+    assert RingElem.const(3) * x == x.scalar_mul(3)
+    assert (ZERO * x).is_zero() and (x * ZERO).is_zero()
+    assert RingElem.const(0) == ZERO and RingElem({}) == ZERO
+    assert RingElem.sum([]) == ZERO and RingElem.sum_products([]) == ZERO

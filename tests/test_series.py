@@ -3,7 +3,9 @@
 import pytest
 
 from qjt.ring import ONE, ZERO, AlgType, f_hom, letters, make_type
-from qjt.series import E_series, H_series, check_HE, e_coeff, geom_inverse, h_coeff
+from qjt.series import E_series, H_series, Series, check_HE, e_coeff, geom_inverse, h_coeff
+
+from optimized import error_under_O
 
 A1 = make_type("A", 1)
 A2 = make_type("A", 2)
@@ -78,3 +80,17 @@ def test_check_HE(fam, n):
     if fam == "D" and n < 2:
         pytest.skip("D needs rank >= 2")
     assert check_HE(make_type(fam, n), 8)
+
+
+def test_series_invariants_fail_closed():
+    with pytest.raises(ValueError, match="spectral steps"):
+        H_series(C2, 3) * H_series(B2, 3)
+    with pytest.raises(ValueError, match="constant coefficient 1"):
+        Series([ONE.scalar_mul(2), ONE], 1).inverse()
+    prelude = "from qjt.ring import ONE, make_type; from qjt.series import H_series, Series; "
+    assert error_under_O(
+        prelude + "H_series(make_type('C', 2), 3) * H_series(make_type('B', 2), 3)"
+    ).startswith("ValueError: series with spectral steps")
+    assert error_under_O(
+        prelude + "Series([ONE.scalar_mul(2), ONE], 1).inverse()"
+    ).startswith("ValueError: only a series with constant coefficient 1")

@@ -23,6 +23,7 @@ from qjt.tableaux import (
     tableau_to_path_tuple,
 )
 
+from optimized import error_under_O
 from test_shapes import all_partitions, subpartitions
 
 
@@ -305,3 +306,13 @@ def test_serialization():
     assert obj["rows"] == [["1", "2b"], ["2"]]
     back = tableau_from_rows(shape(tuple(obj["lambda"]), tuple(obj["mu"])), obj["rows"])
     assert back == tab
+
+
+def test_tableau_from_rows_fails_closed():
+    for rows in ([["1", "1", "1"], ["2"]], [["1", "1"]], [["1", "1"], ["2"], ["3"]]):
+        with pytest.raises(ValueError):
+            tableau_from_rows(shape((2, 1)), rows)
+    assert error_under_O(
+        "from qjt.shapes import shape; from qjt.tableaux import tableau_from_rows; "
+        "tableau_from_rows(shape((2, 1)), [['1', '1', '1'], ['2']])"
+    ).startswith("ValueError: row 1 has 3 entries")
