@@ -12,7 +12,7 @@ from .ring import RingElem, letter_str, make_type
 from .shapes import parse_partition, shape
 from .series import check_HE
 from .jacobitrudi import chi_h, chi_e
-from .paths import signed_path_sum, surviving_tuples
+from .paths import signed_path_sum, surviving_tuples_with_sum
 from .tableaux import (
     RULESETS,
     enumerate_tableaux,
@@ -92,8 +92,7 @@ def cmd_tableaux(args) -> int:
 def cmd_paths(args) -> int:
     t = _type_from(args)
     s = _shape_from(args)
-    tuples = surviving_tuples(t, s)
-    total = RingElem.sum(p.weight(t, args.offset).scalar_mul(p.sign()) for p in tuples)
+    tuples, total = surviving_tuples_with_sum(t, s, args.offset)
     items = []
     for p in tuples:
         d = p.to_json_obj()

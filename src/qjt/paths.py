@@ -7,6 +7,27 @@ endpoints and no windowing is needed during enumeration.
 Type bands: A runs from height 0 to n; B and C run from -n to n.  At height 0
 a B-path may take at most one east step and a C-path must take an even number
 of them.  For C the east steps at height 0 are labeled alternately n-bar, n.
+
+An h-path from (ux, bot) to (vx, top) is the translate by ux of an h-path
+from (0, bot) to (r, top), r = vx - ux, with the same labels and every
+spectral shift moved by 2ux (4ux for B).  So the h-paths of each (type, r)
+are enumerated once, into one table (``_hpath_table``) that holds for each
+path its steps, its point set as an int bitmask (bit (x - x0) * h + y - y0 for
+the point (x, y) in a frame with origin (x0, y0) and h heights), its
+leftmost x at height 0, and its weight as one packed ``RingElem`` key.
+
+A tuple enumeration (``_Frame``) reads the table of each endpoint pair (row
+i, destination j) in place.  Seen from row k, a path of row i lies
+d = ux_i - ux_k further east: its mask shifts by d * h bits and its height-0 x
+by d.  Two paths are disjoint when their masks share no bit, specially
+intersecting when every shared bit is at height 0 (for C also the leftmost
+height-0 x's differ by an odd number), and ordinarily intersecting
+otherwise; the verdicts on one path against a later row's list form one
+bitmask.  A signed path sum shifts the key of row i's path by
+w * n * f * (ux_i - x0) (f = 2, or 4 for B; x0 the least ux), adds the keys of
+each tuple into one dict with the sign of its permutation as the
+coefficient, and reads the dict as one ``RingElem`` in the shape's layout;
+the spectral offset only moves the layout's base.
 """
 
 from __future__ import annotations
@@ -15,7 +36,7 @@ import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
-from .ring import AlgType, RingElem, z_product
+from .ring import _W0, AlgType, RingElem, _f_factors, _recode, _width, letters, z_product
 from .shapes import SkewShape
 
 
@@ -59,11 +80,6 @@ def parse_path(text: str) -> Path:
     head, _, steps = text.partition(":")
     x, y = head.strip("()").split(",")
     return Path((int(x), int(y)), steps)
-
-
-@lru_cache(maxsize=200000)
-def _point_set(p: Path) -> frozenset:
-    return frozenset(p.points())
 
 
 def band(t: AlgType) -> tuple[int, int]:
@@ -146,35 +162,144 @@ def path_weight(t: AlgType, p: Path, a_offset: int = 0) -> RingElem:
 
 
 # ---------------------------------------------------------------------------
-# Pair classification
+# Paths as bitmask records; pair classification
+
+
+class _Rec(NamedTuple):
+    """A path in a frame: its point set as a bitmask, its leftmost x at
+    height 0 (None if it never gets there), its end x and its packed weight
+    key (0 where no weight is needed)."""
+
+    path: Path
+    mask: int
+    zx: int | None
+    vx: int
+    key: int
+
+
+def _rec(p: Path, x0: int, y0: int, h: int, key: int = 0) -> _Rec:
+    """The record of p in the frame with origin (x0, y0) and h heights."""
+    pts = p.points()
+    mask = 0
+    for x, y in pts:
+        mask |= 1 << ((x - x0) * h + y - y0)
+    zx = next((x for x, y in pts if y == 0), None)
+    return _Rec(p, mask, zx, pts[-1][0], key)
+
+
+def _zero_row(x0: int, x1: int, y0: int, h: int) -> int:
+    """The bits of the points (x, 0), x0 <= x <= x1, in a frame."""
+    if not 0 <= -y0 < h:
+        return 0
+    return sum(1 << ((x - x0) * h - y0) for x in range(x0, x1 + 1))
+
+
+def _classes(fam: str, mask: int, zx: int | None, recs, zero: int) -> tuple[int, int]:
+    """Bitmasks over recs of the paths disjoint from, and specially
+    intersecting, the path with this mask and height-0 x; the others
+    intersect it ordinarily.  All are in one frame whose height-0 bits are
+    zero.  A meeting at height 0 only is special for B, and for C (and D)
+    when the leftmost height-0 x's also differ by an odd number."""
+    disjoint = special = 0
+    off_axis = ~zero
+    for d, b in enumerate(recs):
+        common = mask & b.mask
+        if not common:
+            disjoint |= 1 << d
+        elif fam != "A" and not common & off_axis and (fam == "B" or (zx - b.zx) % 2):
+            special |= 1 << d
+    return disjoint, special
+
+
+def _classify(fam: str, a: _Rec, b: _Rec, zero: int) -> str:
+    disjoint, special = _classes(fam, a.mask, a.zx, (b,), zero)
+    return "disjoint" if disjoint else "specially" if special else "ordinarily"
+
+
+def _transposed(x1: int, v1: int, x2: int, v2: int) -> bool:
+    """Paths from x1 to v1 and from x2 to v2 have opposite start and end
+    orders."""
+    return (x1 - x2) * (v1 - v2) < 0
+
+
+def _bare_records(paths) -> tuple[list[_Rec], int]:
+    """Records of arbitrary paths in a frame that spans them all, and the
+    frame's height-0 bits."""
+    ends = [p.end for p in paths]
+    x0 = min(p.start[0] for p in paths)
+    y0 = min(p.start[1] for p in paths)
+    h = max(y for _x, y in ends) - y0 + 1
+    recs = [_rec(p, x0, y0, h) for p in paths]
+    return recs, _zero_row(x0, max(x for x, _y in ends), y0, h)
+
+
+def _bare_transposed(a: _Rec, b: _Rec) -> bool:
+    return _transposed(a.path.start[0], a.vx, b.path.start[0], b.vx)
 
 
 def classify_pair(t: AlgType, p: Path, q: Path) -> str:
     """'disjoint', 'specially' or 'ordinarily'."""
-    common = _point_set(p) & _point_set(q)
-    if not common:
-        return "disjoint"
-    if t.family == "A":
-        return "ordinarily"
-    only_zero = all(y == 0 for (_x, y) in common)
-    if t.family == "B":
-        return "specially" if only_zero else "ordinarily"
-    # C: additionally the distance of the leftmost height-0 points is odd
-    if not only_zero:
-        return "ordinarily"
-    x1 = min(x for (x, y) in _point_set(p) if y == 0)
-    x2 = min(x for (x, y) in _point_set(q) if y == 0)
-    return "specially" if abs(x1 - x2) % 2 == 1 else "ordinarily"
+    (a, b), zero = _bare_records((p, q))
+    return _classify(t.family, a, b, zero)
 
 
 def is_transposed(t: AlgType, p: Path, q: Path) -> bool:
-    """For non-ordinarily-intersecting pairs: opposite start-x/end-x orders."""
-    assert classify_pair(t, p, q) != "ordinarily"
-    return (p.start[0] - q.start[0]) * (p.end[0] - q.end[0]) < 0
+    """For non-ordinarily-intersecting pairs: opposite start-x/end-x orders.
+    An ordinarily intersecting pair raises ValueError."""
+    (a, b), zero = _bare_records((p, q))
+    if _classify(t.family, a, b, zero) == "ordinarily":
+        raise ValueError(f"{p.to_text()} and {q.to_text()} intersect ordinarily in {t}")
+    return _bare_transposed(a, b)
+
+
+# ---------------------------------------------------------------------------
+# The h-path table
+
+
+def _key_base(t: AlgType) -> int:
+    """The least spectral shift in the image of any letter at shift 0: the
+    base of the weight keys of paths that start at x = 0."""
+    return min(s for c in letters(t) for _i, s, _e in _f_factors(t, c))
+
+
+@lru_cache(maxsize=None)
+def _hpath_table(t: AlgType, r: int, w: int) -> tuple[int, int, tuple[_Rec, ...]]:
+    """(w', b, records) of the h-paths from (0, bot) to (r, top), in
+    enumeration order.  Each record is in the frame with origin (0, bot)
+    and the band's height; its key packs the path's weight in the layout
+    (_key_base(t), t.rank, w'), where w' is the larger of w and the width
+    the weights need, and b bounds every exponent of a weight."""
+    bot, top = band(t)
+    paths = enumerate_hpaths(t, (0, bot), (r, top))
+    weights = [path_weight(t, p) for p in paths]
+    b = max((x._b for x in weights), default=0)
+    w = max(w, _width(b))
+    lo, n, h = _key_base(t), t.rank, top - bot + 1
+    recs = []
+    for p, x in zip(paths, weights):
+        (key,) = _recode(x, lo, n, w)
+        recs.append(_rec(p, 0, bot, h, key))
+    return w, b, tuple(recs)
 
 
 # ---------------------------------------------------------------------------
 # Tuples
+
+
+def _sign(pi: tuple[int, ...]) -> int:
+    sgn = 1
+    seen = [False] * len(pi)
+    for i in range(len(pi)):
+        if seen[i]:
+            continue
+        j, clen = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = pi[j]
+            clen += 1
+        if clen % 2 == 0:
+            sgn = -sgn
+    return sgn
 
 
 class PathTuple(NamedTuple):
@@ -183,19 +308,7 @@ class PathTuple(NamedTuple):
     shape: SkewShape
 
     def sign(self) -> int:
-        sgn = 1
-        seen = [False] * len(self.pi)
-        for i in range(len(self.pi)):
-            if seen[i]:
-                continue
-            j, clen = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = self.pi[j]
-                clen += 1
-            if clen % 2 == 0:
-                sgn = -sgn
-        return sgn
+        return _sign(self.pi)
 
     def weight(self, t: AlgType, a_offset: int = 0) -> RingElem:
         return z_product(
@@ -203,12 +316,14 @@ class PathTuple(NamedTuple):
         )
 
     def transposed_pairs(self, t: AlgType) -> list[tuple[int, int]]:
-        out = []
-        for i, j in itertools.combinations(range(len(self.paths)), 2):
-            pi, pj = self.paths[i], self.paths[j]
-            if classify_pair(t, pi, pj) != "ordinarily" and is_transposed(t, pi, pj):
-                out.append((i, j))
-        return out
+        if not self.paths:
+            return []
+        recs, zero = _bare_records(self.paths)
+        return [
+            (i, j)
+            for (i, a), (j, b) in itertools.combinations(enumerate(recs), 2)
+            if _classify(t.family, a, b, zero) != "ordinarily" and _bare_transposed(a, b)
+        ]
 
     def to_json_obj(self) -> dict:
         return {
@@ -225,56 +340,174 @@ def endpoints(t: AlgType, s: SkewShape) -> tuple[list, list]:
     return us, vs
 
 
+class _Frame:
+    """The h-path tables of a shape's endpoint pairs, read in place.
+
+    cands[i][j] is the table of the paths from us[i] to vs[j], kept in its
+    own frame (origin (0, bot)).  A path of row i seen from row k lies
+    ux[i] - ux[k] further east: its mask shifts by that many columns of h
+    bits and its height-0 x by that much.  Its weight key shifts by
+    kshift[i], into the shape's layout (lo, t.rank, w), in which w holds
+    the exponents of any tuple.
+    """
+
+    def __init__(self, t: AlgType, s: SkewShape):
+        self.t, self.s = t, s
+        us, vs = endpoints(t, s)
+        self.us = us
+        bot, top = band(t)
+        self.h = top - bot + 1
+        self.ux = [u[0] for u in us]
+        widths = [[v[0] - u[0] for v in vs] for u in us]
+
+        def tables(w: int) -> list[list]:
+            return [[_hpath_table(t, r, w) if r >= 0 else None for r in row] for row in widths]
+
+        tabs = tables(_W0)
+        self.bound = sum(max((tab[1] for tab in row if tab), default=0) for row in tabs)
+        self.w = w = _width(self.bound)
+        if any(tab[0] != w for row in tabs for tab in row if tab):
+            tabs = tables(w)
+        self.cands = [[tab[2] if tab else () for tab in row] for row in tabs]
+        x0 = min(self.ux, default=0)
+        f = 4 if t.family == "B" else 2
+        self.lo = _key_base(t) + f * x0
+        self.kshift = [w * t.rank * f * (x - x0) for x in self.ux]
+        self.zero = _zero_row(0, max((r for row in widths for r in row), default=0), bot, self.h)
+
+    def _classes(self, i: int, a: _Rec, k: int, recs) -> tuple[int, int]:
+        d = self.ux[i] - self.ux[k]
+        return _classes(self.t.family, a.mask << (d * self.h), a.zx + d, recs, self.zero)
+
+    # Pair tests: the bitmask of row k's candidates recs that may follow the
+    # candidate a of row i.
+
+    def disjoint(self, i: int, a: _Rec, k: int, recs) -> int:
+        return self._classes(i, a, k, recs)[0]
+
+    def no_ordinary(self, i: int, a: _Rec, k: int, recs) -> int:
+        disjoint, special = self._classes(i, a, k, recs)
+        return disjoint | special
+
+    def untransposed(self, i: int, a: _Rec, k: int, recs) -> int:
+        # all of recs end at one x
+        if _transposed(self.ux[i], self.ux[i] + a.vx, self.ux[k], self.ux[k] + recs[0].vx):
+            return 0
+        return self.no_ordinary(i, a, k, recs)
+
+    def surviving(self):
+        return self.tuples(self.disjoint if self.t.family == "A" else self.no_ordinary)
+
+    def path_tuple(self, pi: tuple[int, ...], recs) -> PathTuple:
+        return PathTuple(tuple(Path(u, a.path.steps) for u, a in zip(self.us, recs)), pi, self.s)
+
+    def transposed_count(self, recs) -> int:
+        ends = [(x, x + a.vx) for x, a in zip(self.ux, recs)]
+        return sum(_transposed(*e1, *e2) for e1, e2 in itertools.combinations(ends, 2))
+
+    def tuples(self, fits=None, adjacent_only: bool = False):
+        """(pi, records) of every tuple whose row i runs from us[i] to
+        vs[pi[i]], in the order of enumerate_tuples: permutations in
+        lexicographic order, then each row's candidates in table order.
+
+        fits(i, a, k, recs), a pair test (see above), prunes pairs of rows
+        i < k (adjacent rows only with adjacent_only).  Its bitmasks are
+        kept per candidate and later list, and a choice that leaves a later
+        row without a candidate is cut at once.
+        """
+        l = len(self.cands)
+        memo: dict = {}
+        for pi in itertools.permutations(range(l)):
+            lists = [self.cands[i][pi[i]] for i in range(l)]
+            if not all(lists):
+                continue
+            if fits is None or l < 2:
+                for recs in itertools.product(*lists):
+                    yield pi, recs
+                continue
+            yield from _search(pi, lists, fits, adjacent_only, memo)
+
+    def signed_sum(self, found, a_offset: int = 0) -> RingElem:
+        """The sum of sign(pi) * weight over (pi, records): the keys of each
+        tuple added into one dict with the sign as coefficient."""
+        acc: dict = {}
+        get = acc.get
+        signs: dict = {}
+        kshift = self.kshift
+        for pi, recs in found:
+            sgn = signs.get(pi)
+            if sgn is None:
+                sgn = signs[pi] = _sign(pi)
+            key = 0
+            for a, sh in zip(recs, kshift):
+                key += a.key << sh
+            acc[key] = get(key, 0) + sgn
+        keys = {k: c for k, c in acc.items() if c}
+        return RingElem._make(keys, self.lo + a_offset, self.t.rank, self.w, self.bound)
+
+
+def _search(pi, lists, fits, adjacent_only, memo):
+    """Depth-first search over one candidate per row, in list order.
+    memo[(i, pi[i], c, k, pi[k])] is fits for candidate c of row i against
+    row k's list."""
+    l = len(lists)
+    chosen: list = [None] * l
+
+    def allowed_after(i: int, c: int, k: int) -> int:
+        key = (i, pi[i], c, k, pi[k])
+        m = memo.get(key)
+        if m is None:
+            m = memo[key] = fits(i, lists[i][c], k, lists[k])
+        return m
+
+    def rec(i: int, allowed: tuple):
+        m, rest = allowed[0], allowed[1:]
+        while m:
+            low = m & -m
+            m ^= low
+            c = low.bit_length() - 1
+            chosen[i] = lists[i][c]
+            if not rest:
+                yield pi, tuple(chosen)
+                continue
+            nxt = tuple(
+                mk & allowed_after(i, c, k) if k == i + 1 or not adjacent_only else mk
+                for k, mk in enumerate(rest, i + 1)
+            )
+            if all(nxt):
+                yield from rec(i + 1, nxt)
+
+    yield from rec(0, tuple((1 << len(c)) - 1 for c in lists))
+
+
 def enumerate_tuples(t: AlgType, s: SkewShape, pair_ok=None, adjacent_only=False):
     """All tuples (over all permutations pi) whose rows are valid h-paths.
 
     pair_ok(earlier_path, later_path) may prune partial tuples; with
     adjacent_only it is applied to adjacent rows only.  Yields PathTuples.
     """
-    us, vs = endpoints(t, s)
-    l = len(us)
-    if l == 0:
-        yield PathTuple((), (), s)
-        return
-    for pi in itertools.permutations(range(l)):
-        cands = [enumerate_hpaths(t, us[i], vs[pi[i]]) for i in range(l)]
-        if any(not c for c in cands):
-            continue
+    frame = _Frame(t, s)
+    fits = None
+    if pair_ok is not None:
 
-        chosen: list[Path] = []
+        def fits(i, a, k, recs):
+            p = Path(frame.us[i], a.path.steps)
+            return sum(1 << d for d, b in enumerate(recs) if pair_ok(p, Path(frame.us[k], b.path.steps)))
 
-        def rec(i: int):
-            if i == l:
-                yield PathTuple(tuple(chosen), pi, s)
-                return
-            for p in cands[i]:
-                if pair_ok is not None:
-                    lo = i - 1 if adjacent_only else 0
-                    if any(not pair_ok(chosen[j], p) for j in range(max(lo, 0), i)):
-                        continue
-                chosen.append(p)
-                yield from rec(i + 1)
-                chosen.pop()
-
-        yield from rec(0)
-
-
-def _no_intersection(t):
-    return lambda p, q: classify_pair(t, p, q) == "disjoint"
-
-
-def _no_ordinary(t):
-    return lambda p, q: classify_pair(t, p, q) != "ordinarily"
+    for pi, recs in frame.tuples(fits, adjacent_only):
+        yield frame.path_tuple(pi, recs)
 
 
 def nonintersecting_tuples(t: AlgType, s: SkewShape) -> list[PathTuple]:
     """P(A_n; mu, lambda): no intersecting pair at all."""
-    return list(enumerate_tuples(t, s, pair_ok=_no_intersection(t)))
+    frame = _Frame(t, s)
+    return [frame.path_tuple(*x) for x in frame.tuples(frame.disjoint)]
 
 
 def no_ordinary_tuples(t: AlgType, s: SkewShape) -> list[PathTuple]:
     """P(B_n/C_n; mu, lambda): no ordinarily intersecting pair."""
-    return list(enumerate_tuples(t, s, pair_ok=_no_ordinary(t)))
+    frame = _Frame(t, s)
+    return [frame.path_tuple(*x) for x in frame.tuples(frame.no_ordinary)]
 
 
 def _require_C(t: AlgType, name: str) -> None:
@@ -285,30 +518,35 @@ def _require_C(t: AlgType, name: str) -> None:
 def p_k_tuples(t: AlgType, s: SkewShape) -> dict[int, list[PathTuple]]:
     """The decomposition of the no-ordinary set by number of transposed pairs."""
     _require_C(t, "p_k_tuples")
+    frame = _Frame(t, s)
     out: dict[int, list[PathTuple]] = {}
-    for pt in no_ordinary_tuples(t, s):
-        out.setdefault(len(pt.transposed_pairs(t)), []).append(pt)
+    for pi, recs in frame.tuples(frame.no_ordinary):
+        out.setdefault(frame.transposed_count(recs), []).append(frame.path_tuple(pi, recs))
     return out
 
 
 def p_tilde(t: AlgType, s: SkewShape) -> list[PathTuple]:
     """Tuples with no adjacent pair ordinarily intersecting or transposed."""
     _require_C(t, "p_tilde")
-
-    def ok(p, q):
-        if classify_pair(t, p, q) == "ordinarily":
-            return False
-        return not is_transposed(t, p, q)
-
-    return list(enumerate_tuples(t, s, pair_ok=ok, adjacent_only=True))
+    frame = _Frame(t, s)
+    return [frame.path_tuple(*x) for x in frame.tuples(frame.untransposed, adjacent_only=True)]
 
 
 def surviving_tuples(t: AlgType, s: SkewShape) -> list[PathTuple]:
     """The type's surviving tuple class: nonintersecting for A, no
     ordinarily intersecting pair otherwise."""
-    return nonintersecting_tuples(t, s) if t.family == "A" else no_ordinary_tuples(t, s)
+    frame = _Frame(t, s)
+    return [frame.path_tuple(*x) for x in frame.surviving()]
+
+
+def surviving_tuples_with_sum(t: AlgType, s: SkewShape, a_offset: int = 0) -> tuple[list[PathTuple], RingElem]:
+    """The surviving tuples and their signed sum, from one enumeration."""
+    frame = _Frame(t, s)
+    found = list(frame.surviving())
+    return [frame.path_tuple(*x) for x in found], frame.signed_sum(found, a_offset)
 
 
 def signed_path_sum(t: AlgType, s: SkewShape, a_offset: int = 0) -> RingElem:
     """The cancellation-free signed sum over the type's surviving tuple class."""
-    return RingElem.sum(pt.weight(t, a_offset).scalar_mul(pt.sign()) for pt in surviving_tuples(t, s))
+    frame = _Frame(t, s)
+    return frame.signed_sum(frame.surviving(), a_offset)

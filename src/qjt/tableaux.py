@@ -499,7 +499,8 @@ def tableau_sum(t: AlgType, s: SkewShape, a_offset: int = 0, ruleset: str = "aut
 
 
 def path_tuple_to_tableau(t: AlgType, pt: PathTuple) -> Tableau:
-    assert pt.pi == tuple(range(len(pt.pi))), "rows permuted; no tableau attached"
+    if pt.pi != tuple(range(len(pt.pi))):
+        raise ValueError(f"rows permuted by {pt.to_json_obj()['pi']}; no tableau attached")
     rows = tuple(tuple(c for c, _s in east_labels(t, p)) for p in pt.paths)
     return Tableau(pt.shape, rows)
 
@@ -539,6 +540,7 @@ def tableau_to_path_tuple(t: AlgType, T: Tableau) -> PathTuple:
             y = h
         steps.append("N" * (top - y))
         p = Path(us[i - 1], "".join(steps))
-        assert p.end == vs[i - 1]
+        if p.end != vs[i - 1]:
+            raise ValueError(f"row {i} {row} gives a path ending at {p.end}, not {vs[i - 1]}")
         paths.append(p)
     return PathTuple(tuple(paths), tuple(range(len(paths))), s)

@@ -155,6 +155,23 @@ GOLDEN = {
         "d7ea851df34451f1c585f31c41e00d2be9eb82b472501135333dd451b7752e23",
     ("classical --type C --rank 2 --lambda 2,1", "json"):
         "be86269bcba81013699ce5aabd4533e3970e995c2662609148e3f44c507e1359",
+    # captured before h-paths were tabulated once per (type, width)
+    ("paths --type A --rank 2 --lambda 2,1", "text"):
+        "6144ff9bd259a6ad981db6d99b982aa85a882457754a10804fd47f3bc78193ee",
+    ("paths --type A --rank 2 --lambda 2,1", "json"):
+        "10ec14752b6eee1b69b736941e0f86d4f9deb83871e1c5202be8473f4baaddd1",
+    ("paths --type B --rank 3 --lambda 2,2 --mu 1", "text"):
+        "1b27e72c77ea16c4bca0425a7903c83c209059ffe925fbf291b69f91df468e81",
+    ("paths --type B --rank 3 --lambda 2,2 --mu 1", "json"):
+        "f37efaf27997cc587af3d045844d35f765fdbb2a40dc07c36cc64f0ec33adcac",
+    ("paths --type C --rank 3 --lambda 2,2,1 --mu 1", "text"):
+        "077d22b76ce7fa5b967bb9ad7ee32d9df80dd86cc4fa0ce4edee52f7d1da86da",
+    ("paths --type C --rank 3 --lambda 2,2,1 --mu 1", "json"):
+        "a386876e44e96c89044d6716168c4dce37a0ebc583308aef50675e2551e21f38",
+    ("verify --suite appendixB --count 1 --seed 1", "text"):
+        "784fa324dd1cf4e326c29d90785a80520120b84ee88148b92c486b142cb66691",
+    ("verify --suite appendixB --count 1 --seed 1", "json"):
+        "06863bf2c1cf2d5e4b6f17de7249993163b0395c07d5bfc4a6243aedda0544d5",
 }
 
 

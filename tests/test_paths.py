@@ -6,6 +6,8 @@ import pytest
 from qjt.jacobitrudi import chi_h
 from qjt.paths import (
     Path,
+    PathTuple,
+    _Frame,
     band,
     classify_pair,
     east_labels,
@@ -22,7 +24,7 @@ from qjt.paths import (
     path_weight,
     signed_path_sum,
 )
-from qjt.ring import ZERO, delta, f_hom, make_type, z_product
+from qjt.ring import ZERO, RingElem, delta, f_hom, make_type, z_product
 from qjt.series import h_coeff
 from qjt.shapes import shape
 
@@ -209,3 +211,156 @@ def test_C_only_tuple_classes_fail_closed():
             f"from qjt.paths import {fn.__name__}; from qjt.ring import make_type; from qjt.shapes import shape; "
             f"{fn.__name__}(make_type('B', 2), shape((2, 1)))"
         ).startswith(f"ValueError: {fn.__name__} is defined for type C only")
+
+
+def test_is_transposed_fails_closed_on_ordinary_pair():
+    t = make_type("C", 2)
+    p, q = parse_path("(0,-2):NNNN"), parse_path("(-1,-2):ENNNN")
+    assert classify_pair(t, p, q) == "ordinarily"
+    with pytest.raises(ValueError, match="intersect ordinarily"):
+        is_transposed(t, p, q)
+    assert error_under_O(
+        "from qjt.paths import is_transposed, parse_path; from qjt.ring import make_type; "
+        "is_transposed(make_type('C', 2), parse_path('(0,-2):NNNN'), parse_path('(-1,-2):ENNNN'))"
+    ).startswith("ValueError: (0,-2):NNNN and (-1,-2):ENNNN intersect ordinarily in C2")
+
+
+# ---------------------------------------------------------------------------
+# The enumeration before h-paths were tabulated per (type, width), kept as
+# the oracle: candidates re-enumerated for every permutation, pairs
+# classified on frozenset point sets.
+
+
+def _ref_classify(t, p, q):
+    pp, qq = frozenset(p.points()), frozenset(q.points())
+    common = pp & qq
+    if not common:
+        return "disjoint"
+    if t.family == "A" or any(y != 0 for _x, y in common):
+        return "ordinarily"
+    if t.family == "B":
+        return "specially"
+    x1 = min(x for x, y in pp if y == 0)
+    x2 = min(x for x, y in qq if y == 0)
+    return "specially" if abs(x1 - x2) % 2 == 1 else "ordinarily"
+
+
+def _ref_transposed(p, q):
+    return (p.start[0] - q.start[0]) * (p.end[0] - q.end[0]) < 0
+
+
+def _ref_tuples(t, s, pair_ok, adjacent_only=False):
+    us, vs = endpoints(t, s)
+    l = len(us)
+    out = []
+    for pi in itertools.permutations(range(l)):
+        cands = [enumerate_hpaths(t, us[i], vs[pi[i]]) for i in range(l)]
+        chosen = []
+
+        def rec(i):
+            if i == l:
+                out.append((tuple(chosen), pi))
+                return
+            for p in cands[i]:
+                lo = max(i - 1, 0) if adjacent_only else 0
+                if all(pair_ok(chosen[j], p) for j in range(lo, i)):
+                    chosen.append(p)
+                    rec(i + 1)
+                    chosen.pop()
+
+        rec(0)
+    return out
+
+
+def _ref_signed_sum(t, s, pair_ok, a_offset):
+    return RingElem.sum(
+        PathTuple(paths, pi, s).weight(t, a_offset).scalar_mul(PathTuple(paths, pi, s).sign())
+        for paths, pi in _ref_tuples(t, s, pair_ok)
+    )
+
+
+def _small_skew_shapes(max_boxes):
+    return [
+        shape(lam, mu)
+        for lam in all_partitions(9, 3, 3)
+        if lam
+        for mu in subpartitions(lam)
+        if sum(lam) - sum(mu) <= max_boxes
+    ]
+
+
+@pytest.mark.parametrize("fam", ["A", "B", "C"])
+def test_tabulated_enumeration_matches_reference(fam):
+    def listed(tuples):
+        return [(pt.paths, pt.pi) for pt in tuples]
+
+    def disjoint(p, q):
+        return _ref_classify(t, p, q) == "disjoint"
+
+    def no_ordinary(p, q):
+        return _ref_classify(t, p, q) != "ordinarily"
+
+    def untransposed(p, q):
+        return no_ordinary(p, q) and not _ref_transposed(p, q)
+
+    for n in (2, 3):
+        t = make_type(fam, n)
+        for s in _small_skew_shapes(4):
+            assert listed(nonintersecting_tuples(t, s)) == _ref_tuples(t, s, disjoint), (t, s)
+            surviving = disjoint if fam == "A" else no_ordinary
+            for off in (0, -3):
+                assert signed_path_sum(t, s, off) == _ref_signed_sum(t, s, surviving, off), (t, s, off)
+            ref = _ref_tuples(t, s, no_ordinary)
+            assert listed(no_ordinary_tuples(t, s)) == ref, (t, s)
+            if fam != "C":
+                continue
+            assert listed(p_tilde(t, s)) == _ref_tuples(t, s, untransposed, adjacent_only=True), (t, s)
+            sizes = {}
+            for paths, _pi in ref:
+                k = sum(_ref_transposed(p, q) for p, q in itertools.combinations(paths, 2))
+                sizes[k] = sizes.get(k, 0) + 1
+            assert {k: len(v) for k, v in p_k_tuples(t, s).items()} == sizes, (t, s)
+
+
+def test_pair_classes_match_reference():
+    # every pair of rows of every tuple of small shapes, classified in a
+    # frame that spans just the two paths; and pair_ok callbacks on Paths
+    for fam, n in [("A", 2), ("B", 2), ("C", 2), ("C", 3)]:
+        t = make_type(fam, n)
+
+        def no_ordinary(p, q):
+            return _ref_classify(t, p, q) != "ordinarily"
+
+        for s in _small_skew_shapes(3):
+            for adjacent_only in (False, True):
+                assert [(pt.paths, pt.pi) for pt in enumerate_tuples(t, s, no_ordinary, adjacent_only)] == (
+                    _ref_tuples(t, s, no_ordinary, adjacent_only)
+                ), (t, s, adjacent_only)
+            for pt in enumerate_tuples(t, s):
+                for p, q in itertools.combinations(pt.paths, 2):
+                    c = classify_pair(t, p, q)
+                    assert c == _ref_classify(t, p, q), (t, p, q)
+                    if c != "ordinarily":
+                        assert is_transposed(t, p, q) == _ref_transposed(p, q)
+                assert pt.transposed_pairs(t) == [
+                    (i, j)
+                    for i, j in itertools.combinations(range(len(pt.paths)), 2)
+                    if _ref_classify(t, pt.paths[i], pt.paths[j]) != "ordinarily"
+                    and _ref_transposed(pt.paths[i], pt.paths[j])
+                ]
+
+
+def test_wide_keys_for_many_rows():
+    # in a 128-row column every row's paths have an exponent 1, so a tuple
+    # may reach 128, past the 127 that 8-bit digits hold: the frame takes
+    # its keys from tables packed 16 bits wide
+    t = make_type("A", 1)
+    s = shape([1] * 128)
+    frame = _Frame(t, s)
+    assert frame.w == 16
+    pi = tuple(range(128))
+    for pick in (0, -1):  # every row EN (Y[1,.]), every row NE (Y[1,.]^-1)
+        recs = tuple(frame.cands[i][i][pick] for i in pi)
+        pt = frame.path_tuple(pi, recs)
+        assert frame.signed_sum([(pi, recs)], -3) == pt.weight(t, -3)
+    assert next(frame.tuples()) == (pi, tuple(frame.cands[i][i][0] for i in pi))

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from qjt.jacobitrudi import chi_h
-from qjt.paths import p_tilde
+from qjt.paths import no_ordinary_tuples, p_tilde
 from qjt.ring import letters, make_type, parse_letter
 from qjt.shapes import shape
 from qjt.tableaux import (
@@ -316,3 +316,28 @@ def test_tableau_from_rows_fails_closed():
         "from qjt.shapes import shape; from qjt.tableaux import tableau_from_rows; "
         "tableau_from_rows(shape((2, 1)), [['1', '1', '1'], ['2']])"
     ).startswith("ValueError: row 1 has 3 entries")
+
+
+def test_path_tuple_to_tableau_fails_closed_on_permuted_rows():
+    t = make_type("C", 2)
+    (pt,) = [p for p in no_ordinary_tuples(t, shape((1, 1))) if p.pi == (1, 0)]
+    with pytest.raises(ValueError, match="rows permuted"):
+        path_tuple_to_tableau(t, pt)
+    assert error_under_O(
+        "from qjt.paths import no_ordinary_tuples; from qjt.ring import make_type; from qjt.shapes import shape; "
+        "from qjt.tableaux import path_tuple_to_tableau; t = make_type('C', 2); "
+        "path_tuple_to_tableau(t, [p for p in no_ordinary_tuples(t, shape((1, 1))) if p.pi == (1, 0)][0])"
+    ).startswith("ValueError: rows permuted by [2, 1]")
+
+
+def test_tableau_to_path_tuple_fails_closed_on_short_row():
+    # a Tableau built directly, past tableau_from_rows' row-length check
+    t = make_type("C", 2)
+    tab = Tableau(shape((2, 1)), ((1,), (1,)))
+    with pytest.raises(ValueError, match="ending at"):
+        tableau_to_path_tuple(t, tab)
+    assert error_under_O(
+        "from qjt.ring import make_type; from qjt.shapes import shape; "
+        "from qjt.tableaux import Tableau, tableau_to_path_tuple; "
+        "tableau_to_path_tuple(make_type('C', 2), Tableau(shape((2, 1)), ((1,), (1,))))"
+    ).startswith("ValueError: row 1 (1,) gives a path ending at (1, 2), not (2, 2)")
