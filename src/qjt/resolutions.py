@@ -89,9 +89,13 @@ def retuple(t: AlgType, s: SkewShape, paths) -> PathTuple:
     us, vs = endpoints(t, s)
     pi = []
     for i, p in enumerate(paths):
-        assert p.start == us[i], (p.start, us[i])
+        if p.start != us[i] or p.end not in vs:
+            raise ValueError(
+                f"path {i + 1} runs {p.start} -> {p.end}; the shape's starts are {us}, its ends {vs}"
+            )
         pi.append(vs.index(p.end))
-    assert sorted(pi) == list(range(len(paths)))
+    if sorted(pi) != list(range(len(paths))):
+        raise ValueError(f"paths end at {[p.end for p in paths]}, not once at each of {vs}")
     return PathTuple(tuple(paths), tuple(pi), s)
 
 
@@ -130,7 +134,8 @@ def r_y_pair(t: AlgType, p1: Path, p2: Path, y: int) -> tuple:
 def _r0_transposed(p1: Path, p2: Path) -> tuple:
     zero = sorted(set(p1.points()) & set(p2.points()))
     u, v = zero[0], zero[-1]
-    assert u[1] == v[1] == 0
+    if not u[1] == v[1] == 0:
+        raise NotApplicable(f"common points {zero} are not all at height 0")
     if not (_on(p1, _pt_add(u, (0, -1))) and _on(p2, _pt_add(u, (-1, 0)))):
         raise NotApplicable("crossing orientation differs from the assumed one")
     p1n = (
@@ -171,7 +176,8 @@ def omega(t: AlgType, pt: PathTuple, xhat2: int | None = None) -> PathTuple:
     l = len(s.lam)
     if xhat2 is None:
         xhat2 = default_center(s)
-    assert xhat2 - s.lam[1] + l - 1 >= 0
+    if xhat2 - s.lam[1] + l - 1 < 0:
+        raise ValueError(f"center xhat2 = {xhat2} is below lam_1 - l + 1 = {s.lam[1] - l + 1}")
     c = xhat2 + l - 1
     lam_new = [c - s.mu[l + 1 - j] for j in range(1, l + 1)]
     mu_new = [c - s.lam[l + 1 - j] for j in range(1, l + 1)]

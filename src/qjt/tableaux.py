@@ -10,14 +10,38 @@ Entries are letters (ints): k>0 plain, 0 (middle letter, second family only),
   except a repeated n whose lower cell has an n-bar on its left, or a
   repeated n-bar whose upper cell has an n on its right.
 
+Each cell rule is a test on letters (`_h_ok`, `_h_triple_ok`, `_v_ok`), shared
+by `is_valid` and by `enumerate_tableaux`, which fills cells in row-major
+order and reads the neighbours of the next cell from the rows placed so far.
+
 For the C family the generating function identity requires extra rules that
 depend on the shape: a two-row block rule and a three-row window rule for
 shapes of at most three rows, and one-/two-column rules for shapes of at
 most two columns.
+
+The three-row rule reads, for each anchor row r, the columns of rows r, r+1,
+r+2 as one word: column (top, mid, bot) has the class (m = n-1)
+
+    L  mid = n,     bot = n-bar, top != n     P  same with top = n
+    M  mid = n-bar, bot = n-bar, top != n     Q  same with top = n
+    H  top = n, mid = n-bar, bot != n-bar     G  top = n, mid = n, bot != n-bar
+    N  (m, n, m-bar)                          B  (m, n-bar, m-bar)
+
+and '.' otherwise.  An odd-width run of columns j0..j1 is forbidden if it is
+a whole match of
+
+    [LP]*(N+(BN)*B*|N*(BN)*B+)[HQ]*   unless escape a or escape b holds,
+    [MQ]N(BN)*B+[HQ]*                 unless escape a holds,
+    [LP]*N+(BN)*B[GP]                 unless escape b holds,
+
+where escape a is a cell (r, j1+1) below (r+1, j1) in the letter order and
+escape b a cell (r+2, j0-1) above (r+1, j0).
 """
 
 from __future__ import annotations
 
+import re
+from functools import lru_cache
 from typing import NamedTuple
 
 from .ring import AlgType, RingElem, delta, letter_order, letter_str, letters, parse_letter, z_product
@@ -93,21 +117,20 @@ def _h_triple_ok(t: AlgType, c1, c2, c3) -> bool:
     return (c1, c2, c3) not in ((-n, -n, n), (-n, n, n))
 
 
-def _v_ok(t: AlgType, T: Tableau, i: int, j: int) -> bool:
-    """Vertical rule between cells (i, j) and (i+1, j); both must exist."""
-    up, dn = T.entry(i, j), T.entry(i + 1, j)
+def _v_ok(t: AlgType, up: int, dn: int, dn_left, up_right) -> bool:
+    """Vertical rule between a letter and the letter below it; dn_left is the
+    letter left of the lower cell, up_right the letter right of the upper
+    cell (None where there is no cell)."""
     if t.family == "A":
         return up < dn
     if t.family == "B":
         return _cmp(t, up, dn) < 0 or (up, dn) == (0, 0)
     n = t.rank
-    if _cmp(t, up, dn) < 0:
-        return True
-    if up == dn == n and T.entry(i + 1, j - 1) == -n:
-        return True
-    if up == dn == -n and T.entry(i, j + 1) == n:
-        return True
-    return False
+    return (
+        _cmp(t, up, dn) < 0
+        or (up == dn == n and dn_left == -n)
+        or (up == dn == -n and up_right == n)
+    )
 
 
 def is_valid(t: AlgType, T: Tableau) -> bool:
@@ -121,7 +144,8 @@ def is_valid(t: AlgType, T: Tableau) -> bool:
             ll = T.entry(i, j - 1)
             if ll is not None and not _h_triple_ok(t, ll, c, r):
                 return False
-        if T.entry(i + 1, j) is not None and not _v_ok(t, T, i, j):
+        dn = T.entry(i + 1, j)
+        if dn is not None and not _v_ok(t, c, dn, T.entry(i + 1, j - 1), r):
             return False
     return True
 
@@ -167,128 +191,52 @@ def satisfies_2row_rule(t: AlgType, T: Tableau) -> bool:
     return True
 
 
-def _col_kinds(t: AlgType, T: Tableau, r: int, j: int) -> frozenset:
-    """Segment kinds column j can play in the window anchored at row r.
-
-    Two-cell kinds only constrain the two drawn cells; the third row's cell
-    may or may not exist outside the matched subtableau.
-    """
-    n = t.rank
-    top, mid, bot = T.entry(r, j), T.entry(r + 1, j), T.entry(r + 2, j)
-    kinds = set()
-    if mid == n and bot == -n:
-        kinds.add("lo-n-nb")  # bottom two rows: n over n-bar
-    if mid == -n and bot == -n:
-        kinds.add("lo-nb-nb")
-    if top == n and mid == -n:
-        kinds.add("hi-n-nb")
-    if top == n and mid == n:
-        kinds.add("hi-n-n")
-    if top == n - 1 and bot == -(n - 1):
-        if mid == n:
-            kinds.add("full-n")
-        if mid == -n:
-            kinds.add("full-nb")
-    return frozenset(kinds)
+def _col_class(n: int, top, mid, bot) -> str:
+    """The class of a column (top, mid, bot) of a three-row window."""
+    if mid not in (n, -n):
+        return "."
+    up = mid == n
+    if (top, bot) == (n - 1, 1 - n):
+        return "N" if up else "B"
+    if bot == -n:
+        return ("P" if up else "Q") if top == n else ("L" if up else "M")
+    if top == n:
+        return "G" if up else "H"
+    return "."
 
 
-def _windows(T: Tableau, r: int):
-    """Maximal column ranges meeting at least two of rows r, r+1, r+2."""
-    s = T.shape
-    lo = min(s.mu[i] + 1 for i in (r, r + 1, r + 2))
-    hi = max(s.lam[i] for i in (r, r + 1, r + 2))
-    return lo, hi
-
-
-def _alt_mid(kinds, start, count2) -> bool:
-    """kinds[start:start+count2] alternate full-nb, full-n (even length)."""
-    for m in range(count2):
-        want = "full-nb" if m % 2 == 0 else "full-n"
-        if want not in kinds[start + m]:
-            return False
-    return True
+# No word matches two of the patterns (their first or last classes differ), so
+# the name of the matching group lists the escapes that lift a violation.
+_ROW3 = re.compile(
+    r"(?P<ab>[LP]*(?:N+(?:BN)*B*|N*(?:BN)*B+)[HQ]*)"
+    r"|(?P<a>[MQ]N(?:BN)*B+[HQ]*)"
+    r"|(?P<b>[LP]*N+(?:BN)*B[GP])"
+)
 
 
 def satisfies_3row_rule(t: AlgType, T: Tableau) -> bool:
-    """Three-row window rule for the C family."""
+    """Three-row window rule for the C family (see the module docstring)."""
+    n, s = t.rank, T.shape
     for r in range(1, len(T.cells) - 1):
-        lo, hi = _windows(T, r)
-        width = hi - lo + 1
-        if width <= 0:
-            continue
-        kinds = {j: _col_kinds(t, T, r, j) for j in range(lo, hi + 1)}
+        lo = min(s.mu[i] + 1 for i in (r, r + 1, r + 2))
+        hi = max(s.lam[i] for i in (r, r + 1, r + 2))
+        word = "".join(
+            _col_class(n, T.entry(r, j), T.entry(r + 1, j), T.entry(r + 2, j))
+            for j in range(lo, hi + 1)
+        )
 
-        def a_escape(j1):
-            a = T.entry(r, j1 + 1)
-            below = T.entry(r + 1, j1)
-            return a is not None and _cmp(t, a, below) < 0
-
-        def b_escape(j0):
+        def escape(e, j0, j1):
+            if e == "a":
+                a = T.entry(r, j1 + 1)
+                return a is not None and _cmp(t, a, T.entry(r + 1, j1)) < 0
             b = T.entry(r + 2, j0 - 1)
-            above = T.entry(r + 1, j0)
-            return b is not None and _cmp(t, b, above) > 0
+            return b is not None and _cmp(t, b, T.entry(r + 1, j0)) > 0
 
         for j0 in range(lo, hi + 1):
-            for j1 in range(j0, hi + 1):
-                ks = [kinds[j] for j in range(j0, j1 + 1)]
-                if any(not k for k in ks):
-                    continue
-                w = len(ks)
-                # first arrangement: k1 low / k2 full-n / 2*k3 alternating /
-                # k4 full-nb / k5 high
-                for k1 in range(w + 1):
-                    if any("lo-n-nb" not in k for k in ks[:k1]):
-                        break
-                    for k5 in range(w - k1 + 1):
-                        if any("hi-n-nb" not in k for k in ks[w - k5 :]):
-                            break
-                        for k2 in range(w - k1 - k5 + 1):
-                            if any("full-n" not in k for k in ks[k1 : k1 + k2]):
-                                break
-                            for k4 in range(w - k1 - k2 - k5 + 1):
-                                if any(
-                                    "full-nb" not in k
-                                    for k in ks[w - k5 - k4 : w - k5]
-                                ):
-                                    break
-                                k3x2 = w - k1 - k2 - k4 - k5
-                                if k3x2 % 2 != 0 or not _alt_mid(ks, k1 + k2, k3x2):
-                                    continue
-                                if (k1 + k2 + k4 + k5) % 2 == 1 and (k2 or k4):
-                                    if not (a_escape(j1) or b_escape(j0)):
-                                        return False
-                # second arrangement: fixed pair (lo-nb-nb, full-n) /
-                # 2*k3 alternating / k4 full-nb / k5 high; only the a escape
-                if w >= 2 and "lo-nb-nb" in ks[0] and "full-n" in ks[1]:
-                    for k5 in range(w - 1):
-                        if any("hi-n-nb" not in k for k in ks[w - k5 :]):
-                            break
-                        for k4 in range(w - 2 - k5 + 1):
-                            if any(
-                                "full-nb" not in k for k in ks[w - k5 - k4 : w - k5]
-                            ):
-                                break
-                            k3x2 = w - 2 - k4 - k5
-                            if k3x2 % 2 != 0 or not _alt_mid(ks, 2, k3x2):
-                                continue
-                            if (k4 + k5) % 2 == 1 and k4:
-                                if not a_escape(j1):
-                                    return False
-                # third arrangement: k1 low / k2 full-n / 2*k3 alternating /
-                # fixed pair (full-nb, hi-n-n); only the b escape
-                if w >= 2 and "full-nb" in ks[-2] and "hi-n-n" in ks[-1]:
-                    for k1 in range(w - 1):
-                        if any("lo-n-nb" not in k for k in ks[:k1]):
-                            break
-                        for k2 in range(w - 2 - k1 + 1):
-                            if any("full-n" not in k for k in ks[k1 : k1 + k2]):
-                                break
-                            k3x2 = w - 2 - k1 - k2
-                            if k3x2 % 2 != 0 or not _alt_mid(ks, k1 + k2, k3x2):
-                                continue
-                            if (k1 + k2) % 2 == 1 and k2:
-                                if not b_escape(j0):
-                                    return False
+            for j1 in range(j0, hi + 1, 2):
+                m = _ROW3.fullmatch(word, j0 - lo, j1 - lo + 1)
+                if m and not any(escape(e, j0, j1) for e in m.lastgroup):
+                    return False
     return True
 
 
@@ -306,21 +254,19 @@ def _column_segments(T: Tableau):
     return out
 
 
-def satisfies_1col_rule(t: AlgType, T: Tableau) -> bool:
-    """A letter c and its bar in one column must be at most n-c rows apart."""
-    n = t.rank
-    for _j, _i, seg in _column_segments(T):
-        for p in range(len(seg)):
-            c = seg[p]
-            if not (1 <= c <= n):
-                continue
+def _far_pairs(n: int, seg):
+    """(p, q) where seg[p] is a letter c in 1..n and seg[q] its bar, more than
+    n-c rows below: the pairs the one-column distance rule forbids."""
+    for p, c in enumerate(seg):
+        if 1 <= c <= n:
             for q in range(p + 1, len(seg)):
                 if seg[q] == -c and q - p > n - c:
-                    return False
-    return True
+                    yield p, q
 
 
-_D_CACHE: dict = {}
+def satisfies_1col_rule(t: AlgType, T: Tableau) -> bool:
+    """A letter c and its bar in one column must be at most n-c rows apart."""
+    return not any(any(_far_pairs(t.rank, seg)) for _j, _i, seg in _column_segments(T))
 
 
 def column_companions(t: AlgType, c: tuple) -> tuple:
@@ -330,39 +276,28 @@ def column_companions(t: AlgType, c: tuple) -> tuple:
     piece obeys the one-column distance rule.  The d_i are read off the
     unique one-transposed-pair tuple of one-box paths whose weight equals the
     column's weight; the two paths of the transposed pair contribute n-bar
-    and n at the crossing.
+    and n at the crossing.  Raises ValueError if c is not such a pattern.
     """
-    key = (t, c)
-    if key in _D_CACHE:
-        return _D_CACHE[key]
-    n = t.rank
-    l = len(c)
-    col = shape([1] * l)
+    # a plain function over the cached one, so that tracers which wrap module
+    # functions (perfbench) still see each call
+    return _column_companions(t, tuple(c))
+
+
+@lru_cache(maxsize=None)
+def _column_companions(t: AlgType, c: tuple) -> tuple:
+    n, l = t.rank, len(c)
     target = z_product(t, [(c[i], -2 * i) for i in range(l)])
-    k = max(i for i in range(l) if _cmp(t, c[i], n) <= 0) + 1  # 1-based
-    matches = []
-    for pt in no_ordinary_tuples(t, col):
-        if len(pt.transposed_pairs(t)) != 1:
-            continue
-        if pt.weight(t, 0) == target:
-            matches.append(pt)
-    assert len(matches) == 1, (c, len(matches))
-    pt = matches[0]
-    assert len(pt.paths[k - 1].east_steps()) == 0
-    assert len(pt.paths[k].east_steps()) == 2
-    d = []
-    for i in range(l):
-        if i == k - 1:
-            d.append(-n)
-        elif i == k:
-            d.append(n)
-        else:
-            labs = east_labels(t, pt.paths[i])
-            assert len(labs) == 1
-            d.append(labs[0][0])
-    d = tuple(d)
-    _D_CACHE[key] = d
-    return d
+    matches = [
+        pt
+        for pt in no_ordinary_tuples(t, shape([1] * l))
+        if len(pt.transposed_pairs(t)) == 1 and pt.weight(t, 0) == target
+    ]
+    k = max((i for i in range(l) if _cmp(t, c[i], n) <= 0), default=-1) + 1  # 1-based
+    # one east step per path, except none at row k and two at row k+1
+    labs = [east_labels(t, p) for p in matches[0].paths] if len(matches) == 1 else []
+    if [len(x) for x in labs] != [1] * (k - 1) + [0, 2] + [1] * (l - k - 1):
+        raise ValueError(f"{c} is not a bounding one-column pattern of {t}")
+    return tuple(-n if i == k - 1 else n if i == k else labs[i][0][0] for i in range(l))
 
 
 def satisfies_2col_rule(t: AlgType, T: Tableau) -> bool:
@@ -385,17 +320,7 @@ def satisfies_2col_rule(t: AlgType, T: Tableau) -> bool:
             if any(_cmp(t, sub[m], sub[m + 1]) >= 0 for m in range(l - 1)):
                 continue
             # every proper contiguous piece obeys the one-column rule
-            proper_ok = True
-            for pp in range(l):
-                cc = sub[pp]
-                if not (1 <= cc <= n):
-                    continue
-                for qq in range(pp + 1, l):
-                    if (pp, qq) == (0, l - 1):
-                        continue
-                    if sub[qq] == -cc and qq - pp > n - cc:
-                        proper_ok = False
-            if not proper_ok:
+            if any(pq != (0, l - 1) for pq in _far_pairs(n, sub)):
                 continue
             k = max(i for i in range(l) if _cmp(t, sub[i], n) <= 0) + 1
             d = column_companions(t, tuple(sub))
@@ -453,38 +378,33 @@ def enumerate_tableaux(t: AlgType, s: SkewShape, ruleset: str = "auto"):
     alphabet = letters(t)
     out = []
 
-    def partial() -> Tableau:
-        return Tableau(s, tuple(tuple(r) for r in rows))
-
-    def ok_to_place(i, j, v) -> bool:
-        T = partial()
-        left = T.entry(i, j - 1)
-        if left is not None:
-            if not _h_ok(t, left, v):
-                return False
-            left2 = T.entry(i, j - 2)
-            if left2 is not None and not _h_triple_ok(t, left2, left, v):
-                return False
-        if i > 1 and T.entry(i - 1, j) is not None:
-            rows[i - 1].append(v)
-            good = _v_ok(t, partial(), i - 1, j)
-            rows[i - 1].pop()
-            if not good:
-                return False
-        return True
+    def above(i, j):
+        """Letter at (i-1, j), or None; row i-1 is complete."""
+        if i > 1 and s.mu[i - 1] < j <= s.lam[i - 1]:
+            return rows[i - 2][j - s.mu[i - 1] - 1]
+        return None
 
     def rec(m: int):
         if m == len(cells):
-            T = partial()
+            T = Tableau(s, tuple(map(tuple, rows)))
             if satisfies_extra_rules(t, T, ruleset):
                 out.append(T)
             return
         i, j = cells[m]
+        row = rows[i - 1]
+        left = row[-1] if row else None
+        left2 = row[-2] if len(row) > 1 else None
+        up, up_right = above(i, j), above(i, j + 1)
         for v in alphabet:
-            if ok_to_place(i, j, v):
-                rows[i - 1].append(v)
-                rec(m + 1)
-                rows[i - 1].pop()
+            if left is not None and not (
+                _h_ok(t, left, v) and (left2 is None or _h_triple_ok(t, left2, left, v))
+            ):
+                continue
+            if up is not None and not _v_ok(t, up, v, left, up_right):
+                continue
+            row.append(v)
+            rec(m + 1)
+            row.pop()
 
     rec(0)
     return out

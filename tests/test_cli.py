@@ -122,6 +122,26 @@ def test_usage_errors_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--count", "0"), ("--count", "-2"), ("--max-rank", "1"), ("--max-rank", "0"), ("--trunc", "0"),
+])
+def test_verify_refuses_bounds_that_run_no_case(capsys, flag, value):
+    rc, out, err = run(capsys, "verify", "--suite", "he", flag, value)
+    assert (rc, out) == (2, "")
+    assert f"error: {flag} must be at least" in err
+
+
+def test_internal_failures_are_not_usage_errors(capsys, monkeypatch):
+    import qjt.cli
+
+    def broken(args):
+        raise AssertionError("internal")
+
+    monkeypatch.setattr(qjt.cli, "cmd_qchar", broken)
+    with pytest.raises(AssertionError):
+        main(["qchar", "--type", "A", "--rank", "2", "--lambda", "1"])
+
+
 def test_classical_row_limit_fails_closed(capsys):
     argv = ["classical", "--type", "C", "--rank", "2", "--lambda", "1,1,1"]
     rc, out, err = run(capsys, *argv)

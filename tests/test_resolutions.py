@@ -5,7 +5,7 @@ import pytest
 
 from qjt.ring import make_type
 from qjt.shapes import shape
-from qjt.paths import p_k_tuples, p_tilde
+from qjt.paths import Path, p_k_tuples, p_tilde
 from qjt.tableaux import (
     enumerate_tableaux,
     path_tuple_to_tableau,
@@ -27,9 +27,11 @@ from qjt.resolutions import (
     is_p2_cross,
     omega,
     r_y,
+    retuple,
     transposed_index_pairs,
 )
 
+from optimized import error_under_O
 from test_shapes import all_partitions, subpartitions
 
 
@@ -238,3 +240,27 @@ def test_three_row_suite_on_larger_rank():
         assert set(key(f2_13(t3, p)) for p in p2o) == set(
             key(p) for p in p1_23 if condition_f2_13(t3, p) is not None
         )
+
+
+def test_retuple_fails_closed():
+    s = shape((2, 2, 1))
+    pt = p_tilde(T2, s)[0]
+    assert retuple(T2, s, pt.paths) == pt
+    # each path starts one column left of the shape's start and ends where it did
+    early = [Path((p.start[0] - 1, p.start[1]), "E" + p.steps) for p in pt.paths]
+    with pytest.raises(ValueError, match="runs"):
+        retuple(T2, s, early)
+    with pytest.raises(ValueError, match="not once at each"):
+        retuple(T2, s, [pt.paths[0], Path(pt.paths[1].start, "EEENNNN"), pt.paths[2]])
+    assert error_under_O(
+        "from qjt.paths import Path, p_tilde; from qjt.resolutions import retuple; "
+        "from qjt.ring import make_type; from qjt.shapes import shape; "
+        "t, s = make_type('C', 2), shape((2, 2, 1)); "
+        "retuple(t, s, [Path((p.start[0] - 1, p.start[1]), 'E' + p.steps) for p in p_tilde(t, s)[0].paths])"
+    ).startswith("ValueError: path 1 runs (-1, -2) -> (2, 2)")
+
+
+def test_omega_rejects_a_center_left_of_the_shape():
+    pt = p_tilde(T2, shape((2, 2, 1)))[0]
+    with pytest.raises(ValueError, match="center"):
+        omega(T2, pt, -1)

@@ -1,13 +1,17 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
 from qjt.jacobitrudi import chi_h
 from qjt.paths import no_ordinary_tuples, p_tilde
-from qjt.ring import letters, make_type, parse_letter
+from qjt.ring import AlgType, letters, make_type, parse_letter
 from qjt.shapes import shape
 from qjt.tableaux import (
+    RULESETS,
     Tableau,
+    _cmp,
     _row_heights,
     column_companions,
     enumerate_tableaux,
@@ -24,6 +28,7 @@ from qjt.tableaux import (
 )
 
 from optimized import error_under_O
+from test_acceptance import a_shapes, c_class_shapes, skew_shapes
 from test_shapes import all_partitions, subpartitions
 
 
@@ -341,3 +346,260 @@ def test_tableau_to_path_tuple_fails_closed_on_short_row():
         "from qjt.tableaux import Tableau, tableau_to_path_tuple; "
         "tableau_to_path_tuple(make_type('C', 2), Tableau(shape((2, 1)), ((1,), (1,))))"
     ).startswith("ValueError: row 1 (1,) gives a path ending at (1, 2), not (2, 2)")
+
+
+def test_column_companions_fails_closed():
+    t = make_type("C", 3)
+    with pytest.raises(ValueError, match="not a bounding one-column pattern"):
+        column_companions(t, (1, 2))
+    assert error_under_O(
+        "from qjt.ring import make_type; from qjt.tableaux import column_companions; "
+        "column_companions(make_type('C', 3), (1, 2))"
+    ) == "ValueError: (1, 2) is not a bounding one-column pattern of C3"
+
+
+@pytest.mark.parametrize("fam,n", [("A", 2), ("B", 2), ("C", 2)])
+def test_enumeration_is_the_is_valid_filter(fam, n):
+    # the cell tests seen from the enumeration and from a whole tableau agree,
+    # in order: fillings run over the alphabet in row-major order
+    t = make_type(fam, n)
+    for lam, mu in [((2, 2), ()), ((2, 1, 1), ()), ((3, 2), (1,)), ((2, 2, 1), (1,))]:
+        s = shape(lam, mu)
+        want = []
+        for fill in itertools.product(letters(t), repeat=len(s.boxes())):
+            it = iter(fill)
+            T = Tableau(s, tuple(tuple(itertools.islice(it, s.lam[i] - s.mu[i]))
+                                 for i in range(1, len(lam) + 1)))
+            if is_valid(t, T):
+                want.append(T)
+        assert enumerate_tableaux(t, s, "hv") == want, (fam, lam, mu)
+
+
+def test_3row_rule_matches_oracle_on_hv_tableaux():
+    # every hv tableau of the 3- and 4-row shapes with |lam| <= 9 and at most
+    # 7 boxes (C2), or |lam| <= 7 and at most 6 boxes (C3)
+    seen = rejected = 0
+    for n, size, boxes in ((2, 9, 7), (3, 7, 6)):
+        t = make_type("C", n)
+        for lam in all_partitions(size, 4):
+            if len(lam) < 3:
+                continue
+            for mu in subpartitions(lam):
+                if sum(lam) - sum(mu) > boxes:
+                    continue
+                for tab in enumerate_tableaux(t, shape(lam, mu), "hv"):
+                    ok = satisfies_3row_rule(t, tab)
+                    assert ok == satisfies_3row_rule_oracle(t, tab), (n, tab)
+                    seen += 1
+                    rejected += not ok
+    assert (seen, rejected) == (105851, 2936)
+
+
+def _class_word(rng):
+    """A word of three-row column classes on or near one of the patterns."""
+    run = lambda cs, least: "".join(rng.choice(cs) for _ in range(rng.randint(least, 2)))
+    alt = "BN" * rng.randint(0, 1)
+    core = rng.choice([run("N", 1) + alt + run("B", 0), run("N", 0) + alt + run("B", 1)])
+    return rng.choice([
+        run("LP", 0) + core + run("HQ", 0),
+        rng.choice("MQ") + "N" + alt + run("B", 1) + run("HQ", 0),
+        run("LP", 0) + run("N", 1) + alt + "B" + rng.choice("GP"),
+    ])
+
+
+def test_3row_rule_matches_oracle_on_random_fillings():
+    # letter fillings, valid or not: rows r..r+2 of the columns j0.. spell a
+    # class word, each of its letters kept with probability 0.95; every other
+    # cell (and a class's free cell) gets a random letter
+    rng = random.Random(20261018)
+    rejected = 0
+    for _ in range(5000):
+        n = rng.choice((2, 3, 4))
+        t, m = make_type("C", n), n - 1
+        proto = {"L": (None, n, -n), "P": (n, n, -n), "M": (None, -n, -n), "Q": (n, -n, -n),
+                 "H": (n, -n, None), "G": (n, n, None), "N": (m, n, -m), "B": (m, -n, -m)}
+        word, j0, r = _class_word(rng), rng.randint(1, 3), rng.randint(1, 2)
+        nrows = r + 2 + rng.randint(0, 1)
+        lam = sorted((rng.randint(max(1, j0 + len(word) - 2), j0 + len(word))
+                      for _ in range(nrows)), reverse=True)
+        mu = [min(x, p) for x, p in zip(sorted((rng.randint(0, j0) for _ in lam), reverse=True), lam)]
+        s = shape(tuple(lam), tuple(x for x in mu if x))
+
+        def letter(i, j):
+            if 0 <= i - r <= 2 and 0 <= j - j0 < len(word) and rng.random() < 0.95:
+                c = proto[word[j - j0]][i - r]
+                if c is not None:
+                    return c
+            return rng.choice(letters(t))
+
+        rows = [[letter(i, j) for j in range(s.mu[i] + 1, s.lam[i] + 1)] for i in range(1, nrows + 1)]
+        tab = tableau_from_rows(s, rows)
+        ok = satisfies_3row_rule(t, tab)
+        assert ok == satisfies_3row_rule_oracle(t, tab), (n, tab)
+        rejected += not ok
+    assert rejected == 750
+
+
+def _enumeration_digest(cases, ruleset):
+    h = hashlib.sha256()
+    for t, s in cases:
+        cells = [tab.cells for tab in enumerate_tableaux(t, s, ruleset)]
+        h.update(repr((str(t), s.lam.parts, s.mu.parts, cells)).encode())
+    return h.hexdigest()
+
+
+# sha256 of the ordered enumerate_tableaux output on the criterion 4-6 shapes,
+# captured before the cell tests took letters; A and B ignore the ruleset.
+ENUMERATION_GOLDEN = {
+    ("AB", "hv"): "c50fec10e8f3505424181ac1dc0647c56464842853ca89159c5e91f7acdc58f6",
+    ("C", "hv"): "a8ce916e043a399c702d52ec4a9dd26d86da82396b37927549307e090ae6cdec",
+    ("C", "rows"): "ec224d5b26a8bacffa22f314b7cdbf467d7b93546618097f28518b14ead7f855",
+    ("C", "columns"): "bb939adb6debd9ead870b187b4ff9ccefdb0b743c390d7a3e84be42f5d6f445d",
+    ("C", "auto"): "5c0af5e4337acf60b78995abf35fd7f944b2913e8045ff78a28f6c26494a940f",
+}
+
+
+@pytest.mark.parametrize("families,ruleset", sorted(ENUMERATION_GOLDEN))
+def test_enumeration_golden(families, ruleset):
+    if families == "AB":
+        cases = [(make_type("A", n), s) for n in (1, 2, 3) for s in a_shapes(n)]
+        cases += [(make_type("B", n), s) for n in (2, 3) for s in skew_shapes(9, 3, 3)]
+    else:
+        cases = [
+            (make_type("C", n), s)
+            for n in (2, 3)
+            for _, shapes in c_class_shapes(n)
+            for s in shapes
+        ]
+    assert sorted(RULESETS) == sorted(r for f, r in ENUMERATION_GOLDEN if f == "C")
+    assert _enumeration_digest(cases, ruleset) == ENUMERATION_GOLDEN[(families, ruleset)]
+
+
+# ---------------------------------------------------------------------------
+# The three-row rule as five nested loops over run lengths, kept verbatim as
+# the oracle for the column-word match in qjt.tableaux.
+
+
+def _col_kinds(t: AlgType, T: Tableau, r: int, j: int) -> frozenset:
+    """Segment kinds column j can play in the window anchored at row r.
+
+    Two-cell kinds only constrain the two drawn cells; the third row's cell
+    may or may not exist outside the matched subtableau.
+    """
+    n = t.rank
+    top, mid, bot = T.entry(r, j), T.entry(r + 1, j), T.entry(r + 2, j)
+    kinds = set()
+    if mid == n and bot == -n:
+        kinds.add("lo-n-nb")  # bottom two rows: n over n-bar
+    if mid == -n and bot == -n:
+        kinds.add("lo-nb-nb")
+    if top == n and mid == -n:
+        kinds.add("hi-n-nb")
+    if top == n and mid == n:
+        kinds.add("hi-n-n")
+    if top == n - 1 and bot == -(n - 1):
+        if mid == n:
+            kinds.add("full-n")
+        if mid == -n:
+            kinds.add("full-nb")
+    return frozenset(kinds)
+
+
+def _windows(T: Tableau, r: int):
+    """Maximal column ranges meeting at least two of rows r, r+1, r+2."""
+    s = T.shape
+    lo = min(s.mu[i] + 1 for i in (r, r + 1, r + 2))
+    hi = max(s.lam[i] for i in (r, r + 1, r + 2))
+    return lo, hi
+
+
+def _alt_mid(kinds, start, count2) -> bool:
+    """kinds[start:start+count2] alternate full-nb, full-n (even length)."""
+    for m in range(count2):
+        want = "full-nb" if m % 2 == 0 else "full-n"
+        if want not in kinds[start + m]:
+            return False
+    return True
+
+
+def satisfies_3row_rule_oracle(t: AlgType, T: Tableau) -> bool:
+    """Three-row window rule for the C family."""
+    for r in range(1, len(T.cells) - 1):
+        lo, hi = _windows(T, r)
+        width = hi - lo + 1
+        if width <= 0:
+            continue
+        kinds = {j: _col_kinds(t, T, r, j) for j in range(lo, hi + 1)}
+
+        def a_escape(j1):
+            a = T.entry(r, j1 + 1)
+            below = T.entry(r + 1, j1)
+            return a is not None and _cmp(t, a, below) < 0
+
+        def b_escape(j0):
+            b = T.entry(r + 2, j0 - 1)
+            above = T.entry(r + 1, j0)
+            return b is not None and _cmp(t, b, above) > 0
+
+        for j0 in range(lo, hi + 1):
+            for j1 in range(j0, hi + 1):
+                ks = [kinds[j] for j in range(j0, j1 + 1)]
+                if any(not k for k in ks):
+                    continue
+                w = len(ks)
+                # first arrangement: k1 low / k2 full-n / 2*k3 alternating /
+                # k4 full-nb / k5 high
+                for k1 in range(w + 1):
+                    if any("lo-n-nb" not in k for k in ks[:k1]):
+                        break
+                    for k5 in range(w - k1 + 1):
+                        if any("hi-n-nb" not in k for k in ks[w - k5 :]):
+                            break
+                        for k2 in range(w - k1 - k5 + 1):
+                            if any("full-n" not in k for k in ks[k1 : k1 + k2]):
+                                break
+                            for k4 in range(w - k1 - k2 - k5 + 1):
+                                if any(
+                                    "full-nb" not in k
+                                    for k in ks[w - k5 - k4 : w - k5]
+                                ):
+                                    break
+                                k3x2 = w - k1 - k2 - k4 - k5
+                                if k3x2 % 2 != 0 or not _alt_mid(ks, k1 + k2, k3x2):
+                                    continue
+                                if (k1 + k2 + k4 + k5) % 2 == 1 and (k2 or k4):
+                                    if not (a_escape(j1) or b_escape(j0)):
+                                        return False
+                # second arrangement: fixed pair (lo-nb-nb, full-n) /
+                # 2*k3 alternating / k4 full-nb / k5 high; only the a escape
+                if w >= 2 and "lo-nb-nb" in ks[0] and "full-n" in ks[1]:
+                    for k5 in range(w - 1):
+                        if any("hi-n-nb" not in k for k in ks[w - k5 :]):
+                            break
+                        for k4 in range(w - 2 - k5 + 1):
+                            if any(
+                                "full-nb" not in k for k in ks[w - k5 - k4 : w - k5]
+                            ):
+                                break
+                            k3x2 = w - 2 - k4 - k5
+                            if k3x2 % 2 != 0 or not _alt_mid(ks, 2, k3x2):
+                                continue
+                            if (k4 + k5) % 2 == 1 and k4:
+                                if not a_escape(j1):
+                                    return False
+                # third arrangement: k1 low / k2 full-n / 2*k3 alternating /
+                # fixed pair (full-nb, hi-n-n); only the b escape
+                if w >= 2 and "full-nb" in ks[-2] and "hi-n-n" in ks[-1]:
+                    for k1 in range(w - 1):
+                        if any("lo-n-nb" not in k for k in ks[:k1]):
+                            break
+                        for k2 in range(w - 2 - k1 + 1):
+                            if any("full-n" not in k for k in ks[k1 : k1 + k2]):
+                                break
+                            k3x2 = w - 2 - k1 - k2
+                            if k3x2 % 2 != 0 or not _alt_mid(ks, k1 + k2, k3x2):
+                                continue
+                            if (k1 + k2) % 2 == 1 and k2:
+                                if not b_escape(j0):
+                                    return False
+    return True
