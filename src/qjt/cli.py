@@ -8,17 +8,12 @@ import json
 import random
 import sys
 
-from .ring import RingElem, letter_str, make_type
+from .ring import letter_str, make_type
 from .shapes import parse_partition, shape
 from .series import check_HE
 from .jacobitrudi import chi_h, chi_e
 from .paths import signed_path_sum, surviving_tuples_with_sum
-from .tableaux import (
-    RULESETS,
-    enumerate_tableaux,
-    resolve_ruleset,
-    tableau_sum,
-)
+from .tableaux import RULESETS, resolve_ruleset, tableau_sum, tableaux_with_sum
 from .classical import verify_decomposition_A, verify_decomposition_C
 
 
@@ -62,8 +57,7 @@ def cmd_tableaux(args) -> int:
     t = _type_from(args)
     s = _shape_from(args)
     ruleset = resolve_ruleset(t, s, args.ruleset)
-    tabs = enumerate_tableaux(t, s, ruleset=ruleset)
-    total = RingElem.sum(T.weight(t, args.offset) for T in tabs)
+    tabs, total = tableaux_with_sum(t, s, args.offset, ruleset)
     obj = {
         "type": str(t),
         "lambda": list(s.lam),

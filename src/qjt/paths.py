@@ -50,15 +50,7 @@ class Path(NamedTuple):
         return (x + self.steps.count("E"), y + self.steps.count("N"))
 
     def points(self) -> tuple[tuple[int, int], ...]:
-        x, y = self.start
-        pts = [(x, y)]
-        for s in self.steps:
-            if s == "E":
-                x += 1
-            else:
-                y += 1
-            pts.append((x, y))
-        return tuple(pts)
+        return _points(self.start, self.steps)
 
     def east_steps(self) -> list[tuple[int, int]]:
         """Start points (x, y) of the eastward steps, in path order."""
@@ -74,6 +66,21 @@ class Path(NamedTuple):
 
     def to_text(self) -> str:
         return f"({self.start[0]},{self.start[1]}):{self.steps}"
+
+
+# bounded: the h-path tables read each of their paths' points once, while the
+# resolution maps probe the few paths of one tuple many times
+@lru_cache(maxsize=256)
+def _points(start: tuple[int, int], steps: str) -> tuple[tuple[int, int], ...]:
+    x, y = start
+    pts = [(x, y)]
+    for s in steps:
+        if s == "E":
+            x += 1
+        else:
+            y += 1
+        pts.append((x, y))
+    return tuple(pts)
 
 
 def parse_path(text: str) -> Path:
@@ -258,8 +265,9 @@ def is_transposed(t: AlgType, p: Path, q: Path) -> bool:
 
 def _key_base(t: AlgType) -> int:
     """The least spectral shift in the image of any letter at shift 0: the
-    base of the weight keys of paths that start at x = 0."""
-    return min(s for c in letters(t) for _i, s, _e in _f_factors(t, c))
+    base of the weight keys of paths that start at x = 0 and of tableau rows
+    placed from column 0 (0 if no letter has a factor, as for A0)."""
+    return min((s for c in letters(t) for _i, s, _e in _f_factors(t, c)), default=0)
 
 
 @lru_cache(maxsize=None)

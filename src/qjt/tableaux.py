@@ -11,8 +11,22 @@ Entries are letters (ints): k>0 plain, 0 (middle letter, second family only),
   repeated n-bar whose upper cell has an n on its right.
 
 Each cell rule is a test on letters (`_h_ok`, `_h_triple_ok`, `_v_ok`), shared
-by `is_valid` and by `enumerate_tableaux`, which fills cells in row-major
-order and reads the neighbours of the next cell from the rows placed so far.
+by `is_valid` and by the enumeration, which works on whole rows.  The rows of
+each (type, length) that obey the horizontal rules are enumerated once, into
+one table (``_row_table``), in lexicographic alphabet order: the order in
+which a row-major fill of the cells meets them.  Each entry holds its letter
+word and its weight, placed from column 0 of row 0, as one packed
+``RingElem`` key.  The vertical rule reads only two adjacent rows and the
+offset between their starts, so the rows of a table that may lie under one
+row form one int bitmask (``_below``), built on first use and cached across
+calls.  The depth-first search of the path layer (``paths._search``) runs
+over these masks and yields the fillings in row-major order; the C extra
+rules below filter complete fillings.  A tableau sum shifts the key of row
+i by w * n * 2 delta * (mu_i + 1 - i - x0) (x0 the least mu_i + 1 - i, w the
+width that holds the sum of the rows' exponent bounds), adds the keys of
+each filling into one dict, and reads the dict as one ``RingElem`` whose
+layout base carries x0 and the spectral offset.  No ``Tableau`` is built for
+the sum unless an extra rule reads it.
 
 For the C family the generating function identity requires extra rules that
 depend on the shape: a two-row block rule and a three-row window rule for
@@ -40,13 +54,15 @@ escape b a cell (r+2, j0-1) above (r+1, j0).
 
 from __future__ import annotations
 
+import itertools
 import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from .ring import AlgType, RingElem, delta, letter_order, letter_str, letters, parse_letter, z_product
+from .ring import _W0, AlgType, RingElem, _recode, _width, delta, letter_order, letter_str, letters
+from .ring import parse_letter, z_product
 from .shapes import SkewShape, shape
-from .paths import Path, PathTuple, band, east_labels, endpoints, no_ordinary_tuples
+from .paths import Path, PathTuple, _key_base, _search, band, east_labels, endpoints, no_ordinary_tuples
 
 
 class Tableau(NamedTuple):
@@ -343,6 +359,8 @@ RULESETS = ("hv", "rows", "columns", "auto")
 
 
 def resolve_ruleset(t: AlgType, s: SkewShape, ruleset: str) -> str:
+    if ruleset not in RULESETS:
+        raise ValueError(f"unknown ruleset {ruleset!r}; expected one of {', '.join(RULESETS)}")
     if ruleset != "auto":
         return ruleset
     if t.family != "C":
@@ -365,53 +383,145 @@ def satisfies_extra_rules(t: AlgType, T: Tableau, ruleset: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration
+# Row tables and enumeration
+
+
+@lru_cache(maxsize=None)
+def _row_table(t: AlgType, length: int, w: int) -> tuple[int, int, tuple, tuple]:
+    """(w', b, words, keys) of the rows of this length allowed by _h_ok and
+    _h_triple_ok, in lexicographic alphabet order.  keys[c] packs the weight
+    of words[c] placed from column 0 of row 0 (letter m at shift 2*delta*m)
+    in the layout (_key_base(t), t.rank, w'), where w' is the larger of w
+    and the width the weights need, and b bounds every exponent of a
+    weight."""
+    alphabet = letters(t)
+    words = []
+    row: list[int] = []
+
+    def rec():
+        if len(row) == length:
+            words.append(tuple(row))
+            return
+        for v in alphabet:
+            if row and not (_h_ok(t, row[-1], v) and (len(row) < 2 or _h_triple_ok(t, row[-2], row[-1], v))):
+                continue
+            row.append(v)
+            rec()
+            row.pop()
+
+    rec()
+    f = 2 * delta(t)
+    weights = [z_product(t, [(c, f * m) for m, c in enumerate(word)]) for word in words]
+    b = max((x._b for x in weights), default=0)
+    w = max(w, _width(b))
+    lo = _key_base(t)
+    return w, b, tuple(words), tuple(_recode(x, lo, t.rank, w).popitem()[0] for x in weights)
+
+
+@lru_cache(maxsize=None)
+def _below(t: AlgType, w: int, la: int, lb: int, off: int, c: int) -> int:
+    """Bitmask over the rows of length lb that may lie under row c of length
+    la when the lower row starts off columns right of the upper one: _v_ok
+    at every column the two rows share."""
+    up = _row_table(t, la, w)[2][c]
+    cols = range(max(0, -off), min(lb, la - off))  # indices into the lower row
+    mask = 0
+    for d, dn in enumerate(_row_table(t, lb, w)[2]):
+        if all(
+            _v_ok(t, up[p + off], dn[p], dn[p - 1] if p else None, up[p + off + 1] if p + off + 1 < la else None)
+            for p in cols
+        ):
+            mask |= 1 << d
+    return mask
+
+
+class _Rows:
+    """The row tables of a shape's rows, read in place.
+
+    Row i of the shape takes its letters from the table of its length.  A
+    filling is one index into each row's table, and rows i, i+1 fit when
+    the lower index is in _below of the upper one.  Row i's first cell
+    (i, mu_i + 1) carries the spectral shift 2*delta*(mu_i + 1 - i), so
+    its weight key shifts by kshift[i] into the shape's layout
+    (lo, t.rank, w), in which w holds the exponents of any filling.
+    """
+
+    def __init__(self, t: AlgType, s: SkewShape):
+        self.t, self.s = t, s
+        rows = range(1, len(s.lam) + 1)
+        self.lengths = [s.lam[i] - s.mu[i] for i in rows]
+        self.mu = [s.mu[i] for i in rows]
+
+        def tables(w: int) -> list:
+            return [_row_table(t, m, w) for m in self.lengths]
+
+        tabs = tables(_W0)
+        self.bound = sum(tab[1] for tab in tabs)
+        self.w = w = _width(self.bound)
+        if any(tab[0] != w for tab in tabs):
+            tabs = tables(w)
+        self.words = [tab[2] for tab in tabs]
+        self.keys = [tab[3] for tab in tabs]
+        starts = [s.mu[i] + 1 - i for i in rows]
+        x0 = min(starts, default=0)
+        f = 2 * delta(t)
+        self.lo = _key_base(t) + f * x0
+        self.kshift = [w * t.rank * f * (x - x0) for x in starts]
+
+    def _fits(self, i: int, c: int, k: int, _rows) -> int:
+        return _below(self.t, self.w, self.lengths[i], self.lengths[k], self.mu[k] - self.mu[i], c)
+
+    def fillings(self, ruleset: str):
+        """Index tuples of the fillings that obey the cell rules and, for C,
+        the ruleset's extra rules, in row-major alphabet order."""
+        ruleset = resolve_ruleset(self.t, self.s, ruleset)
+        lists = [range(len(ws)) for ws in self.words]
+        if len(lists) < 2:
+            found = itertools.product(*lists)
+        else:
+            found = (cs for _pi, cs in _search(tuple(range(len(lists))), lists, self._fits, True, {}))
+        if ruleset == "hv" or self.t.family != "C":  # no extra rule: no Tableau
+            return found
+        return (cs for cs in found if satisfies_extra_rules(self.t, self.tableau(cs), ruleset))
+
+    def tableau(self, cs) -> Tableau:
+        return Tableau(self.s, tuple(ws[c] for ws, c in zip(self.words, cs)))
+
+    def weight_sum(self, found, a_offset: int = 0) -> RingElem:
+        """The sum of the weights of the fillings: the shifted row keys of
+        each filling added into one dict."""
+        acc: dict = {}
+        get = acc.get
+        keys, kshift = self.keys, self.kshift
+        for cs in found:
+            key = 0
+            for ks, c, sh in zip(keys, cs, kshift):
+                key += ks[c] << sh
+            acc[key] = get(key, 0) + 1
+        return RingElem._make(acc, self.lo + a_offset, self.t.rank, self.w, self.bound)
 
 
 def enumerate_tableaux(t: AlgType, s: SkewShape, ruleset: str = "auto"):
     """All tableaux of the shape obeying the family rules and, for C, the
     shape's extra rules (ruleset 'auto' picks row rules for at most three
-    rows, else column rules for at most two columns, else none)."""
-    ruleset = resolve_ruleset(t, s, ruleset)
-    cells = [(i, j) for i in range(1, len(s.lam) + 1) for j in range(s.mu[i] + 1, s.lam[i] + 1)]
-    rows: list[list[int]] = [[] for _ in range(len(s.lam))]
-    alphabet = letters(t)
-    out = []
+    rows, else column rules for at most two columns, else none), in
+    row-major alphabet order."""
+    rows = _Rows(t, s)
+    return [rows.tableau(cs) for cs in rows.fillings(ruleset)]
 
-    def above(i, j):
-        """Letter at (i-1, j), or None; row i-1 is complete."""
-        if i > 1 and s.mu[i - 1] < j <= s.lam[i - 1]:
-            return rows[i - 2][j - s.mu[i - 1] - 1]
-        return None
 
-    def rec(m: int):
-        if m == len(cells):
-            T = Tableau(s, tuple(map(tuple, rows)))
-            if satisfies_extra_rules(t, T, ruleset):
-                out.append(T)
-            return
-        i, j = cells[m]
-        row = rows[i - 1]
-        left = row[-1] if row else None
-        left2 = row[-2] if len(row) > 1 else None
-        up, up_right = above(i, j), above(i, j + 1)
-        for v in alphabet:
-            if left is not None and not (
-                _h_ok(t, left, v) and (left2 is None or _h_triple_ok(t, left2, left, v))
-            ):
-                continue
-            if up is not None and not _v_ok(t, up, v, left, up_right):
-                continue
-            row.append(v)
-            rec(m + 1)
-            row.pop()
-
-    rec(0)
-    return out
+def tableaux_with_sum(
+    t: AlgType, s: SkewShape, a_offset: int = 0, ruleset: str = "auto"
+) -> tuple[list[Tableau], RingElem]:
+    """The tableaux and their weight sum, from one enumeration."""
+    rows = _Rows(t, s)
+    found = list(rows.fillings(ruleset))
+    return [rows.tableau(cs) for cs in found], rows.weight_sum(found, a_offset)
 
 
 def tableau_sum(t: AlgType, s: SkewShape, a_offset: int = 0, ruleset: str = "auto") -> RingElem:
-    return RingElem.sum(T.weight(t, a_offset) for T in enumerate_tableaux(t, s, ruleset))
+    rows = _Rows(t, s)
+    return rows.weight_sum(rows.fillings(ruleset), a_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +531,13 @@ def tableau_sum(t: AlgType, s: SkewShape, a_offset: int = 0, ruleset: str = "aut
 def path_tuple_to_tableau(t: AlgType, pt: PathTuple) -> Tableau:
     if pt.pi != tuple(range(len(pt.pi))):
         raise ValueError(f"rows permuted by {pt.to_json_obj()['pi']}; no tableau attached")
-    rows = tuple(tuple(c for c, _s in east_labels(t, p)) for p in pt.paths)
-    return Tableau(pt.shape, rows)
+    return Tableau(pt.shape, tuple(_path_word(t, p.start[1], p.steps) for p in pt.paths))
+
+
+@lru_cache(maxsize=None)
+def _path_word(t: AlgType, y0: int, steps: str) -> tuple:
+    """The letters of the east steps of a path from height y0."""
+    return tuple(c for c, _s in east_labels(t, Path((0, y0), steps)))
 
 
 def _row_heights(t: AlgType, row: tuple) -> list[int]:
@@ -446,20 +561,25 @@ def _row_heights(t: AlgType, row: tuple) -> list[int]:
     return hs
 
 
-def tableau_to_path_tuple(t: AlgType, T: Tableau) -> PathTuple:
+@lru_cache(maxsize=None)
+def _row_steps(t: AlgType, row: tuple) -> str:
+    """The steps of the h-path that realizes this row."""
     bot, top = band(t)
+    steps = []
+    y = bot
+    for h in _row_heights(t, row):
+        steps.append("N" * (h - y) + "E")
+        y = h
+    steps.append("N" * (top - y))
+    return "".join(steps)
+
+
+def tableau_to_path_tuple(t: AlgType, T: Tableau) -> PathTuple:
     s = T.shape
     us, vs = endpoints(t, s)
     paths = []
     for i, row in enumerate(T.cells, start=1):
-        hs = _row_heights(t, row)
-        steps = []
-        y = bot
-        for h in hs:
-            steps.append("N" * (h - y) + "E")
-            y = h
-        steps.append("N" * (top - y))
-        p = Path(us[i - 1], "".join(steps))
+        p = Path(us[i - 1], _row_steps(t, tuple(row)))
         if p.end != vs[i - 1]:
             raise ValueError(f"row {i} {row} gives a path ending at {p.end}, not {vs[i - 1]}")
         paths.append(p)

@@ -6,13 +6,17 @@ import pytest
 
 from qjt.jacobitrudi import chi_h
 from qjt.paths import no_ordinary_tuples, p_tilde
-from qjt.ring import AlgType, letters, make_type, parse_letter
+from qjt.ring import AlgType, RingElem, letters, make_type, parse_letter
 from qjt.shapes import shape
 from qjt.tableaux import (
     RULESETS,
     Tableau,
+    _Rows,
     _cmp,
+    _h_ok,
+    _h_triple_ok,
     _row_heights,
+    _v_ok,
     column_companions,
     enumerate_tableaux,
     is_valid,
@@ -22,9 +26,11 @@ from qjt.tableaux import (
     satisfies_2col_rule,
     satisfies_2row_rule,
     satisfies_3row_rule,
+    satisfies_extra_rules,
     tableau_from_rows,
     tableau_sum,
     tableau_to_path_tuple,
+    tableaux_with_sum,
 )
 
 from optimized import error_under_O
@@ -151,6 +157,18 @@ def test_ruleset_resolution():
     assert resolve_ruleset(t, shape((3, 2, 1)), "auto") == "rows"
     assert resolve_ruleset(t, shape((2, 2, 1, 1)), "auto") == "columns"
     assert resolve_ruleset(make_type("A", 2), shape((2, 1)), "auto") == "hv"
+
+
+@pytest.mark.parametrize("fam", ["A", "B", "C"])
+def test_unknown_ruleset_is_refused(fam):
+    # before the check, A2 (2,1) gave 8 tableaux and C2 (1^6) gave []
+    t = make_type(fam, 2)
+    for s in (shape((2, 1)), shape((1,) * 6)):
+        with pytest.raises(ValueError, match="unknown ruleset 'bogus'"):
+            resolve_ruleset(t, s, "bogus")
+        for f in (enumerate_tableaux, tableau_sum, tableaux_with_sum):
+            with pytest.raises(ValueError, match="unknown ruleset 'bogus'"):
+                f(t, s, ruleset="bogus")
 
 
 @pytest.mark.parametrize("fam,n", [("A", 2), ("A", 3)])
@@ -473,6 +491,98 @@ def test_enumeration_golden(families, ruleset):
         ]
     assert sorted(RULESETS) == sorted(r for f, r in ENUMERATION_GOLDEN if f == "C")
     assert _enumeration_digest(cases, ruleset) == ENUMERATION_GOLDEN[(families, ruleset)]
+
+
+# ---------------------------------------------------------------------------
+# The row-major cell search, kept verbatim as the oracle for the row tables
+# of qjt.tableaux.
+
+
+def enumerate_tableaux_oracle(t: AlgType, s, ruleset: str = "auto"):
+    """All tableaux of the shape obeying the family rules and, for C, the
+    shape's extra rules (ruleset 'auto' picks row rules for at most three
+    rows, else column rules for at most two columns, else none)."""
+    ruleset = resolve_ruleset(t, s, ruleset)
+    cells = [(i, j) for i in range(1, len(s.lam) + 1) for j in range(s.mu[i] + 1, s.lam[i] + 1)]
+    rows: list[list[int]] = [[] for _ in range(len(s.lam))]
+    alphabet = letters(t)
+    out = []
+
+    def above(i, j):
+        """Letter at (i-1, j), or None; row i-1 is complete."""
+        if i > 1 and s.mu[i - 1] < j <= s.lam[i - 1]:
+            return rows[i - 2][j - s.mu[i - 1] - 1]
+        return None
+
+    def rec(m: int):
+        if m == len(cells):
+            T = Tableau(s, tuple(map(tuple, rows)))
+            if satisfies_extra_rules(t, T, ruleset):
+                out.append(T)
+            return
+        i, j = cells[m]
+        row = rows[i - 1]
+        left = row[-1] if row else None
+        left2 = row[-2] if len(row) > 1 else None
+        up, up_right = above(i, j), above(i, j + 1)
+        for v in alphabet:
+            if left is not None and not (
+                _h_ok(t, left, v) and (left2 is None or _h_triple_ok(t, left2, left, v))
+            ):
+                continue
+            if up is not None and not _v_ok(t, up, v, left, up_right):
+                continue
+            row.append(v)
+            rec(m + 1)
+            row.pop()
+
+    rec(0)
+    return out
+
+
+def assert_row_tables_match_oracle(t, s, rulesets):
+    # the oracle runs once per distinct rule set: A and B read no extra rule
+    wants: dict = {}
+    for ruleset in rulesets:
+        rules = resolve_ruleset(t, s, ruleset) if t.family == "C" else "hv"
+        if rules not in wants:
+            want = enumerate_tableaux_oracle(t, s, rules)
+            wants[rules] = want, [RingElem.sum(T.weight(t, off) for T in want).terms for off in (0, -3)]
+        want, sums = wants[rules]
+        assert enumerate_tableaux(t, s, ruleset) == want, (t, s, ruleset)
+        tabs, got = tableaux_with_sum(t, s, 0, ruleset)
+        assert tabs == want and got.terms == sums[0], (t, s, ruleset)
+        assert tableau_sum(t, s, 0, ruleset) == got, (t, s, ruleset)
+        assert tableau_sum(t, s, -3, ruleset).terms == sums[1], (t, s, ruleset)
+
+
+@pytest.mark.parametrize("fam,n", [(f, n) for f in "ABC" for n in (2, 3)])
+def test_row_tables_match_cell_search(fam, n):
+    # same ordered list and same weight sum as the cell search, for every
+    # ruleset on every shape in a 3x3 box with at most 5 boxes
+    t = make_type(fam, n)
+    for s in skew_shapes(9, 3, 3):
+        if len(s.boxes()) <= 5:
+            assert_row_tables_match_oracle(t, s, RULESETS)
+
+
+def test_row_tables_match_cell_search_C3_columns():
+    t = make_type("C", 3)
+    for s in skew_shapes(8, 4, 2):
+        assert_row_tables_match_oracle(t, s, ["columns"])
+
+
+def test_row_keys_widen_with_the_exponent_bound():
+    # a 128-row A1 ribbon: each row's table bounds its exponents by 1, so the
+    # bound of a filling passes 127 and the tables are taken again at 16 bits
+    t = make_type("A", 1)
+    s = shape(tuple(range(129, 1, -1)), tuple(range(127, 0, -1)))
+    assert _Rows(t, s).bound > 127
+    tabs, total = tableaux_with_sum(t, s, 5)
+    assert len(tabs) == 4
+    assert total._w == 16
+    assert total == RingElem.sum(T.weight(t, 5) for T in tabs)
+    assert tableau_sum(t, s, 5).terms == total.terms
 
 
 # ---------------------------------------------------------------------------
