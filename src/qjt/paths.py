@@ -94,18 +94,6 @@ def band(t: AlgType) -> tuple[int, int]:
     return (0, t.rank) if t.family == "A" else (-t.rank, t.rank)
 
 
-def is_valid_hpath(t: AlgType, p: Path) -> bool:
-    bot, top = band(t)
-    if p.start[1] != bot or p.end[1] != top:
-        return False
-    zero_easts = sum(1 for (_x, y) in p.east_steps() if y == 0)
-    if t.family == "B":
-        return zero_easts <= 1
-    if t.family == "C":
-        return zero_easts % 2 == 0
-    return True
-
-
 def enumerate_hpaths(t: AlgType, u: tuple[int, int], v: tuple[int, int]) -> list[Path]:
     """All h-paths of the type from u to v (empty if unreachable)."""
     bot, top = band(t)
@@ -360,6 +348,8 @@ class _Frame:
     """
 
     def __init__(self, t: AlgType, s: SkewShape):
+        if t.family not in ("A", "B", "C"):
+            raise ValueError(f"the path model covers types A, B and C, not {t}")
         self.t, self.s = t, s
         us, vs = endpoints(t, s)
         self.us = us
@@ -413,15 +403,14 @@ class _Frame:
         ends = [(x, x + a.vx) for x, a in zip(self.ux, recs)]
         return sum(_transposed(*e1, *e2) for e1, e2 in itertools.combinations(ends, 2))
 
-    def tuples(self, fits=None, adjacent_only: bool = False):
+    def tuples(self, fits, adjacent_only: bool = False):
         """(pi, records) of every tuple whose row i runs from us[i] to
-        vs[pi[i]], in the order of enumerate_tuples: permutations in
-        lexicographic order, then each row's candidates in table order.
-
-        fits(i, a, k, recs), a pair test (see above), prunes pairs of rows
-        i < k (adjacent rows only with adjacent_only).  Its bitmasks are
-        kept per candidate and later list, and a choice that leaves a later
-        row without a candidate is cut at once.
+        vs[pi[i]] and whose pairs of rows i < k pass fits(i, a, k, recs), a
+        pair test (see above; adjacent rows only with adjacent_only), in
+        the order of the search: permutations in lexicographic order, then
+        each row's candidates in table order.  The bitmasks of fits are kept
+        per candidate and later list, and a choice that leaves a later row
+        without a candidate is cut at once.
         """
         l = len(self.cands)
         memo: dict = {}
@@ -429,7 +418,7 @@ class _Frame:
             lists = [self.cands[i][pi[i]] for i in range(l)]
             if not all(lists):
                 continue
-            if fits is None or l < 2:
+            if l < 2:
                 for recs in itertools.product(*lists):
                     yield pi, recs
                 continue
@@ -488,24 +477,6 @@ def _search(pi, lists, fits, adjacent_only, memo):
     yield from rec(0, tuple((1 << len(c)) - 1 for c in lists))
 
 
-def enumerate_tuples(t: AlgType, s: SkewShape, pair_ok=None, adjacent_only=False):
-    """All tuples (over all permutations pi) whose rows are valid h-paths.
-
-    pair_ok(earlier_path, later_path) may prune partial tuples; with
-    adjacent_only it is applied to adjacent rows only.  Yields PathTuples.
-    """
-    frame = _Frame(t, s)
-    fits = None
-    if pair_ok is not None:
-
-        def fits(i, a, k, recs):
-            p = Path(frame.us[i], a.path.steps)
-            return sum(1 << d for d, b in enumerate(recs) if pair_ok(p, Path(frame.us[k], b.path.steps)))
-
-    for pi, recs in frame.tuples(fits, adjacent_only):
-        yield frame.path_tuple(pi, recs)
-
-
 def nonintersecting_tuples(t: AlgType, s: SkewShape) -> list[PathTuple]:
     """P(A_n; mu, lambda): no intersecting pair at all."""
     frame = _Frame(t, s)
@@ -538,13 +509,6 @@ def p_tilde(t: AlgType, s: SkewShape) -> list[PathTuple]:
     _require_C(t, "p_tilde")
     frame = _Frame(t, s)
     return [frame.path_tuple(*x) for x in frame.tuples(frame.untransposed, adjacent_only=True)]
-
-
-def surviving_tuples(t: AlgType, s: SkewShape) -> list[PathTuple]:
-    """The type's surviving tuple class: nonintersecting for A, no
-    ordinarily intersecting pair otherwise."""
-    frame = _Frame(t, s)
-    return [frame.path_tuple(*x) for x in frame.surviving()]
 
 
 def surviving_tuples_with_sum(t: AlgType, s: SkewShape, a_offset: int = 0) -> tuple[list[PathTuple], RingElem]:

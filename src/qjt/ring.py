@@ -28,6 +28,7 @@ zero letter, -k is the barred letter k-bar.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 
@@ -409,7 +410,8 @@ ONE = RingElem.const(1)
 # The substitution f: z-variables -> Y-monomials
 
 
-def _f_factors(t: AlgType, letter: int) -> list[tuple[int, int, int]]:
+@lru_cache(maxsize=None)
+def _f_factors(t: AlgType, letter: int) -> tuple[tuple[int, int, int], ...]:
     """Y-factors (i, relative shift, exponent) of the image of z_{letter,a}."""
     n = t.rank
     fam = t.family
@@ -422,7 +424,7 @@ def _f_factors(t: AlgType, letter: int) -> list[tuple[int, int, int]]:
             out.append((i, i - 1, 1))
         if i >= 2:
             out.append((i - 1, i, -1))
-        return out
+        return tuple(out)
     if fam == "B":
         if letter == 0:
             # z_0 is determined by the generating relation
@@ -433,28 +435,28 @@ def _f_factors(t: AlgType, letter: int) -> list[tuple[int, int, int]]:
                     acc[(i, s + 4 * n - 4 * k)] = acc.get((i, s + 4 * n - 4 * k), 0) + e
                 for i, s, e in _f_factors(t, -k):
                     acc[(i, s - 4 * n + 4 * k)] = acc.get((i, s - 4 * n + 4 * k), 0) + e
-            return [(i, s, e) for (i, s), e in sorted(acc.items()) if e]
+            return tuple((i, s, e) for (i, s), e in sorted(acc.items()) if e)
         if 1 <= letter <= n - 1:
             i = letter
-            return [(i, 2 * i - 2, 1), (i - 1, 2 * i, -1)] if i >= 2 else [(1, 0, 1)]
+            return ((i, 2 * i - 2, 1), (i - 1, 2 * i, -1)) if i >= 2 else ((1, 0, 1),)
         if letter == n:
             out = [(n, 2 * n - 3, 1), (n, 2 * n - 1, 1)]
             if n >= 2:
                 out.append((n - 1, 2 * n, -1))
-            return out
+            return tuple(out)
         if letter == -n:
             out = []
             if n >= 2:
                 out.append((n - 1, 2 * n - 2, 1))
             out += [(n, 2 * n - 1, -1), (n, 2 * n + 1, -1)]
-            return out
+            return tuple(out)
         if -(n - 1) <= letter <= -1:
             i = -letter
             out = []
             if i >= 2:
                 out.append((i - 1, 4 * n - 2 * i - 2, 1))
             out.append((i, 4 * n - 2 * i, -1))
-            return out
+            return tuple(out)
         raise ValueError(f"letter {letter} not in alphabet of {t}")
     if fam == "C":
         if 1 <= letter <= n:
@@ -462,14 +464,14 @@ def _f_factors(t: AlgType, letter: int) -> list[tuple[int, int, int]]:
             out = [(i, i - 1, 1)]
             if i >= 2:
                 out.append((i - 1, i, -1))
-            return out
+            return tuple(out)
         if -n <= letter <= -1:
             i = -letter
             out = []
             if i >= 2:
                 out.append((i - 1, 2 * n - i + 2, 1))
             out.append((i, 2 * n - i + 3, -1))
-            return out
+            return tuple(out)
         raise ValueError(f"letter {letter} not in alphabet of {t}")
     if fam == "D":
         if 1 <= letter <= n - 2:
@@ -477,34 +479,31 @@ def _f_factors(t: AlgType, letter: int) -> list[tuple[int, int, int]]:
             out = [(i, i - 1, 1)]
             if i >= 2:
                 out.append((i - 1, i, -1))
-            return out
+            return tuple(out)
         if letter == n - 1:
             out = [(n, n - 2, 1), (n - 1, n - 2, 1)]
             if n >= 3:
                 out.append((n - 2, n - 1, -1))
-            return out
+            return tuple(out)
         if letter == n:
-            return [(n, n - 2, 1), (n - 1, n, -1)]
+            return ((n, n - 2, 1), (n - 1, n, -1))
         if letter == -n:
-            return [(n - 1, n - 2, 1), (n, n, -1)]
+            return ((n - 1, n - 2, 1), (n, n, -1))
         if letter == -(n - 1):
             out = []
             if n >= 3:
                 out.append((n - 2, n - 1, 1))
             out += [(n - 1, n, -1), (n, n, -1)]
-            return out
+            return tuple(out)
         if -(n - 2) <= letter <= -1:
             i = -letter
             out = []
             if i >= 2:
                 out.append((i - 1, 2 * n - i - 2, 1))
             out.append((i, 2 * n - i - 1, -1))
-            return out
+            return tuple(out)
         raise ValueError(f"letter {letter} not in alphabet of {t}")
     raise ValueError(f"unknown family {fam}")
-
-
-_F_CACHE: dict[tuple[AlgType, int], list[tuple[int, int, int]]] = {}
 
 
 def f_hom(t: AlgType, letter: int, shift: int = 0) -> RingElem:
@@ -518,10 +517,7 @@ def z_product(t: AlgType, zvars: Iterable[tuple[int, int]]) -> RingElem:
     exps: dict[tuple[int, int], int] = {}
     get = exps.get
     for letter, shift in zvars:
-        facs = _F_CACHE.get((t, letter))
-        if facs is None:
-            facs = _F_CACHE[(t, letter)] = _f_factors(t, letter)
-        for i, s, e in facs:
+        for i, s, e in _f_factors(t, letter):
             k = (i, s + shift)
             exps[k] = get(k, 0) + e
     return RingElem._from_exponents([(exps, 1)], t.rank)

@@ -83,21 +83,12 @@ class SkewShape:
     def __repr__(self):
         return f"SkewShape({self.lam.parts}/{self.mu.parts})"
 
-    def num_rows(self) -> int:
-        return len(self.lam)
-
-    def num_cols(self) -> int:
-        return self.lam[1]
-
     def boxes(self) -> list[tuple[int, int]]:
         return [
             (i, j)
             for i in range(1, len(self.lam) + 1)
             for j in range(self.mu[i] + 1, self.lam[i] + 1)
         ]
-
-    def contains_box(self, i: int, j: int) -> bool:
-        return 1 <= i <= len(self.lam) and self.mu[i] + 1 <= j <= self.lam[i]
 
     def size(self) -> int:
         return self.lam.size() - self.mu.size()
@@ -109,18 +100,9 @@ class SkewShape:
             return 0
         return max(lamc[j] - muc[j] for j in range(1, len(lamc) + 1))
 
-    def conjugate(self) -> "SkewShape":
-        return SkewShape(self.lam.conjugate(), self.mu.conjugate())
-
 
 def shape(lam, mu=()) -> SkewShape:
     return SkewShape(Partition(lam), Partition(mu))
-
-
-def highest_weight_tableau(s: SkewShape) -> dict[tuple[int, int], int]:
-    """Fill box (i,j) with the unbarred letter i - mu'_j."""
-    muc = s.mu.conjugate()
-    return {(i, j): i - muc[j] for (i, j) in s.boxes()}
 
 
 def hw_monomial(t: AlgType, s: SkewShape, a_offset: int = 0) -> RingElem:

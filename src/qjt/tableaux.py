@@ -369,7 +369,7 @@ def resolve_ruleset(t: AlgType, s: SkewShape, ruleset: str) -> str:
         return "rows"
     if (s.lam[1] if s.lam.parts else 0) <= 2:
         return "columns"
-    return "hv"
+    raise ValueError(f"no {t} tableau rule covers {s}: more than 3 rows and more than 2 columns")
 
 
 def satisfies_extra_rules(t: AlgType, T: Tableau, ruleset: str) -> bool:
@@ -447,6 +447,8 @@ class _Rows:
     """
 
     def __init__(self, t: AlgType, s: SkewShape):
+        if t.family not in ("A", "B", "C"):
+            raise ValueError(f"the tableau model covers types A, B and C, not {t}")
         self.t, self.s = t, s
         rows = range(1, len(s.lam) + 1)
         self.lengths = [s.lam[i] - s.mu[i] for i in rows]
@@ -503,9 +505,11 @@ class _Rows:
 
 def enumerate_tableaux(t: AlgType, s: SkewShape, ruleset: str = "auto"):
     """All tableaux of the shape obeying the family rules and, for C, the
-    shape's extra rules (ruleset 'auto' picks row rules for at most three
-    rows, else column rules for at most two columns, else none), in
-    row-major alphabet order."""
+    shape's extra rules, in row-major alphabet order.  For C, ruleset
+    'auto' picks the row rules for at most three rows, else the column
+    rules for at most two columns, and raises ValueError for other shapes,
+    which no rule covers (ruleset 'hv' still lists their tableaux without
+    extra rules).  Types other than A, B and C raise ValueError."""
     rows = _Rows(t, s)
     return [rows.tableau(cs) for cs in rows.fillings(ruleset)]
 

@@ -1,21 +1,23 @@
 """Acceptance gate: the eleven end-to-end criteria, one test each.
 
 Each test prints a single PASS/FAIL line (visible with pytest -s or -rA)
-and asserts the exact identity it covers.
+and asserts the exact identity it covers; a FAIL line lists every failing
+case.
 """
 
 import random
+from functools import partial
 
 import pytest
 
+from qjt.checks import resolution_maps
 from qjt.ring import make_type
-from qjt.shapes import Partition, shape
+from qjt.shapes import shape
 from qjt.series import check_HE, h_coeff
 from qjt.jacobitrudi import chi_h, chi_e
 from qjt.paths import (
     no_ordinary_tuples,
     nonintersecting_tuples,
-    p_k_tuples,
     p_tilde,
     signed_path_sum,
 )
@@ -31,12 +33,19 @@ from qjt.classical import verify_decomposition_A, verify_decomposition_C
 from test_shapes import all_partitions, subpartitions
 
 
-def report(num, name, ok, extra=""):
-    line = f"[criterion {num:2d}] {name}: {'PASS' if ok else 'FAIL'}"
+def report(num, name, failures, extra=""):
+    line = f"[criterion {num:2d}] {name}: {'FAIL' if failures else 'PASS'}"
     if extra:
         line += f" ({extra})"
+    if failures:
+        line += f" failing: {failures}"
     print(line, flush=True)
-    assert ok, line
+    assert not failures, line
+
+
+def identity_failures(lhs, rhs, t, shapes):
+    """(type, shape) of each shape where lhs(t, s) != rhs(t, s)."""
+    return [(str(t), repr(s)) for s in shapes if lhs(t, s) != rhs(t, s)]
 
 
 def skew_shapes(max_size, max_rows, max_cols, exact_rows=None):
@@ -52,19 +61,20 @@ def skew_shapes(max_size, max_rows, max_cols, exact_rows=None):
 
 
 def test_criterion_01_he_identity():
-    ok = True
+    failures = []
     for fam in ("A", "B", "C", "D"):
         for n in (1, 2, 3):
             if fam == "D" and n < 2:
                 continue
-            ok = ok and check_HE(make_type(fam, n), 8)
-    report(1, "H*E(-X) = E(-X)*H = 1 up to X^8, all types, n <= 3", ok)
+            if not check_HE(make_type(fam, n), 8):
+                failures.append(f"{fam}{n}")
+    report(1, "H*E(-X) = E(-X)*H = 1 up to X^8, all types, n <= 3", failures)
 
 
 def test_criterion_02_determinant_h_equals_e():
     rng = random.Random(12061)
     checked = 0
-    ok = True
+    failures = []
     for fam in ("A", "B", "C"):
         for n in (2, 3):
             t = make_type(fam, n)
@@ -79,24 +89,21 @@ def test_criterion_02_determinant_h_equals_e():
                 for i, p in enumerate(lam):
                     mu.append(rng.randint(0, min(p, mu[-1] if mu else p)))
                 s = shape(lam, tuple(m for m in mu if m))
-                ok = ok and chi_h(t, s) == chi_e(t, s)
+                failures += identity_failures(chi_h, chi_e, t, [s])
                 checked += 1
-    report(2, "chi_h == chi_e on random skew shapes", ok, f"{checked} shapes")
+    report(2, "chi_h == chi_e on random skew shapes", failures, f"{checked} shapes")
 
 
 def test_criterion_03_path_sum_equals_determinant():
     shapes = skew_shapes(9, 3, 3)
-    ok = True
+    failures = []
     for fam in ("A", "B", "C"):
         for n in (2, 3):
-            t = make_type(fam, n)
-            for s in shapes:
-                if signed_path_sum(t, s) != chi_h(t, s):
-                    ok = False
+            failures += identity_failures(signed_path_sum, chi_h, make_type(fam, n), shapes)
     report(
         3,
         "signed path sum == chi_h, rows <= 3, cols <= 3, A/B/C, n in {2,3}",
-        ok,
+        failures,
         f"{len(shapes)} shapes x 6 types",
     )
 
@@ -110,24 +117,21 @@ def a_shapes(n):
 
 
 def test_criterion_04_tableaux_A():
-    ok = True
+    failures = []
     total = 0
     for n in (1, 2, 3):
-        t = make_type("A", n)
-        for s in a_shapes(n):
-            ok = ok and tableau_sum(t, s) == chi_h(t, s)
-            total += 1
-    report(4, "type-A tableau sum == chi_h, |lambda| <= 8, n <= 3", ok, f"{total} shapes")
+        shapes = a_shapes(n)
+        failures += identity_failures(tableau_sum, chi_h, make_type("A", n), shapes)
+        total += len(shapes)
+    report(4, "type-A tableau sum == chi_h, |lambda| <= 8, n <= 3", failures, f"{total} shapes")
 
 
 def test_criterion_05_tableaux_B():
     shapes = skew_shapes(9, 3, 3)
-    ok = True
+    failures = []
     for n in (2, 3):
-        t = make_type("B", n)
-        for s in shapes:
-            ok = ok and tableau_sum(t, s) == chi_h(t, s)
-    report(5, "type-B tableau sum == chi_h, rows <= 3, cols <= 3", ok)
+        failures += identity_failures(tableau_sum, chi_h, make_type("B", n), shapes)
+    report(5, "type-B tableau sum == chi_h, rows <= 3, cols <= 3", failures)
 
 
 def c_class_shapes(n):
@@ -148,18 +152,18 @@ def c_class_shapes(n):
 
 
 def test_criterion_06_tableaux_C_covered_classes():
-    ok = True
+    failures = []
     total = 0
     for n in (2, 3):
         t = make_type("C", n)
         for ruleset, shapes in c_class_shapes(n):
-            for s in shapes:
-                ok = ok and tableau_sum(t, s, 0, ruleset) == chi_h(t, s)
-                total += 1
+            lhs = partial(tableau_sum, ruleset=ruleset)
+            failures += [(*f, ruleset) for f in identity_failures(lhs, chi_h, t, shapes)]
+            total += len(shapes)
     report(
         6,
         "type-C tableau sum == chi_h on 2-row/3-row/1-column/2-column classes",
-        ok,
+        failures,
         f"{total} shape checks",
     )
 
@@ -181,7 +185,7 @@ def test_criterion_07_two_column_conjecture_evidence():
         f"{len(shapes)} shapes checked, "
         + (f"mismatches logged: {mismatches}" if mismatches else "no mismatches")
     )
-    report(7, "two-column rule evidence at 5 rows, rank 4 (non-gating)", True, line)
+    report(7, "two-column rule evidence at 5 rows, rank 4 (non-gating)", [], line)
 
 
 def _roundtrip_ok(t, s):
@@ -203,127 +207,35 @@ def _roundtrip_ok(t, s):
 
 
 def test_criterion_08_bijection_round_trip():
-    ok = True
-    total = 0
-    for n in (1, 2, 3):
-        t = make_type("A", n)
-        for s in a_shapes(n):
-            ok = ok and _roundtrip_ok(t, s)
-            total += 1
-    for fam in ("B", "C"):
-        for n in (2, 3):
-            t = make_type(fam, n)
-            for s in skew_shapes(9, 3, 3):
-                ok = ok and _roundtrip_ok(t, s)
-                total += 1
-    for n in (2, 3):
-        t = make_type("C", n)
-        for _, shapes in c_class_shapes(n):
-            for s in shapes:
-                ok = ok and _roundtrip_ok(t, s)
-                total += 1
-    report(8, "path/tableau bijection round-trips on all criteria 4-6 shapes", ok, f"{total} shapes")
+    cases = [(make_type("A", n), a_shapes(n)) for n in (1, 2, 3)]
+    cases += [(make_type(fam, n), skew_shapes(9, 3, 3)) for fam in ("B", "C") for n in (2, 3)]
+    cases += [(make_type("C", n), shapes) for n in (2, 3) for _, shapes in c_class_shapes(n)]
+    failures = [(str(t), repr(s)) for t, shapes in cases for s in shapes if not _roundtrip_ok(t, s)]
+    total = sum(len(shapes) for _, shapes in cases)
+    report(8, "path/tableau bijection round-trips on all criteria 4-6 shapes", failures, f"{total} shapes")
 
 
 def test_criterion_09_resolution_map_suite():
-    from qjt.resolutions import (
-        condition_f1_12,
-        condition_f1_23,
-        condition_f2_13,
-        condition_f2_23,
-        f1_12,
-        f1_23,
-        f2_13,
-        f2_23,
-        g_map,
-        is_p2_cross,
-        transposed_index_pairs,
-    )
-    from qjt.tableaux import satisfies_2row_rule, satisfies_3row_rule
-
     t = make_type("C", 2)
-    ok = True
+    failures = []
     for s in skew_shapes(9, 3, 3, exact_rows=3):
-        pk = p_k_tuples(t, s)
-        p0, p1, p2 = pk.get(0, []), pk.get(1, []), pk.get(2, [])
-        p1_12 = [p for p in p1 if transposed_index_pairs(t, p) == [(1, 2)]]
-        p1_23 = [p for p in p1 if transposed_index_pairs(t, p) == [(2, 3)]]
-        p2x = [p for p in p2 if is_p2_cross(t, p)]
-        p2o = [p for p in p2 if not is_p2_cross(t, p)]
-
-        key = lambda p: tuple(p.paths)
-        gs = []
-        for p in p2x:
-            q = g_map(t, p)
-            ok = ok and q.weight(t) == p.weight(t) and q.sign() == p.sign()
-            gs.append(q)
-        g_set, p0_set = set(map(key, gs)), set(map(key, p0))
-        ok = ok and len(g_set) == len(p2x)
-        ok = ok and not (g_set & p0_set)
-        ok = ok and g_set | p0_set == set(map(key, p_tilde(t, s)))
-
-        im2_13, im2_23 = set(), set()
-        for p in p2o:
-            q13, q23 = f2_13(t, p), f2_23(t, p)
-            ok = ok and q13.weight(t) == p.weight(t) == q23.weight(t)
-            im2_13.add(key(q13))
-            im2_23.add(key(q23))
-        ok = ok and len(im2_13) == len(p2o) == len(im2_23)
-        ok = ok and im2_13 == set(
-            key(p) for p in p1_23 if condition_f2_13(t, p) is not None
-        )
-        ok = ok and im2_23 == set(
-            key(p) for p in p1_12 if condition_f2_23(t, p) is not None
-        )
-
-        im1_12, im1_23 = set(), set()
-        for p in p1_12:
-            q = f1_12(t, p)
-            ok = ok and q.weight(t) == p.weight(t)
-            im1_12.add(key(q))
-        for p in p1_23:
-            q = f1_23(t, p)
-            ok = ok and q.weight(t) == p.weight(t)
-            im1_23.add(key(q))
-        ok = ok and len(im1_12) == len(p1_12) and len(im1_23) == len(p1_23)
-        ok = ok and im1_12 == set(
-            key(p) for p in p0 if condition_f1_12(t, p) is not None
-        )
-        ok = ok and im1_23 == set(
-            key(p) for p in p0 if condition_f1_23(t, p) is not None
-        )
-
-        # intersection of the f1 images == image of either composition
-        comp = set(key(f1_23(t, f2_13(t, p))) for p in p2o)
-        ok = ok and im1_12 & im1_23 == comp
-        ok = ok and comp == set(key(f1_12(t, f2_23(t, p))) for p in p2o)
-
-        # tableaux of the union == tableaux rejected by the row rules
-        by_key = {key(p): p for p in p0}
-        im_tabs = set(
-            path_tuple_to_tableau(t, by_key[k]).cells for k in im1_12 | im1_23
-        )
-        rejected = set(
-            T.cells
-            for T in enumerate_tableaux(t, s, ruleset="hv")
-            if not (satisfies_2row_rule(t, T) and satisfies_3row_rule(t, T))
-        )
-        ok = ok and im_tabs == rejected
-    report(9, "resolution-map suite (weights, images, set lemmas), 3-row C2", ok)
+        lemmas = resolution_maps(t, s)
+        if lemmas:
+            failures.append((str(t), repr(s), lemmas))
+    report(9, "resolution-map suite (weights, images, set lemmas), 3-row C2", failures)
 
 
 def test_criterion_10_pinned_values():
-    ok = True
+    failures = []
     # disconnected two-box skew shape factors into two h_1 coefficients
     t = make_type("C", 2)
-    ok = ok and chi_h(t, shape((3, 1), (2,)), 2) == h_coeff(t, 1, 0) * h_coeff(
-        t, 1, 6
-    )
+    if chi_h(t, shape((3, 1), (2,)), 2) != h_coeff(t, 1, 0) * h_coeff(t, 1, 6):
+        failures.append("C2 (3,1)/(2) at offset 2")
     # single-box character monomial counts
     for n in (1, 2, 3):
-        ok = ok and chi_h(make_type("A", n), shape((1,))).num_terms() == n + 1
-        ok = ok and chi_h(make_type("B", n), shape((1,))).num_terms() == 2 * n + 1
-        ok = ok and chi_h(make_type("C", n), shape((1,))).num_terms() == 2 * n
+        for fam, terms in (("A", n + 1), ("B", 2 * n + 1), ("C", 2 * n)):
+            if chi_h(make_type(fam, n), shape((1,))).num_terms() != terms:
+                failures.append(f"{fam}{n} (1) terms")
     # companion letters for all one-column blocks of height <= 4
     for n in (3, 4):
         tc = make_type("C", n)
@@ -341,18 +253,34 @@ def test_criterion_10_pinned_values():
         for c, want in cases:
             if any(abs(x) < 1 for x in c):
                 continue
-            ok = ok and column_companions(tc, c) == want
-    report(10, "pinned values: factored skew character, box counts, companion table", ok)
+            if column_companions(tc, c) != want:
+                failures.append(f"C{n} companions of {c}")
+    report(10, "pinned values: factored skew character, box counts, companion table", failures)
 
 
 def test_criterion_11_classical_decomposition():
-    ok = True
+    failures = []
     for n in (1, 2, 3):
         for lam in all_partitions(5, n + 1, 5):
-            if lam:
-                ok = ok and verify_decomposition_A(lam, n)["equal"]
+            if lam and not verify_decomposition_A(lam, n)["equal"]:
+                failures.append((f"A{n}", lam))
     for n in (2, 3):
         for lam in all_partitions(4, n, 4):
-            if lam:
-                ok = ok and verify_decomposition_C(lam, n)["equal"]
-    report(11, "classical decomposition (A irreducible, C via even partitions)", ok)
+            if lam and not verify_decomposition_C(lam, n)["equal"]:
+                failures.append((f"C{n}", lam))
+    report(11, "classical decomposition (A irreducible, C via even partitions)", failures)
+
+
+def test_gate_names_each_failing_shape(monkeypatch):
+    # a wrong answer for one shape fails its criterion, which names that shape alone
+    t, bad, right = make_type("A", 2), shape((2, 1)), tableau_sum
+
+    def wrong(t_, s, *args):
+        x = right(t_, s, *args)
+        return x + x if (t_, s) == (t, bad) else x
+
+    monkeypatch.setitem(globals(), "tableau_sum", wrong)
+    with pytest.raises(AssertionError) as e:
+        test_criterion_04_tableaux_A()
+    line = str(e.value).splitlines()[0]
+    assert line.endswith(f"FAIL (733 shapes) failing: {[('A2', repr(bad))]}")

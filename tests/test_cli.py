@@ -1,17 +1,23 @@
 """CLI surface: argument handling, output formats, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qjt
+import qjt.resolutions
 from qjt.cli import main
 from qjt.ring import make_type, RingElem
 from qjt.series import h_coeff
+
+from test_shapes import all_partitions
 
 
 def run(capsys, *argv):
@@ -131,6 +137,35 @@ def test_verify_refuses_bounds_that_run_no_case(capsys, flag, value):
     assert f"error: {flag} must be at least" in err
 
 
+@pytest.mark.parametrize("verb", ["paths", "tableaux"])
+def test_paths_and_tableaux_refuse_type_D(capsys, verb):
+    # they used to run the C rules, whose D3 (2,1) sums differ from chi_h
+    rc, out, err = run(capsys, verb, "--type", "D", "--rank", "3", "--lambda", "2,1")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: the ") and "covers types A, B and C, not D3" in err
+
+
+def test_tableaux_auto_refuses_C_shapes_without_a_rule(capsys):
+    # C3 (3,1,1,1) used to fall back to hv: 298 tableaux whose sum is not chi
+    argv = ["tableaux", "--type", "C", "--rank", "3", "--lambda", "3,1,1,1", "--count"]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: no C3 tableau rule covers SkewShape((3, 1, 1, 1)/())")
+    rc, out, _ = run(capsys, *argv, "--ruleset", "hv")
+    assert rc == 0 and out.startswith("count: 298\n")
+
+
+def test_verify_appendixB_names_the_failing_lemmas(capsys, monkeypatch):
+    # seed 1 draws (2,2,1)/(1), whose P2 has tuples outside the g-domain
+    monkeypatch.setattr(qjt.resolutions, "f2_13", lambda t, pt: pt)
+    rc, out, _ = run(capsys, "verify", "--suite", "appendixB", "--count", "3", "--seed", "1", "--output", "json")
+    assert rc == 1
+    (failure,) = json.loads(out)["failures"]
+    assert failure["shape"] == "SkewShape((2, 2, 1)/(1,))"
+    assert {"f2_13: sign", "f2_13: class", "f2_13: image is the condition set"} <= set(failure["lemmas"])
+    assert not any(lemma.startswith(("g:", "f1_")) for lemma in failure["lemmas"])
+
+
 def test_internal_failures_are_not_usage_errors(capsys, monkeypatch):
     import qjt.cli
 
@@ -200,3 +235,34 @@ def test_golden_stdout(capsys, argv, output):
     rc, out, _ = run(capsys, *argv.split(), "--output", output)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(argv, output)]
+
+
+# Partitions of at most 4 boxes, and strings that are not partitions.
+PARTITIONS = [",".join(map(str, lam)) for lam in all_partitions(4)]
+MALFORMED = ["x", "1,,2", "-1", "1,2", "0", "2,a", ",", " ", "1.5", "2;1"]
+
+
+@st.composite
+def argvs(draw):
+    verb = draw(st.sampled_from(["qchar", "tableaux", "paths", "classical"]))
+    partition = st.sampled_from(PARTITIONS + MALFORMED)
+    argv = [verb, "--type", draw(st.sampled_from("ABCDZ")), "--rank", str(draw(st.integers(-1, 3)))]
+    argv += ["--lambda", draw(partition)]
+    if draw(st.booleans()):
+        argv += ["--mu", draw(partition)]
+    if draw(st.booleans()):
+        argv += ["--offset", str(draw(st.integers(-4, 4)))]
+    if draw(st.booleans()):
+        argv += ["--ruleset", draw(st.sampled_from(["hv", "rows", "columns", "auto"]))]
+    if draw(st.booleans()):
+        argv += ["--output", draw(st.sampled_from(["text", "json"]))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_cli_exits_0_1_or_2_and_raises_nothing(argv):
+    # in-process: hypothesis rejects function-scoped fixtures such as capsys
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    assert rc in (0, 1, 2), argv

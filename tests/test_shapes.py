@@ -8,7 +8,6 @@ from qjt.ring import make_type, y_monomial, RingElem
 from qjt.shapes import (
     Partition,
     SkewShape,
-    highest_weight_tableau,
     hw_monomial,
     parse_partition,
     shape,
@@ -75,7 +74,13 @@ def test_boxes_and_size():
     s = shape((3, 1), (2,))
     assert s.boxes() == [(1, 3), (2, 1)]
     assert s.size() == 2
-    assert s.contains_box(1, 3) and not s.contains_box(1, 2)
+    assert (1, 3) in s.boxes() and (1, 2) not in s.boxes()
+
+
+def highest_weight_tableau(s):
+    """The oracle for hw_monomial: box (i,j) holds the unbarred letter i - mu'_j."""
+    muc = s.mu.conjugate()
+    return {(i, j): i - muc[j] for (i, j) in s.boxes()}
 
 
 def test_highest_weight_tableau():

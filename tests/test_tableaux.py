@@ -159,6 +159,27 @@ def test_ruleset_resolution():
     assert resolve_ruleset(make_type("A", 2), shape((2, 1)), "auto") == "hv"
 
 
+def test_auto_ruleset_refuses_C_shapes_without_a_rule():
+    # more than 3 rows and more than 2 columns: C3 (3,1,1,1) used to fall back
+    # to hv, whose 298 tableaux do not sum to chi_h
+    t, s = make_type("C", 3), shape((3, 1, 1, 1))
+    with pytest.raises(ValueError, match="no C3 tableau rule covers"):
+        resolve_ruleset(t, s, "auto")
+    for f in (enumerate_tableaux, tableau_sum, tableaux_with_sum):
+        with pytest.raises(ValueError, match="no C3 tableau rule covers"):
+            f(t, s)
+    tabs, total = tableaux_with_sum(t, s, 0, "hv")
+    assert len(tabs) == 298 and total != chi_h(t, s)
+
+
+def test_tableau_layer_refuses_type_D():
+    # it used to run the C rules, whose D3 (2,1) sum differs from chi_h
+    t, s = make_type("D", 3), shape((2, 1))
+    for f in (enumerate_tableaux, tableau_sum, tableaux_with_sum):
+        with pytest.raises(ValueError, match="the tableau model covers types A, B and C, not D3"):
+            f(t, s)
+
+
 @pytest.mark.parametrize("fam", ["A", "B", "C"])
 def test_unknown_ruleset_is_refused(fam):
     # before the check, A2 (2,1) gave 8 tableaux and C2 (1^6) gave []
