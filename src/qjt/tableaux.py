@@ -20,18 +20,25 @@ word and its weight, placed from column 0 of row 0, as one packed
 offset between their starts, so the rows of a table that may lie under one
 row form one int bitmask (``_below``), built on first use and cached across
 calls.  The depth-first search of the path layer (``paths._search``) runs
-over these masks and yields the fillings in row-major order; the C extra
-rules below filter complete fillings.  A tableau sum shifts the key of row
-i by w * n * 2 delta * (mu_i + 1 - i - x0) (x0 the least mu_i + 1 - i, w the
-width that holds the sum of the rows' exponent bounds), adds the keys of
-each filling into one dict, and reads the dict as one ``RingElem`` whose
-layout base carries x0 and the spectral offset.  No ``Tableau`` is built for
-the sum unless an extra rule reads it.
+over these masks and yields the fillings in row-major order.  A tableau sum
+shifts the key of row i by w * n * 2 delta * (mu_i + 1 - i - x0) (x0 the
+least mu_i + 1 - i, w the width that holds the sum of the rows' exponent
+bounds), adds the keys of each filling into one dict, and reads the dict as
+one ``RingElem`` whose layout base carries x0 and the spectral offset.  No
+``Tableau`` is built for a sum.
 
-For the C family the generating function identity requires extra rules that
-depend on the shape: a two-row block rule and a three-row window rule for
-shapes of at most three rows, and one-/two-column rules for shapes of at
-most two columns.
+For the C family (rank at least 2) the generating function identity
+requires extra rules that depend on the shape: a two-row block rule and a
+three-row window rule for shapes of at most three rows, and one-/two-column
+rules for shapes of at most two columns.  Each is one test on the letter
+words of the rows it reads, placed by the offsets between their starts, so
+the search applies them to table indices: the two-row rule narrows each
+``_below`` mask (``_below_2row``); the three-row rule on rows r, r+1, r+2 is
+a cached bitmask over row r+2's table for each pair of indices of rows r and
+r+1 (``_row3_mask``), read once per complete filling; and the two-column
+rule reads the columns of a complete filling through the shape's cached
+column layout (``_col_layout``).  The ``Tableau``-level checks
+(``satisfies_*``) are loops over the same tests.
 
 The three-row rule reads, for each anchor row r, the columns of rows r, r+1,
 r+2 as one word: column (top, mid, bot) has the class (m = n-1)
@@ -56,7 +63,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .ring import _W0, AlgType, RingElem, _recode, _width, delta, letter_order, letter_str, letters
@@ -167,44 +174,34 @@ def is_valid(t: AlgType, T: Tableau) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Extra rules for the C family
+# Extra rules for the C family: tests on row words (see the module docstring)
 
 
-def _block_rows(T: Tableau, i: int):
-    """Columns j where both (i, j) and (i+1, j) are cells."""
-    s = T.shape
-    lo = max(s.mu[i], s.mu[i + 1]) + 1
-    hi = min(s.lam[i], s.lam[i + 1])
-    return range(lo, hi + 1)
+def _at(word: tuple, p: int):
+    """Letter p of a row word, or None off the row."""
+    return word[p] if 0 <= p < len(word) else None
+
+
+def _2row_ok(n: int, up: tuple, dn: tuple, off: int) -> bool:
+    """Two-row rule on a row and the row under it, which starts off columns
+    right of it: no odd-width block of n's atop n-bar's without an n to its
+    upper right or an n-bar to its lower left."""
+    x, end = max(0, off), min(len(up), off + len(dn))  # the shared columns, as indices into up
+    while x < end:
+        if up[x] == n and dn[x - off] == -n:
+            x0 = x
+            while x + 1 < end and up[x + 1] == n and dn[x + 1 - off] == -n:
+                x += 1
+            if (x - x0) % 2 == 0 and _at(up, x + 1) != n and _at(dn, x0 - 1 - off) != -n:
+                return False
+        x += 1
+    return True
 
 
 def satisfies_2row_rule(t: AlgType, T: Tableau) -> bool:
-    """No odd-width block of n's atop n-bar's without an n to its upper right
-    or an n-bar to its lower left."""
-    n = t.rank
-    for i in range(1, len(T.cells)):
-        cols = list(_block_rows(T, i))
-        m = 0
-        while m < len(cols):
-            j = cols[m]
-            if T.entry(i, j) == n and T.entry(i + 1, j) == -n:
-                k = m
-                while (
-                    k + 1 < len(cols)
-                    and T.entry(i, cols[k + 1]) == n
-                    and T.entry(i + 1, cols[k + 1]) == -n
-                ):
-                    k += 1
-                j0, j1 = cols[m], cols[k]
-                if (j1 - j0 + 1) % 2 == 1:
-                    a_ok = T.entry(i, j1 + 1) == n
-                    b_ok = T.entry(i + 1, j0 - 1) == -n
-                    if not (a_ok or b_ok):
-                        return False
-                m = k + 1
-            else:
-                m += 1
-    return True
+    """The two-row rule on each pair of adjacent rows of T."""
+    mu = T.shape.mu
+    return all(_2row_ok(t.rank, T.cells[i - 1], T.cells[i], mu[i + 1] - mu[i]) for i in range(1, len(T.cells)))
 
 
 def _col_class(n: int, top, mid, bot) -> str:
@@ -230,44 +227,48 @@ _ROW3 = re.compile(
 )
 
 
-def satisfies_3row_rule(t: AlgType, T: Tableau) -> bool:
-    """Three-row window rule for the C family (see the module docstring)."""
-    n, s = t.rank, T.shape
-    for r in range(1, len(T.cells) - 1):
-        lo = min(s.mu[i] + 1 for i in (r, r + 1, r + 2))
-        hi = max(s.lam[i] for i in (r, r + 1, r + 2))
-        word = "".join(
-            _col_class(n, T.entry(r, j), T.entry(r + 1, j), T.entry(r + 2, j))
-            for j in range(lo, hi + 1)
-        )
+def _3row_ok(t: AlgType, top: tuple, mid: tuple, bot: tuple, off1: int, off2: int) -> bool:
+    """Three-row window rule (see the module docstring) on three rows, each
+    starting off1, resp. off2, columns right of the one above.  Every class
+    but '.' needs a middle letter, so the word runs over the middle row."""
+    word = "".join(_col_class(t.rank, _at(top, p + off1), m, _at(bot, p - off2)) for p, m in enumerate(mid))
+    if "N" not in word and "B" not in word:  # every pattern holds an N or a B
+        return True
 
-        def escape(e, j0, j1):
-            if e == "a":
-                a = T.entry(r, j1 + 1)
-                return a is not None and _cmp(t, a, T.entry(r + 1, j1)) < 0
-            b = T.entry(r + 2, j0 - 1)
-            return b is not None and _cmp(t, b, T.entry(r + 1, j0)) > 0
+    def escape(e, p0, p1):
+        if e == "a":
+            a = _at(top, p1 + 1 + off1)
+            return a is not None and _cmp(t, a, mid[p1]) < 0
+        b = _at(bot, p0 - 1 - off2)
+        return b is not None and _cmp(t, b, mid[p0]) > 0
 
-        for j0 in range(lo, hi + 1):
-            for j1 in range(j0, hi + 1, 2):
-                m = _ROW3.fullmatch(word, j0 - lo, j1 - lo + 1)
-                if m and not any(escape(e, j0, j1) for e in m.lastgroup):
-                    return False
+    for p0 in range(len(mid)):
+        for p1 in range(p0, len(mid), 2):
+            m = _ROW3.fullmatch(word, p0, p1 + 1)
+            if m and not any(escape(e, p0, p1) for e in m.lastgroup):
+                return False
     return True
 
 
-def _column_segments(T: Tableau):
-    """(j, i_top, letters) for every column of T."""
-    s = T.shape
-    lam1 = s.lam[1] if s.lam.parts else 0
-    out = []
-    lamc, muc = s.lam.conjugate(), s.mu.conjugate()
-    for j in range(1, lam1 + 1):
-        i_top = muc[j] + 1
-        seg = [T.entry(i, j) for i in range(i_top, lamc[j] + 1)]
-        if seg:
-            out.append((j, i_top, seg))
-    return out
+def satisfies_3row_rule(t: AlgType, T: Tableau) -> bool:
+    """The three-row rule on each window of three adjacent rows of T."""
+    mu, rows = T.shape.mu, T.cells
+    return all(
+        _3row_ok(t, rows[r - 1], rows[r], rows[r + 1], mu[r + 1] - mu[r], mu[r + 2] - mu[r + 1])
+        for r in range(1, len(rows) - 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _col_layout(lam: tuple, mu: tuple) -> tuple:
+    """The cells (row index, index in the row's word), top to bottom, of each
+    column of the shape lam/mu with at least two cells, left to right."""
+    mus = mu + (0,) * (len(lam) - len(mu))
+    cols = (
+        tuple((i, j - m) for i, (l, m) in enumerate(zip(lam, mus)) if m <= j < l)
+        for j in range(lam[0] if lam else 0)
+    )
+    return tuple(c for c in cols if len(c) > 1)
 
 
 def _far_pairs(n: int, seg):
@@ -278,11 +279,6 @@ def _far_pairs(n: int, seg):
             for q in range(p + 1, len(seg)):
                 if seg[q] == -c and q - p > n - c:
                     yield p, q
-
-
-def satisfies_1col_rule(t: AlgType, T: Tableau) -> bool:
-    """A letter c and its bar in one column must be at most n-c rows apart."""
-    return not any(any(_far_pairs(t.rank, seg)) for _j, _i, seg in _column_segments(T))
 
 
 def column_companions(t: AlgType, c: tuple) -> tuple:
@@ -316,43 +312,51 @@ def _column_companions(t: AlgType, c: tuple) -> tuple:
     return tuple(-n if i == k - 1 else n if i == k else labs[i][0][0] for i in range(l))
 
 
-def satisfies_2col_rule(t: AlgType, T: Tableau) -> bool:
-    """Two-column rule: a bounding column pattern needs a strictly smaller
-    right neighbor above the crossing or a strictly larger left neighbor
-    below it, measured against the companion letters d_i."""
+@lru_cache(maxsize=None)
+def _bounding_patterns(t: AlgType, seg: tuple) -> tuple:
+    """(p, k, d) for each bounding one-column pattern seg[p:p+l] of a column:
+    c_1 = seg[p] in 1..n, c_l = seg[p+l-1] its bar with l = n+2-c_1, strictly
+    increasing, and every proper contiguous piece obeys the one-column rule.
+    k counts its letters up to n and d = column_companions of it."""
     n = t.rank
-    for j, i_top, seg in _column_segments(T):
-        L = len(seg)
-        for p in range(L):
-            c1 = seg[p]
-            if not (1 <= c1 <= n):
-                continue
-            l = n + 2 - c1
-            q = p + l - 1
-            if l < 2 or q >= L or seg[q] != -c1:
-                continue
-            sub = seg[p : q + 1]
-            # the pattern must be a valid standalone column (strict)
-            if any(_cmp(t, sub[m], sub[m + 1]) >= 0 for m in range(l - 1)):
-                continue
-            # every proper contiguous piece obeys the one-column rule
-            if any(pq != (0, l - 1) for pq in _far_pairs(n, sub)):
-                continue
-            k = max(i for i in range(l) if _cmp(t, sub[i], n) <= 0) + 1
-            d = column_companions(t, tuple(sub))
-            i1 = i_top + p
-            escape = False
-            for i in range(1, k + 1):
-                a = T.entry(i1 + i - 1, j + 1)
-                if a is not None and _cmp(t, a, d[i - 1]) < 0:
-                    escape = True
-            for i in range(k + 1, l + 1):
-                b = T.entry(i1 + i - 1, j - 1)
-                if b is not None and _cmp(t, b, d[i - 1]) > 0:
-                    escape = True
-            if not escape:
+    out = []
+    for p, c1 in enumerate(seg):
+        if not (1 <= c1 <= n):
+            continue
+        l = n + 2 - c1
+        q = p + l - 1
+        if q >= len(seg) or seg[q] != -c1:
+            continue
+        sub = seg[p : q + 1]
+        if any(_cmp(t, sub[m], sub[m + 1]) >= 0 for m in range(l - 1)):
+            continue
+        if any(pq != (0, l - 1) for pq in _far_pairs(n, sub)):
+            continue
+        k = max(i for i in range(l) if _cmp(t, sub[i], n) <= 0) + 1
+        out.append((p, k, column_companions(t, sub)))
+    return tuple(out)
+
+
+def _2col_ok(t: AlgType, words, layout: tuple) -> bool:
+    """Two-column rule on the row words of a shape with column layout
+    _col_layout: a bounding column pattern needs a strictly smaller right
+    neighbor above the crossing or a strictly larger left neighbor below it,
+    measured against the companion letters d_i."""
+    for col in layout:
+        for p, k, d in _bounding_patterns(t, tuple(words[i][x] for i, x in col)):
+            for m, (i, x) in enumerate(col[p : p + len(d)]):
+                side = 1 if m < k else -1  # the right neighbor above the crossing, the left one below
+                c = _at(words[i], x + side)
+                if c is not None and side * _cmp(t, d[m], c) > 0:
+                    break
+            else:
                 return False
     return True
+
+
+def satisfies_2col_rule(t: AlgType, T: Tableau) -> bool:
+    """The two-column rule on every column of T."""
+    return _2col_ok(t, T.cells, _col_layout(T.shape.lam.parts, T.shape.mu.parts))
 
 
 RULESETS = ("hv", "rows", "columns", "auto")
@@ -435,20 +439,58 @@ def _below(t: AlgType, w: int, la: int, lb: int, off: int, c: int) -> int:
     return mask
 
 
+@lru_cache(maxsize=None)
+def _below_2row(t: AlgType, w: int, la: int, lb: int, off: int, c: int) -> int:
+    """_below with the two-row rule: the rows of _below(..., c) that the rule
+    admits under row c."""
+    mask = _below(t, w, la, lb, off, c)
+    up = _row_table(t, la, w)[2][c]
+    n = t.rank
+    if n not in up:
+        return mask
+    for d, dn in enumerate(_row_table(t, lb, w)[2]):
+        if mask >> d & 1 and not _2row_ok(n, up, dn, off):
+            mask ^= 1 << d
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _row3_mask(t: AlgType, w: int, la: int, lb: int, lc: int, off1: int, off2: int, a: int, b: int) -> int:
+    """Bitmask (-1 for all) over the rows of length lc that the three-row
+    rule admits under rows a (length la) and b (length lb), each row
+    starting off1, resp. off2, columns right of the one above.  Every
+    pattern holds a column (n-1, n or n-bar, 1-n), so only rows with a 1-n
+    under _below_2row(..., b) are tested, and none unless row a has an n-1
+    and row b an n or an n-bar."""
+    n = t.rank
+    top, mid = _row_table(t, la, w)[2][a], _row_table(t, lb, w)[2][b]
+    mask = -1
+    if n - 1 not in top or (n not in mid and -n not in mid):
+        return mask
+    under = _below_2row(t, w, lb, lc, off2, b)
+    for d, bot in enumerate(_row_table(t, lc, w)[2]):
+        if under >> d & 1 and 1 - n in bot and not _3row_ok(t, top, mid, bot, off1, off2):
+            mask ^= 1 << d
+    return mask
+
+
 class _Rows:
     """The row tables of a shape's rows, read in place.
 
     Row i of the shape takes its letters from the table of its length.  A
     filling is one index into each row's table, and rows i, i+1 fit when
-    the lower index is in _below of the upper one.  Row i's first cell
-    (i, mu_i + 1) carries the spectral shift 2*delta*(mu_i + 1 - i), so
-    its weight key shifts by kshift[i] into the shape's layout
-    (lo, t.rank, w), in which w holds the exponents of any filling.
+    the lower index is in _below of the upper one (_below_2row for the C
+    row rules).  Row i's first cell (i, mu_i + 1) carries the spectral
+    shift 2*delta*(mu_i + 1 - i), so its weight key shifts by kshift[i]
+    into the shape's layout (lo, t.rank, w), in which w holds the exponents
+    of any filling.
     """
 
     def __init__(self, t: AlgType, s: SkewShape):
         if t.family not in ("A", "B", "C"):
             raise ValueError(f"the tableau model covers types A, B and C, not {t}")
+        if t.family == "C" and t.rank < 2:
+            raise ValueError(f"the C tableau rules need rank at least 2, not {t}")
         self.t, self.s = t, s
         rows = range(1, len(s.lam) + 1)
         self.lengths = [s.lam[i] - s.mu[i] for i in rows]
@@ -470,21 +512,37 @@ class _Rows:
         self.lo = _key_base(t) + f * x0
         self.kshift = [w * t.rank * f * (x - x0) for x in starts]
 
-    def _fits(self, i: int, c: int, k: int, _rows) -> int:
-        return _below(self.t, self.w, self.lengths[i], self.lengths[k], self.mu[k] - self.mu[i], c)
+    def _fits(self, below, i: int, c: int, k: int, _rows) -> int:
+        return below(self.t, self.w, self.lengths[i], self.lengths[k], self.mu[k] - self.mu[i], c)
+
+    def _row3_ok(self, cs) -> bool:
+        t, w, ls, mu = self.t, self.w, self.lengths, self.mu
+        for r in range(len(cs) - 2):
+            offs = mu[r + 1] - mu[r], mu[r + 2] - mu[r + 1]
+            if not _row3_mask(t, w, ls[r], ls[r + 1], ls[r + 2], *offs, cs[r], cs[r + 1]) >> cs[r + 2] & 1:
+                return False
+        return True
 
     def fillings(self, ruleset: str):
         """Index tuples of the fillings that obey the cell rules and, for C,
-        the ruleset's extra rules, in row-major alphabet order."""
+        the ruleset's extra rules, in row-major alphabet order: the two-row
+        rule prunes the search, the three-row and column rules filter
+        complete fillings."""
         ruleset = resolve_ruleset(self.t, self.s, ruleset)
+        if self.t.family != "C":
+            ruleset = "hv"
         lists = [range(len(ws)) for ws in self.words]
         if len(lists) < 2:
             found = itertools.product(*lists)
         else:
-            found = (cs for _pi, cs in _search(tuple(range(len(lists))), lists, self._fits, True, {}))
-        if ruleset == "hv" or self.t.family != "C":  # no extra rule: no Tableau
-            return found
-        return (cs for cs in found if satisfies_extra_rules(self.t, self.tableau(cs), ruleset))
+            fits = partial(self._fits, _below_2row if ruleset == "rows" else _below)
+            found = (cs for _pi, cs in _search(tuple(range(len(lists))), lists, fits, True, {}))
+        if ruleset == "rows" and len(lists) > 2:
+            return filter(self._row3_ok, found)
+        if ruleset == "columns":
+            t, words, layout = self.t, self.words, _col_layout(self.s.lam.parts, self.s.mu.parts)
+            return (cs for cs in found if _2col_ok(t, [ws[c] for ws, c in zip(words, cs)], layout))
+        return found
 
     def tableau(self, cs) -> Tableau:
         return Tableau(self.s, tuple(ws[c] for ws, c in zip(self.words, cs)))

@@ -12,7 +12,7 @@ import pytest
 
 from qjt.checks import resolution_maps
 from qjt.ring import make_type
-from qjt.shapes import shape
+from qjt.shapes import hw_monomial, shape
 from qjt.series import check_HE, h_coeff
 from qjt.jacobitrudi import chi_h, chi_e
 from qjt.paths import (
@@ -75,7 +75,7 @@ def test_criterion_02_determinant_h_equals_e():
     rng = random.Random(12061)
     checked = 0
     failures = []
-    for fam in ("A", "B", "C"):
+    for fam in ("A", "B", "C", "D"):  # D last: the draws for A-C stay as they were
         for n in (2, 3):
             t = make_type(fam, n)
             for _ in range(25):
@@ -91,7 +91,24 @@ def test_criterion_02_determinant_h_equals_e():
                 s = shape(lam, tuple(m for m in mu if m))
                 failures += identity_failures(chi_h, chi_e, t, [s])
                 checked += 1
-    report(2, "chi_h == chi_e on random skew shapes", failures, f"{checked} shapes")
+    # the highest-weight monomial has coefficient 1 in chi_h
+    straight = 0
+    for fam in ("A", "B", "C", "D"):
+        for n in (2, 3):
+            t = make_type(fam, n)
+            for lam in all_partitions(3 * n, n, 3):
+                if not lam:
+                    continue
+                (m,) = hw_monomial(t, shape(lam)).terms
+                if chi_h(t, shape(lam)).terms.get(m) != 1:
+                    failures.append((str(t), f"{lam}: highest-weight coefficient"))
+                straight += 1
+    report(
+        2,
+        "chi_h == chi_e on random skew shapes, A-D; highest-weight coefficient 1",
+        failures,
+        f"{checked} skew shapes; {straight} straight shapes in an n x 3 box, n in {{2,3}}",
+    )
 
 
 def test_criterion_03_path_sum_equals_determinant():

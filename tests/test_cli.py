@@ -145,6 +145,16 @@ def test_paths_and_tableaux_refuse_type_D(capsys, verb):
     assert err.startswith("error: the ") and "covers types A, B and C, not D3" in err
 
 
+@pytest.mark.parametrize("ruleset", ["auto", "hv"])
+def test_tableaux_refuses_C_rank_1(capsys, ruleset):
+    # it printed count: 0 and sum: 0 for C1 (1,1,1), whose chi has 2 terms
+    rc, out, err = run(capsys, "tableaux", "--type", "C", "--rank", "1", "--lambda", "1,1,1", "--ruleset", ruleset)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: the C tableau rules need rank at least 2, not C1")
+    rc, out, _ = run(capsys, "paths", "--type", "C", "--rank", "1", "--lambda", "1,1,1")
+    assert rc == 0 and "count: 2" in out
+
+
 def test_tableaux_auto_refuses_C_shapes_without_a_rule(capsys):
     # C3 (3,1,1,1) used to fall back to hv: 298 tableaux whose sum is not chi
     argv = ["tableaux", "--type", "C", "--rank", "3", "--lambda", "3,1,1,1", "--count"]

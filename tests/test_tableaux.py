@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import qjt.tableaux as tableaux_module
 from qjt.jacobitrudi import chi_h
 from qjt.paths import no_ordinary_tuples, p_tilde
 from qjt.ring import AlgType, RingElem, letters, make_type, parse_letter
@@ -13,6 +14,7 @@ from qjt.tableaux import (
     Tableau,
     _Rows,
     _cmp,
+    _far_pairs,
     _h_ok,
     _h_triple_ok,
     _row_heights,
@@ -22,7 +24,6 @@ from qjt.tableaux import (
     is_valid,
     path_tuple_to_tableau,
     resolve_ruleset,
-    satisfies_1col_rule,
     satisfies_2col_rule,
     satisfies_2row_rule,
     satisfies_3row_rule,
@@ -479,6 +480,79 @@ def test_3row_rule_matches_oracle_on_random_fillings():
     assert rejected == 750
 
 
+def test_2row_and_2col_rules_match_oracles_on_hv_tableaux():
+    # every hv tableau of the 2- and 3-row C2/C3 shapes in a 3x3 box
+    counts = []
+    for n in (2, 3):
+        t = make_type("C", n)
+        seen = rows_rejected = cols_rejected = 0
+        for s in skew_shapes(9, 3, 3):
+            if len(s.lam) < 2:
+                continue
+            for tab in enumerate_tableaux(t, s, "hv"):
+                rows_ok, cols_ok = satisfies_2row_rule(t, tab), satisfies_2col_rule(t, tab)
+                assert rows_ok == satisfies_2row_rule_oracle(t, tab), (n, tab)
+                assert cols_ok == satisfies_2col_rule_oracle(t, tab), (n, tab)
+                seen += 1
+                rows_rejected += not rows_ok
+                cols_rejected += not cols_ok
+        counts.append((seen, rows_rejected, cols_rejected))
+    assert counts == [(5552, 814, 980), (41344, 4212, 4760)]
+
+
+def test_2row_and_2col_rules_match_oracles_on_random_fillings():
+    # letter fillings of random skew shapes, valid or not; most letters are
+    # drawn from n-1, n and their bars, which the two rules read
+    rng = random.Random(20261019)
+    rows_rejected = cols_rejected = 0
+    for _ in range(5000):
+        n = rng.choice((2, 3, 4))
+        t = make_type("C", n)
+        lam = sorted((rng.randint(1, 4) for _ in range(rng.randint(2, n + 2))), reverse=True)
+        mu = sorted((rng.randint(0, 2) for _ in lam), reverse=True)
+        s = shape(tuple(lam), tuple(min(m, l) for m, l in zip(mu, lam) if m))
+        near = (n - 1, n, -n, 1 - n)
+        rows = [
+            [rng.choice(near) if rng.random() < 0.6 else rng.choice(letters(t)) for _ in range(s.lam[i] - s.mu[i])]
+            for i in range(1, len(lam) + 1)
+        ]
+        tab = tableau_from_rows(s, rows)
+        rows_ok, cols_ok = satisfies_2row_rule(t, tab), satisfies_2col_rule(t, tab)
+        assert rows_ok == satisfies_2row_rule_oracle(t, tab), (n, tab)
+        assert cols_ok == satisfies_2col_rule_oracle(t, tab), (n, tab)
+        rows_rejected += not rows_ok
+        cols_rejected += not cols_ok
+    assert (rows_rejected, cols_rejected) == (411, 293)
+
+
+def test_C_rule_sums_build_no_tableau(monkeypatch):
+    # the C extra rules run on row-table indices: a rows or columns sum
+    # builds no Tableau, while enumerate_tableaux builds one per tableau
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Tableau(*args)
+
+    monkeypatch.setattr(tableaux_module, "Tableau", counted)
+    t = make_type("C", 3)
+    for lam, ruleset in (((3, 2, 1), "rows"), ((2, 2, 1), "rows"), ((2, 2, 1, 1), "columns"), ((2, 1), "columns")):
+        s = shape(lam)
+        assert tableau_sum(t, s, 0, ruleset) == chi_h(t, s), (lam, ruleset)
+    assert built == []
+    assert len(enumerate_tableaux(t, shape((2, 2, 1, 1)), "columns")) == len(built) > 0
+
+
+def test_tableau_layer_refuses_C_rank_1():
+    # C1 (1,1,1) gave 0 tableaux and sum 0, while chi_h has 2 terms
+    t, s = make_type("C", 1), shape((1, 1, 1))
+    assert chi_h(t, s).num_terms() == 2
+    for ruleset in RULESETS:
+        for f in (enumerate_tableaux, tableau_sum, tableaux_with_sum):
+            with pytest.raises(ValueError, match="the C tableau rules need rank at least 2, not C1"):
+                f(t, s, ruleset=ruleset)
+
+
 def _enumeration_digest(cases, ruleset):
     h = hashlib.sha256()
     for t, s in cases:
@@ -733,4 +807,105 @@ def satisfies_3row_rule_oracle(t: AlgType, T: Tableau) -> bool:
                             if (k1 + k2) % 2 == 1 and k2:
                                 if not b_escape(j0):
                                     return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# The two-row and two-column rules read cell by cell from a Tableau, kept
+# verbatim as the oracles for the word-level rules in qjt.tableaux, and the
+# one-column rule, which only the tests read.
+
+
+def _block_rows(T: Tableau, i: int):
+    """Columns j where both (i, j) and (i+1, j) are cells."""
+    s = T.shape
+    lo = max(s.mu[i], s.mu[i + 1]) + 1
+    hi = min(s.lam[i], s.lam[i + 1])
+    return range(lo, hi + 1)
+
+
+def satisfies_2row_rule_oracle(t: AlgType, T: Tableau) -> bool:
+    """No odd-width block of n's atop n-bar's without an n to its upper right
+    or an n-bar to its lower left."""
+    n = t.rank
+    for i in range(1, len(T.cells)):
+        cols = list(_block_rows(T, i))
+        m = 0
+        while m < len(cols):
+            j = cols[m]
+            if T.entry(i, j) == n and T.entry(i + 1, j) == -n:
+                k = m
+                while (
+                    k + 1 < len(cols)
+                    and T.entry(i, cols[k + 1]) == n
+                    and T.entry(i + 1, cols[k + 1]) == -n
+                ):
+                    k += 1
+                j0, j1 = cols[m], cols[k]
+                if (j1 - j0 + 1) % 2 == 1:
+                    a_ok = T.entry(i, j1 + 1) == n
+                    b_ok = T.entry(i + 1, j0 - 1) == -n
+                    if not (a_ok or b_ok):
+                        return False
+                m = k + 1
+            else:
+                m += 1
+    return True
+
+
+def _column_segments(T: Tableau):
+    """(j, i_top, letters) for every column of T."""
+    s = T.shape
+    lam1 = s.lam[1] if s.lam.parts else 0
+    out = []
+    lamc, muc = s.lam.conjugate(), s.mu.conjugate()
+    for j in range(1, lam1 + 1):
+        i_top = muc[j] + 1
+        seg = [T.entry(i, j) for i in range(i_top, lamc[j] + 1)]
+        if seg:
+            out.append((j, i_top, seg))
+    return out
+
+
+def satisfies_1col_rule(t: AlgType, T: Tableau) -> bool:
+    """A letter c and its bar in one column must be at most n-c rows apart."""
+    return not any(any(_far_pairs(t.rank, seg)) for _j, _i, seg in _column_segments(T))
+
+
+def satisfies_2col_rule_oracle(t: AlgType, T: Tableau) -> bool:
+    """Two-column rule: a bounding column pattern needs a strictly smaller
+    right neighbor above the crossing or a strictly larger left neighbor
+    below it, measured against the companion letters d_i."""
+    n = t.rank
+    for j, i_top, seg in _column_segments(T):
+        L = len(seg)
+        for p in range(L):
+            c1 = seg[p]
+            if not (1 <= c1 <= n):
+                continue
+            l = n + 2 - c1
+            q = p + l - 1
+            if l < 2 or q >= L or seg[q] != -c1:
+                continue
+            sub = seg[p : q + 1]
+            # the pattern must be a valid standalone column (strict)
+            if any(_cmp(t, sub[m], sub[m + 1]) >= 0 for m in range(l - 1)):
+                continue
+            # every proper contiguous piece obeys the one-column rule
+            if any(pq != (0, l - 1) for pq in _far_pairs(n, sub)):
+                continue
+            k = max(i for i in range(l) if _cmp(t, sub[i], n) <= 0) + 1
+            d = column_companions(t, tuple(sub))
+            i1 = i_top + p
+            escape = False
+            for i in range(1, k + 1):
+                a = T.entry(i1 + i - 1, j + 1)
+                if a is not None and _cmp(t, a, d[i - 1]) < 0:
+                    escape = True
+            for i in range(k + 1, l + 1):
+                b = T.entry(i1 + i - 1, j - 1)
+                if b is not None and _cmp(t, b, d[i - 1]) > 0:
+                    escape = True
+            if not escape:
+                return False
     return True
