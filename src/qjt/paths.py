@@ -14,7 +14,7 @@ spectral shift moved by 2ux (4ux for B).  So the h-paths of each (type, r)
 are enumerated once, into one table (``_hpath_table``) that holds for each
 path its steps, its point set as an int bitmask (bit (x - x0) * h + y - y0 for
 the point (x, y) in a frame with origin (x0, y0) and h heights), its
-leftmost x at height 0, and its weight as one packed ``RingElem`` key.
+leftmost x at height 0, and its weight as one key from ``ring.pack``.
 
 A tuple enumeration (``_Frame``) reads the table of each endpoint pair (row
 i, destination j) in place.  Seen from row k, a path of row i lies
@@ -23,11 +23,10 @@ by d.  Two paths are disjoint when their masks share no bit, specially
 intersecting when every shared bit is at height 0 (for C also the leftmost
 height-0 x's differ by an odd number), and ordinarily intersecting
 otherwise; the verdicts on one path against a later row's list form one
-bitmask.  A signed path sum shifts the key of row i's path by
-w * n * f * (ux_i - x0) (f = 2, or 4 for B; x0 the least ux), adds the keys of
+bitmask.  A signed path sum moves row i's keys by f * ux_i spectral steps
+(f = 2, or 4 for B) through the shape's ``ring.Placement``, adds the keys of
 each tuple into one dict with the sign of its permutation as the
-coefficient, and reads the dict as one ``RingElem`` in the shape's layout;
-the spectral offset only moves the layout's base.
+coefficient, and has the placement read the dict as one ``RingElem``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
-from .ring import _W0, AlgType, RingElem, _f_factors, _recode, _width, letters, z_product
+from .ring import AlgType, Placement, RingElem, pack, z_product
 from .shapes import SkewShape
 
 
@@ -81,12 +80,6 @@ def _points(start: tuple[int, int], steps: str) -> tuple[tuple[int, int], ...]:
             y += 1
         pts.append((x, y))
     return tuple(pts)
-
-
-def parse_path(text: str) -> Path:
-    head, _, steps = text.partition(":")
-    x, y = head.strip("()").split(",")
-    return Path((int(x), int(y)), steps)
 
 
 def band(t: AlgType) -> tuple[int, int]:
@@ -251,31 +244,16 @@ def is_transposed(t: AlgType, p: Path, q: Path) -> bool:
 # The h-path table
 
 
-def _key_base(t: AlgType) -> int:
-    """The least spectral shift in the image of any letter at shift 0: the
-    base of the weight keys of paths that start at x = 0 and of tableau rows
-    placed from column 0 (0 if no letter has a factor, as for A0)."""
-    return min((s for c in letters(t) for _i, s, _e in _f_factors(t, c)), default=0)
-
-
 @lru_cache(maxsize=None)
-def _hpath_table(t: AlgType, r: int, w: int) -> tuple[int, int, tuple[_Rec, ...]]:
-    """(w', b, records) of the h-paths from (0, bot) to (r, top), in
+def _hpath_table(t: AlgType, r: int) -> tuple[int, int, tuple[_Rec, ...]]:
+    """(w, b, records) of the h-paths from (0, bot) to (r, top), in
     enumeration order.  Each record is in the frame with origin (0, bot)
-    and the band's height; its key packs the path's weight in the layout
-    (_key_base(t), t.rank, w'), where w' is the larger of w and the width
-    the weights need, and b bounds every exponent of a weight."""
+    and the band's height; its key is the path's weight from ``pack``, at
+    width w, and b bounds every exponent of a weight."""
     bot, top = band(t)
     paths = enumerate_hpaths(t, (0, bot), (r, top))
-    weights = [path_weight(t, p) for p in paths]
-    b = max((x._b for x in weights), default=0)
-    w = max(w, _width(b))
-    lo, n, h = _key_base(t), t.rank, top - bot + 1
-    recs = []
-    for p, x in zip(paths, weights):
-        (key,) = _recode(x, lo, n, w)
-        recs.append(_rec(p, 0, bot, h, key))
-    return w, b, tuple(recs)
+    w, b, keys = pack(t, (path_weight(t, p) for p in paths))
+    return w, b, tuple(_rec(p, 0, bot, top - bot + 1, key) for p, key in zip(paths, keys))
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +306,14 @@ class PathTuple(NamedTuple):
         }
 
 
-def endpoints(t: AlgType, s: SkewShape) -> tuple[list, list]:
+# bounded: its callers read one shape many times in a row, while a stream of
+# shapes would keep every one alive
+@lru_cache(maxsize=32)
+def endpoints(t: AlgType, s: SkewShape) -> tuple[tuple, tuple]:
+    """The start points us and end points vs of the paths of the shape's rows."""
     bot, top = band(t)
-    l = len(s.lam)
-    us = [(s.mu[i] + 1 - i, bot) for i in range(1, l + 1)]
-    vs = [(s.lam[i] + 1 - i, top) for i in range(1, l + 1)]
-    return us, vs
+    rows = range(1, len(s.lam) + 1)
+    return tuple((s.mu[i] + 1 - i, bot) for i in rows), tuple((s.lam[i] + 1 - i, top) for i in rows)
 
 
 class _Frame:
@@ -342,35 +322,28 @@ class _Frame:
     cands[i][j] is the table of the paths from us[i] to vs[j], kept in its
     own frame (origin (0, bot)).  A path of row i seen from row k lies
     ux[i] - ux[k] further east: its mask shifts by that many columns of h
-    bits and its height-0 x by that much.  Its weight key shifts by
-    kshift[i], into the shape's layout (lo, t.rank, w), in which w holds
-    the exponents of any tuple.
+    bits and its height-0 x by that much.  Its weight key moves f * ux[i]
+    spectral steps through the placement, whose width holds the exponents
+    of any tuple.
     """
 
     def __init__(self, t: AlgType, s: SkewShape):
         if t.family not in ("A", "B", "C"):
             raise ValueError(f"the path model covers types A, B and C, not {t}")
         self.t, self.s = t, s
-        us, vs = endpoints(t, s)
-        self.us = us
+        self.us, vs = endpoints(t, s)
         bot, top = band(t)
         self.h = top - bot + 1
-        self.ux = [u[0] for u in us]
-        widths = [[v[0] - u[0] for v in vs] for u in us]
-
-        def tables(w: int) -> list[list]:
-            return [[_hpath_table(t, r, w) if r >= 0 else None for r in row] for row in widths]
-
-        tabs = tables(_W0)
-        self.bound = sum(max((tab[1] for tab in row if tab), default=0) for row in tabs)
-        self.w = w = _width(self.bound)
-        if any(tab[0] != w for row in tabs for tab in row if tab):
-            tabs = tables(w)
-        self.cands = [[tab[2] if tab else () for tab in row] for row in tabs]
-        x0 = min(self.ux, default=0)
-        f = 4 if t.family == "B" else 2
-        self.lo = _key_base(t) + f * x0
-        self.kshift = [w * t.rank * f * (x - x0) for x in self.ux]
+        self.ux = [u[0] for u in self.us]
+        widths = [[v[0] - u[0] for v in vs] for u in self.us]
+        tabs = {r: _hpath_table(t, r) for row in widths for r in row if r >= 0}
+        bound = sum(max((tabs[r][1] for r in row if r >= 0), default=0) for row in widths)
+        self.place = place = Placement(t, bound, [(4 if t.family == "B" else 2) * x for x in self.ux])
+        recs = {r: tab[2] for r, tab in tabs.items()}
+        for r, (w, _b, rs) in tabs.items():
+            if w != place.w:  # packed narrower than this shape needs
+                recs[r] = tuple(a._replace(key=k) for a, k in zip(rs, place.recode(w, tuple(a.key for a in rs))))
+        self.cands = [[recs[r] if r >= 0 else () for r in row] for row in widths]
         self.zero = _zero_row(0, max((r for row in widths for r in row), default=0), bot, self.h)
 
     def _classes(self, i: int, a: _Rec, k: int, recs) -> tuple[int, int]:
@@ -416,13 +389,8 @@ class _Frame:
         memo: dict = {}
         for pi in itertools.permutations(range(l)):
             lists = [self.cands[i][pi[i]] for i in range(l)]
-            if not all(lists):
-                continue
-            if l < 2:
-                for recs in itertools.product(*lists):
-                    yield pi, recs
-                continue
-            yield from _search(pi, lists, fits, adjacent_only, memo)
+            if all(lists):
+                yield from _search(pi, lists, fits, adjacent_only, memo)
 
     def signed_sum(self, found, a_offset: int = 0) -> RingElem:
         """The sum of sign(pi) * weight over (pi, records): the keys of each
@@ -430,7 +398,7 @@ class _Frame:
         acc: dict = {}
         get = acc.get
         signs: dict = {}
-        kshift = self.kshift
+        kshift = self.place.kshift
         for pi, recs in found:
             sgn = signs.get(pi)
             if sgn is None:
@@ -439,16 +407,17 @@ class _Frame:
             for a, sh in zip(recs, kshift):
                 key += a.key << sh
             acc[key] = get(key, 0) + sgn
-        keys = {k: c for k, c in acc.items() if c}
-        return RingElem._make(keys, self.lo + a_offset, self.t.rank, self.w, self.bound)
+        return self.place.elem(acc, a_offset)
 
 
 def _search(pi, lists, fits, adjacent_only, memo):
     """Depth-first search over one candidate per row, in list order.
     memo[(i, pi[i], c, k, pi[k])] is fits for candidate c of row i against
-    row k's list."""
-    l = len(lists)
-    chosen: list = [None] * l
+    row k's list.  No rows make one empty tuple."""
+    if not lists:
+        yield pi, ()
+        return
+    chosen: list = [None] * len(lists)
 
     def allowed_after(i: int, c: int, k: int) -> int:
         key = (i, pi[i], c, k, pi[k])

@@ -91,11 +91,11 @@ def retuple(t: AlgType, s: SkewShape, paths) -> PathTuple:
     for i, p in enumerate(paths):
         if p.start != us[i] or p.end not in vs:
             raise ValueError(
-                f"path {i + 1} runs {p.start} -> {p.end}; the shape's starts are {us}, its ends {vs}"
+                f"path {i + 1} runs {p.start} -> {p.end}; the shape's starts are {list(us)}, its ends {list(vs)}"
             )
         pi.append(vs.index(p.end))
     if sorted(pi) != list(range(len(paths))):
-        raise ValueError(f"paths end at {[p.end for p in paths]}, not once at each of {vs}")
+        raise ValueError(f"paths end at {[p.end for p in paths]}, not once at each of {list(vs)}")
     return PathTuple(tuple(paths), tuple(pi), s)
 
 

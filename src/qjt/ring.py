@@ -22,6 +22,10 @@ mutated, so shifted elements may share one.  The (i, s, e) tuple form,
 ``RingElem.terms``, is decoded only when read (text, JSON, classical
 projection) and cached.
 
+The path and tableau models sum weights over tuples of rows: ``pack`` makes
+each row's weight one key, and a shape's ``Placement`` shifts the keys of a
+tuple's rows so that their sum is the key of the tuple's weight.
+
 Letters are encoded as ints: k > 0 is the unbarred letter k, 0 is the type-B
 zero letter, -k is the barred letter k-bar.
 """
@@ -92,10 +96,6 @@ def letter_order(t: AlgType, letter: int) -> int:
 
 def letter_str(letter: int) -> str:
     return f"{-letter}b" if letter < 0 else str(letter)
-
-
-def parse_letter(s: str) -> int:
-    return -int(s[:-1]) if s.endswith("b") else int(s)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +295,6 @@ class RingElem:
                 for m, c in self.sorted_terms()
             ]
         }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "RingElem":
-        return RingElem._from_exponents(
-            [(_exponents((f["i"], f["s"], f["e"]) for f in term["factors"]), term["coef"]) for term in obj["terms"]]
-        )
 
     def __repr__(self):
         return f"RingElem({self.to_text()})"
@@ -523,88 +517,52 @@ def z_product(t: AlgType, zvars: Iterable[tuple[int, int]]) -> RingElem:
     return RingElem._from_exponents([(exps, 1)], t.rank)
 
 
-# ---------------------------------------------------------------------------
-# The inverse substitution g: Y-generators -> z-products (returned in Y-form)
-
-
-def g_hom(t: AlgType, index: int, shift: int, exponent: int) -> RingElem:
-    """Image of Y_{index, a+shift}^{exponent} (exponent = +-1).
-
-    Returned pushed back through f, so g followed by this representation is
-    the identity on generator monomials.  For B (index n) and D (indices
-    n-1, n) the single Y-variables are not generators of the source ring;
-    use g_hom_composite for those.
-    """
-    n = t.rank
-    fam = t.family
-    if exponent not in (1, -1):
-        raise ValueError("exponent must be +1 or -1")
-    if not 1 <= index <= n:
-        raise ValueError(f"index {index} out of range for {t}")
-    i, a = index, shift
-    if fam == "A":
-        if exponent == 1:
-            zs = [(k, a + i - 2 * k + 1) for k in range(1, i + 1)]
-        else:
-            zs = [(k, a + i - 2 * k + 1) for k in range(i + 1, n + 2)]
-        return z_product(t, zs)
-    if fam == "C":
-        if exponent == 1:
-            zs = [(k, a + i - 2 * k + 1) for k in range(1, i + 1)]
-        else:
-            zs = [(-k, a - 2 * n - i + 2 * k - 3) for k in range(1, i + 1)]
-        return z_product(t, zs)
-    if fam == "B":
-        if i == n:
-            raise ValueError("Y_n for B is only generated in composite pairs")
-        if exponent == 1:
-            zs = [(k, a + 2 * i - 4 * k + 2) for k in range(1, i + 1)]
-        else:
-            zs = [(-k, a - 4 * n - 2 * i + 4 * k) for k in range(1, i + 1)]
-        return z_product(t, zs)
-    if fam == "D":
-        if i >= n - 1:
-            raise ValueError("Y_{n-1}, Y_n for D are only generated in composite pairs")
-        if exponent == 1:
-            zs = [(k, a + i - 2 * k + 1) for k in range(1, i + 1)]
-        else:
-            zs = [(-k, a - 2 * n - i + 2 * k + 1) for k in range(1, i + 1)]
-        return z_product(t, zs)
-    raise ValueError(f"unknown family {fam}")
-
-
-def g_hom_composite(t: AlgType, which: str, shift: int, exponent: int) -> RingElem:
-    """Composite generator images.
-
-    which = 'nn' : Y_{n,a-1} Y_{n,a+1}         (B and D)
-    which = 'n-1,n' : Y_{n-1,a} Y_{n,a}        (D only)
-    shift is the base a; exponent = +-1 applies to the whole pair.
-    """
-    n = t.rank
-    a = shift
-    if exponent not in (1, -1):
-        raise ValueError("exponent must be +1 or -1")
-    if t.family == "B" and which == "nn":
-        if exponent == 1:
-            zs = [(k, a + 2 * n - 4 * k + 2) for k in range(1, n + 1)]
-        else:
-            zs = [(-k, a - 6 * n + 4 * k) for k in range(1, n + 1)]
-        return z_product(t, zs)
-    if t.family == "D" and which == "nn":
-        if exponent == 1:
-            zs = [(k, a + n - 2 * k + 1) for k in range(1, n + 1)]
-        else:
-            zs = [(-k, a - 3 * n + 2 * k + 1) for k in range(1, n + 1)]
-        return z_product(t, zs)
-    if t.family == "D" and which == "n-1,n":
-        if exponent == 1:
-            zs = [(k, a + n - 2 * k) for k in range(1, n)]
-        else:
-            zs = [(-k, a - 3 * n + 2 * k + 2) for k in range(1, n)]
-        return z_product(t, zs)
-    raise ValueError(f"no composite generator {which!r} for {t}")
-
-
 def y_monomial(index: int, shift: int, exponent: int = 1) -> RingElem:
     """The bare Y-monomial Y_{index, a+shift}^exponent."""
     return RingElem.monomial([(index, shift, exponent)])
+
+
+# ---------------------------------------------------------------------------
+# Sums over tuples of packed rows
+
+
+@lru_cache(maxsize=None)
+def _key_base(t: AlgType) -> int:
+    """The least spectral shift in the image of any letter at shift 0: the
+    base of the keys that ``pack`` makes."""
+    return min((s for c in letters(t) for _i, s, _e in _f_factors(t, c)), default=0)
+
+
+def pack(t: AlgType, monomials: Iterable[RingElem]) -> tuple[int, int, tuple[int, ...]]:
+    """(w, b, keys): the key of each monomial (coefficient 1, no shift below
+    _key_base(t)) in the type's layout (base _key_base(t), stride t.rank,
+    width w); b bounds every exponent and w is the least width that holds b."""
+    monomials = list(monomials)
+    b = max((x._b for x in monomials), default=0)
+    w = _width(b)
+    return w, b, tuple(_recode(x, _key_base(t), t.rank, w).popitem()[0] for x in monomials)
+
+
+class Placement:
+    """A shape's layout for a sum over tuples of packed rows: row i's key
+    from ``pack`` moves shifts[i] spectral steps, a left shift by kshift[i]
+    bits, and a tuple's shifted keys add up to the key of its product, in a
+    width that holds bound, the sum of the rows' exponent bounds."""
+
+    __slots__ = ("n", "w", "bound", "lo", "kshift")
+
+    def __init__(self, t: AlgType, bound: int, shifts):
+        x0 = min(shifts, default=0)
+        self.n, self.w, self.bound = t.rank, _width(bound), bound
+        self.lo = _key_base(t) + x0
+        self.kshift = tuple(self.w * self.n * (x - x0) for x in shifts)
+
+    def recode(self, w: int, keys: tuple) -> tuple:
+        """keys packed at width w <= self.w, in this width (keys if w is it)."""
+        if w == self.w:
+            return keys
+        return tuple(sum(e << (self.w * slot) for slot, e in enumerate(_digits(k, w)) if e) for k in keys)
+
+    def elem(self, acc: dict, a_offset: int = 0) -> RingElem:
+        """The element of acc, from keys to coefficients, moved a_offset."""
+        return RingElem._make({k: c for k, c in acc.items() if c}, self.lo + a_offset, self.n, self.w, self.bound)

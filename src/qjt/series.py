@@ -27,10 +27,6 @@ class Series:
     def trunc(self) -> int:
         return len(self.coeffs) - 1
 
-    @staticmethod
-    def one(trunc: int, delta_: int) -> "Series":
-        return Series([ONE] + [ZERO] * trunc, delta_)
-
     def __mul__(self, other: "Series") -> "Series":
         if self.delta != other.delta:
             raise ValueError(f"series with spectral steps {self.delta} and {other.delta} do not multiply")

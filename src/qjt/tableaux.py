@@ -15,17 +15,16 @@ by `is_valid` and by the enumeration, which works on whole rows.  The rows of
 each (type, length) that obey the horizontal rules are enumerated once, into
 one table (``_row_table``), in lexicographic alphabet order: the order in
 which a row-major fill of the cells meets them.  Each entry holds its letter
-word and its weight, placed from column 0 of row 0, as one packed
-``RingElem`` key.  The vertical rule reads only two adjacent rows and the
+word and its weight, placed from column 0 of row 0, as one key from
+``ring.pack``.  The vertical rule reads only two adjacent rows and the
 offset between their starts, so the rows of a table that may lie under one
 row form one int bitmask (``_below``), built on first use and cached across
 calls.  The depth-first search of the path layer (``paths._search``) runs
 over these masks and yields the fillings in row-major order.  A tableau sum
-shifts the key of row i by w * n * 2 delta * (mu_i + 1 - i - x0) (x0 the
-least mu_i + 1 - i, w the width that holds the sum of the rows' exponent
-bounds), adds the keys of each filling into one dict, and reads the dict as
-one ``RingElem`` whose layout base carries x0 and the spectral offset.  No
-``Tableau`` is built for a sum.
+moves the keys of row i by 2 delta * (mu_i + 1 - i) spectral steps through
+the shape's ``ring.Placement``, adds the keys of each filling into one dict,
+and has the placement read the dict as one ``RingElem``.  No ``Tableau`` is
+built for a sum.
 
 For the C family (rank at least 2) the generating function identity
 requires extra rules that depend on the shape: a two-row block rule and a
@@ -61,15 +60,13 @@ escape b a cell (r+2, j0-1) above (r+1, j0).
 
 from __future__ import annotations
 
-import itertools
 import re
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .ring import _W0, AlgType, RingElem, _recode, _width, delta, letter_order, letter_str, letters
-from .ring import parse_letter, z_product
+from .ring import AlgType, Placement, RingElem, delta, letter_order, letters, pack, z_product
 from .shapes import SkewShape, shape
-from .paths import Path, PathTuple, _key_base, _search, band, east_labels, endpoints, no_ordinary_tuples
+from .paths import Path, PathTuple, _search, band, east_labels, endpoints, no_ordinary_tuples
 
 
 class Tableau(NamedTuple):
@@ -95,25 +92,6 @@ class Tableau(NamedTuple):
                 j = mu_i + 1 + m
                 factors.append((c, a_offset + 2 * (j - i) * d))
         return z_product(t, factors)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "lambda": list(self.shape.lam.parts),
-            "mu": list(self.shape.mu.parts),
-            "rows": [[letter_str(c) for c in row] for row in self.cells],
-        }
-
-
-def tableau_from_rows(s: SkewShape, rows) -> Tableau:
-    cells = tuple(
-        tuple(c if isinstance(c, int) else parse_letter(c) for c in row) for row in rows
-    )
-    if len(cells) != len(s.lam):
-        raise ValueError(f"{len(cells)} rows given for a shape with {len(s.lam)} rows")
-    for i, row in enumerate(cells, start=1):
-        if len(row) != s.lam[i] - s.mu[i]:
-            raise ValueError(f"row {i} has {len(row)} entries, the shape has {s.lam[i] - s.mu[i]}")
-    return Tableau(s, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +369,10 @@ def satisfies_extra_rules(t: AlgType, T: Tableau, ruleset: str) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _row_table(t: AlgType, length: int, w: int) -> tuple[int, int, tuple, tuple]:
-    """(w', b, words, keys) of the rows of this length allowed by _h_ok and
-    _h_triple_ok, in lexicographic alphabet order.  keys[c] packs the weight
-    of words[c] placed from column 0 of row 0 (letter m at shift 2*delta*m)
-    in the layout (_key_base(t), t.rank, w'), where w' is the larger of w
-    and the width the weights need, and b bounds every exponent of a
-    weight."""
+def _row_table(t: AlgType, length: int) -> tuple[int, int, tuple, tuple]:
+    """(w, b, words, keys) of the rows of this length allowed by _h_ok and
+    _h_triple_ok, in lexicographic alphabet order: keys from ``pack`` of the
+    weights of the words from column 0 of row 0 (letter m at shift 2*delta*m)."""
     alphabet = letters(t)
     words = []
     row: list[int] = []
@@ -415,22 +390,19 @@ def _row_table(t: AlgType, length: int, w: int) -> tuple[int, int, tuple, tuple]
 
     rec()
     f = 2 * delta(t)
-    weights = [z_product(t, [(c, f * m) for m, c in enumerate(word)]) for word in words]
-    b = max((x._b for x in weights), default=0)
-    w = max(w, _width(b))
-    lo = _key_base(t)
-    return w, b, tuple(words), tuple(_recode(x, lo, t.rank, w).popitem()[0] for x in weights)
+    w, b, keys = pack(t, (z_product(t, [(c, f * m) for m, c in enumerate(word)]) for word in words))
+    return w, b, tuple(words), keys
 
 
 @lru_cache(maxsize=None)
-def _below(t: AlgType, w: int, la: int, lb: int, off: int, c: int) -> int:
+def _below(t: AlgType, la: int, lb: int, off: int, c: int) -> int:
     """Bitmask over the rows of length lb that may lie under row c of length
     la when the lower row starts off columns right of the upper one: _v_ok
     at every column the two rows share."""
-    up = _row_table(t, la, w)[2][c]
+    up = _row_table(t, la)[2][c]
     cols = range(max(0, -off), min(lb, la - off))  # indices into the lower row
     mask = 0
-    for d, dn in enumerate(_row_table(t, lb, w)[2]):
+    for d, dn in enumerate(_row_table(t, lb)[2]):
         if all(
             _v_ok(t, up[p + off], dn[p], dn[p - 1] if p else None, up[p + off + 1] if p + off + 1 < la else None)
             for p in cols
@@ -440,22 +412,22 @@ def _below(t: AlgType, w: int, la: int, lb: int, off: int, c: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _below_2row(t: AlgType, w: int, la: int, lb: int, off: int, c: int) -> int:
+def _below_2row(t: AlgType, la: int, lb: int, off: int, c: int) -> int:
     """_below with the two-row rule: the rows of _below(..., c) that the rule
     admits under row c."""
-    mask = _below(t, w, la, lb, off, c)
-    up = _row_table(t, la, w)[2][c]
+    mask = _below(t, la, lb, off, c)
+    up = _row_table(t, la)[2][c]
     n = t.rank
     if n not in up:
         return mask
-    for d, dn in enumerate(_row_table(t, lb, w)[2]):
+    for d, dn in enumerate(_row_table(t, lb)[2]):
         if mask >> d & 1 and not _2row_ok(n, up, dn, off):
             mask ^= 1 << d
     return mask
 
 
 @lru_cache(maxsize=None)
-def _row3_mask(t: AlgType, w: int, la: int, lb: int, lc: int, off1: int, off2: int, a: int, b: int) -> int:
+def _row3_mask(t: AlgType, la: int, lb: int, lc: int, off1: int, off2: int, a: int, b: int) -> int:
     """Bitmask (-1 for all) over the rows of length lc that the three-row
     rule admits under rows a (length la) and b (length lb), each row
     starting off1, resp. off2, columns right of the one above.  Every
@@ -463,12 +435,12 @@ def _row3_mask(t: AlgType, w: int, la: int, lb: int, lc: int, off1: int, off2: i
     under _below_2row(..., b) are tested, and none unless row a has an n-1
     and row b an n or an n-bar."""
     n = t.rank
-    top, mid = _row_table(t, la, w)[2][a], _row_table(t, lb, w)[2][b]
+    top, mid = _row_table(t, la)[2][a], _row_table(t, lb)[2][b]
     mask = -1
     if n - 1 not in top or (n not in mid and -n not in mid):
         return mask
-    under = _below_2row(t, w, lb, lc, off2, b)
-    for d, bot in enumerate(_row_table(t, lc, w)[2]):
+    under = _below_2row(t, lb, lc, off2, b)
+    for d, bot in enumerate(_row_table(t, lc)[2]):
         if under >> d & 1 and 1 - n in bot and not _3row_ok(t, top, mid, bot, off1, off2):
             mask ^= 1 << d
     return mask
@@ -481,9 +453,8 @@ class _Rows:
     filling is one index into each row's table, and rows i, i+1 fit when
     the lower index is in _below of the upper one (_below_2row for the C
     row rules).  Row i's first cell (i, mu_i + 1) carries the spectral
-    shift 2*delta*(mu_i + 1 - i), so its weight key shifts by kshift[i]
-    into the shape's layout (lo, t.rank, w), in which w holds the exponents
-    of any filling.
+    shift 2*delta*(mu_i + 1 - i), by which the placement moves its weight
+    keys; the placement's width holds the exponents of any filling.
     """
 
     def __init__(self, t: AlgType, s: SkewShape):
@@ -495,31 +466,19 @@ class _Rows:
         rows = range(1, len(s.lam) + 1)
         self.lengths = [s.lam[i] - s.mu[i] for i in rows]
         self.mu = [s.mu[i] for i in rows]
-
-        def tables(w: int) -> list:
-            return [_row_table(t, m, w) for m in self.lengths]
-
-        tabs = tables(_W0)
-        self.bound = sum(tab[1] for tab in tabs)
-        self.w = w = _width(self.bound)
-        if any(tab[0] != w for tab in tabs):
-            tabs = tables(w)
+        tabs = [_row_table(t, m) for m in self.lengths]
         self.words = [tab[2] for tab in tabs]
-        self.keys = [tab[3] for tab in tabs]
-        starts = [s.mu[i] + 1 - i for i in rows]
-        x0 = min(starts, default=0)
-        f = 2 * delta(t)
-        self.lo = _key_base(t) + f * x0
-        self.kshift = [w * t.rank * f * (x - x0) for x in starts]
+        self.place = place = Placement(t, sum(tab[1] for tab in tabs), [2 * delta(t) * (s.mu[i] + 1 - i) for i in rows])
+        self.keys = [place.recode(tab[0], tab[3]) for tab in tabs]
 
     def _fits(self, below, i: int, c: int, k: int, _rows) -> int:
-        return below(self.t, self.w, self.lengths[i], self.lengths[k], self.mu[k] - self.mu[i], c)
+        return below(self.t, self.lengths[i], self.lengths[k], self.mu[k] - self.mu[i], c)
 
     def _row3_ok(self, cs) -> bool:
-        t, w, ls, mu = self.t, self.w, self.lengths, self.mu
+        t, ls, mu = self.t, self.lengths, self.mu
         for r in range(len(cs) - 2):
             offs = mu[r + 1] - mu[r], mu[r + 2] - mu[r + 1]
-            if not _row3_mask(t, w, ls[r], ls[r + 1], ls[r + 2], *offs, cs[r], cs[r + 1]) >> cs[r + 2] & 1:
+            if not _row3_mask(t, ls[r], ls[r + 1], ls[r + 2], *offs, cs[r], cs[r + 1]) >> cs[r + 2] & 1:
                 return False
         return True
 
@@ -532,11 +491,8 @@ class _Rows:
         if self.t.family != "C":
             ruleset = "hv"
         lists = [range(len(ws)) for ws in self.words]
-        if len(lists) < 2:
-            found = itertools.product(*lists)
-        else:
-            fits = partial(self._fits, _below_2row if ruleset == "rows" else _below)
-            found = (cs for _pi, cs in _search(tuple(range(len(lists))), lists, fits, True, {}))
+        fits = partial(self._fits, _below_2row if ruleset == "rows" else _below)
+        found = (cs for _pi, cs in _search(tuple(range(len(lists))), lists, fits, True, {}))
         if ruleset == "rows" and len(lists) > 2:
             return filter(self._row3_ok, found)
         if ruleset == "columns":
@@ -552,13 +508,13 @@ class _Rows:
         each filling added into one dict."""
         acc: dict = {}
         get = acc.get
-        keys, kshift = self.keys, self.kshift
+        keys, kshift = self.keys, self.place.kshift
         for cs in found:
             key = 0
             for ks, c, sh in zip(keys, cs, kshift):
                 key += ks[c] << sh
             acc[key] = get(key, 0) + 1
-        return RingElem._make(acc, self.lo + a_offset, self.t.rank, self.w, self.bound)
+        return self.place.elem(acc, a_offset)
 
 
 def enumerate_tableaux(t: AlgType, s: SkewShape, ruleset: str = "auto"):

@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 import qjt
 import qjt.resolutions
 from qjt.cli import main
-from qjt.ring import make_type, RingElem
+from qjt.ring import make_type
 from qjt.series import h_coeff
 
+from test_ring import ring_from_json
 from test_shapes import all_partitions
 
 
@@ -47,8 +48,8 @@ def test_qchar_json_round_trips(capsys):
     assert rc == 0
     obj = json.loads(out)
     assert json.dumps(obj, sort_keys=True) == out.strip()
-    h = RingElem.from_json_obj(obj["h"])
-    e = RingElem.from_json_obj(obj["e"])
+    h = ring_from_json(obj["h"])
+    e = ring_from_json(obj["e"])
     assert h == e
     assert h.to_text() == obj["h_text"]
 

@@ -8,6 +8,7 @@ from qjt.paths import (
     Path,
     PathTuple,
     _Frame,
+    _hpath_table,
     band,
     classify_pair,
     east_labels,
@@ -18,7 +19,6 @@ from qjt.paths import (
     no_ordinary_tuples,
     p_k_tuples,
     p_tilde,
-    parse_path,
     path_weight,
     signed_path_sum,
     surviving_tuples_with_sum,
@@ -29,6 +29,13 @@ from qjt.shapes import shape
 
 from optimized import error_under_O
 from test_shapes import all_partitions, subpartitions
+
+
+def parse_path(text: str) -> Path:
+    """The path of Path.to_text's "(x,y):steps"."""
+    head, _, steps = text.partition(":")
+    x, y = head.strip("()").split(",")
+    return Path((int(x), int(y)), steps)
 
 
 def test_path_basics():
@@ -184,8 +191,8 @@ def test_p_tilde_superset():
 def test_endpoints():
     t = make_type("C", 2)
     us, vs = endpoints(t, shape((3, 1), (2,)))
-    assert us == [(2, -2), (-1, -2)]
-    assert vs == [(3, 2), (0, 2)]
+    assert us == ((2, -2), (-1, -2))
+    assert vs == ((3, 2), (0, 2))
 
 
 def test_offset_shift():
@@ -220,8 +227,8 @@ def test_is_transposed_fails_closed_on_ordinary_pair():
     with pytest.raises(ValueError, match="intersect ordinarily"):
         is_transposed(t, p, q)
     assert error_under_O(
-        "from qjt.paths import is_transposed, parse_path; from qjt.ring import make_type; "
-        "is_transposed(make_type('C', 2), parse_path('(0,-2):NNNN'), parse_path('(-1,-2):ENNNN'))"
+        "from qjt.paths import Path, is_transposed; from qjt.ring import make_type; "
+        "is_transposed(make_type('C', 2), Path((0, -2), 'NNNN'), Path((-1, -2), 'ENNNN'))"
     ).startswith("ValueError: (0,-2):NNNN and (-1,-2):ENNNN intersect ordinarily in C2")
 
 
@@ -309,7 +316,7 @@ def test_tabulated_enumeration_matches_reference(fam):
 
     for n in (2, 3):
         t = make_type(fam, n)
-        for s in _small_skew_shapes(4):
+        for s in [shape(())] + _small_skew_shapes(4):  # no rows: one empty tuple
             assert listed(nonintersecting_tuples(t, s)) == _ref_tuples(t, s, disjoint), (t, s)
             surviving = disjoint if fam == "A" else no_ordinary
             for off in (0, -3):
@@ -349,12 +356,12 @@ def test_pair_classes_match_reference():
 
 def test_wide_keys_for_many_rows():
     # in a 128-row column every row's paths have an exponent 1, so a tuple
-    # may reach 128, past the 127 that 8-bit digits hold: the frame takes
-    # its keys from tables packed 16 bits wide
+    # may reach 128, past the 127 that 8-bit digits hold: the frame's
+    # placement recodes the tables' 8-bit keys at 16 bits
     t = make_type("A", 1)
     s = shape([1] * 128)
     frame = _Frame(t, s)
-    assert frame.w == 16
+    assert frame.place.w == 16
     pi = tuple(range(128))
     for pick in (0, -1):  # every row EN (Y[1,.]), every row NE (Y[1,.]^-1)
         recs = tuple(frame.cands[i][i][pick] for i in pi)
@@ -363,3 +370,16 @@ def test_wide_keys_for_many_rows():
     # a pair test that admits every pair leaves the first candidates first
     admit_all = lambda i, a, k, recs: (1 << len(recs)) - 1
     assert next(frame.tuples(admit_all)) == (pi, tuple(frame.cands[i][i][0] for i in pi))
+
+
+def test_wide_frames_reuse_the_tables():
+    # the 128-row column needs 16-bit keys; its frame recodes the tables of
+    # the 127-row column, which it shares, and tabulates only its one new
+    # width, 128
+    t = make_type("A", 1)
+    _hpath_table.cache_clear()
+    _Frame(t, shape([1] * 127))
+    assert _hpath_table.cache_info().currsize == 128
+    frame = _Frame(t, shape([1] * 128))
+    assert frame.place.w == 16
+    assert _hpath_table.cache_info().currsize == 129

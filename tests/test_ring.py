@@ -1,5 +1,6 @@
 """Ring arithmetic, the f/g substitutions, and the classical projection."""
 
+import itertools
 import json
 
 from hypothesis import given, settings
@@ -9,18 +10,19 @@ from qjt.ring import (
     ONE,
     ZERO,
     AlgType,
+    Placement,
     RingElem,
     f_hom,
-    g_hom,
-    g_hom_composite,
     letter_order,
     letter_str,
     letters,
     make_type,
-    parse_letter,
+    pack,
     y_monomial,
     z_product,
 )
+
+from test_tableaux import parse_letter
 
 A1 = make_type("A", 1)
 A2 = make_type("A", 2)
@@ -29,6 +31,96 @@ C2 = make_type("C", 2)
 D2 = make_type("D", 2)
 
 ALL_TYPES = [make_type(f, n) for f in "ABCD" for n in range(1, 5) if not (f == "D" and n < 2)]
+
+
+def ring_from_json(obj: dict) -> RingElem:
+    """The element of RingElem.to_json_obj's form."""
+    return RingElem.sum(
+        RingElem.monomial([(f["i"], f["s"], f["e"]) for f in term["factors"]], term["coef"]) for term in obj["terms"]
+    )
+
+
+# ---------------------------------------------------------------------------
+# The inverse substitution g: Y-generators -> z-products (returned in Y-form),
+# the oracle that the letter images of qjt.ring must invert
+
+
+def g_hom(t: AlgType, index: int, shift: int, exponent: int) -> RingElem:
+    """Image of Y_{index, a+shift}^{exponent} (exponent = +-1).
+
+    Returned pushed back through f, so g followed by this representation is
+    the identity on generator monomials.  For B (index n) and D (indices
+    n-1, n) the single Y-variables are not generators of the source ring;
+    use g_hom_composite for those.
+    """
+    n = t.rank
+    fam = t.family
+    if exponent not in (1, -1):
+        raise ValueError("exponent must be +1 or -1")
+    if not 1 <= index <= n:
+        raise ValueError(f"index {index} out of range for {t}")
+    i, a = index, shift
+    if fam == "A":
+        if exponent == 1:
+            zs = [(k, a + i - 2 * k + 1) for k in range(1, i + 1)]
+        else:
+            zs = [(k, a + i - 2 * k + 1) for k in range(i + 1, n + 2)]
+        return z_product(t, zs)
+    if fam == "C":
+        if exponent == 1:
+            zs = [(k, a + i - 2 * k + 1) for k in range(1, i + 1)]
+        else:
+            zs = [(-k, a - 2 * n - i + 2 * k - 3) for k in range(1, i + 1)]
+        return z_product(t, zs)
+    if fam == "B":
+        if i == n:
+            raise ValueError("Y_n for B is only generated in composite pairs")
+        if exponent == 1:
+            zs = [(k, a + 2 * i - 4 * k + 2) for k in range(1, i + 1)]
+        else:
+            zs = [(-k, a - 4 * n - 2 * i + 4 * k) for k in range(1, i + 1)]
+        return z_product(t, zs)
+    if fam == "D":
+        if i >= n - 1:
+            raise ValueError("Y_{n-1}, Y_n for D are only generated in composite pairs")
+        if exponent == 1:
+            zs = [(k, a + i - 2 * k + 1) for k in range(1, i + 1)]
+        else:
+            zs = [(-k, a - 2 * n - i + 2 * k + 1) for k in range(1, i + 1)]
+        return z_product(t, zs)
+    raise ValueError(f"unknown family {fam}")
+
+
+def g_hom_composite(t: AlgType, which: str, shift: int, exponent: int) -> RingElem:
+    """Composite generator images.
+
+    which = 'nn' : Y_{n,a-1} Y_{n,a+1}         (B and D)
+    which = 'n-1,n' : Y_{n-1,a} Y_{n,a}        (D only)
+    shift is the base a; exponent = +-1 applies to the whole pair.
+    """
+    n = t.rank
+    a = shift
+    if exponent not in (1, -1):
+        raise ValueError("exponent must be +1 or -1")
+    if t.family == "B" and which == "nn":
+        if exponent == 1:
+            zs = [(k, a + 2 * n - 4 * k + 2) for k in range(1, n + 1)]
+        else:
+            zs = [(-k, a - 6 * n + 4 * k) for k in range(1, n + 1)]
+        return z_product(t, zs)
+    if t.family == "D" and which == "nn":
+        if exponent == 1:
+            zs = [(k, a + n - 2 * k + 1) for k in range(1, n + 1)]
+        else:
+            zs = [(-k, a - 3 * n + 2 * k + 1) for k in range(1, n + 1)]
+        return z_product(t, zs)
+    if t.family == "D" and which == "n-1,n":
+        if exponent == 1:
+            zs = [(k, a + n - 2 * k) for k in range(1, n)]
+        else:
+            zs = [(-k, a - 3 * n + 2 * k + 2) for k in range(1, n)]
+        return z_product(t, zs)
+    raise ValueError(f"no composite generator {which!r} for {t}")
 
 
 def test_letters_order():
@@ -203,10 +295,10 @@ def test_ring_axioms(x, y, z):
 @settings(max_examples=40, deadline=None)
 @given(elems)
 def test_serialization_round_trip(x):
-    assert RingElem.from_json_obj(x.to_json_obj()) == x
+    assert ring_from_json(x.to_json_obj()) == x
     # byte-identical after re-serialization
     s = json.dumps(x.to_json_obj(), sort_keys=True)
-    assert json.dumps(RingElem.from_json_obj(json.loads(s)).to_json_obj(), sort_keys=True) == s
+    assert json.dumps(ring_from_json(json.loads(s)).to_json_obj(), sort_keys=True) == s
 
 
 def test_text_form():
@@ -334,3 +426,35 @@ def test_kernel_mixed_strides_and_constants():
     assert (ZERO * x).is_zero() and (x * ZERO).is_zero()
     assert RingElem.const(0) == ZERO and RingElem({}) == ZERO
     assert RingElem.sum([]) == ZERO and RingElem.sum_products([]) == ZERO
+
+
+# Rows of one-term weights: per row, a list of monomials, each a z-product of
+# (letter index, shift >= 0, power) factors; powers up to 130 put the bound
+# of a tuple past 127, where the placement recodes 8-bit keys
+zfactors = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 6), st.integers(1, 130)), max_size=3)
+packed_rows = st.lists(st.lists(zfactors, min_size=1, max_size=3), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALL_TYPES), packed_rows, st.lists(st.integers(-8, 8), min_size=4, max_size=4),
+       st.integers(-5, 5))
+def test_placed_keys_sum_to_shifted_products(t, rows, shifts, a_offset):
+    alphabet = letters(t)
+    monos = [
+        [z_product(t, [(alphabet[c % len(alphabet)], s) for c, s, e in m for _ in range(e)]) for m in row]
+        for row in rows
+    ]
+    tabs = [pack(t, row) for row in monos]
+    shifts = shifts[: len(rows)]
+    place = Placement(t, sum(b for _w, b, _keys in tabs), shifts)
+    keys = [place.recode(w, ks) for w, _b, ks in tabs]
+    acc: dict = {}
+    want = []
+    for pick in itertools.product(*(range(len(row)) for row in rows)):
+        key = sum(ks[c] << sh for ks, c, sh in zip(keys, pick, place.kshift))
+        acc[key] = acc.get(key, 0) + 1
+        x = ONE
+        for row, c, d in zip(monos, pick, shifts):
+            x = x * row[c].shift_spectral(d + a_offset)
+        want.append(x)
+    assert place.elem(acc, a_offset) == RingElem.sum(want)

@@ -34,3 +34,19 @@ def test_no_module_level_dict_caches():
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 found += [f"{name}:{ast.unparse(x)}" for x in targets]
     assert found == ["series.py:_SERIES_CACHE"]
+
+
+def test_packed_layout_stays_in_the_ring():
+    # qjt.ring alone knows how a monomial is packed: the other modules reach
+    # packed keys through pack and Placement, never a private name or field
+    fields = {"_make", "_keys", "_b", "_w", "_lo", "_n"}
+    found = []
+    for name, tree in modules():
+        if name == "ring.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("ring", "qjt.ring"):
+                found += [f"{name}:{node.lineno}:{a.name}" for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and node.attr in fields:
+                found.append(f"{name}:{node.lineno}:.{node.attr}")
+    assert found == []
