@@ -121,31 +121,18 @@ def sp_character(mu, n: int) -> RingElem:
     """Character of the rank-n symplectic irreducible with highest weight mu,
     as a sum over King tableaux.
 
-    Alphabet 1 < 1' < 2 < 2' < ... < n < n', encoded as 2(k-1) + barred;
-    rows weakly increase, columns strictly increase, and entries in row i
-    are at least i.  A letter k contributes z_k, its primed partner z_k^-1.
+    Alphabet 1 < 1' < 2 < 2' < ... < n < n', read as the type A_{2n-1}
+    letters 1..2n (k is 2k - 1, k' is 2k): King tableaux are the
+    semistandard tableaux whose row i holds no letter below i, that is
+    below 2i - 1.  A letter k contributes z_k, its primed partner z_k^-1.
     """
     mu_p = Partition(mu)
     _require_rows(mu_p, n, f"C{n}")
-    boxes = shape(mu_p).boxes()
-    filling: dict = {}
-    monomials = []
-
-    def rec(idx):
-        if idx == len(boxes):
-            monomials.append(RingElem.monomial((v // 2 + 1, 0, -1 if v % 2 else 1) for v in filling.values()))
-            return
-        i, j = boxes[idx]
-        left = filling.get((i, j - 1), 0)
-        above = filling.get((i - 1, j))
-        lo = max(left, above + 1 if above is not None else 0, 2 * (i - 1))
-        for v in range(lo, 2 * n):
-            filling[(i, j)] = v
-            rec(idx + 1)
-        filling.pop((i, j), None)
-
-    rec(0)
-    return RingElem.sum(monomials)
+    return RingElem.sum(
+        RingElem.monomial(((v + 1) // 2, 0, -1 if v % 2 == 0 else 1) for row in T.cells for v in row)
+        for T in enumerate_tableaux(AlgType("A", 2 * n - 1), shape(mu_p), "hv")
+        if all(min(row) >= 2 * i - 1 for i, row in enumerate(T.cells, start=1))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@ endpoints and no windowing is needed during enumeration.
 
 Type bands: A runs from height 0 to n; B and C run from -n to n.  At height 0
 a B-path may take at most one east step and a C-path must take an even number
-of them.  For C the east steps at height 0 are labeled alternately n-bar, n.
+of them.  An east step at (x, y) reads letters(t)[y - bot] at spectral shift
+2 delta x, except that C has 2n letters on 2n + 1 heights: a C step above
+the axis reads one letter lower, and the C steps at height 0 read n-bar, n in
+turn.  D has no path model: ``east_labels`` and ``_Frame`` refuse it.
 
 An h-path from (ux, bot) to (vx, top) is the translate by ux of an h-path
 from (0, bot) to (r, top), r = vx - ux, with the same labels and every
-spectral shift moved by 2ux (4ux for B).  So the h-paths of each (type, r)
+spectral shift moved by 2 delta ux.  So the h-paths of each (type, r)
 are enumerated once, into one table (``_hpath_table``) that holds for each
 path its steps, its point set as an int bitmask (bit (x - x0) * h + y - y0 for
 the point (x, y) in a frame with origin (x0, y0) and h heights), its
@@ -23,8 +26,8 @@ by d.  Two paths are disjoint when their masks share no bit, specially
 intersecting when every shared bit is at height 0 (for C also the leftmost
 height-0 x's differ by an odd number), and ordinarily intersecting
 otherwise; the verdicts on one path against a later row's list form one
-bitmask.  A signed path sum moves row i's keys by f * ux_i spectral steps
-(f = 2, or 4 for B) through the shape's ``ring.Placement``, adds the keys of
+bitmask.  A signed path sum moves row i's keys by 2 delta ux_i spectral steps
+through the shape's ``ring.Placement``, adds the keys of
 each tuple into one dict with the sign of its permutation as the
 coefficient, and has the placement read the dict as one ``RingElem``.
 """
@@ -35,7 +38,7 @@ import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
-from .ring import AlgType, Placement, RingElem, pack, z_product
+from .ring import AlgType, Placement, RingElem, delta, letters, pack, z_product
 from .shapes import SkewShape
 
 
@@ -119,29 +122,30 @@ def enumerate_hpaths(t: AlgType, u: tuple[int, int], v: tuple[int, int]) -> list
     return out
 
 
+def _require_model(t: AlgType, model: str) -> None:
+    """Refuse type D, which the paper gives no path or tableau model."""
+    if t.family not in ("A", "B", "C"):
+        raise ValueError(f"the {model} model covers types A, B and C, not {t}")
+
+
 def east_labels(t: AlgType, p: Path) -> list[tuple[int, int]]:
-    """(letter, spectral shift) for each east step, in path order."""
-    n = t.rank
-    fam = t.family
+    """(letter, spectral shift) for each east step, in path order (see the
+    module docstring)."""
+    _require_model(t, "path")
+    bot, top = band(t)
+    alphabet, f, fam_c = letters(t), 2 * delta(t), t.family == "C"
     out = []
     zero_seen = 0
     for x, y in p.east_steps():
-        if fam == "A":
-            letter = y + 1
-            shift = 2 * x
-        elif fam == "B":
-            letter = n + 1 + y if y < 0 else (0 if y == 0 else -(n + 1 - y))
-            shift = 4 * x
-        else:  # C
-            if y < 0:
-                letter = n + 1 + y
-            elif y > 0:
-                letter = -(n + 1 - y)
-            else:
-                zero_seen += 1
-                letter = -n if zero_seen % 2 == 1 else n
-            shift = 2 * x
-        out.append((letter, shift))
+        if not bot <= y <= top:
+            raise ValueError(f"{p.to_text()} leaves the band of {t}")
+        i = y - bot
+        if fam_c and y == 0:
+            i -= zero_seen % 2
+            zero_seen += 1
+        elif fam_c and y > 0:
+            i -= 1
+        out.append((alphabet[i], f * x))
     return out
 
 
@@ -322,14 +326,13 @@ class _Frame:
     cands[i][j] is the table of the paths from us[i] to vs[j], kept in its
     own frame (origin (0, bot)).  A path of row i seen from row k lies
     ux[i] - ux[k] further east: its mask shifts by that many columns of h
-    bits and its height-0 x by that much.  Its weight key moves f * ux[i]
+    bits and its height-0 x by that much.  Its weight key moves 2 delta ux[i]
     spectral steps through the placement, whose width holds the exponents
     of any tuple.
     """
 
     def __init__(self, t: AlgType, s: SkewShape):
-        if t.family not in ("A", "B", "C"):
-            raise ValueError(f"the path model covers types A, B and C, not {t}")
+        _require_model(t, "path")
         self.t, self.s = t, s
         self.us, vs = endpoints(t, s)
         bot, top = band(t)
@@ -338,7 +341,7 @@ class _Frame:
         widths = [[v[0] - u[0] for v in vs] for u in self.us]
         tabs = {r: _hpath_table(t, r) for row in widths for r in row if r >= 0}
         bound = sum(max((tabs[r][1] for r in row if r >= 0), default=0) for row in widths)
-        self.place = place = Placement(t, bound, [(4 if t.family == "B" else 2) * x for x in self.ux])
+        self.place = place = Placement(t, bound, [2 * delta(t) * x for x in self.ux])
         recs = {r: tab[2] for r, tab in tabs.items()}
         for r, (w, _b, rs) in tabs.items():
             if w != place.w:  # packed narrower than this shape needs

@@ -27,7 +27,10 @@ each row's weight one key, and a shape's ``Placement`` shifts the keys of a
 tuple's rows so that their sum is the key of the tuple's weight.
 
 Letters are encoded as ints: k > 0 is the unbarred letter k, 0 is the type-B
-zero letter, -k is the barred letter k-bar.
+zero letter, -k is the barred letter k-bar.  ``letters(t)`` is the one
+definition of a type's alphabet order: ``letter_order`` looks a letter up in
+it, the path layer labels the heights of its band with it, and the tableau
+layer reads those heights back from it.
 """
 
 from __future__ import annotations
@@ -63,35 +66,27 @@ def delta(t: AlgType) -> int:
 
 
 def letters(t: AlgType) -> list[int]:
-    """The alphabet of letters in increasing order."""
+    """The alphabet in increasing order: 1 < ... < n+1 for A, else
+    1 < ... < n (< 0 for B) < n-bar < ... < 1-bar."""
     n = t.rank
     if t.family == "A":
         return list(range(1, n + 2))
-    if t.family == "B":
-        return list(range(1, n + 1)) + [0] + [-k for k in range(n, 0, -1)]
-    # C and D
-    return list(range(1, n + 1)) + [-k for k in range(n, 0, -1)]
+    return list(range(1, n + 1)) + ([0] if t.family == "B" else []) + list(range(-n, 0))
+
+
+@lru_cache(maxsize=None)
+def _positions(t: AlgType) -> dict[int, int]:
+    """Each letter's position in letters(t)."""
+    return {c: p for p, c in enumerate(letters(t))}
 
 
 def letter_order(t: AlgType, letter: int) -> int:
-    """Position of a letter in the alphabet order (0-based)."""
-    n = t.rank
-    if t.family == "A":
-        if 1 <= letter <= n + 1:
-            return letter - 1
-    elif t.family == "B":
-        if 1 <= letter <= n:
-            return letter - 1
-        if letter == 0:
-            return n
-        if -n <= letter <= -1:
-            return 2 * n + 1 + letter  # -k -> 2n+1-k
-    else:
-        if 1 <= letter <= n:
-            return letter - 1
-        if -n <= letter <= -1:
-            return 2 * n + letter  # -k -> 2n-k
-    raise ValueError(f"letter {letter} not in alphabet of {t}")
+    """Position of a letter in the alphabet order (0-based); ValueError for a
+    letter outside the alphabet."""
+    p = _positions(t).get(letter)
+    if p is None:
+        raise ValueError(f"letter {letter} not in alphabet of {t}")
+    return p
 
 
 def letter_str(letter: int) -> str:
@@ -406,16 +401,15 @@ ONE = RingElem.const(1)
 
 @lru_cache(maxsize=None)
 def _f_factors(t: AlgType, letter: int) -> tuple[tuple[int, int, int], ...]:
-    """Y-factors (i, relative shift, exponent) of the image of z_{letter,a}."""
+    """Y-factors (i, relative shift, exponent) of the image of z_{letter,a};
+    ValueError for a letter outside the alphabet."""
+    letter_order(t, letter)
     n = t.rank
     fam = t.family
-    if fam == "A":
+    if 0 < letter <= {"A": n + 1, "C": n, "D": n - 2}.get(fam, 0):
+        # every A letter, and the unbarred C and D letters whose image is the A one
         i = letter
-        if not 1 <= i <= n + 1:
-            raise ValueError(f"letter {letter} not in alphabet of {t}")
-        out = []
-        if i <= n:
-            out.append((i, i - 1, 1))
+        out = [(i, i - 1, 1)] if i <= n else []
         if i >= 2:
             out.append((i - 1, i, -1))
         return tuple(out)
@@ -444,36 +438,20 @@ def _f_factors(t: AlgType, letter: int) -> tuple[tuple[int, int, int], ...]:
                 out.append((n - 1, 2 * n - 2, 1))
             out += [(n, 2 * n - 1, -1), (n, 2 * n + 1, -1)]
             return tuple(out)
-        if -(n - 1) <= letter <= -1:
-            i = -letter
-            out = []
-            if i >= 2:
-                out.append((i - 1, 4 * n - 2 * i - 2, 1))
-            out.append((i, 4 * n - 2 * i, -1))
-            return tuple(out)
-        raise ValueError(f"letter {letter} not in alphabet of {t}")
+        i = -letter  # -(n-1) <= letter <= -1
+        out = []
+        if i >= 2:
+            out.append((i - 1, 4 * n - 2 * i - 2, 1))
+        out.append((i, 4 * n - 2 * i, -1))
+        return tuple(out)
     if fam == "C":
-        if 1 <= letter <= n:
-            i = letter
-            out = [(i, i - 1, 1)]
-            if i >= 2:
-                out.append((i - 1, i, -1))
-            return tuple(out)
-        if -n <= letter <= -1:
-            i = -letter
-            out = []
-            if i >= 2:
-                out.append((i - 1, 2 * n - i + 2, 1))
-            out.append((i, 2 * n - i + 3, -1))
-            return tuple(out)
-        raise ValueError(f"letter {letter} not in alphabet of {t}")
+        i = -letter
+        out = []
+        if i >= 2:
+            out.append((i - 1, 2 * n - i + 2, 1))
+        out.append((i, 2 * n - i + 3, -1))
+        return tuple(out)
     if fam == "D":
-        if 1 <= letter <= n - 2:
-            i = letter
-            out = [(i, i - 1, 1)]
-            if i >= 2:
-                out.append((i - 1, i, -1))
-            return tuple(out)
         if letter == n - 1:
             out = [(n, n - 2, 1), (n - 1, n - 2, 1)]
             if n >= 3:
@@ -489,14 +467,12 @@ def _f_factors(t: AlgType, letter: int) -> tuple[tuple[int, int, int], ...]:
                 out.append((n - 2, n - 1, 1))
             out += [(n - 1, n, -1), (n, n, -1)]
             return tuple(out)
-        if -(n - 2) <= letter <= -1:
-            i = -letter
-            out = []
-            if i >= 2:
-                out.append((i - 1, 2 * n - i - 2, 1))
-            out.append((i, 2 * n - i - 1, -1))
-            return tuple(out)
-        raise ValueError(f"letter {letter} not in alphabet of {t}")
+        i = -letter  # -(n-2) <= letter <= -1
+        out = []
+        if i >= 2:
+            out.append((i - 1, 2 * n - i - 2, 1))
+        out.append((i, 2 * n - i - 1, -1))
+        return tuple(out)
     raise ValueError(f"unknown family {fam}")
 
 

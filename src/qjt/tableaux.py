@@ -1,20 +1,20 @@
 """Tableaux for the three classical families, and the path correspondence.
 
-Entries are letters (ints): k>0 plain, 0 (middle letter, second family only),
--k barred.  Orderings and cell rules depend on the family:
+Entries are letters (ints): k>0 plain, 0 (middle letter, B only), -k barred,
+compared in the alphabet order of ``ring.letters``.  Every family's cell rule
+is weak rows and strict columns in that order, with these exceptions:
 
-* A: semistandard (weak rows, strict columns).
-* B: weak rows without a repeated 0, strict columns except a repeated 0.
-* C: "HV" rules — weak rows with the single descent (n-bar, n) allowed and
-  the triples (n-bar, n-bar, n), (n-bar, n, n) forbidden; strict columns
-  except a repeated n whose lower cell has an n-bar on its left, or a
-  repeated n-bar whose upper cell has an n on its right.
+* B: no repeated 0 in a row; a repeated 0 in a column.
+* C: "HV" rules — the single descent (n-bar, n) allowed in a row and the
+  triples (n-bar, n-bar, n), (n-bar, n, n) forbidden; in a column a repeated
+  n whose lower cell has an n-bar on its left, or a repeated n-bar whose
+  upper cell has an n on its right.
 
-Each cell rule is a test on letters (`_h_ok`, `_h_triple_ok`, `_v_ok`), shared
-by `is_valid` and by the enumeration, which works on whole rows.  The rows of
-each (type, length) that obey the horizontal rules are enumerated once, into
-one table (``_row_table``), in lexicographic alphabet order: the order in
-which a row-major fill of the cells meets them.  Each entry holds its letter
+Each cell rule is a test on letters (`_h_ok`, `_h_triple_ok`, `_v_ok`), which
+the enumeration applies to whole rows.  The rows of each (type, length) that
+obey the horizontal rules are enumerated once, into one table
+(``_row_table``), in lexicographic alphabet order: the order in which a
+row-major fill of the cells meets them.  Each entry holds its letter
 word and its weight, placed from column 0 of row 0, as one key from
 ``ring.pack``.  The vertical rule reads only two adjacent rows and the
 offset between their starts, so the rows of a table that may lie under one
@@ -37,7 +37,8 @@ a cached bitmask over row r+2's table for each pair of indices of rows r and
 r+1 (``_row3_mask``), read once per complete filling; and the two-column
 rule reads the columns of a complete filling through the shape's cached
 column layout (``_col_layout``).  The ``Tableau``-level checks
-(``satisfies_*``) are loops over the same tests.
+``satisfies_2row_rule`` and ``satisfies_3row_rule`` are loops over the same
+tests.
 
 The three-row rule reads, for each anchor row r, the columns of rows r, r+1,
 r+2 as one word: column (top, mid, bot) has the class (m = n-1)
@@ -56,6 +57,9 @@ a whole match of
 
 where escape a is a cell (r, j1+1) below (r+1, j1) in the letter order and
 escape b a cell (r+2, j0-1) above (r+1, j0).
+
+A row's path reads its letters off its east-step heights
+(``paths.east_labels``); ``_row_heights`` reads the heights back off them.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from typing import NamedTuple
 
 from .ring import AlgType, Placement, RingElem, delta, letter_order, letters, pack, z_product
 from .shapes import SkewShape, shape
-from .paths import Path, PathTuple, _search, band, east_labels, endpoints, no_ordinary_tuples
+from .paths import Path, PathTuple, _require_model, _search, band, east_labels, endpoints, no_ordinary_tuples
 
 
 class Tableau(NamedTuple):
@@ -103,12 +107,9 @@ def _cmp(t: AlgType, c1: int, c2: int) -> int:
 
 
 def _h_ok(t: AlgType, left: int, right: int) -> bool:
-    if t.family == "A":
-        return left <= right
-    if t.family == "B":
-        return _cmp(t, left, right) <= 0 and (left, right) != (0, 0)
-    n = t.rank
-    return _cmp(t, left, right) <= 0 or (left, right) == (-n, n)
+    if t.family == "B" and left == right == 0:
+        return False
+    return _cmp(t, left, right) <= 0 or (t.family == "C" and (left, right) == (-t.rank, t.rank))
 
 
 def _h_triple_ok(t: AlgType, c1, c2, c3) -> bool:
@@ -122,33 +123,12 @@ def _v_ok(t: AlgType, up: int, dn: int, dn_left, up_right) -> bool:
     """Vertical rule between a letter and the letter below it; dn_left is the
     letter left of the lower cell, up_right the letter right of the upper
     cell (None where there is no cell)."""
-    if t.family == "A":
-        return up < dn
-    if t.family == "B":
-        return _cmp(t, up, dn) < 0 or (up, dn) == (0, 0)
     n = t.rank
     return (
         _cmp(t, up, dn) < 0
-        or (up == dn == n and dn_left == -n)
-        or (up == dn == -n and up_right == n)
+        or (t.family == "B" and up == dn == 0)
+        or (t.family == "C" and (up == dn == n and dn_left == -n or up == dn == -n and up_right == n))
     )
-
-
-def is_valid(t: AlgType, T: Tableau) -> bool:
-    """The family's horizontal and vertical rules (no extra rules)."""
-    for i, j in T.shape.boxes():
-        c = T.entry(i, j)
-        r = T.entry(i, j + 1)
-        if r is not None:
-            if not _h_ok(t, c, r):
-                return False
-            ll = T.entry(i, j - 1)
-            if ll is not None and not _h_triple_ok(t, ll, c, r):
-                return False
-        dn = T.entry(i + 1, j)
-        if dn is not None and not _v_ok(t, c, dn, T.entry(i + 1, j - 1), r):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +312,6 @@ def _2col_ok(t: AlgType, words, layout: tuple) -> bool:
     return True
 
 
-def satisfies_2col_rule(t: AlgType, T: Tableau) -> bool:
-    """The two-column rule on every column of T."""
-    return _2col_ok(t, T.cells, _col_layout(T.shape.lam.parts, T.shape.mu.parts))
-
-
 RULESETS = ("hv", "rows", "columns", "auto")
 
 
@@ -352,16 +327,6 @@ def resolve_ruleset(t: AlgType, s: SkewShape, ruleset: str) -> str:
     if (s.lam[1] if s.lam.parts else 0) <= 2:
         return "columns"
     raise ValueError(f"no {t} tableau rule covers {s}: more than 3 rows and more than 2 columns")
-
-
-def satisfies_extra_rules(t: AlgType, T: Tableau, ruleset: str) -> bool:
-    if ruleset == "hv" or t.family != "C":
-        return True
-    if ruleset == "rows":
-        return satisfies_2row_rule(t, T) and satisfies_3row_rule(t, T)
-    if ruleset == "columns":
-        return satisfies_2col_rule(t, T)
-    raise ValueError(f"unknown ruleset {ruleset!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +423,7 @@ class _Rows:
     """
 
     def __init__(self, t: AlgType, s: SkewShape):
-        if t.family not in ("A", "B", "C"):
-            raise ValueError(f"the tableau model covers types A, B and C, not {t}")
+        _require_model(t, "tableau")
         if t.family == "C" and t.rank < 2:
             raise ValueError(f"the C tableau rules need rank at least 2, not {t}")
         self.t, self.s = t, s
@@ -559,21 +523,19 @@ def _path_word(t: AlgType, y0: int, steps: str) -> tuple:
 
 
 def _row_heights(t: AlgType, row: tuple) -> list[int]:
-    """Heights of the east steps realizing this row; unique by monotonicity."""
-    n = t.rank
-    if t.family == "A":
-        return [c - 1 for c in row]
-    if t.family == "B":
-        return [c - n - 1 if c > 0 else (0 if c == 0 else n + 1 + c) for c in row]
-    # C: an n or n-bar sits at height 0 inside the block n-bar, n, ...,
-    # n-bar, n that starts at the first n-bar directly followed by n; any
-    # other n sits just below the axis and any other n-bar just above it
-    hs = [c - n - 1 if c > 0 else n + 1 + c for c in row]
+    """Heights of the east steps realizing this row, the inverse of
+    ``paths.east_labels``; unique by monotonicity.  In C an n or n-bar sits
+    at height 0 inside the block n-bar, n, ..., n-bar, n that starts at the
+    first n-bar directly followed by n."""
+    _require_model(t, "tableau")
+    n, bot, fam_c = t.rank, band(t)[0], t.family == "C"
+    hs = [letter_order(t, c) + bot + (1 if fam_c and c < 0 else 0) for c in row]
     m = len(row)
-    p = next((x for x in range(m - 1) if row[x] == -n and row[x + 1] == n), m)
-    while p + 1 < m and row[p] == -n and row[p + 1] == n:
-        hs[p] = hs[p + 1] = 0
-        p += 2
+    if fam_c:
+        p = next((x for x in range(m - 1) if row[x] == -n and row[x + 1] == n), m)
+        while p + 1 < m and row[p] == -n and row[p + 1] == n:
+            hs[p] = hs[p + 1] = 0
+            p += 2
     if any(hs[x] > hs[x + 1] for x in range(m - 1)):
         raise ValueError(f"row {row} is realized by no path in {t}")
     return hs

@@ -91,6 +91,39 @@ def test_sp_character_dimension_positive_and_grows_along_columns():
                 assert dims[grown] >= d
 
 
+def king_character_oracle(mu, n):
+    """sp_character by its own filler: King tableaux on 1 < 1' < ... < n < n',
+    encoded as 2(k-1) + primed, filled box by box (rows weak, columns
+    strict, row i at least i)."""
+    boxes = shape(mu).boxes()
+    filling: dict = {}
+    monomials = []
+
+    def rec(idx):
+        if idx == len(boxes):
+            monomials.append(RingElem.monomial((v // 2 + 1, 0, -1 if v % 2 else 1) for v in filling.values()))
+            return
+        i, j = boxes[idx]
+        left = filling.get((i, j - 1), 0)
+        above = filling.get((i - 1, j))
+        lo = max(left, above + 1 if above is not None else 0, 2 * (i - 1))
+        for v in range(lo, 2 * n):
+            filling[(i, j)] = v
+            rec(idx + 1)
+        filling.pop((i, j), None)
+
+    rec(0)
+    return RingElem.sum(monomials)
+
+
+def test_sp_character_matches_king_filler():
+    # the filtered type-A enumeration against the box-by-box King filler
+    cases = [(mu, n) for n in (1, 2, 3, 4) for mu in all_partitions(6, n)]
+    for mu, n in cases:
+        assert sp_character(mu, n) == king_character_oracle(mu, n), (mu, n)
+    assert len(cases) == 73
+
+
 def test_sp_character_weyl_symmetry():
     # invariant under z_k -> z_k^-1 separately in each variable
     for mu in [(2, 1), (3,), (1, 1)]:

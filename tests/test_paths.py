@@ -86,6 +86,14 @@ def test_labels_C_alternation():
     assert labs == [(-2, 0), (2, 2), (-2, 4), (-1, 6)]
 
 
+def test_labels_refuse_paths_off_the_band():
+    # a height outside the band has no letter: letters(t)[y - bot] would wrap
+    t = make_type("C", 2)
+    for p in (Path((0, -3), "EN"), Path((0, 2), "NE")):
+        with pytest.raises(ValueError, match="leaves the band of C2"):
+            east_labels(t, p)
+
+
 @pytest.mark.parametrize("fam,n", [("A", 2), ("A", 3), ("B", 2), ("C", 2), ("C", 3)])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_single_row_equals_h(fam, n, r):
@@ -218,6 +226,10 @@ def test_path_layer_refuses_type_D():
     for fn in (signed_path_sum, surviving_tuples_with_sum, nonintersecting_tuples, no_ordinary_tuples):
         with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
             fn(t, s)
+    # the labels gave D the C letters; read off letters(D3), a step at the top
+    # of the band would index past the alphabet
+    with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
+        east_labels(t, Path((0, -3), "NNNNNNE"))
 
 
 def test_is_transposed_fails_closed_on_ordinary_pair():

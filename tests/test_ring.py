@@ -3,6 +3,7 @@
 import itertools
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,6 +131,18 @@ def test_letters_order():
     for t in ALL_TYPES:
         orders = [letter_order(t, c) for c in letters(t)]
         assert orders == sorted(orders) == list(range(len(letters(t))))
+
+
+@pytest.mark.parametrize("fam", "ABCD")
+def test_letters_outside_the_alphabet_are_refused(fam):
+    # letter_order and the one membership check of f_hom's factors
+    for n in range(2 if fam == "D" else 1, 4):
+        t = make_type(fam, n)
+        outside = [-(n + 1), n + 2 if fam == "A" else n + 1] + ([] if fam == "B" else [0])
+        for c in outside:
+            for f in (letter_order, f_hom):
+                with pytest.raises(ValueError, match=f"letter {c} not in alphabet of {t}"):
+                    f(t, c)
 
 
 def test_letter_strings():

@@ -6,29 +6,29 @@ import pytest
 
 import qjt.tableaux as tableaux_module
 from qjt.jacobitrudi import chi_h
-from qjt.paths import no_ordinary_tuples, p_tilde
+from qjt.paths import _hpath_table, band, no_ordinary_tuples, p_tilde
 from qjt.ring import AlgType, RingElem, letter_str, letters, make_type
 from qjt.shapes import shape
 from qjt.tableaux import (
     RULESETS,
     Tableau,
+    _2col_ok,
     _Rows,
     _cmp,
+    _col_layout,
     _far_pairs,
     _h_ok,
     _h_triple_ok,
+    _path_word,
     _row_heights,
     _row_table,
     _v_ok,
     column_companions,
     enumerate_tableaux,
-    is_valid,
     path_tuple_to_tableau,
     resolve_ruleset,
-    satisfies_2col_rule,
     satisfies_2row_rule,
     satisfies_3row_rule,
-    satisfies_extra_rules,
     tableau_sum,
     tableau_to_path_tuple,
     tableaux_with_sum,
@@ -203,6 +203,8 @@ def test_tableau_layer_refuses_type_D():
     for f in (enumerate_tableaux, tableau_sum, tableaux_with_sum):
         with pytest.raises(ValueError, match="the tableau model covers types A, B and C, not D3"):
             f(t, s)
+    with pytest.raises(ValueError, match="the tableau model covers types A, B and C, not D3"):
+        _row_heights(t, (1, -1))
 
 
 @pytest.mark.parametrize("fam", ["A", "B", "C"])
@@ -367,6 +369,22 @@ def test_row_heights_closed_form_matches_search():
                     with pytest.raises(ValueError):
                         _row_heights(t, row)
     assert rows_seen == 48145
+
+
+@pytest.mark.parametrize("fam", ["A", "B", "C"])
+def test_row_heights_invert_the_path_labels(fam):
+    # the word of every h-path of width <= 3 gives back the heights of the
+    # path's east steps
+    seen = 0
+    for n in (1, 2, 3, 4):
+        t = make_type(fam, n)
+        bot = band(t)[0]
+        for r in range(4):
+            for rec in _hpath_table(t, r)[2]:
+                heights = [y for _x, y in rec.path.east_steps()]
+                assert _row_heights(t, _path_word(t, bot, rec.path.steps)) == heights, (t, rec.path)
+                seen += 1
+    assert seen == {"A": 121, "B": 388, "C": 318}[fam]
 
 
 def test_serialization():
@@ -610,7 +628,42 @@ def test_enumeration_golden(families, ruleset):
 
 # ---------------------------------------------------------------------------
 # The row-major cell search, kept verbatim as the oracle for the row tables
-# of qjt.tableaux.
+# of qjt.tableaux, and the whole-tableau rule checks that it and the other
+# tests read.
+
+
+def is_valid(t: AlgType, T: Tableau) -> bool:
+    """The family's horizontal and vertical rules (no extra rules), cell by
+    cell on a whole tableau."""
+    for i, j in T.shape.boxes():
+        c = T.entry(i, j)
+        r = T.entry(i, j + 1)
+        if r is not None:
+            if not _h_ok(t, c, r):
+                return False
+            ll = T.entry(i, j - 1)
+            if ll is not None and not _h_triple_ok(t, ll, c, r):
+                return False
+        dn = T.entry(i + 1, j)
+        if dn is not None and not _v_ok(t, c, dn, T.entry(i + 1, j - 1), r):
+            return False
+    return True
+
+
+def satisfies_2col_rule(t: AlgType, T: Tableau) -> bool:
+    """The two-column rule on every column of T."""
+    return _2col_ok(t, T.cells, _col_layout(T.shape.lam.parts, T.shape.mu.parts))
+
+
+def satisfies_extra_rules(t: AlgType, T: Tableau, ruleset: str) -> bool:
+    """The C extra rules of a resolved ruleset on a whole tableau."""
+    if ruleset == "hv" or t.family != "C":
+        return True
+    if ruleset == "rows":
+        return satisfies_2row_rule(t, T) and satisfies_3row_rule(t, T)
+    if ruleset == "columns":
+        return satisfies_2col_rule(t, T)
+    raise ValueError(f"unknown ruleset {ruleset!r}")
 
 
 def enumerate_tableaux_oracle(t: AlgType, s, ruleset: str = "auto"):
