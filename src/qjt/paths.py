@@ -149,6 +149,12 @@ def east_labels(t: AlgType, p: Path) -> list[tuple[int, int]]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _path_word(t: AlgType, y0: int, steps: str) -> tuple:
+    """The letters of the east steps of a path from height y0."""
+    return tuple(c for c, _s in east_labels(t, Path((0, y0), steps)))
+
+
 def path_weight(t: AlgType, p: Path, a_offset: int = 0) -> RingElem:
     return z_product(t, [(letter, shift + a_offset) for letter, shift in east_labels(t, p)])
 

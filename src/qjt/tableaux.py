@@ -58,8 +58,15 @@ a whole match of
 where escape a is a cell (r, j1+1) below (r+1, j1) in the letter order and
 escape b a cell (r+2, j0-1) above (r+1, j0).
 
+The two-column rule measures each bounding one-column pattern c_1..c_l of a
+column (``_is_bounding``) against companion letters d_1..d_l in closed form
+(``column_companions``): each inner pair (z, z-bar) moves up to the least
+free (s, s-bar) with s > z, then d lists the inner plain letters, (n-bar, n)
+and the inner barred letters, as a symplectic column splits (Sheats, Trans.
+AMS 1999; Lecouvey, J. Algebra 2002).  No path tuple is searched.
+
 A row's path reads its letters off its east-step heights
-(``paths.east_labels``); ``_row_heights`` reads the heights back off them.
+(``paths._path_word``); ``_row_heights`` reads the heights back off them.
 """
 
 from __future__ import annotations
@@ -69,8 +76,8 @@ from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .ring import AlgType, Placement, RingElem, delta, letter_order, letters, pack, z_product
-from .shapes import SkewShape, shape
-from .paths import Path, PathTuple, _require_model, _search, band, east_labels, endpoints, no_ordinary_tuples
+from .shapes import SkewShape
+from .paths import Path, PathTuple, _path_word, _require_model, _search, band, endpoints
 
 
 class Tableau(NamedTuple):
@@ -239,59 +246,51 @@ def _far_pairs(n: int, seg):
                     yield p, q
 
 
+def _is_bounding(t: AlgType, c: tuple) -> bool:
+    """Whether c is a bounding one-column pattern: c_1 in 1..n, length
+    l = n+2-c_1, c_l the bar of c_1, strictly increasing, and no far pair
+    but (c_1, c_l)."""
+    n = t.rank
+    if not (c and 1 <= c[0] <= n and len(c) == n + 2 - c[0] and c[-1] == -c[0] and set(c) <= set(letters(t))):
+        return False
+    return all(_cmp(t, x, y) < 0 for x, y in zip(c, c[1:])) and all(pq == (0, len(c) - 1) for pq in _far_pairs(n, c))
+
+
 def column_companions(t: AlgType, c: tuple) -> tuple:
     """The letters d_1..d_l attached to a bounding one-column pattern c.
 
-    The pattern has c_1 = n+2-l and c_l its bar, and every proper contiguous
-    piece obeys the one-column distance rule.  The d_i are read off the
-    unique one-transposed-pair tuple of one-box paths whose weight equals the
-    column's weight; the two paths of the transposed pair contribute n-bar
-    and n at the crossing.  Raises ValueError if c is not such a pattern.
+    Each plain z whose bar is also an inner letter (c_2..c_{l-1}) moves, in
+    increasing order, with its bar to the least s > z such that neither s
+    nor s-bar is in c or picked before.  (One exists: at most n-z-1 letters
+    lie between z and z-bar, which leaves more free values above z than
+    pairs above z.)  Then d is the inner plain letters in increasing order,
+    (n-bar, n), and the inner barred letters in alphabet order: the split
+    of a symplectic column (Sheats, Trans. AMS 1999; Lecouvey, J. Algebra
+    2002).  Raises ValueError if c is not a bounding pattern.
     """
-    # a plain function over the cached one, so that tracers which wrap module
-    # functions (perfbench) still see each call
-    return _column_companions(t, tuple(c))
-
-
-@lru_cache(maxsize=None)
-def _column_companions(t: AlgType, c: tuple) -> tuple:
-    n, l = t.rank, len(c)
-    target = z_product(t, [(c[i], -2 * i) for i in range(l)])
-    matches = [
-        pt
-        for pt in no_ordinary_tuples(t, shape([1] * l))
-        if len(pt.transposed_pairs(t)) == 1 and pt.weight(t, 0) == target
-    ]
-    k = max((i for i in range(l) if _cmp(t, c[i], n) <= 0), default=-1) + 1  # 1-based
-    # one east step per path, except none at row k and two at row k+1
-    labs = [east_labels(t, p) for p in matches[0].paths] if len(matches) == 1 else []
-    if [len(x) for x in labs] != [1] * (k - 1) + [0, 2] + [1] * (l - k - 1):
+    c = tuple(c)
+    if not _is_bounding(t, c):
         raise ValueError(f"{c} is not a bounding one-column pattern of {t}")
-    return tuple(-n if i == k - 1 else n if i == k else labs[i][0][0] for i in range(l))
+    n, inner = t.rank, list(c[1:-1])
+    taken = {abs(x) for x in c}
+    for z in sorted(x for x in inner if x > 0 and -x in inner):
+        s = min(set(range(z + 1, n + 1)) - taken)
+        taken.add(s)
+        inner[inner.index(z)], inner[inner.index(-z)] = s, -s
+    # the bars -n..-1 in increasing order are the alphabet order n-bar..1-bar
+    return tuple(sorted(x for x in inner if x > 0)) + (-n, n) + tuple(sorted(x for x in inner if x < 0))
 
 
 @lru_cache(maxsize=None)
 def _bounding_patterns(t: AlgType, seg: tuple) -> tuple:
-    """(p, k, d) for each bounding one-column pattern seg[p:p+l] of a column:
-    c_1 = seg[p] in 1..n, c_l = seg[p+l-1] its bar with l = n+2-c_1, strictly
-    increasing, and every proper contiguous piece obeys the one-column rule.
-    k counts its letters up to n and d = column_companions of it."""
+    """(p, k, d) for each bounding one-column pattern c = seg[p:p+l] of a
+    column: k counts its letters up to n and d = column_companions(c)."""
     n = t.rank
     out = []
     for p, c1 in enumerate(seg):
-        if not (1 <= c1 <= n):
-            continue
-        l = n + 2 - c1
-        q = p + l - 1
-        if q >= len(seg) or seg[q] != -c1:
-            continue
-        sub = seg[p : q + 1]
-        if any(_cmp(t, sub[m], sub[m + 1]) >= 0 for m in range(l - 1)):
-            continue
-        if any(pq != (0, l - 1) for pq in _far_pairs(n, sub)):
-            continue
-        k = max(i for i in range(l) if _cmp(t, sub[i], n) <= 0) + 1
-        out.append((p, k, column_companions(t, sub)))
+        c = seg[p : p + n + 2 - c1] if 1 <= c1 <= n else ()
+        if _is_bounding(t, c):
+            out.append((p, sum(x > 0 for x in c), column_companions(t, c)))
     return tuple(out)
 
 
@@ -514,12 +513,6 @@ def path_tuple_to_tableau(t: AlgType, pt: PathTuple) -> Tableau:
     if pt.pi != tuple(range(len(pt.pi))):
         raise ValueError(f"rows permuted by {pt.to_json_obj()['pi']}; no tableau attached")
     return Tableau(pt.shape, tuple(_path_word(t, p.start[1], p.steps) for p in pt.paths))
-
-
-@lru_cache(maxsize=None)
-def _path_word(t: AlgType, y0: int, steps: str) -> tuple:
-    """The letters of the east steps of a path from height y0."""
-    return tuple(c for c, _s in east_labels(t, Path((0, y0), steps)))
 
 
 def _row_heights(t: AlgType, row: tuple) -> list[int]:

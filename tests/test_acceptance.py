@@ -186,23 +186,22 @@ def test_criterion_06_tableaux_C_covered_classes():
 
 
 def test_criterion_07_two_column_conjecture_evidence():
-    # evidence run, non-gating: 5-row two-column shapes at rank 4
-    t = make_type("C", 4)
-    mismatches = []
-    shapes = [
-        s
-        for lam in all_partitions(10, 5, 2)
-        if len(lam) == 5
-        for s in [shape(lam)]
+    # evidence run, non-gating: 5-row two-column shapes at rank 4 against
+    # chi_h, and 6-row ones at rank 5 against chi_e (= chi_h by criterion 2;
+    # chi_h of these shapes takes far longer)
+    cases = [
+        (make_type("C", 4), chi_h, [shape(lam) for lam in all_partitions(10, 5, 2) if len(lam) == 5]),
+        (make_type("C", 5), chi_e, [shape((2,) * a + (1,) * (6 - a)) for a in range(7)]),
     ]
-    for s in shapes:
-        if tableau_sum(t, s, 0, "columns") != chi_h(t, s):
-            mismatches.append(repr(s))
+    mismatches = [
+        (str(t), repr(s)) for t, chi, shapes in cases for s in shapes if tableau_sum(t, s, 0, "columns") != chi(t, s)
+    ]
     line = (
-        f"{len(shapes)} shapes checked, "
+        " and ".join(f"{len(shapes)} {t} shapes" for t, _chi, shapes in cases)
+        + " checked, "
         + (f"mismatches logged: {mismatches}" if mismatches else "no mismatches")
     )
-    report(7, "two-column rule evidence at 5 rows, rank 4 (non-gating)", [], line)
+    report(7, "two-column rule evidence at 5 rows, rank 4 (vs chi_h) and 6 rows, rank 5 (vs chi_e) (non-gating)", [], line)
 
 
 def _roundtrip_ok(t, s):

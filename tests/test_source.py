@@ -50,3 +50,20 @@ def test_packed_layout_stays_in_the_ring():
             elif isinstance(node, ast.Attribute) and node.attr in fields:
                 found.append(f"{name}:{node.lineno}:.{node.attr}")
     assert found == []
+
+
+def test_tableaux_runs_no_path_tuple_search():
+    # the tableau layer computes from letters: it neither enumerates path
+    # tuples nor labels path steps (the companion letters are a closed form)
+    banned = {
+        "nonintersecting_tuples", "no_ordinary_tuples", "p_k_tuples", "p_tilde",
+        "surviving_tuples_with_sum", "signed_path_sum", "east_labels",
+    }
+    tree = dict(modules())["tableaux.py"]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{node.lineno}:{a.name}" for a in node.names if a.name in banned]
+        elif isinstance(node, ast.Name) and node.id in banned or isinstance(node, ast.Attribute) and node.attr in banned:
+            found.append(f"{node.lineno}:{ast.unparse(node)}")
+    assert found == []

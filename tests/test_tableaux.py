@@ -6,8 +6,8 @@ import pytest
 
 import qjt.tableaux as tableaux_module
 from qjt.jacobitrudi import chi_h
-from qjt.paths import _hpath_table, band, no_ordinary_tuples, p_tilde
-from qjt.ring import AlgType, RingElem, letter_str, letters, make_type
+from qjt.paths import _hpath_table, _path_word, band, east_labels, no_ordinary_tuples, p_tilde
+from qjt.ring import AlgType, RingElem, letter_str, letters, make_type, z_product
 from qjt.shapes import shape
 from qjt.tableaux import (
     RULESETS,
@@ -19,7 +19,6 @@ from qjt.tableaux import (
     _far_pairs,
     _h_ok,
     _h_triple_ok,
-    _path_word,
     _row_heights,
     _row_table,
     _v_ok,
@@ -75,8 +74,6 @@ def test_entry_and_weight():
     assert tab.entry(2, 2) == 3
     assert tab.entry(3, 1) is None
     # weight = z_{1,2} z_{2,4} z_{2,-2} z_{3,0}
-    from qjt.ring import z_product
-
     assert tab.weight(t, 0) == z_product(t, [(1, 2), (2, 4), (2, -2), (3, 0)])
 
 
@@ -157,24 +154,51 @@ def test_1col_rule():
     assert satisfies_1col_rule(t, col("1", "2", "2b"))
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_column_companions_table(n):
-    t = make_type("C", n)
-    b = lambda k: -k
-    cases = [
-        ((n, b(n)), (b(n), n)),
-        ((n - 1, n, b(n - 1)), (n, b(n), n)),
-        ((n - 1, b(n), b(n - 1)), (b(n), n, b(n))),
-        ((n - 2, n - 1, n, b(n - 2)), (n - 1, n, b(n), n)),
-        ((n - 2, n - 1, b(n), b(n - 2)), (n - 1, b(n), n, b(n))),
-        ((n - 2, n - 1, b(n - 1), b(n - 2)), (n, b(n), n, b(n))),
-        ((n - 2, n, b(n - 1), b(n - 2)), (n, b(n), n, b(n - 1))),
-        ((n - 2, b(n), b(n - 1), b(n - 2)), (b(n), n, b(n), b(n - 1))),
+def companions_oracle(t: AlgType, c: tuple) -> tuple:
+    """column_companions by search: the letters of the unique tuple of
+    one-box paths with one transposed pair whose weight is the column's; the
+    two paths of the pair contribute n-bar and n at the crossing."""
+    n, l = t.rank, len(c)
+    target = z_product(t, [(c[i], -2 * i) for i in range(l)])
+    matches = [
+        pt
+        for pt in no_ordinary_tuples(t, shape([1] * l))
+        if len(pt.transposed_pairs(t)) == 1 and pt.weight(t, 0) == target
     ]
-    for c, want in cases:
-        if any(abs(x) < 1 for x in c):
-            continue
-        assert column_companions(t, c) == want, c
+    k = max((i for i in range(l) if _cmp(t, c[i], n) <= 0), default=-1) + 1  # 1-based
+    # one east step per path, except none at row k and two at row k+1
+    labs = [east_labels(t, p) for p in matches[0].paths] if len(matches) == 1 else []
+    if [len(x) for x in labs] != [1] * (k - 1) + [0, 2] + [1] * (l - k - 1):
+        raise ValueError(f"{c} is not a bounding one-column pattern of {t}")
+    return tuple(-n if i == k - 1 else n if i == k else labs[i][0][0] for i in range(l))
+
+
+def bounding_patterns(t: AlgType) -> list[tuple]:
+    """Every bounding one-column pattern of t: c_1 in 1..n, l = n+2-c_1
+    strictly increasing letters up to c_1-bar, no far pair but (c_1, c_l)."""
+    n = t.rank
+    out = []
+    for c1 in range(1, n + 1):
+        l = n + 2 - c1
+        between = [x for x in letters(t) if _cmp(t, c1, x) < 0 < _cmp(t, -c1, x)]
+        for inner in itertools.combinations(between, l - 2):
+            c = (c1, *inner, -c1)
+            if all(pq == (0, l - 1) for pq in _far_pairs(n, c)):
+                out.append(c)
+    return out
+
+
+def test_column_companions_match_the_search():
+    # the closed form against the one-transposed-pair search on every
+    # bounding pattern up to rank 5
+    seen = []
+    for n in (2, 3, 4, 5):
+        t = make_type("C", n)
+        patterns = bounding_patterns(t)
+        seen.append(len(patterns))
+        for c in patterns:
+            assert column_companions(t, c) == companions_oracle(t, c), (t, c)
+    assert seen == [3, 8, 22, 64]
 
 
 def test_ruleset_resolution():
@@ -387,6 +411,24 @@ def test_row_heights_invert_the_path_labels(fam):
     assert seen == {"A": 121, "B": 388, "C": 318}[fam]
 
 
+def test_hpath_and_row_tables_agree():
+    # the h-paths of width r and the rows of length r, tabulated apart, are
+    # one list: path i reads row word i, and both have one packed key
+    seen = 0
+    for fam, ranks in (("A", (1, 2, 3, 4)), ("B", (1, 2, 3, 4)), ("C", (2, 3, 4))):
+        for n in ranks:
+            t = make_type(fam, n)
+            bot = band(t)[0]
+            for r in range(6):
+                pw, pb, recs = _hpath_table(t, r)
+                w, b, words, keys = _row_table(t, r)
+                assert [_path_word(t, bot, rec.path.steps) for rec in recs] == list(words), (t, r)
+                assert (pw, pb) == (w, b), (t, r)
+                assert [rec.key for rec in recs] == list(keys), (t, r)
+                seen += 1
+    assert seen == 66
+
+
 def test_serialization():
     t, tab = T(("C", 2), (2, 1), (), [["1", "2b"], ["2"]])
     obj = tableau_json(tab)
@@ -428,8 +470,19 @@ def test_tableau_to_path_tuple_fails_closed_on_short_row():
 
 def test_column_companions_fails_closed():
     t = make_type("C", 3)
-    with pytest.raises(ValueError, match="not a bounding one-column pattern"):
-        column_companions(t, (1, 2))
+    refused = [
+        (1, 2),
+        (1, 3, 2, -1),  # not increasing
+        (1, 3, -3, -1),  # a far inner pair
+        (2, -2),  # too short
+        (2, 3, -3, -2),  # too long
+        (3, -3, 3),  # the last letter is not the bar of the first
+        (0, 1),  # a letter outside the alphabet
+        (1, 2, 4, -1),  # an inner letter outside the alphabet
+    ]
+    for c in refused:
+        with pytest.raises(ValueError, match="not a bounding one-column pattern"):
+            column_companions(t, c)
     assert error_under_O(
         "from qjt.ring import make_type; from qjt.tableaux import column_companions; "
         "column_companions(make_type('C', 3), (1, 2))"
