@@ -17,7 +17,8 @@ moves lo and shares the key dict.  Operands of +, * and == are aligned first
 Each element tracks a bound on its exponents; when a product could exceed
 the digit range, the operands are re-encoded at twice the width, so a digit
 never wraps.  Sums and products are accumulated in one fresh dict
-(``RingElem.sum``, ``RingElem.sum_products``); no stored dict is ever
+(``RingElem.sum``, ``RingElem.sum_products``, ``RingElem.determinant``), the
+products by one pair loop (``_add_product``); no stored dict is ever
 mutated, so shifted elements may share one.  The (i, s, e) tuple form,
 ``RingElem.terms``, is decoded only when read (text, JSON, classical
 projection) and cached.
@@ -65,13 +66,14 @@ def delta(t: AlgType) -> int:
     return 2 if t.family == "B" else 1
 
 
-def letters(t: AlgType) -> list[int]:
+@lru_cache(maxsize=None)
+def letters(t: AlgType) -> tuple[int, ...]:
     """The alphabet in increasing order: 1 < ... < n+1 for A, else
     1 < ... < n (< 0 for B) < n-bar < ... < 1-bar."""
     n = t.rank
     if t.family == "A":
-        return list(range(1, n + 2))
-    return list(range(1, n + 1)) + ([0] if t.family == "B" else []) + list(range(-n, 0))
+        return tuple(range(1, n + 2))
+    return (*range(1, n + 1), *((0,) if t.family == "B" else ()), *range(-n, 0))
 
 
 @lru_cache(maxsize=None)
@@ -195,23 +197,54 @@ class RingElem:
 
     @staticmethod
     def sum_products(triples: Iterable[tuple[int, "RingElem", "RingElem"]]) -> "RingElem":
-        """sum of c * a * b over (c, a, b), accumulated in one new dict: the
-        ring's only multiplication."""
+        """sum of c * a * b over (c, a, b), accumulated in one new dict by
+        ``_add_product``, the pair loop that the determinant shares."""
         triples = [(c, x, y) for c, x, y in triples if c and x._keys and y._keys]
         bound = max((x._b + y._b for _, x, y in triples), default=0)
         keys, lo, n, w = _align([z for _, x, y in triples for z in (x, y)], bound)
         acc: dict = {}
-        get = acc.get
         for (c, _x, _y), ka, kb in zip(triples, keys[0::2], keys[1::2]):
-            if len(ka) > len(kb):
-                ka, kb = kb, ka
-            items = kb.items()
-            for k1, c1 in ka.items():
-                c1 *= c
-                for k2, c2 in items:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + c1 * c2
+            _add_product(acc, c, ka, kb)
         return RingElem._make({k: v for k, v in acc.items() if v}, lo, n, w, bound)
+
+    @staticmethod
+    def determinant(matrix: list[list["RingElem"]]) -> "RingElem":
+        """Exact determinant of a square matrix by cofactor expansion along
+        the rows; the ring has no division, so elimination is not an option.
+
+        All entries are aligned once, in a width that holds the sum over the
+        rows of the row's largest exponent bound, which bounds every product
+        in the expansion.  The minor on the last len(cols) rows and the
+        columns cols is a key dict memoized by cols; a last-row minor is its
+        entry's own dict, and zero entries and minors are skipped.
+        """
+        l = len(matrix)
+        if any(len(row) != l for row in matrix):
+            raise ValueError(f"determinant of a non-square matrix: row lengths {[len(row) for row in matrix]}")
+        if l == 0:
+            return ONE
+        bound = sum(max((x._b for x in row if x._keys), default=0) for row in matrix)
+        keys, lo, n, w = _align([x for row in matrix for x in row], bound)
+        rows = [keys[i * l : (i + 1) * l] for i in range(l)]
+        last = rows[-1]
+        memo: dict[tuple, dict] = {}
+
+        def minor(cols: tuple) -> dict:
+            if len(cols) == 1:
+                return last[cols[0]]
+            out = memo.get(cols)
+            if out is None:
+                row = rows[l - len(cols)]
+                acc: dict = {}
+                for pos, j in enumerate(cols):
+                    if row[j]:
+                        sub = minor(cols[:pos] + cols[pos + 1 :])
+                        if sub:
+                            _add_product(acc, -1 if pos % 2 else 1, row[j], sub)
+                out = memo[cols] = {k: c for k, c in acc.items() if c}
+            return out
+
+        return RingElem._make(minor(tuple(range(l))), lo, n, w, bound)
 
     # -- ring operations
 
@@ -352,6 +385,20 @@ def _digits(key: int, w: int) -> list[int]:
 def _is_const(x: RingElem) -> bool:
     keys = x._keys
     return not keys or (len(keys) == 1 and 0 in keys)
+
+
+def _add_product(acc: dict, c: int, ka: dict, kb: dict):
+    """acc += c * ka * kb for key dicts in one layout, the smaller operand
+    in the outer loop: the ring's one pair-product loop."""
+    if len(ka) > len(kb):
+        ka, kb = kb, ka
+    get = acc.get
+    items = kb.items()
+    for k1, c1 in ka.items():
+        c1 *= c
+        for k2, c2 in items:
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
 
 
 def _align(elems, bound: int) -> tuple[list[dict], int, int, int]:

@@ -1,11 +1,16 @@
 """Determinant characters: pinned values and h/e self-consistency."""
 
+import itertools
 import random
 
+import pytest
+
 from qjt.jacobitrudi import chi_e, chi_h, determinant
-from qjt.ring import ONE, ZERO, letters, make_type, f_hom, y_monomial
+from qjt.ring import ONE, ZERO, RingElem, letters, make_type, f_hom, y_monomial
 from qjt.series import e_coeff, h_coeff
 from qjt.shapes import shape
+
+from optimized import error_under_O
 
 A2 = make_type("A", 2)
 C2 = make_type("C", 2)
@@ -25,6 +30,85 @@ def test_determinant_basics():
         term = m[0][perm[0]] * m[1][perm[1]] * m[2][perm[2]]
         leib = leib + (term if sgn == 1 else -term)
     assert determinant(m) == leib
+
+
+def leibniz_terms(matrix):
+    """The determinant's terms by the Leibniz sum, on decoded terms with
+    dict arithmetic: no packed key is read."""
+    acc = {}
+    for perm in itertools.permutations(range(len(matrix))):
+        sign = (-1) ** sum(perm[a] > perm[b] for a in range(len(perm)) for b in range(a + 1, len(perm)))
+        prods = {(): sign}
+        for row, j in zip(matrix, perm):
+            nxt = {}
+            for m1, c1 in prods.items():
+                for m2, c2 in row[j].terms.items():
+                    exps = {}
+                    for i, s, e in m1 + m2:
+                        exps[(i, s)] = exps.get((i, s), 0) + e
+                    m = tuple(sorted((i, s, e) for (i, s), e in exps.items() if e))
+                    nxt[m] = nxt.get(m, 0) + c1 * c2
+            prods = nxt
+        for m, c in prods.items():
+            acc[m] = acc.get(m, 0) + c
+    return {m: c for m, c in acc.items() if c}
+
+
+def random_entry(rng):
+    """A random element in its own layout: base shift, stride (indices up to
+    4) and width (an exponent of 130 needs 16 bits) vary, and constants and
+    zeros, one of them a cancelled element with a layout, appear.  Exponents
+    of 70 fit 8 bits alone but not in a product of two rows."""
+    kind = rng.random()
+    if kind < 0.1:
+        return ZERO
+    if kind < 0.2:
+        return ONE
+    if kind < 0.3:
+        return RingElem.const(rng.choice((-2, -1, 2, 3)))
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        factors = {}
+        for _ in range(rng.randint(0, 3)):
+            big = rng.choice((70, 130)) if rng.random() < 0.15 else 1
+            factors[(rng.randint(1, 4), rng.randint(-2, 2))] = rng.choice((-2, -1, 1, 2, big))
+        terms[tuple(sorted((i, s, e) for (i, s), e in factors.items()))] = rng.choice((-3, -1, 1, 2))
+    x = RingElem(terms).shift_spectral(rng.randint(-3, 3))
+    return x - x if kind < 0.35 else x
+
+
+def test_determinant_matches_leibniz_on_mixed_layouts():
+    rng = random.Random(20261018)
+    for l in range(5):
+        for _ in range(12 if l < 4 else 6):
+            matrix = [[random_entry(rng) for _ in range(l)] for _ in range(l)]
+            before = [[RingElem(x.terms) for x in row] for row in matrix]
+            assert determinant(matrix).terms == leibniz_terms(matrix), matrix
+            assert matrix == before  # no entry's keys were mutated
+    for e in (70, 130):
+        big = RingElem.monomial([(1, 0, e)])
+        x, y = y_monomial(4, -3), RingElem.monomial([(2, 5, -e)]).shift_spectral(1)
+        assert determinant([[big, x], [y, big]]).terms == leibniz_terms([[big, x], [y, big]])
+
+
+@pytest.mark.parametrize("matrix", [
+    [[y_monomial(1, 0), y_monomial(2, 1)]],
+    [[y_monomial(1, 0)], [y_monomial(2, 1)]],
+    [[ONE, ZERO], [ONE]],
+    [[], []],
+])
+def test_determinant_refuses_a_non_square_matrix(matrix):
+    with pytest.raises(ValueError, match="non-square"):
+        determinant(matrix)
+
+
+def test_determinant_refuses_a_non_square_matrix_under_O():
+    assert error_under_O(
+        "from qjt.jacobitrudi import determinant; from qjt.ring import ONE; determinant([[ONE, ONE]])"
+    ).startswith("ValueError: determinant of a non-square matrix: row lengths [2]")
+    assert error_under_O(
+        "from qjt.jacobitrudi import determinant; from qjt.ring import ONE; determinant([[ONE], [ONE]])"
+    ).startswith("ValueError: determinant of a non-square matrix: row lengths [1, 1]")
 
 
 def test_single_row_and_column():
@@ -78,7 +162,7 @@ def random_skew(rng, max_len=4, max_part=4):
 
 def test_chi_h_equals_chi_e_random():
     rng = random.Random(20260826)
-    for fam in "ABC":
+    for fam in "ABCD":
         for n in (2, 3):
             t = make_type(fam, n)
             for _ in range(8):

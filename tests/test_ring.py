@@ -125,9 +125,9 @@ def g_hom_composite(t: AlgType, which: str, shift: int, exponent: int) -> RingEl
 
 
 def test_letters_order():
-    assert letters(A2) == [1, 2, 3]
-    assert letters(B2) == [1, 2, 0, -2, -1]
-    assert letters(C2) == [1, 2, -2, -1]
+    assert letters(A2) == (1, 2, 3)
+    assert letters(B2) == (1, 2, 0, -2, -1)
+    assert letters(C2) == (1, 2, -2, -1)
     for t in ALL_TYPES:
         orders = [letter_order(t, c) for c in letters(t)]
         assert orders == sorted(orders) == list(range(len(letters(t))))
