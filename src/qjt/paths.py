@@ -19,23 +19,38 @@ path its steps, its point set as an int bitmask (bit (x - x0) * h + y - y0 for
 the point (x, y) in a frame with origin (x0, y0) and h heights), its
 leftmost x at height 0, and its weight as one key from ``ring.pack``.
 
-A tuple enumeration (``_Frame``) reads the table of each endpoint pair (row
-i, destination j) in place.  Seen from row k, a path of row i lies
-d = ux_i - ux_k further east: its mask shifts by d * h bits and its height-0 x
-by d.  Two paths are disjoint when their masks share no bit, specially
+A path's points are walked off its steps once, into one bounded cached
+geometry record (``_geometry``): the points, a point -> index map, the
+least and greatest x at each height, the end point, and the point mask in
+the path's own frame.  ``Path.points``, the records of ``classify_pair``
+and ``PathTuple.transposed_pairs`` (the mask moved into their frame) and
+the probes of ``qjt.resolutions`` read it.  ``Path.end`` counts the steps
+instead: most paths asked only for their end, such as the paths that a
+tableau gives, are never probed, and a record would cost them more.
+
+Two paths are disjoint when their masks share no bit, specially
 intersecting when every shared bit is at height 0 (for C also the leftmost
 height-0 x's differ by an odd number), and ordinarily intersecting
-otherwise; the verdicts on one path against a later row's list form one
-bitmask.  A signed path sum moves row i's keys by 2 delta ux_i spectral steps
-through the shape's ``ring.Placement``, adds the keys of
-each tuple into one dict with the sign of its permutation as the
-coefficient, and has the placement read the dict as one ``RingElem``.
+otherwise; the verdicts on one path against a list form one bitmask.  A
+tuple enumeration (``_Frame``) reads the table of each endpoint pair (row
+i, destination j) in place.  Seen from row k > i, a path of row i lies
+d = ux_i - ux_k further east, and the verdicts on table path c of width
+r_i, moved d east, against the table of width r_k depend only on (type,
+r_i, r_k, d, c): they are built on first use and cached across shapes
+(``_pair_masks``), as ``tableaux._below`` is for rows.  The depth-first
+search (``_search``) carries the key of each prefix, every row's weight
+key moved by 2 delta ux_i spectral steps through the shape's
+``ring.Placement``, and yields each tuple with its key.  A signed path sum
+adds the key of each tuple into one dict with the sign of its permutation
+as the coefficient, and has the placement read the dict as one
+``RingElem``.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import and_
 from typing import NamedTuple
 
 from .ring import AlgType, Placement, RingElem, delta, letters, pack, z_product
@@ -48,11 +63,12 @@ class Path(NamedTuple):
 
     @property
     def end(self) -> tuple[int, int]:
-        x, y = self.start
-        return (x + self.steps.count("E"), y + self.steps.count("N"))
+        x, y = self.start  # counted: see the module docstring
+        east = self.steps.count("E")
+        return (x + east, y + len(self.steps) - east)
 
     def points(self) -> tuple[tuple[int, int], ...]:
-        return _points(self.start, self.steps)
+        return _geometry(self).points
 
     def east_steps(self) -> list[tuple[int, int]]:
         """Start points (x, y) of the eastward steps, in path order."""
@@ -70,19 +86,40 @@ class Path(NamedTuple):
         return f"({self.start[0]},{self.start[1]}):{self.steps}"
 
 
-# bounded: the h-path tables read each of their paths' points once, while the
+class _Geometry(NamedTuple):
+    """A path's points and what is read off them.  With (x0, y0) the start,
+    left[y - y0] and right[y - y0] are the least and the greatest x at
+    height y, and mask has bit (x - x0) * h + y - y0 for each point (x, y),
+    h being the number of heights the path spans."""
+
+    points: tuple[tuple[int, int], ...]
+    index: dict  # point -> its index in points
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    end: tuple[int, int]
+    mask: int
+
+
+# bounded: the h-path tables read each of their paths once, while the
 # resolution maps probe the few paths of one tuple many times
 @lru_cache(maxsize=256)
-def _points(start: tuple[int, int], steps: str) -> tuple[tuple[int, int], ...]:
-    x, y = start
-    pts = [(x, y)]
-    for s in steps:
+def _geometry(p: Path) -> _Geometry:
+    x, y = x0, y0 = p.start
+    pts, left, right = [(x, y)], [x], []
+    for s in p.steps:
         if s == "E":
             x += 1
         else:
+            right.append(x)
             y += 1
+            left.append(x)
         pts.append((x, y))
-    return tuple(pts)
+    right.append(x)
+    h = y - y0 + 1
+    mask = 0
+    for px, py in pts:
+        mask |= 1 << ((px - x0) * h + py - y0)
+    return _Geometry(tuple(pts), {q: m for m, q in enumerate(pts)}, tuple(left), tuple(right), (x, y), mask)
 
 
 def band(t: AlgType) -> tuple[int, int]:
@@ -165,24 +202,26 @@ def path_weight(t: AlgType, p: Path, a_offset: int = 0) -> RingElem:
 
 class _Rec(NamedTuple):
     """A path in a frame: its point set as a bitmask, its leftmost x at
-    height 0 (None if it never gets there), its end x and its packed weight
-    key (0 where no weight is needed)."""
+    height 0 (None if it never gets there) and its end x."""
 
     path: Path
     mask: int
     zx: int | None
     vx: int
-    key: int
 
 
-def _rec(p: Path, x0: int, y0: int, h: int, key: int = 0) -> _Rec:
-    """The record of p in the frame with origin (x0, y0) and h heights."""
-    pts = p.points()
-    mask = 0
-    for x, y in pts:
-        mask |= 1 << ((x - x0) * h + y - y0)
-    zx = next((x for x, y in pts if y == 0), None)
-    return _Rec(p, mask, zx, pts[-1][0], key)
+def _rec(p: Path, x0: int, y0: int, h: int) -> _Rec:
+    """The record of p in the frame with origin (x0, y0) and h heights: the
+    geometry's mask moved there, or laid out again where p spans fewer
+    heights than the frame."""
+    g = _geometry(p)
+    (sx, sy), (vx, vy) = p.start, g.end
+    if vy - sy + 1 == h:  # then sy == y0
+        mask = g.mask << (sx - x0) * h
+    else:
+        mask = sum(1 << ((x - x0) * h + y - y0) for x, y in g.points)
+    zx = g.left[-sy] if sy <= 0 <= vy else None
+    return _Rec(p, mask, zx, vx)
 
 
 def _zero_row(x0: int, x1: int, y0: int, h: int) -> int:
@@ -223,7 +262,7 @@ def _transposed(x1: int, v1: int, x2: int, v2: int) -> bool:
 def _bare_records(paths) -> tuple[list[_Rec], int]:
     """Records of arbitrary paths in a frame that spans them all, and the
     frame's height-0 bits."""
-    ends = [p.end for p in paths]
+    ends = [_geometry(p).end for p in paths]
     x0 = min(p.start[0] for p in paths)
     y0 = min(p.start[1] for p in paths)
     h = max(y for _x, y in ends) - y0 + 1
@@ -255,15 +294,27 @@ def is_transposed(t: AlgType, p: Path, q: Path) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _hpath_table(t: AlgType, r: int) -> tuple[int, int, tuple[_Rec, ...]]:
-    """(w, b, records) of the h-paths from (0, bot) to (r, top), in
+def _hpath_table(t: AlgType, r: int) -> tuple[int, int, tuple[_Rec, ...], tuple[int, ...]]:
+    """(w, b, records, keys) of the h-paths from (0, bot) to (r, top), in
     enumeration order.  Each record is in the frame with origin (0, bot)
-    and the band's height; its key is the path's weight from ``pack``, at
+    and the band's height; keys are the paths' weights from ``pack``, at
     width w, and b bounds every exponent of a weight."""
     bot, top = band(t)
     paths = enumerate_hpaths(t, (0, bot), (r, top))
     w, b, keys = pack(t, (path_weight(t, p) for p in paths))
-    return w, b, tuple(_rec(p, 0, bot, top - bot + 1, key) for p, key in zip(paths, keys))
+    return w, b, tuple(_rec(p, 0, bot, top - bot + 1) for p in paths), keys
+
+
+@lru_cache(maxsize=None)
+def _pair_masks(t: AlgType, ri: int, rk: int, d: int, c: int) -> tuple[int, int]:
+    """(disjoint, special) bitmasks over the h-paths of width rk of the
+    paths that h-path c of width ri, moved d >= 0 columns east, misses and
+    meets specially (see _classes), built on first use and cached across
+    shapes: the path layer's counterpart of ``tableaux._below``."""
+    bot, top = band(t)
+    h = top - bot + 1
+    a = _hpath_table(t, ri)[2][c]
+    return _classes(t.family, a.mask << d * h, a.zx + d, _hpath_table(t, rk)[2], _zero_row(0, rk, bot, h))
 
 
 # ---------------------------------------------------------------------------
@@ -329,51 +380,46 @@ def endpoints(t: AlgType, s: SkewShape) -> tuple[tuple, tuple]:
 class _Frame:
     """The h-path tables of a shape's endpoint pairs, read in place.
 
-    cands[i][j] is the table of the paths from us[i] to vs[j], kept in its
-    own frame (origin (0, bot)).  A path of row i seen from row k lies
-    ux[i] - ux[k] further east: its mask shifts by that many columns of h
-    bits and its height-0 x by that much.  Its weight key moves 2 delta ux[i]
-    spectral steps through the placement, whose width holds the exponents
-    of any tuple.
+    cands[i][j] is the table of the paths from us[i] to vs[j], of width
+    widths[i][j], kept in its own frame (origin (0, bot)).  A path of row i
+    seen from row k > i lies ux[i] - ux[k] > 0 columns further east, so the
+    pair tests read _pair_masks.  keys[i][j] holds the weight keys of
+    cands[i][j] at the placement's width, which holds the exponents of any
+    tuple; the search moves row i's keys 2 delta ux[i] spectral steps.
     """
 
     def __init__(self, t: AlgType, s: SkewShape):
         _require_model(t, "path")
         self.t, self.s = t, s
         self.us, vs = endpoints(t, s)
-        bot, top = band(t)
-        self.h = top - bot + 1
         self.ux = [u[0] for u in self.us]
-        widths = [[v[0] - u[0] for v in vs] for u in self.us]
+        self.widths = widths = [[v[0] - u[0] for v in vs] for u in self.us]
         tabs = {r: _hpath_table(t, r) for row in widths for r in row if r >= 0}
         bound = sum(max((tabs[r][1] for r in row if r >= 0), default=0) for row in widths)
         self.place = place = Placement(t, bound, [2 * delta(t) * x for x in self.ux])
-        recs = {r: tab[2] for r, tab in tabs.items()}
-        for r, (w, _b, rs) in tabs.items():
-            if w != place.w:  # packed narrower than this shape needs
-                recs[r] = tuple(a._replace(key=k) for a, k in zip(rs, place.recode(w, tuple(a.key for a in rs))))
-        self.cands = [[recs[r] if r >= 0 else () for r in row] for row in widths]
-        self.zero = _zero_row(0, max((r for row in widths for r in row), default=0), bot, self.h)
+        # recoded where a table is packed narrower than this shape needs
+        keys = {r: place.recode(w, ks) for r, (w, _b, _rs, ks) in tabs.items()}
+        self.cands = [[tabs[r][2] if r >= 0 else () for r in row] for row in widths]
+        self.keys = [[keys[r] if r >= 0 else () for r in row] for row in widths]
 
-    def _classes(self, i: int, a: _Rec, k: int, recs) -> tuple[int, int]:
-        d = self.ux[i] - self.ux[k]
-        return _classes(self.t.family, a.mask << (d * self.h), a.zx + d, recs, self.zero)
+    # Pair tests: the bitmask of row k's candidates that may follow
+    # candidate c of row i < k, the rows running to vs[pi[.]].
 
-    # Pair tests: the bitmask of row k's candidates recs that may follow the
-    # candidate a of row i.
+    def _masks(self, pi, i: int, c: int, k: int) -> tuple[int, int]:
+        return _pair_masks(self.t, self.widths[i][pi[i]], self.widths[k][pi[k]], self.ux[i] - self.ux[k], c)
 
-    def disjoint(self, i: int, a: _Rec, k: int, recs) -> int:
-        return self._classes(i, a, k, recs)[0]
+    def disjoint(self, pi, i: int, c: int, k: int) -> int:
+        return self._masks(pi, i, c, k)[0]
 
-    def no_ordinary(self, i: int, a: _Rec, k: int, recs) -> int:
-        disjoint, special = self._classes(i, a, k, recs)
+    def no_ordinary(self, pi, i: int, c: int, k: int) -> int:
+        disjoint, special = self._masks(pi, i, c, k)
         return disjoint | special
 
-    def untransposed(self, i: int, a: _Rec, k: int, recs) -> int:
-        # all of recs end at one x
-        if _transposed(self.ux[i], self.ux[i] + a.vx, self.ux[k], self.ux[k] + recs[0].vx):
+    def untransposed(self, pi, i: int, c: int, k: int) -> int:
+        ux, widths = self.ux, self.widths
+        if _transposed(ux[i], ux[i] + widths[i][pi[i]], ux[k], ux[k] + widths[k][pi[k]]):
             return 0
-        return self.no_ordinary(i, a, k, recs)
+        return self.no_ordinary(pi, i, c, k)
 
     def surviving(self):
         return self.tuples(self.disjoint if self.t.family == "A" else self.no_ordinary)
@@ -386,85 +432,101 @@ class _Frame:
         return sum(_transposed(*e1, *e2) for e1, e2 in itertools.combinations(ends, 2))
 
     def tuples(self, fits, adjacent_only: bool = False):
-        """(pi, records) of every tuple whose row i runs from us[i] to
-        vs[pi[i]] and whose pairs of rows i < k pass fits(i, a, k, recs), a
+        """(pi, records, key) of every tuple whose row i runs from us[i] to
+        vs[pi[i]] and whose pairs of rows i < k pass fits(pi, i, c, k), a
         pair test (see above; adjacent rows only with adjacent_only), in
         the order of the search: permutations in lexicographic order, then
-        each row's candidates in table order.  The bitmasks of fits are kept
-        per candidate and later list, and a choice that leaves a later row
-        without a candidate is cut at once.
+        each row's candidates in table order.  key is the sum of the
+        records' weight keys, each moved by the placement.
         """
-        l = len(self.cands)
-        memo: dict = {}
-        for pi in itertools.permutations(range(l)):
-            lists = [self.cands[i][pi[i]] for i in range(l)]
-            if all(lists):
-                yield from _search(pi, lists, fits, adjacent_only, memo)
+        cands, keys, kshift = self.cands, self.keys, self.place.kshift
+        return itertools.chain.from_iterable(
+            _search(
+                pi,
+                [cands[i][j] for i, j in enumerate(pi)],
+                [keys[i][j] for i, j in enumerate(pi)],
+                kshift,
+                partial(fits, pi),
+                adjacent_only,
+            )
+            for pi in itertools.permutations(range(len(cands)))
+        )
 
     def signed_sum(self, found, a_offset: int = 0) -> RingElem:
-        """The sum of sign(pi) * weight over (pi, records): the keys of each
-        tuple added into one dict with the sign as coefficient."""
+        """The sum of sign(pi) * weight over (pi, records, key): each key
+        added into one dict with the sign as coefficient."""
         acc: dict = {}
         get = acc.get
-        signs: dict = {}
-        kshift = self.place.kshift
-        for pi, recs in found:
-            sgn = signs.get(pi)
-            if sgn is None:
-                sgn = signs[pi] = _sign(pi)
-            key = 0
-            for a, sh in zip(recs, kshift):
-                key += a.key << sh
+        last = None
+        for pi, _recs, key in found:
+            if pi is not last:  # the tuples of one permutation come together
+                last, sgn = pi, _sign(pi)
             acc[key] = get(key, 0) + sgn
         return self.place.elem(acc, a_offset)
 
 
-def _search(pi, lists, fits, adjacent_only, memo):
-    """Depth-first search over one candidate per row, in list order.
-    memo[(i, pi[i], c, k, pi[k])] is fits for candidate c of row i against
-    row k's list.  No rows make one empty tuple."""
-    if not lists:
-        yield pi, ()
+def _search(pi, lists, keys, kshift, fits, adjacent_only):
+    """Depth-first search over one candidate per row, in list order:
+    (pi, chosen, key) for each choice whose rows i < k pass fits(i, c, k),
+    the bitmask of row k's candidates that may follow candidate c of row i
+    (adjacent rows only with adjacent_only); key adds keys[i][c] << kshift[i]
+    over the rows.  The masks that candidate c of row i leaves the later
+    rows are kept per (i, c), and a choice that leaves a later row without
+    a candidate is cut at once.  No rows make one empty tuple, of key 0."""
+    l = len(lists)
+    if not l:
+        yield pi, (), 0
         return
-    chosen: list = [None] * len(lists)
-
-    def allowed_after(i: int, c: int, k: int) -> int:
-        key = (i, pi[i], c, k, pi[k])
-        m = memo.get(key)
-        if m is None:
-            m = memo[key] = fits(i, lists[i][c], k, lists[k])
-        return m
-
-    def rec(i: int, allowed: tuple):
-        m, rest = allowed[0], allowed[1:]
-        while m:
-            low = m & -m
-            m ^= low
-            c = low.bit_length() - 1
-            chosen[i] = lists[i][c]
-            if not rest:
-                yield pi, tuple(chosen)
-                continue
-            nxt = tuple(
-                mk & allowed_after(i, c, k) if k == i + 1 or not adjacent_only else mk
-                for k, mk in enumerate(rest, i + 1)
+    full = tuple((1 << len(c)) - 1 for c in lists)
+    if not all(full):
+        return
+    last = l - 1
+    chosen: list = [None] * l
+    after: list = [{} for _ in range(l)]
+    allowed: list = [full] + [None] * last  # allowed[i]: masks over rows i.. that rows < i leave
+    todo = [full[0]] + [0] * last  # candidates of row i not yet tried
+    base = [0] * l  # key of rows < i
+    i = 0
+    while i >= 0:
+        m = todo[i]
+        if i == last:
+            ks, cs, b, sh = keys[i], lists[i], base[i], kshift[i]
+            while m:
+                low = m & -m
+                m ^= low
+                c = low.bit_length() - 1
+                chosen[i] = cs[c]
+                yield pi, tuple(chosen), b + (ks[c] << sh)
+            i -= 1
+            continue
+        if not m:
+            i -= 1
+            continue
+        low = m & -m
+        todo[i] = m ^ low
+        c = low.bit_length() - 1
+        f = after[i].get(c)
+        if f is None:
+            f = after[i][c] = tuple(
+                fits(i, c, k) if k == i + 1 or not adjacent_only else -1 for k in range(i + 1, l)
             )
-            if all(nxt):
-                yield from rec(i + 1, nxt)
-
-    yield from rec(0, tuple((1 << len(c)) - 1 for c in lists))
+        nxt = tuple(map(and_, allowed[i][1:], f))
+        if all(nxt):
+            chosen[i] = lists[i][c]
+            i += 1
+            allowed[i], todo[i], base[i] = nxt, nxt[0], base[i - 1] + (keys[i - 1][c] << kshift[i - 1])
 
 
 def nonintersecting_tuples(t: AlgType, s: SkewShape) -> list[PathTuple]:
     """P(A_n; mu, lambda): no intersecting pair at all."""
     frame = _Frame(t, s)
-    return [frame.path_tuple(*x) for x in frame.tuples(frame.disjoint)]
+    return [frame.path_tuple(pi, recs) for pi, recs, _key in frame.tuples(frame.disjoint)]
 
 
 def no_ordinary_tuples(t: AlgType, s: SkewShape) -> list[PathTuple]:
     """P(B_n/C_n; mu, lambda): no ordinarily intersecting pair."""
     frame = _Frame(t, s)
-    return [frame.path_tuple(*x) for x in frame.tuples(frame.no_ordinary)]
+    return [frame.path_tuple(pi, recs) for pi, recs, _key in frame.tuples(frame.no_ordinary)]
 
 
 def _require_C(t: AlgType, name: str) -> None:
@@ -477,7 +539,7 @@ def p_k_tuples(t: AlgType, s: SkewShape) -> dict[int, list[PathTuple]]:
     _require_C(t, "p_k_tuples")
     frame = _Frame(t, s)
     out: dict[int, list[PathTuple]] = {}
-    for pi, recs in frame.tuples(frame.no_ordinary):
+    for pi, recs, _key in frame.tuples(frame.no_ordinary):
         out.setdefault(frame.transposed_count(recs), []).append(frame.path_tuple(pi, recs))
     return out
 
@@ -486,14 +548,14 @@ def p_tilde(t: AlgType, s: SkewShape) -> list[PathTuple]:
     """Tuples with no adjacent pair ordinarily intersecting or transposed."""
     _require_C(t, "p_tilde")
     frame = _Frame(t, s)
-    return [frame.path_tuple(*x) for x in frame.tuples(frame.untransposed, adjacent_only=True)]
+    return [frame.path_tuple(pi, recs) for pi, recs, _key in frame.tuples(frame.untransposed, adjacent_only=True)]
 
 
 def surviving_tuples_with_sum(t: AlgType, s: SkewShape, a_offset: int = 0) -> tuple[list[PathTuple], RingElem]:
     """The surviving tuples and their signed sum, from one enumeration."""
     frame = _Frame(t, s)
     found = list(frame.surviving())
-    return [frame.path_tuple(*x) for x in found], frame.signed_sum(found, a_offset)
+    return [frame.path_tuple(pi, recs) for pi, recs, _key in found], frame.signed_sum(found, a_offset)
 
 
 def signed_path_sum(t: AlgType, s: SkewShape, a_offset: int = 0) -> RingElem:

@@ -7,14 +7,21 @@ explicit, checkable conditions on the surviving tuples.
 
 All maps act on tuples of C-type h-paths.  A map may be inapplicable to a
 given tuple; callers probe applicability with the `NotApplicable` exception
-or the condition predicates.
+or the condition predicates.  The probes (a point on a path, its index,
+the leftmost or rightmost point at a height, the common points of two
+paths) are lookups in the path's cached geometry record
+(``paths._geometry``), and omega caches the rotated shape per (shape,
+center).  ``retuple`` still checks the count, starts, ends and permutation
+of every tuple that a map builds.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .ring import AlgType
 from .shapes import Partition, SkewShape
-from .paths import Path, PathTuple, classify_pair, endpoints, is_transposed
+from .paths import Path, PathTuple, _geometry, classify_pair, endpoints, is_transposed
 
 
 class NotApplicable(Exception):
@@ -26,22 +33,22 @@ def _pt_add(a, b):
 
 
 def _on(p: Path, pt) -> bool:
-    return pt in p.points()
+    return pt in _geometry(p).index
 
 
 def _index(p: Path, pt) -> int:
-    try:
-        return p.points().index(pt)
-    except ValueError:
+    m = _geometry(p).index.get(pt)
+    if m is None:
         raise NotApplicable(f"{pt} not on path")
+    return m
 
 
 def _prefix_points(p: Path, pt) -> list:
-    return list(p.points()[: _index(p, pt) + 1])
+    return list(_geometry(p).points[: _index(p, pt) + 1])
 
 
 def _suffix_points(p: Path, pt) -> list:
-    return list(p.points()[_index(p, pt) :])
+    return list(_geometry(p).points[_index(p, pt) :])
 
 
 def _east_run(a, b) -> list:
@@ -63,22 +70,25 @@ def _path_from_points(pts) -> Path:
     return Path(pts[0], "".join(steps))
 
 
-def _leftmost(p: Path, y: int):
-    xs = [x for (x, h) in p.points() if h == y]
-    if not xs:
+def _at_height(p: Path, y: int, xs: tuple):
+    """(xs[y - y0], y) for the left or right x's of p's geometry, y0 being
+    the start height."""
+    m = y - p.start[1]
+    if not 0 <= m < len(xs):
         raise NotApplicable(f"no point of height {y}")
-    return (min(xs), y)
+    return (xs[m], y)
+
+
+def _leftmost(p: Path, y: int):
+    return _at_height(p, y, _geometry(p).left)
 
 
 def _rightmost(p: Path, y: int):
-    xs = [x for (x, h) in p.points() if h == y]
-    if not xs:
-        raise NotApplicable(f"no point of height {y}")
-    return (max(xs), y)
+    return _at_height(p, y, _geometry(p).right)
 
 
 def _common(p: Path, q: Path):
-    pts = set(p.points()) & set(q.points())
+    pts = _geometry(p).index.keys() & _geometry(q).index.keys()
     if not pts:
         raise NotApplicable("paths do not intersect")
     return pts
@@ -87,14 +97,17 @@ def _common(p: Path, q: Path):
 def retuple(t: AlgType, s: SkewShape, paths) -> PathTuple:
     """Assemble a PathTuple, inferring the destination permutation."""
     us, vs = endpoints(t, s)
+    if len(paths) != len(us):
+        raise ValueError(f"{len(paths)} paths for a shape of {len(us)} rows")
     pi = []
     for i, p in enumerate(paths):
-        if p.start != us[i] or p.end not in vs:
+        v = _geometry(p).end
+        if p.start != us[i] or v not in vs:
             raise ValueError(
-                f"path {i + 1} runs {p.start} -> {p.end}; the shape's starts are {list(us)}, its ends {list(vs)}"
+                f"path {i + 1} runs {p.start} -> {v}; the shape's starts are {list(us)}, its ends {list(vs)}"
             )
-        pi.append(vs.index(p.end))
-    if sorted(pi) != list(range(len(paths))):
+        pi.append(vs.index(v))
+    if len(set(pi)) < len(pi):
         raise ValueError(f"paths end at {[p.end for p in paths]}, not once at each of {list(vs)}")
     return PathTuple(tuple(paths), tuple(pi), s)
 
@@ -132,7 +145,7 @@ def r_y_pair(t: AlgType, p1: Path, p2: Path, y: int) -> tuple:
 
 
 def _r0_transposed(p1: Path, p2: Path) -> tuple:
-    zero = sorted(set(p1.points()) & set(p2.points()))
+    zero = sorted(_common(p1, p2))
     u, v = zero[0], zero[-1]
     if not u[1] == v[1] == 0:
         raise NotApplicable(f"common points {zero} are not all at height 0")
@@ -173,9 +186,21 @@ def omega(t: AlgType, pt: PathTuple, xhat2: int | None = None) -> PathTuple:
     the same center on both sides.
     """
     s = pt.shape
-    l = len(s.lam)
     if xhat2 is None:
         xhat2 = default_center(s)
+    l = len(pt.paths)
+    rotated = [None] * l
+    for p, j in zip(pt.paths, pt.pi):
+        x, y = _geometry(p).end
+        rotated[l - 1 - j] = Path((xhat2 - x, -y), p.steps[::-1])
+    return retuple(t, _rotated(s, xhat2), rotated)
+
+
+@lru_cache(maxsize=32)
+def _rotated(s: SkewShape, xhat2: int) -> SkewShape:
+    """The shape of a tuple of s rotated about (xhat2/2, 0); refuses a center
+    left of the shape."""
+    l = len(s.lam)
     if xhat2 - s.lam[1] + l - 1 < 0:
         raise ValueError(f"center xhat2 = {xhat2} is below lam_1 - l + 1 = {s.lam[1] - l + 1}")
     c = xhat2 + l - 1
@@ -183,11 +208,7 @@ def omega(t: AlgType, pt: PathTuple, xhat2: int | None = None) -> PathTuple:
     mu_new = [c - s.lam[l + 1 - j] for j in range(1, l + 1)]
     while mu_new and mu_new[-1] == 0:
         mu_new.pop()
-    s_new = SkewShape(Partition(tuple(lam_new)), Partition(tuple(mu_new)))
-    rotated = [None] * l
-    for i, p in enumerate(pt.paths):
-        rotated[l - 1 - pt.pi[i]] = Path((xhat2 - p.end[0], -p.end[1]), p.steps[::-1])
-    return retuple(t, s_new, rotated)
+    return SkewShape(Partition(tuple(lam_new)), Partition(tuple(mu_new)))
 
 
 def default_center(s: SkewShape) -> int:

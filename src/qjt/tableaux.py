@@ -20,11 +20,12 @@ word and its weight, placed from column 0 of row 0, as one key from
 offset between their starts, so the rows of a table that may lie under one
 row form one int bitmask (``_below``), built on first use and cached across
 calls.  The depth-first search of the path layer (``paths._search``) runs
-over these masks and yields the fillings in row-major order.  A tableau sum
-moves the keys of row i by 2 delta * (mu_i + 1 - i) spectral steps through
-the shape's ``ring.Placement``, adds the keys of each filling into one dict,
-and has the placement read the dict as one ``RingElem``.  No ``Tableau`` is
-built for a sum.
+over these masks and yields the fillings in row-major order, each with its
+weight key: the sum of the row keys, row i's moved by 2 delta * (mu_i + 1 - i)
+spectral steps through the shape's ``ring.Placement``, carried down the
+search.  A tableau sum adds the key of each filling into one dict and has
+the placement read the dict as one ``RingElem``.  No ``Tableau`` is built
+for a sum.
 
 For the C family (rank at least 2) the generating function identity
 requires extra rules that depend on the shape: a two-row block rule and a
@@ -417,8 +418,8 @@ class _Rows:
     filling is one index into each row's table, and rows i, i+1 fit when
     the lower index is in _below of the upper one (_below_2row for the C
     row rules).  Row i's first cell (i, mu_i + 1) carries the spectral
-    shift 2*delta*(mu_i + 1 - i), by which the placement moves its weight
-    keys; the placement's width holds the exponents of any filling.
+    shift 2*delta*(mu_i + 1 - i), by which the search moves its weight keys
+    through the placement, whose width holds the exponents of any filling.
     """
 
     def __init__(self, t: AlgType, s: SkewShape):
@@ -434,7 +435,7 @@ class _Rows:
         self.place = place = Placement(t, sum(tab[1] for tab in tabs), [2 * delta(t) * (s.mu[i] + 1 - i) for i in rows])
         self.keys = [place.recode(tab[0], tab[3]) for tab in tabs]
 
-    def _fits(self, below, i: int, c: int, k: int, _rows) -> int:
+    def _fits(self, below, i: int, c: int, k: int) -> int:
         return below(self.t, self.lengths[i], self.lengths[k], self.mu[k] - self.mu[i], c)
 
     def _row3_ok(self, cs) -> bool:
@@ -446,8 +447,9 @@ class _Rows:
         return True
 
     def fillings(self, ruleset: str):
-        """Index tuples of the fillings that obey the cell rules and, for C,
-        the ruleset's extra rules, in row-major alphabet order: the two-row
+        """(cs, key) for the fillings that obey the cell rules and, for C,
+        the ruleset's extra rules, in row-major alphabet order: cs indexes
+        each row's table and key is the filling's weight key.  The two-row
         rule prunes the search, the three-row and column rules filter
         complete fillings."""
         ruleset = resolve_ruleset(self.t, self.s, ruleset)
@@ -455,27 +457,24 @@ class _Rows:
             ruleset = "hv"
         lists = [range(len(ws)) for ws in self.words]
         fits = partial(self._fits, _below_2row if ruleset == "rows" else _below)
-        found = (cs for _pi, cs in _search(tuple(range(len(lists))), lists, fits, True, {}))
+        rows = tuple(range(len(lists)))
+        found = ((cs, key) for _pi, cs, key in _search(rows, lists, self.keys, self.place.kshift, fits, True))
         if ruleset == "rows" and len(lists) > 2:
-            return filter(self._row3_ok, found)
+            return (x for x in found if self._row3_ok(x[0]))
         if ruleset == "columns":
             t, words, layout = self.t, self.words, _col_layout(self.s.lam.parts, self.s.mu.parts)
-            return (cs for cs in found if _2col_ok(t, [ws[c] for ws, c in zip(words, cs)], layout))
+            return (x for x in found if _2col_ok(t, [ws[c] for ws, c in zip(words, x[0])], layout))
         return found
 
     def tableau(self, cs) -> Tableau:
         return Tableau(self.s, tuple(ws[c] for ws, c in zip(self.words, cs)))
 
     def weight_sum(self, found, a_offset: int = 0) -> RingElem:
-        """The sum of the weights of the fillings: the shifted row keys of
-        each filling added into one dict."""
+        """The sum of the weights of the fillings (cs, key): each key added
+        into one dict."""
         acc: dict = {}
         get = acc.get
-        keys, kshift = self.keys, self.place.kshift
-        for cs in found:
-            key = 0
-            for ks, c, sh in zip(keys, cs, kshift):
-                key += ks[c] << sh
+        for _cs, key in found:
             acc[key] = get(key, 0) + 1
         return self.place.elem(acc, a_offset)
 
@@ -488,7 +487,7 @@ def enumerate_tableaux(t: AlgType, s: SkewShape, ruleset: str = "auto"):
     which no rule covers (ruleset 'hv' still lists their tableaux without
     extra rules).  Types other than A, B and C raise ValueError."""
     rows = _Rows(t, s)
-    return [rows.tableau(cs) for cs in rows.fillings(ruleset)]
+    return [rows.tableau(cs) for cs, _key in rows.fillings(ruleset)]
 
 
 def tableaux_with_sum(
@@ -497,7 +496,7 @@ def tableaux_with_sum(
     """The tableaux and their weight sum, from one enumeration."""
     rows = _Rows(t, s)
     found = list(rows.fillings(ruleset))
-    return [rows.tableau(cs) for cs in found], rows.weight_sum(found, a_offset)
+    return [rows.tableau(cs) for cs, _key in found], rows.weight_sum(found, a_offset)
 
 
 def tableau_sum(t: AlgType, s: SkewShape, a_offset: int = 0, ruleset: str = "auto") -> RingElem:

@@ -8,7 +8,10 @@ from qjt.paths import (
     Path,
     PathTuple,
     _Frame,
+    _bare_records,
+    _classify,
     _hpath_table,
+    _pair_masks,
     band,
     classify_pair,
     east_labels,
@@ -23,7 +26,9 @@ from qjt.paths import (
     signed_path_sum,
     surviving_tuples_with_sum,
 )
+from qjt.resolutions import NotApplicable, _common, _index, _leftmost, _on, _rightmost
 from qjt.ring import RingElem, delta, make_type, z_product
+from qjt.tableaux import _Rows
 from qjt.series import h_coeff
 from qjt.shapes import shape
 
@@ -375,13 +380,17 @@ def test_wide_keys_for_many_rows():
     frame = _Frame(t, s)
     assert frame.place.w == 16
     pi = tuple(range(128))
+
+    def key(pick):
+        return sum(frame.keys[i][i][pick] << sh for i, sh in zip(pi, frame.place.kshift))
+
     for pick in (0, -1):  # every row EN (Y[1,.]), every row NE (Y[1,.]^-1)
         recs = tuple(frame.cands[i][i][pick] for i in pi)
         pt = frame.path_tuple(pi, recs)
-        assert frame.signed_sum([(pi, recs)], -3) == pt.weight(t, -3)
+        assert frame.signed_sum([(pi, recs, key(pick))], -3) == pt.weight(t, -3)
     # a pair test that admits every pair leaves the first candidates first
-    admit_all = lambda i, a, k, recs: (1 << len(recs)) - 1
-    assert next(frame.tuples(admit_all)) == (pi, tuple(frame.cands[i][i][0] for i in pi))
+    admit_all = lambda pi, i, c, k: -1
+    assert next(frame.tuples(admit_all)) == (pi, tuple(frame.cands[i][i][0] for i in pi), key(0))
 
 
 def test_wide_frames_reuse_the_tables():
@@ -395,3 +404,122 @@ def test_wide_frames_reuse_the_tables():
     frame = _Frame(t, shape([1] * 128))
     assert frame.place.w == 16
     assert _hpath_table.cache_info().currsize == 129
+
+
+# ---------------------------------------------------------------------------
+# The cached lookups against what they replace: the pair masks against a
+# classification of the two translated table paths, the geometry record
+# against list scans of the points walked off the steps, and the keys of
+# the search against a re-sum over the rows.
+
+
+@pytest.mark.parametrize("fam", ["A", "B", "C"])
+def test_pair_masks_match_classify(fam):
+    # path c of width ri moved d columns east against each path e of width
+    # rk, classified in one frame with the whole table of width rk
+    seen = 0
+    for n in (1, 2, 3):
+        t = make_type(fam, n)
+        bot = band(t)[0]
+        for ri, rk, d in itertools.product(range(5), range(5), range(5)):
+            others = [b.path for b in _hpath_table(t, rk)[2]]
+            for c, a in enumerate(_hpath_table(t, ri)[2]):
+                disjoint, special = _pair_masks(t, ri, rk, d, c)
+                (p, *recs), zero = _bare_records([Path((d, bot), a.path.steps)] + others)
+                for e, b in enumerate(recs):
+                    verdict = _classify(fam, p, b, zero)
+                    assert (disjoint >> e & 1, special >> e & 1) == (verdict == "disjoint", verdict == "specially")
+                    seen += 1
+    assert seen == {"A": 31_750, "B": 490_430, "C": 325_005}[fam]
+
+
+def _walk(p):
+    x, y = p.start
+    pts = [(x, y)]
+    for s in p.steps:
+        x, y = (x + 1, y) if s == "E" else (x, y + 1)
+        pts.append((x, y))
+    return pts
+
+
+def _ref_leftmost(pts, y):
+    xs = [x for (x, h) in pts if h == y]
+    if not xs:
+        raise NotApplicable(f"no point of height {y}")
+    return (min(xs), y)
+
+
+def _ref_rightmost(pts, y):
+    xs = [x for (x, h) in pts if h == y]
+    if not xs:
+        raise NotApplicable(f"no point of height {y}")
+    return (max(xs), y)
+
+
+def _ref_index(pts, pt):
+    try:
+        return pts.index(pt)
+    except ValueError:
+        raise NotApplicable(f"{pt} not on path")
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NotApplicable as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("fam", ["A", "B", "C"])
+def test_geometry_matches_list_scans(fam):
+    seen = 0
+    for n in (1, 2, 3):
+        t = make_type(fam, n)
+        bot, top = band(t)
+        for r in range(5):
+            for a in _hpath_table(t, r)[2]:
+                for sx, sy in ((0, bot), (-3, bot), (2, bot + 1)):
+                    p = Path((sx, sy), a.path.steps)
+                    pts = _walk(p)
+                    assert p.points() == tuple(pts) and p.end == pts[-1]
+                    for y in range(sy - 1, sy + top - bot + 2):
+                        assert _outcome(_leftmost, p, y) == _outcome(_ref_leftmost, pts, y)
+                        assert _outcome(_rightmost, p, y) == _outcome(_ref_rightmost, pts, y)
+                    for pt in pts + [(x + 1, y) for x, y in pts] + [(x, y - 1) for x, y in pts]:
+                        assert _outcome(_index, p, pt) == _outcome(_ref_index, pts, pt)
+                        assert _on(p, pt) == (pt in pts)
+                    q = Path((sx + 1, sy), a.path.steps)
+                    assert _outcome(_common, p, q) == (set(pts) & set(_walk(q)) or "paths do not intersect")
+                    seen += 1
+    assert seen == {"A": 360, "B": 1_272, "C": 1_041}[fam]
+
+
+@pytest.mark.parametrize("fam,n", [("A", 2), ("B", 2), ("C", 2), ("C", 3)])
+def test_search_keys_are_the_row_sums(fam, n):
+    t = make_type(fam, n)
+    seen = 0
+    for s in _small_skew_shapes(4):
+        frame = _Frame(t, s)
+        for pi, recs, key in frame.tuples(frame.no_ordinary):
+            parts = zip(recs, frame.cands, frame.keys, pi, frame.place.kshift)
+            assert key == sum(ks[j][cands[j].index(a)] << sh for a, cands, ks, j, sh in parts)
+            seen += 1
+        rows = _Rows(t, s)
+        for cs, key in rows.fillings("hv"):
+            assert key == sum(ks[c] << sh for ks, c, sh in zip(rows.keys, cs, rows.place.kshift))
+            seen += 1
+    assert seen == {"A2": 1_886, "B2": 9_502, "C2": 5_262, "C3": 19_144}[str(t)]
+
+
+def test_classify_pair_across_spans():
+    # paths that span different heights get their masks laid out again in
+    # the pair's frame, rather than moved
+    words = ["".join(w) for k in (2, 3, 4) for w in itertools.product("NE", repeat=k)]
+    paths = [Path((x, y), w) for x in (0, 1) for y in (-2, -1, 0) for w in words]
+    seen = 0
+    for fam in "ABC":
+        t = make_type(fam, 2)
+        for p, q in itertools.combinations(paths[::3], 2):
+            assert classify_pair(t, p, q) == _ref_classify(t, p, q), (t, p, q)
+            seen += p.end[1] - p.start[1] != q.end[1] - q.start[1]
+    assert seen == 3_408

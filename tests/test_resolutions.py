@@ -79,12 +79,22 @@ def test_retuple_fails_closed():
         retuple(T2, s, early)
     with pytest.raises(ValueError, match="not once at each"):
         retuple(T2, s, [pt.paths[0], Path(pt.paths[1].start, "EEENNNN"), pt.paths[2]])
-    assert error_under_O(
+    prelude = (
         "from qjt.paths import Path, p_tilde; from qjt.resolutions import retuple; "
         "from qjt.ring import make_type; from qjt.shapes import shape; "
         "t, s = make_type('C', 2), shape((2, 2, 1)); "
-        "retuple(t, s, [Path((p.start[0] - 1, p.start[1]), 'E' + p.steps) for p in p_tilde(t, s)[0].paths])"
+    )
+    assert error_under_O(
+        prelude + "retuple(t, s, [Path((p.start[0] - 1, p.start[1]), 'E' + p.steps) for p in p_tilde(t, s)[0].paths])"
     ).startswith("ValueError: path 1 runs (-1, -2) -> (2, 2)")
+    # too few paths made a short tuple, too many raised IndexError
+    for count, paths in ((2, pt.paths[:2]), (4, pt.paths + pt.paths[:1])):
+        with pytest.raises(ValueError, match=f"^{count} paths for a shape of 3 rows$"):
+            retuple(T2, s, paths)
+        cut = "[:2]" if count == 2 else " + p_tilde(t, s)[0].paths[:1]"
+        assert error_under_O(prelude + f"retuple(t, s, p_tilde(t, s)[0].paths{cut})") == (
+            f"ValueError: {count} paths for a shape of 3 rows"
+        )
 
 
 def test_omega_rejects_a_center_left_of_the_shape():

@@ -67,3 +67,16 @@ def test_tableaux_runs_no_path_tuple_search():
         elif isinstance(node, ast.Name) and node.id in banned or isinstance(node, ast.Attribute) and node.attr in banned:
             found.append(f"{node.lineno}:{ast.unparse(node)}")
     assert found == []
+
+
+def test_only_the_path_layer_reads_path_points():
+    # a path's points, point index, heights and mask come from one cached
+    # geometry record in qjt.paths; no other module scans Path.points()
+    found = []
+    for name, tree in modules():
+        if name == "paths.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "points":
+                found.append(f"{name}:{node.lineno}:{ast.unparse(node)}")
+    assert found == []

@@ -6,7 +6,7 @@ import pytest
 
 import qjt.tableaux as tableaux_module
 from qjt.jacobitrudi import chi_h
-from qjt.paths import _hpath_table, _path_word, band, east_labels, no_ordinary_tuples, p_tilde
+from qjt.paths import _hpath_table, _pair_masks, _path_word, _transposed, band, east_labels, no_ordinary_tuples, p_tilde
 from qjt.ring import AlgType, RingElem, letter_str, letters, make_type, z_product
 from qjt.shapes import shape
 from qjt.tableaux import (
@@ -14,6 +14,7 @@ from qjt.tableaux import (
     Tableau,
     _2col_ok,
     _Rows,
+    _below,
     _cmp,
     _col_layout,
     _far_pairs,
@@ -420,13 +421,39 @@ def test_hpath_and_row_tables_agree():
             t = make_type(fam, n)
             bot = band(t)[0]
             for r in range(6):
-                pw, pb, recs = _hpath_table(t, r)
+                pw, pb, recs, pkeys = _hpath_table(t, r)
                 w, b, words, keys = _row_table(t, r)
                 assert [_path_word(t, bot, rec.path.steps) for rec in recs] == list(words), (t, r)
                 assert (pw, pb) == (w, b), (t, r)
-                assert [rec.key for rec in recs] == list(keys), (t, r)
+                assert list(pkeys) == list(keys), (t, r)
                 seen += 1
     assert seen == 66
+
+
+@pytest.mark.parametrize("fam,ranks", [("A", (1, 2, 3, 4)), ("B", (1, 2, 3)), ("C", (2, 3))])
+def test_adjacent_pair_masks_are_below(fam, ranks):
+    # Row k+1 of a shape, lb long, starts off <= 0 columns right of row k,
+    # la long, and ends no further right (lb + off <= la).  Their paths start
+    # d = 1 - off columns apart, and since the h-path and row tables are one
+    # list, the path layer's mask of what may follow path c is _below of row
+    # c: disjoint paths for A, no ordinary meeting for B, and for C no
+    # ordinary meeting and no transposed pair (the P~ condition).  Rows of
+    # 1-4 cells with -4 <= off; B4 and C4 are left out, as building their
+    # _below masks alone takes 5.0 and 3.7 s.
+    seen = 0
+    for n in ranks:
+        t = make_type(fam, n)
+        for la, lb in itertools.product(range(1, 5), repeat=2):
+            for off in range(-4, min(0, la - lb) + 1):
+                d = 1 - off
+                for c in range(len(_row_table(t, la)[2])):
+                    disjoint, special = _pair_masks(t, la, lb, d, c)
+                    mask = disjoint if fam == "A" else disjoint | special
+                    if fam == "C" and _transposed(d, d + la, 0, lb):
+                        mask = 0
+                    assert mask == _below(t, la, lb, off, c), (t, la, lb, off, c)
+                    seen += 1
+    assert seen == {"A": 255 + 634 + 1_306 + 2_390, "B": 440 + 1_978 + 5_660, "C": 1_619 + 4_596}[fam]
 
 
 def test_serialization():
