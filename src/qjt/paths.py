@@ -38,9 +38,11 @@ d = ux_i - ux_k further east, and the verdicts on table path c of width
 r_i, moved d east, against the table of width r_k depend only on (type,
 r_i, r_k, d, c): they are built on first use and cached across shapes
 (``_pair_masks``), as ``tableaux._below`` is for rows.  The depth-first
-search (``_search``) carries the key of each prefix, every row's weight
-key moved by 2 delta ux_i spectral steps through the shape's
-``ring.Placement``, and yields each tuple with its key.  A signed path sum
+search (``_search``) yields each tuple as one index per row into its
+table, with its key: every row's weight key moved by 2 delta ux_i spectral
+steps through the shape's ``ring.Placement``, summed down the search.  The
+tableau layer runs it over its row tables, one list with these (see
+``tableaux._row_index``).  A signed path sum
 adds the key of each tuple into one dict with the sign of its permutation
 as the coefficient, and has the placement read the dict as one
 ``RingElem``.
@@ -184,12 +186,6 @@ def east_labels(t: AlgType, p: Path) -> list[tuple[int, int]]:
             i -= 1
         out.append((alphabet[i], f * x))
     return out
-
-
-@lru_cache(maxsize=None)
-def _path_word(t: AlgType, y0: int, steps: str) -> tuple:
-    """The letters of the east steps of a path from height y0."""
-    return tuple(c for c, _s in east_labels(t, Path((0, y0), steps)))
 
 
 def path_weight(t: AlgType, p: Path, a_offset: int = 0) -> RingElem:
@@ -424,60 +420,54 @@ class _Frame:
     def surviving(self):
         return self.tuples(self.disjoint if self.t.family == "A" else self.no_ordinary)
 
-    def path_tuple(self, pi: tuple[int, ...], recs) -> PathTuple:
-        return PathTuple(tuple(Path(u, a.path.steps) for u, a in zip(self.us, recs)), pi, self.s)
+    def path_tuple(self, pi: tuple[int, ...], cs) -> PathTuple:
+        """The tuple whose row i is path cs[i] of its table to vs[pi[i]]."""
+        rows = zip(self.us, self.cands, pi, cs)
+        return PathTuple(tuple(Path(u, cands[j][c].path.steps) for u, cands, j, c in rows), pi, self.s)
 
-    def transposed_count(self, recs) -> int:
-        ends = [(x, x + a.vx) for x, a in zip(self.ux, recs)]
+    def transposed_count(self, pi) -> int:
+        ends = [(x, x + ws[j]) for x, ws, j in zip(self.ux, self.widths, pi)]
         return sum(_transposed(*e1, *e2) for e1, e2 in itertools.combinations(ends, 2))
 
     def tuples(self, fits, adjacent_only: bool = False):
-        """(pi, records, key) of every tuple whose row i runs from us[i] to
-        vs[pi[i]] and whose pairs of rows i < k pass fits(pi, i, c, k), a
-        pair test (see above; adjacent rows only with adjacent_only), in
-        the order of the search: permutations in lexicographic order, then
-        each row's candidates in table order.  key is the sum of the
-        records' weight keys, each moved by the placement.
-        """
-        cands, keys, kshift = self.cands, self.keys, self.place.kshift
+        """(pi, cs, key) of every tuple whose row i is path cs[i] of the
+        table from us[i] to vs[pi[i]] and whose rows i < k pass fits(pi, i,
+        c, k), a pair test (see above; adjacent rows only with
+        adjacent_only), in search order: permutations in lexicographic
+        order, then each row's table in order.  key is the sum of the rows'
+        weight keys, each moved by the placement."""
+        keys, kshift = self.keys, self.place.kshift
         return itertools.chain.from_iterable(
-            _search(
-                pi,
-                [cands[i][j] for i, j in enumerate(pi)],
-                [keys[i][j] for i, j in enumerate(pi)],
-                kshift,
-                partial(fits, pi),
-                adjacent_only,
-            )
-            for pi in itertools.permutations(range(len(cands)))
+            _search(pi, [keys[i][j] for i, j in enumerate(pi)], kshift, partial(fits, pi), adjacent_only)
+            for pi in itertools.permutations(range(len(keys)))
         )
 
     def signed_sum(self, found, a_offset: int = 0) -> RingElem:
-        """The sum of sign(pi) * weight over (pi, records, key): each key
-        added into one dict with the sign as coefficient."""
+        """The sum of sign(pi) * weight over (pi, cs, key): each key added
+        into one dict with the sign as coefficient."""
         acc: dict = {}
         get = acc.get
         last = None
-        for pi, _recs, key in found:
+        for pi, _cs, key in found:
             if pi is not last:  # the tuples of one permutation come together
                 last, sgn = pi, _sign(pi)
             acc[key] = get(key, 0) + sgn
         return self.place.elem(acc, a_offset)
 
 
-def _search(pi, lists, keys, kshift, fits, adjacent_only):
-    """Depth-first search over one candidate per row, in list order:
-    (pi, chosen, key) for each choice whose rows i < k pass fits(i, c, k),
-    the bitmask of row k's candidates that may follow candidate c of row i
-    (adjacent rows only with adjacent_only); key adds keys[i][c] << kshift[i]
-    over the rows.  The masks that candidate c of row i leaves the later
-    rows are kept per (i, c), and a choice that leaves a later row without
-    a candidate is cut at once.  No rows make one empty tuple, of key 0."""
-    l = len(lists)
+def _search(pi, keys, kshift, fits, adjacent_only):
+    """Depth-first search over one index per row into the table of weight
+    keys keys[i], in table order: (pi, cs, key) for each index tuple cs
+    whose rows i < k pass fits(i, c, k), the bitmask of row k's indices that
+    may follow index c of row i (adjacent rows only with adjacent_only); key
+    adds keys[i][c] << kshift[i] over the rows.  The masks that index c of
+    row i leaves the later rows are kept per (i, c), and a choice that leaves
+    a later row without an index is cut at once.  No rows: one empty tuple."""
+    l = len(keys)
     if not l:
         yield pi, (), 0
         return
-    full = tuple((1 << len(c)) - 1 for c in lists)
+    full = tuple((1 << len(ks)) - 1 for ks in keys)
     if not all(full):
         return
     last = l - 1
@@ -490,12 +480,12 @@ def _search(pi, lists, keys, kshift, fits, adjacent_only):
     while i >= 0:
         m = todo[i]
         if i == last:
-            ks, cs, b, sh = keys[i], lists[i], base[i], kshift[i]
+            ks, b, sh = keys[i], base[i], kshift[i]
             while m:
                 low = m & -m
                 m ^= low
                 c = low.bit_length() - 1
-                chosen[i] = cs[c]
+                chosen[i] = c
                 yield pi, tuple(chosen), b + (ks[c] << sh)
             i -= 1
             continue
@@ -512,7 +502,7 @@ def _search(pi, lists, keys, kshift, fits, adjacent_only):
             )
         nxt = tuple(map(and_, allowed[i][1:], f))
         if all(nxt):
-            chosen[i] = lists[i][c]
+            chosen[i] = c
             i += 1
             allowed[i], todo[i], base[i] = nxt, nxt[0], base[i - 1] + (keys[i - 1][c] << kshift[i - 1])
 
@@ -520,13 +510,13 @@ def _search(pi, lists, keys, kshift, fits, adjacent_only):
 def nonintersecting_tuples(t: AlgType, s: SkewShape) -> list[PathTuple]:
     """P(A_n; mu, lambda): no intersecting pair at all."""
     frame = _Frame(t, s)
-    return [frame.path_tuple(pi, recs) for pi, recs, _key in frame.tuples(frame.disjoint)]
+    return [frame.path_tuple(pi, cs) for pi, cs, _key in frame.tuples(frame.disjoint)]
 
 
 def no_ordinary_tuples(t: AlgType, s: SkewShape) -> list[PathTuple]:
     """P(B_n/C_n; mu, lambda): no ordinarily intersecting pair."""
     frame = _Frame(t, s)
-    return [frame.path_tuple(pi, recs) for pi, recs, _key in frame.tuples(frame.no_ordinary)]
+    return [frame.path_tuple(pi, cs) for pi, cs, _key in frame.tuples(frame.no_ordinary)]
 
 
 def _require_C(t: AlgType, name: str) -> None:
@@ -539,8 +529,8 @@ def p_k_tuples(t: AlgType, s: SkewShape) -> dict[int, list[PathTuple]]:
     _require_C(t, "p_k_tuples")
     frame = _Frame(t, s)
     out: dict[int, list[PathTuple]] = {}
-    for pi, recs, _key in frame.tuples(frame.no_ordinary):
-        out.setdefault(frame.transposed_count(recs), []).append(frame.path_tuple(pi, recs))
+    for pi, cs, _key in frame.tuples(frame.no_ordinary):
+        out.setdefault(frame.transposed_count(pi), []).append(frame.path_tuple(pi, cs))
     return out
 
 
@@ -548,14 +538,14 @@ def p_tilde(t: AlgType, s: SkewShape) -> list[PathTuple]:
     """Tuples with no adjacent pair ordinarily intersecting or transposed."""
     _require_C(t, "p_tilde")
     frame = _Frame(t, s)
-    return [frame.path_tuple(pi, recs) for pi, recs, _key in frame.tuples(frame.untransposed, adjacent_only=True)]
+    return [frame.path_tuple(pi, cs) for pi, cs, _key in frame.tuples(frame.untransposed, adjacent_only=True)]
 
 
 def surviving_tuples_with_sum(t: AlgType, s: SkewShape, a_offset: int = 0) -> tuple[list[PathTuple], RingElem]:
     """The surviving tuples and their signed sum, from one enumeration."""
     frame = _Frame(t, s)
     found = list(frame.surviving())
-    return [frame.path_tuple(pi, recs) for pi, recs, _key in found], frame.signed_sum(found, a_offset)
+    return [frame.path_tuple(pi, cs) for pi, cs, _key in found], frame.signed_sum(found, a_offset)
 
 
 def signed_path_sum(t: AlgType, s: SkewShape, a_offset: int = 0) -> RingElem:

@@ -66,8 +66,10 @@ free (s, s-bar) with s > z, then d lists the inner plain letters, (n-bar, n)
 and the inner barred letters, as a symplectic column splits (Sheats, Trans.
 AMS 1999; Lecouvey, J. Algebra 2002).  No path tuple is searched.
 
-A row's path reads its letters off its east-step heights
-(``paths._path_word``); ``_row_heights`` reads the heights back off them.
+The h-paths of width r (``paths._hpath_table``) and the rows of length r,
+tabulated apart, are one list: h-path i reads row word i, with the same
+key.  Both searches yield one index per row, and the path correspondence
+looks steps and words up in one shared table index (``_row_index``).
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ from typing import NamedTuple
 
 from .ring import AlgType, Placement, RingElem, delta, letter_order, letters, pack, z_product
 from .shapes import SkewShape
-from .paths import Path, PathTuple, _path_word, _require_model, _search, band, endpoints
+from .paths import Path, PathTuple, _hpath_table, _require_model, _search, endpoints
 
 
 class Tableau(NamedTuple):
@@ -318,15 +320,18 @@ RULESETS = ("hv", "rows", "columns", "auto")
 def resolve_ruleset(t: AlgType, s: SkewShape, ruleset: str) -> str:
     if ruleset not in RULESETS:
         raise ValueError(f"unknown ruleset {ruleset!r}; expected one of {', '.join(RULESETS)}")
-    if ruleset != "auto":
-        return ruleset
-    if t.family != "C":
-        return "hv"
-    if len(s.lam) <= 3:
-        return "rows"
-    if (s.lam[1] if s.lam.parts else 0) <= 2:
-        return "columns"
-    raise ValueError(f"no {t} tableau rule covers {s}: more than 3 rows and more than 2 columns")
+    if ruleset == "auto":
+        if t.family != "C":
+            return "hv"
+        if len(s.lam) <= 3:
+            return "rows"
+        if (s.lam[1] if s.lam.parts else 0) > 2:
+            raise ValueError(f"no {t} tableau rule covers {s}: more than 3 rows and more than 2 columns")
+        ruleset = "columns"
+    # past column depth n + 1, chi_h is virtual and the column rules give 0
+    if ruleset == "columns" and t.family == "C" and s.depth() > t.rank + 1:
+        raise ValueError(f"no {t} tableau rule covers {s}: a column of depth {s.depth()} > n + 1 = {t.rank + 1}")
+    return ruleset
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +460,10 @@ class _Rows:
         ruleset = resolve_ruleset(self.t, self.s, ruleset)
         if self.t.family != "C":
             ruleset = "hv"
-        lists = [range(len(ws)) for ws in self.words]
         fits = partial(self._fits, _below_2row if ruleset == "rows" else _below)
-        rows = tuple(range(len(lists)))
-        found = ((cs, key) for _pi, cs, key in _search(rows, lists, self.keys, self.place.kshift, fits, True))
-        if ruleset == "rows" and len(lists) > 2:
+        rows = tuple(range(len(self.keys)))
+        found = ((cs, key) for _pi, cs, key in _search(rows, self.keys, self.place.kshift, fits, True))
+        if ruleset == "rows" and len(rows) > 2:
             return (x for x in found if self._row3_ok(x[0]))
         if ruleset == "columns":
             t, words, layout = self.t, self.words, _col_layout(self.s.lam.parts, self.s.mu.parts)
@@ -485,7 +489,8 @@ def enumerate_tableaux(t: AlgType, s: SkewShape, ruleset: str = "auto"):
     'auto' picks the row rules for at most three rows, else the column
     rules for at most two columns, and raises ValueError for other shapes,
     which no rule covers (ruleset 'hv' still lists their tableaux without
-    extra rules).  Types other than A, B and C raise ValueError."""
+    extra rules); 'auto' and 'columns' raise it for a column deeper than
+    n + 1.  Types other than A, B and C raise ValueError."""
     rows = _Rows(t, s)
     return [rows.tableau(cs) for cs, _key in rows.fillings(ruleset)]
 
@@ -508,51 +513,49 @@ def tableau_sum(t: AlgType, s: SkewShape, a_offset: int = 0, ruleset: str = "aut
 # Path correspondence
 
 
-def path_tuple_to_tableau(t: AlgType, pt: PathTuple) -> Tableau:
-    if pt.pi != tuple(range(len(pt.pi))):
-        raise ValueError(f"rows permuted by {pt.to_json_obj()['pi']}; no tableau attached")
-    return Tableau(pt.shape, tuple(_path_word(t, p.start[1], p.steps) for p in pt.paths))
-
-
-def _row_heights(t: AlgType, row: tuple) -> list[int]:
-    """Heights of the east steps realizing this row, the inverse of
-    ``paths.east_labels``; unique by monotonicity.  In C an n or n-bar sits
-    at height 0 inside the block n-bar, n, ..., n-bar, n that starts at the
-    first n-bar directly followed by n."""
-    _require_model(t, "tableau")
-    n, bot, fam_c = t.rank, band(t)[0], t.family == "C"
-    hs = [letter_order(t, c) + bot + (1 if fam_c and c < 0 else 0) for c in row]
-    m = len(row)
-    if fam_c:
-        p = next((x for x in range(m - 1) if row[x] == -n and row[x + 1] == n), m)
-        while p + 1 < m and row[p] == -n and row[p + 1] == n:
-            hs[p] = hs[p + 1] = 0
-            p += 2
-    if any(hs[x] > hs[x + 1] for x in range(m - 1)):
-        raise ValueError(f"row {row} is realized by no path in {t}")
-    return hs
-
-
 @lru_cache(maxsize=None)
-def _row_steps(t: AlgType, row: tuple) -> str:
-    """The steps of the h-path that realizes this row."""
-    bot, top = band(t)
-    steps = []
-    y = bot
-    for h in _row_heights(t, row):
-        steps.append("N" * (h - y) + "E")
-        y = h
-    steps.append("N" * (top - y))
-    return "".join(steps)
+def _row_index(t: AlgType, r: int) -> tuple[dict, dict]:
+    """(steps -> index, word -> index) over the h-paths of width r and the
+    rows of length r, which are one list: path i reads row word i."""
+    _require_model(t, "tableau")
+    recs, words = _hpath_table(t, r)[2], _row_table(t, r)[2]
+    return {a.path.steps: c for c, a in enumerate(recs)}, {w: c for c, w in enumerate(words)}
+
+
+def path_tuple_to_tableau(t: AlgType, pt: PathTuple) -> Tableau:
+    """The tableau whose row i is the word that row i's path reads.  Raises
+    ValueError for a path count other than the shape's row count, permuted
+    rows, and a path that is no h-path from its row's start to its end."""
+    us, vs = endpoints(t, pt.shape)
+    if len(pt.paths) != len(us):
+        raise ValueError(f"path count {len(pt.paths)} for a shape of {len(us)} rows")
+    if pt.pi != tuple(range(len(us))):
+        raise ValueError(f"rows permuted by {pt.to_json_obj()['pi']}; no tableau attached")
+    words = []
+    for i, (p, u, v) in enumerate(zip(pt.paths, us, vs), start=1):
+        r = v[0] - u[0]
+        c = _row_index(t, r)[0].get(p.steps) if p.start == u else None
+        if c is None:
+            raise ValueError(f"path {i} {p.to_text()} is no h-path of {t} from {u} to {v}")
+        words.append(_row_table(t, r)[2][c])
+    return Tableau(pt.shape, tuple(words))
 
 
 def tableau_to_path_tuple(t: AlgType, T: Tableau) -> PathTuple:
+    """The tuple whose row i is the h-path that reads row i of T.  Raises
+    ValueError for a row count other than the shape's, a row that no h-path
+    reads, and a row whose path does not end at its row's end."""
     s = T.shape
     us, vs = endpoints(t, s)
+    if len(T.cells) != len(us):
+        raise ValueError(f"row count {len(T.cells)} for a shape of {len(us)} rows")
     paths = []
-    for i, row in enumerate(T.cells, start=1):
-        p = Path(us[i - 1], _row_steps(t, tuple(row)))
-        if p.end != vs[i - 1]:
-            raise ValueError(f"row {i} {row} gives a path ending at {p.end}, not {vs[i - 1]}")
-        paths.append(p)
+    for i, (row, u, v) in enumerate(zip(T.cells, us, vs), start=1):
+        row = tuple(row)
+        c = _row_index(t, len(row))[1].get(row)
+        if c is None:
+            raise ValueError(f"row {i} {row} is read by no h-path of {t}")
+        if u[0] + len(row) != v[0]:
+            raise ValueError(f"row {i} {row} gives a path ending at {(u[0] + len(row), v[1])}, not {v}")
+        paths.append(Path(u, _hpath_table(t, len(row))[2][c].path.steps))
     return PathTuple(tuple(paths), tuple(range(len(paths))), s)

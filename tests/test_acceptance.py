@@ -16,14 +16,15 @@ from qjt.shapes import hw_monomial, shape
 from qjt.series import check_HE, h_coeff
 from qjt.jacobitrudi import chi_h, chi_e
 from qjt.paths import (
+    _Frame,
     no_ordinary_tuples,
     nonintersecting_tuples,
     p_tilde,
     signed_path_sum,
 )
 from qjt.tableaux import (
+    _Rows,
     column_companions,
-    enumerate_tableaux,
     path_tuple_to_tableau,
     tableau_sum,
     tableau_to_path_tuple,
@@ -205,21 +206,21 @@ def test_criterion_07_two_column_conjecture_evidence():
 
 
 def _roundtrip_ok(t, s):
-    if t.family == "A":
-        tuples = nonintersecting_tuples(t, s)
-    elif t.family == "B":
-        tuples = no_ordinary_tuples(t, s)
-    else:
-        tuples = p_tilde(t, s)
-    tabs = set()
-    for p in tuples:
+    """The path search and the row search yield one list of index tuples,
+    in one order, and the type's path tuples, in that order, go to the hv
+    tableaux of those index tuples and back to themselves."""
+    tuples = {"A": nonintersecting_tuples, "B": no_ordinary_tuples, "C": p_tilde}[t.family](t, s)
+    frame, rows = _Frame(t, s), _Rows(t, s)
+    fits = {"A": frame.disjoint, "B": frame.no_ordinary, "C": frame.untransposed}[t.family]
+    found = [(pi, cs) for pi, cs, _key in frame.tuples(fits, adjacent_only=t.family == "C")]
+    fillings = [cs for cs, _key in rows.fillings("hv")]
+    if found != [(tuple(range(len(s.lam))), cs) for cs in fillings] or len(tuples) != len(fillings):
+        return False
+    for p, cs in zip(tuples, fillings):
         T = path_tuple_to_tableau(t, p)
-        q = tableau_to_path_tuple(t, T)
-        if q.paths != p.paths:
+        if T != rows.tableau(cs) or tableau_to_path_tuple(t, T).paths != p.paths:
             return False
-        tabs.add(T.cells)
-    valid = set(T.cells for T in enumerate_tableaux(t, s, ruleset="hv"))
-    return tabs == valid
+    return True
 
 
 def test_criterion_08_bijection_round_trip():

@@ -156,14 +156,27 @@ def test_tableaux_refuses_C_rank_1(capsys, ruleset):
     assert rc == 0 and "count: 2" in out
 
 
-def test_tableaux_auto_refuses_C_shapes_without_a_rule(capsys):
-    # C3 (3,1,1,1) used to fall back to hv: 298 tableaux whose sum is not chi
-    argv = ["tableaux", "--type", "C", "--rank", "3", "--lambda", "3,1,1,1", "--count"]
-    rc, out, err = run(capsys, *argv)
-    assert (rc, out) == (2, "")
-    assert err.startswith("error: no C3 tableau rule covers SkewShape((3, 1, 1, 1)/())")
+@pytest.mark.parametrize(
+    "rank,lam,refused,reason,hv_count",
+    [
+        # C3 (3,1,1,1) used to fall back to hv: 298 tableaux whose sum is not chi
+        (3, (3, 1, 1, 1), [()], "more than 3 rows and more than 2 columns", 298),
+        # these went to the column rules, which printed count 0 and sum 0 on a
+        # column deeper than n + 1, where chi_h has 5, 14 and 70 terms
+        (2, (1, 1, 1, 1), [(), ("--ruleset", "columns")], "a column of depth 4 > n + 1 = 3", 1),
+        (3, (1, 1, 1, 1, 1), [(), ("--ruleset", "columns")], "a column of depth 5 > n + 1 = 4", 6),
+        (3, (2, 1, 1, 1, 1), [(), ("--ruleset", "columns")], "a column of depth 5 > n + 1 = 4", 35),
+    ],
+    ids=["C3-3111", "C2-1111", "C3-11111", "C3-21111"],
+)
+def test_tableaux_auto_refuses_C_shapes_without_a_rule(capsys, rank, lam, refused, reason, hv_count):
+    argv = ["tableaux", "--type", "C", "--rank", str(rank), "--lambda", ",".join(map(str, lam)), "--count"]
+    for extra in refused:
+        rc, out, err = run(capsys, *argv, *extra)
+        assert (rc, out) == (2, "")
+        assert err == f"error: no C{rank} tableau rule covers SkewShape({lam}/()): {reason}\n"
     rc, out, _ = run(capsys, *argv, "--ruleset", "hv")
-    assert rc == 0 and out.startswith("count: 298\n")
+    assert rc == 0 and out.startswith(f"count: {hv_count}\n")
 
 
 def test_verify_appendixB_names_the_failing_lemmas(capsys, monkeypatch):

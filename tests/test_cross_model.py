@@ -57,10 +57,14 @@ def test_models_agree_with_chi_h(case):
     rows, cols = len(s.lam), s.lam[1]
     if rows <= 3:
         assert tableau_sum(t, s, off, "rows") == h
-    # a column deeper than n + 1 makes chi_h virtual (C2 (1,1,1,1): five
-    # terms, each of coefficient -1), and the tableau sum 0
     if cols <= 2 and s.depth() <= t.rank + 1:
         assert tableau_sum(t, s, off, "columns") == h
+    elif cols <= 2:
+        # a column deeper than n + 1 makes chi_h virtual (C2 (1,1,1,1): five
+        # terms, each of coefficient -1), where the column rules would give 0
+        for ruleset in ("columns", "auto"):
+            with pytest.raises(ValueError, match="no C.* tableau rule covers .*: a column of depth"):
+                tableau_sum(t, s, off, ruleset)
     if rows > 3 and cols > 2:
         with pytest.raises(ValueError, match="no C.* tableau rule covers"):
             tableau_sum(t, s, off)

@@ -57,7 +57,7 @@ def test_tableaux_runs_no_path_tuple_search():
     # tuples nor labels path steps (the companion letters are a closed form)
     banned = {
         "nonintersecting_tuples", "no_ordinary_tuples", "p_k_tuples", "p_tilde",
-        "surviving_tuples_with_sum", "signed_path_sum", "east_labels",
+        "surviving_tuples_with_sum", "signed_path_sum", "east_labels", "_path_word",
     }
     tree = dict(modules())["tableaux.py"]
     found = []

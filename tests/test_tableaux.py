@@ -6,8 +6,20 @@ import pytest
 
 import qjt.tableaux as tableaux_module
 from qjt.jacobitrudi import chi_h
-from qjt.paths import _hpath_table, _pair_masks, _path_word, _transposed, band, east_labels, no_ordinary_tuples, p_tilde
-from qjt.ring import AlgType, RingElem, letter_str, letters, make_type, z_product
+from qjt.paths import (
+    Path,
+    PathTuple,
+    _hpath_table,
+    _pair_masks,
+    _require_model,
+    _transposed,
+    band,
+    east_labels,
+    enumerate_hpaths,
+    no_ordinary_tuples,
+    p_tilde,
+)
+from qjt.ring import AlgType, RingElem, letter_order, letter_str, letters, make_type, z_product
 from qjt.shapes import shape
 from qjt.tableaux import (
     RULESETS,
@@ -20,7 +32,6 @@ from qjt.tableaux import (
     _far_pairs,
     _h_ok,
     _h_triple_ok,
-    _row_heights,
     _row_table,
     _v_ok,
     column_companions,
@@ -229,7 +240,7 @@ def test_tableau_layer_refuses_type_D():
         with pytest.raises(ValueError, match="the tableau model covers types A, B and C, not D3"):
             f(t, s)
     with pytest.raises(ValueError, match="the tableau model covers types A, B and C, not D3"):
-        _row_heights(t, (1, -1))
+        tableau_to_path_tuple(t, Tableau(s, ((1, -1), (1,))))
 
 
 @pytest.mark.parametrize("fam", ["A", "B", "C"])
@@ -344,6 +355,49 @@ def test_tableau_path_bijection_counts(fam, n):
         }
 
 
+# The path labels and their inverse: oracles for the agreement of the h-path
+# and row tables, and for the shared table index of the path-tableau
+# correspondence, which reads no label.
+
+
+def _path_word(t: AlgType, y0: int, steps: str) -> tuple:
+    """The letters of the east steps of a path from height y0."""
+    return tuple(c for c, _s in east_labels(t, Path((0, y0), steps)))
+
+
+def _row_heights(t: AlgType, row: tuple) -> list[int]:
+    """Heights of the east steps realizing this row, the inverse of
+    ``paths.east_labels``; unique by monotonicity.  In C an n or n-bar sits
+    at height 0 inside the block n-bar, n, ..., n-bar, n that starts at the
+    first n-bar directly followed by n."""
+    _require_model(t, "tableau")
+    n, bot, fam_c = t.rank, band(t)[0], t.family == "C"
+    hs = [letter_order(t, c) + bot + (1 if fam_c and c < 0 else 0) for c in row]
+    m = len(row)
+    if fam_c:
+        p = next((x for x in range(m - 1) if row[x] == -n and row[x + 1] == n), m)
+        while p + 1 < m and row[p] == -n and row[p + 1] == n:
+            hs[p] = hs[p + 1] = 0
+            p += 2
+    if any(hs[x] > hs[x + 1] for x in range(m - 1)):
+        raise ValueError(f"row {row} is realized by no path in {t}")
+    return hs
+
+
+def _row_steps(t: AlgType, row: tuple) -> str:
+    """The steps of the path whose east steps lie at the heights of
+    _row_heights (not always an h-path: B (0, 0) gets two east steps at
+    height 0)."""
+    bot, top = band(t)
+    steps = []
+    y = bot
+    for h in _row_heights(t, row):
+        steps.append("N" * (h - y) + "E")
+        y = h
+    steps.append("N" * (top - y))
+    return "".join(steps)
+
+
 def row_heights_search(t, row):
     """Every height assignment for a C row: try each alternating n-bar, n
     block at height 0 and keep the weakly increasing results."""
@@ -430,6 +484,47 @@ def test_hpath_and_row_tables_agree():
     assert seen == 66
 
 
+@pytest.mark.parametrize("fam", ["A", "B", "C"])
+def test_bijection_matches_the_path_labels(fam):
+    # on a one-row shape of 1-3 cells: every letter word goes to the path
+    # that the labels give (_row_steps) when that path is an h-path and is
+    # refused otherwise, and every N/E word of the row's steps goes to the
+    # word it reads (_path_word) when it is an h-path and is refused
+    # otherwise
+    seen = refused = 0
+    for n in (1, 2, 3) if fam != "C" else (2, 3):
+        t = make_type(fam, n)
+        bot, top = band(t)
+        for m in (1, 2, 3):
+            s, length = shape((m,)), m + top - bot
+            hpaths = {p.steps for p in enumerate_hpaths(t, (0, bot), (m, top))}
+            for row in itertools.product(letters(t), repeat=m):
+                try:
+                    steps = _row_steps(t, row)
+                except ValueError:
+                    steps = None
+                tab = Tableau(s, (row,))
+                if steps in hpaths:
+                    pt = tableau_to_path_tuple(t, tab)
+                    assert pt.paths == (Path((0, bot), steps),) and path_tuple_to_tableau(t, pt) == tab, (t, row)
+                else:
+                    with pytest.raises(ValueError, match="is read by no h-path"):
+                        tableau_to_path_tuple(t, tab)
+                    refused += 1
+                seen += 1
+            for east in itertools.combinations(range(length), m):
+                steps = "".join("E" if x in east else "N" for x in range(length))
+                pt = PathTuple((Path((0, bot), steps),), (0,), s)
+                if steps in hpaths:
+                    assert path_tuple_to_tableau(t, pt).cells == (_path_word(t, bot, steps),), (t, steps)
+                else:
+                    with pytest.raises(ValueError, match="is no h-path"):
+                        path_tuple_to_tableau(t, pt)
+                    refused += 1
+                seen += 1
+    assert (seen, refused) == {"A": (199, 75), "B": (786, 436), "C": (516, 258)}[fam]
+
+
 @pytest.mark.parametrize("fam,ranks", [("A", (1, 2, 3, 4)), ("B", (1, 2, 3)), ("C", (2, 3))])
 def test_adjacent_pair_masks_are_below(fam, ranks):
     # Row k+1 of a shape, lb long, starts off <= 0 columns right of row k,
@@ -493,6 +588,48 @@ def test_tableau_to_path_tuple_fails_closed_on_short_row():
         "from qjt.tableaux import Tableau, tableau_to_path_tuple; "
         "tableau_to_path_tuple(make_type('C', 2), Tableau(shape((2, 1)), ((1,), (1,))))"
     ).startswith("ValueError: row 1 (1,) gives a path ending at (1, 2), not (2, 2)")
+
+
+_BIJECTION_SETUP = (
+    "from qjt.paths import Path, PathTuple; from qjt.ring import make_type; from qjt.shapes import shape; "
+    "from qjt.tableaux import Tableau, path_tuple_to_tableau, tableau_to_path_tuple; "
+    "B2 = make_type('B', 2); "
+)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        # two east steps at height 0, which no B h-path takes: inverting
+        # the path labels turned the row into such a path, and back
+        ("tableau_to_path_tuple(B2, Tableau(shape((2,)), ((0, 0),)))", "row 1 (0, 0) is read by no h-path of B2"),
+        (
+            "path_tuple_to_tableau(B2, PathTuple((Path((0, -2), 'NNEENN'),), (0,), shape((2,))))",
+            "path 1 (0,-2):NNEENN is no h-path of B2 from (0, -2) to (2, 2)",
+        ),
+        # paths that start off the shape's start, an h-path among them
+        (
+            "path_tuple_to_tableau(B2, PathTuple((Path((1, -2), 'NNEENN'),), (0,), shape((2,))))",
+            "path 1 (1,-2):NNEENN is no h-path of B2 from (0, -2) to (2, 2)",
+        ),
+        (
+            "path_tuple_to_tableau(B2, PathTuple((Path((-1, -2), 'ENNNNE'),), (0,), shape((2,))))",
+            "path 1 (-1,-2):ENNNNE is no h-path of B2 from (0, -2) to (2, 2)",
+        ),
+        # path and row counts other than the shape's row count
+        (
+            "path_tuple_to_tableau(B2, PathTuple((Path((0, -2), 'ENNNNE'),), (0,), shape((2, 1))))",
+            "path count 1 for a shape of 2 rows",
+        ),
+        ("tableau_to_path_tuple(B2, Tableau(shape((2, 1)), ((1, 1),)))", "row count 1 for a shape of 2 rows"),
+        ("tableau_to_path_tuple(B2, Tableau(shape((2,)), ((1, 1), (2,))))", "row count 2 for a shape of 1 rows"),
+    ],
+)
+def test_bijection_fails_closed(call, message):
+    with pytest.raises(ValueError) as exc:
+        exec(_BIJECTION_SETUP + call)
+    assert str(exc.value) == message
+    assert error_under_O(_BIJECTION_SETUP + call) == f"ValueError: {message}"
 
 
 def test_column_companions_fails_closed():
