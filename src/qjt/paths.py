@@ -382,6 +382,9 @@ class _Frame:
     pair tests read _pair_masks.  keys[i][j] holds the weight keys of
     cands[i][j] at the placement's width, which holds the exponents of any
     tuple; the search moves row i's keys 2 delta ux[i] spectral steps.
+    made[i][j] memoizes the Path from us[i] of each index of cands[i][j]
+    that path_tuple has built: a plain dict, bounded by the size of that
+    table, that lives as long as the frame.
     """
 
     def __init__(self, t: AlgType, s: SkewShape):
@@ -397,6 +400,7 @@ class _Frame:
         keys = {r: place.recode(w, ks) for r, (w, _b, _rs, ks) in tabs.items()}
         self.cands = [[tabs[r][2] if r >= 0 else () for r in row] for row in widths]
         self.keys = [[keys[r] if r >= 0 else () for r in row] for row in widths]
+        self.made = [[{} for _ in row] for row in widths]  # c -> Path, per (row, destination)
 
     # Pair tests: the bitmask of row k's candidates that may follow
     # candidate c of row i < k, the rows running to vs[pi[.]].
@@ -421,9 +425,16 @@ class _Frame:
         return self.tuples(self.disjoint if self.t.family == "A" else self.no_ordinary)
 
     def path_tuple(self, pi: tuple[int, ...], cs) -> PathTuple:
-        """The tuple whose row i is path cs[i] of its table to vs[pi[i]]."""
-        rows = zip(self.us, self.cands, pi, cs)
-        return PathTuple(tuple(Path(u, cands[j][c].path.steps) for u, cands, j, c in rows), pi, self.s)
+        """The tuple whose row i is path cs[i] of its table to vs[pi[i]];
+        each Path is built once per frame."""
+        paths = []
+        for i, (j, c) in enumerate(zip(pi, cs)):
+            made = self.made[i][j]
+            p = made.get(c)
+            if p is None:
+                p = made[c] = Path(self.us[i], self.cands[i][j][c].path.steps)
+            paths.append(p)
+        return PathTuple(tuple(paths), pi, self.s)
 
     def transposed_count(self, pi) -> int:
         ends = [(x, x + ws[j]) for x, ws, j in zip(self.ux, self.widths, pi)]

@@ -15,9 +15,9 @@ def parse_partition(text: str) -> tuple[int, ...]:
 
 
 class Partition:
-    """A weakly decreasing tuple of positive integers."""
+    """A weakly decreasing tuple of positive integers, hashed once."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_hash")
 
     def __init__(self, parts=()):
         parts = tuple(p for p in parts if p != 0)
@@ -26,6 +26,7 @@ class Partition:
         if parts and parts[-1] < 0:
             raise ValueError(f"negative part in {parts}")
         self.parts = parts
+        self._hash = hash(parts)
 
     def __len__(self):
         return len(self.parts)
@@ -41,7 +42,7 @@ class Partition:
         return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self):
-        return hash(self.parts)
+        return self._hash
 
     def __repr__(self):
         return f"Partition{self.parts}"
@@ -64,21 +65,24 @@ class Partition:
 
 
 class SkewShape:
-    """A pair of partitions mu inside lambda; boxes are 1-indexed (row, col)."""
+    """A pair of partitions mu inside lambda; boxes are 1-indexed (row, col).
+    The hash is computed once, at construction: shapes key the caches of the
+    path and tableau layers."""
 
-    __slots__ = ("lam", "mu")
+    __slots__ = ("lam", "mu", "_hash")
 
     def __init__(self, lam: Partition, mu: Partition = Partition()):
         if not lam.contains(mu):
             raise ValueError(f"{mu} is not contained in {lam}")
         self.lam = lam
         self.mu = mu
+        self._hash = hash((lam, mu))
 
     def __eq__(self, other):
         return isinstance(other, SkewShape) and (self.lam, self.mu) == (other.lam, other.mu)
 
     def __hash__(self):
-        return hash((self.lam, self.mu))
+        return self._hash
 
     def __repr__(self):
         return f"SkewShape({self.lam.parts}/{self.mu.parts})"

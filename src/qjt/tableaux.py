@@ -68,14 +68,20 @@ AMS 1999; Lecouvey, J. Algebra 2002).  No path tuple is searched.
 
 The h-paths of width r (``paths._hpath_table``) and the rows of length r,
 tabulated apart, are one list: h-path i reads row word i, with the same
-key.  Both searches yield one index per row, and the path correspondence
-looks steps and words up in one shared table index (``_row_index``).
+key.  Both searches yield one index per row.  The path correspondence maps
+steps to words and words to steps directly, per length (``_row_index``),
+and reads them through one bounded cached record per (type, shape)
+(``_links``): each row's start, end and steps -> word map, the identity
+permutation, and a memo of the Path from the row's start of each word
+that has passed every check, so a round trip builds each row's Path once
+per shape.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache, partial
+from operator import getitem
 from typing import NamedTuple
 
 from .ring import AlgType, Placement, RingElem, delta, letter_order, letters, pack, z_product
@@ -471,7 +477,7 @@ class _Rows:
         return found
 
     def tableau(self, cs) -> Tableau:
-        return Tableau(self.s, tuple(ws[c] for ws, c in zip(self.words, cs)))
+        return Tableau(self.s, tuple(map(getitem, self.words, cs)))
 
     def weight_sum(self, found, a_offset: int = 0) -> RingElem:
         """The sum of the weights of the fillings (cs, key): each key added
@@ -515,47 +521,74 @@ def tableau_sum(t: AlgType, s: SkewShape, a_offset: int = 0, ruleset: str = "aut
 
 @lru_cache(maxsize=None)
 def _row_index(t: AlgType, r: int) -> tuple[dict, dict]:
-    """(steps -> index, word -> index) over the h-paths of width r and the
+    """(steps -> word, word -> steps) over the h-paths of width r and the
     rows of length r, which are one list: path i reads row word i."""
     _require_model(t, "tableau")
-    recs, words = _hpath_table(t, r)[2], _row_table(t, r)[2]
-    return {a.path.steps: c for c, a in enumerate(recs)}, {w: c for c, w in enumerate(words)}
+    steps, words = [a.path.steps for a in _hpath_table(t, r)[2]], _row_table(t, r)[2]
+    return dict(zip(steps, words)), dict(zip(words, steps))
+
+
+class _Link(NamedTuple):
+    """A row of a shape: its path runs from u to v, word maps the steps of
+    the h-paths of the row's width to their words, and made memoizes the
+    Path from u of each word that has passed every check.  made is a plain
+    dict, bounded by the row table of the row's width: it holds at most one
+    Path per word of that table, and _links keeps at most 32 shapes."""
+
+    u: tuple
+    v: tuple
+    word: dict
+    made: dict
+
+
+# bounded like paths.endpoints: its callers read one shape many times in a row
+@lru_cache(maxsize=32)
+def _links(t: AlgType, s: SkewShape) -> tuple[tuple[_Link, ...], tuple[int, ...]]:
+    """The links of the shape's rows, and the identity permutation of them."""
+    _require_model(t, "tableau")
+    us, vs = endpoints(t, s)
+    links = tuple(_Link(u, v, _row_index(t, v[0] - u[0])[0], {}) for u, v in zip(us, vs))
+    return links, tuple(range(len(links)))
 
 
 def path_tuple_to_tableau(t: AlgType, pt: PathTuple) -> Tableau:
     """The tableau whose row i is the word that row i's path reads.  Raises
     ValueError for a path count other than the shape's row count, permuted
-    rows, and a path that is no h-path from its row's start to its end."""
-    us, vs = endpoints(t, pt.shape)
-    if len(pt.paths) != len(us):
-        raise ValueError(f"path count {len(pt.paths)} for a shape of {len(us)} rows")
-    if pt.pi != tuple(range(len(us))):
+    rows, a path that is no h-path from its row's start to its end, and
+    type D."""
+    links, identity = _links(t, pt.shape)
+    if len(pt.paths) != len(links):
+        raise ValueError(f"path count {len(pt.paths)} for a shape of {len(links)} rows")
+    if pt.pi != identity:
         raise ValueError(f"rows permuted by {pt.to_json_obj()['pi']}; no tableau attached")
     words = []
-    for i, (p, u, v) in enumerate(zip(pt.paths, us, vs), start=1):
-        r = v[0] - u[0]
-        c = _row_index(t, r)[0].get(p.steps) if p.start == u else None
-        if c is None:
-            raise ValueError(f"path {i} {p.to_text()} is no h-path of {t} from {u} to {v}")
-        words.append(_row_table(t, r)[2][c])
+    for i, (p, link) in enumerate(zip(pt.paths, links), start=1):
+        word = link.word.get(p.steps) if p.start == link.u else None
+        if word is None:
+            raise ValueError(f"path {i} {p.to_text()} is no h-path of {t} from {link.u} to {link.v}")
+        words.append(word)
     return Tableau(pt.shape, tuple(words))
 
 
 def tableau_to_path_tuple(t: AlgType, T: Tableau) -> PathTuple:
     """The tuple whose row i is the h-path that reads row i of T.  Raises
     ValueError for a row count other than the shape's, a row that no h-path
-    reads, and a row whose path does not end at its row's end."""
+    reads, a row whose path does not end at its row's end, and type D."""
     s = T.shape
-    us, vs = endpoints(t, s)
-    if len(T.cells) != len(us):
-        raise ValueError(f"row count {len(T.cells)} for a shape of {len(us)} rows")
+    links, identity = _links(t, s)
+    if len(T.cells) != len(links):
+        raise ValueError(f"row count {len(T.cells)} for a shape of {len(links)} rows")
     paths = []
-    for i, (row, u, v) in enumerate(zip(T.cells, us, vs), start=1):
+    for i, (row, link) in enumerate(zip(T.cells, links), start=1):
         row = tuple(row)
-        c = _row_index(t, len(row))[1].get(row)
-        if c is None:
-            raise ValueError(f"row {i} {row} is read by no h-path of {t}")
-        if u[0] + len(row) != v[0]:
-            raise ValueError(f"row {i} {row} gives a path ending at {(u[0] + len(row), v[1])}, not {v}")
-        paths.append(Path(u, _hpath_table(t, len(row))[2][c].path.steps))
-    return PathTuple(tuple(paths), tuple(range(len(paths))), s)
+        p = link.made.get(row)
+        if p is None:
+            u, v = link.u, link.v
+            steps = _row_index(t, len(row))[1].get(row)
+            if steps is None:
+                raise ValueError(f"row {i} {row} is read by no h-path of {t}")
+            if u[0] + len(row) != v[0]:
+                raise ValueError(f"row {i} {row} gives a path ending at {(u[0] + len(row), v[1])}, not {v}")
+            p = link.made[row] = Path(u, steps)
+        paths.append(p)
+    return PathTuple(tuple(paths), identity, s)

@@ -33,6 +33,7 @@ from qjt.series import h_coeff
 from qjt.shapes import shape
 
 from optimized import error_under_O
+from test_acceptance import skew_shapes
 from test_shapes import all_partitions, subpartitions
 
 
@@ -391,6 +392,24 @@ def test_wide_keys_for_many_rows():
     # a pair test that admits every pair leaves the first candidates first
     admit_all = lambda pi, i, c, k: -1
     assert next(frame.tuples(admit_all)) == (pi, (0,) * 128, key(0))
+
+
+@pytest.mark.parametrize("fam", ["B", "C"])
+def test_frame_path_tuples_are_the_rebuilt_tuples(fam):
+    # path_tuple builds each (row, destination, index) Path once per frame;
+    # over criterion 8's B2 shapes, every permutation, its tuples equal
+    # tuples of Paths built afresh from the table steps, asked twice (the
+    # B2 tuples keep their rows in place, 1,148 of the C2 tuples do not)
+    t = make_type(fam, 2)
+    seen = 0
+    for s in skew_shapes(9, 3, 3):
+        frame = _Frame(t, s)
+        for pi, cs, _key in frame.tuples(frame.no_ordinary):
+            rows = zip(frame.us, frame.cands, pi, cs)
+            rebuilt = PathTuple(tuple(Path(u, cands[j][c].path.steps) for u, cands, j, c in rows), pi, s)
+            assert frame.path_tuple(pi, cs) == rebuilt == frame.path_tuple(pi, cs), (s, pi, cs)
+            seen += 1
+    assert seen == {"B": 12_039, "C": 6_753}[fam]
 
 
 def test_wide_frames_reuse_the_tables():

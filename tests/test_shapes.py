@@ -77,6 +77,27 @@ def test_boxes_and_size():
     assert (1, 3) in s.boxes() and (1, 2) not in s.boxes()
 
 
+def test_equal_shapes_hash_equal_and_share_the_shape_caches():
+    # hashes are computed once, at construction: equal shapes built apart
+    # (zero parts dropped) hash equal and hit the caches keyed on shapes
+    from qjt.paths import endpoints
+    from qjt.resolutions import _rotated
+
+    t = make_type("C", 2)
+    for lam, mu in itertools.product(all_partitions(5, 3, 3), repeat=2):
+        if not Partition(lam).contains(Partition(mu)):
+            continue
+        s, twin = shape(lam, mu), SkewShape(Partition(lam + (0,)), Partition(tuple(mu) + (0, 0)))
+        assert twin is not s and twin == s and hash(twin) == hash(s) == hash((s.lam, s.mu))
+        assert Partition(lam + (0,)) == s.lam and hash(Partition(lam + (0,))) == hash(s.lam) == hash(tuple(lam))
+        for cached, args in ((endpoints, (t, s)), (_rotated, (s, 2 * len(lam) + 8))):
+            cached.cache_clear()
+            first = cached(*args)
+            assert cached(*[twin if a is s else a for a in args]) is first
+            assert cached.cache_info()[:2] == (1, 1), (cached, lam, mu)
+    assert shape((2, 1)) != shape((2, 1), (1,)) and shape((2,)) != Partition((2,))
+
+
 def highest_weight_tableau(s):
     """The oracle for hw_monomial: box (i,j) holds the unbarred letter i - mu'_j."""
     muc = s.mu.conjugate()

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -597,9 +598,7 @@ _BIJECTION_SETUP = (
 )
 
 
-@pytest.mark.parametrize(
-    "call,message",
-    [
+_REFUSALS = [
         # two east steps at height 0, which no B h-path takes: inverting
         # the path labels turned the row into such a path, and back
         ("tableau_to_path_tuple(B2, Tableau(shape((2,)), ((0, 0),)))", "row 1 (0, 0) is read by no h-path of B2"),
@@ -623,13 +622,63 @@ _BIJECTION_SETUP = (
         ),
         ("tableau_to_path_tuple(B2, Tableau(shape((2, 1)), ((1, 1),)))", "row count 1 for a shape of 2 rows"),
         ("tableau_to_path_tuple(B2, Tableau(shape((2,)), ((1, 1), (2,))))", "row count 2 for a shape of 1 rows"),
-    ],
-)
+]
+
+
+@pytest.mark.parametrize("call,message", _REFUSALS)
 def test_bijection_fails_closed(call, message):
     with pytest.raises(ValueError) as exc:
         exec(_BIJECTION_SETUP + call)
     assert str(exc.value) == message
     assert error_under_O(_BIJECTION_SETUP + call) == f"ValueError: {message}"
+
+
+# a round trip of every hv tableau of the shape, both ways, which leaves the
+# shape's cached correspondence warm; it exits if a tableau comes back changed
+_WARM_ROUND_TRIP = (
+    "import sys; from qjt.tableaux import enumerate_tableaux; hv = enumerate_tableaux(B2, {shape}, 'hv'); "
+    "hv == [path_tuple_to_tableau(B2, tableau_to_path_tuple(B2, T)) for T in hv] or sys.exit('round trip broken'); "
+)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    _REFUSALS
+    + [
+        # a row of an h-path one column short of its row's end
+        ("tableau_to_path_tuple(B2, Tableau(shape((2, 1)), ((1,), (1,))))", "row 1 (1,) gives a path ending at (1, 2), not (2, 2)"),
+    ],
+)
+def test_bijection_fails_closed_after_a_round_trip(call, message):
+    # a refusal stays a refusal once the shape's rows have been looked up
+    # and their paths built: nothing a success leaves behind answers it
+    warm = _BIJECTION_SETUP + _WARM_ROUND_TRIP.format(shape=re.search(r"shape\(\([\d, ]*\)\)", call)[0])
+    tableaux_module._links.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            exec(warm + call, {})
+        assert str(exc.value) == message
+    assert error_under_O(warm + call) == f"ValueError: {message}"
+
+
+def test_rows_given_as_lists_give_the_same_tuples():
+    # lists are read as tuples, with a cold and with a warm correspondence
+    seen = 0
+    for fam, n in (("A", 2), ("B", 2), ("C", 2)):
+        t = make_type(fam, n)
+        for lam, mu in [((2, 1), ()), ((3, 2, 1), (1,)), ((3, 3), (2,))]:
+            s = shape(lam, mu)
+            tableaux_module._links.cache_clear()
+            for T in enumerate_tableaux(t, s, "hv"):
+                listed = Tableau(s, [list(row) for row in T.cells])
+                first = tableau_to_path_tuple(t, listed)
+                assert first == tableau_to_path_tuple(t, T) == tableau_to_path_tuple(t, listed), (t, T.cells)
+                assert path_tuple_to_tableau(t, first) == T
+                seen += 1
+    B2 = make_type("B", 2)
+    with pytest.raises(ValueError, match=re.escape("row 1 (0, 0) is read by no h-path of B2")):
+        tableau_to_path_tuple(B2, Tableau(shape((2,)), [[0, 0]]))
+    assert seen == 776
 
 
 def test_column_companions_fails_closed():
