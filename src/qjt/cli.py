@@ -11,7 +11,7 @@ from . import checks
 from .ring import letter_str, make_type
 from .shapes import parse_partition, shape
 from .jacobitrudi import chi_h, chi_e
-from .paths import surviving_tuples_with_sum
+from .paths import model_status, surviving_tuples_with_sum
 from .tableaux import RULESETS, resolve_ruleset, tableaux_with_sum
 from .classical import verify_decomposition_A, verify_decomposition_C
 
@@ -56,6 +56,7 @@ def cmd_tableaux(args) -> int:
     t = _type_from(args)
     s = _shape_from(args)
     ruleset = resolve_ruleset(t, s, args.ruleset)
+    status = model_status(t, ruleset, s)
     tabs, total = tableaux_with_sum(t, s, args.offset, ruleset)
     obj = {
         "type": str(t),
@@ -71,12 +72,16 @@ def cmd_tableaux(args) -> int:
         obj["tableaux"] = sorted(
             [[letter_str(c) for c in row] for row in T.cells] for T in tabs
         )
+    if status != "proven":  # a sum that is not chi says so
+        obj["model"] = status
 
     def text(o):
         lines = [f"count: {o['count']}"]
         for rows in o.get("tableaux", []):
             lines.append(" | ".join(" ".join(r) for r in rows))
         lines.append(f"sum: {o['weight_sum_text']}")
+        if "model" in o:
+            lines.append(f"model: {o['model']}")
         return "\n".join(lines)
 
     return _emit(args, obj, text) or 0

@@ -9,7 +9,7 @@ a B-path may take at most one east step and a C-path must take an even number
 of them.  An east step at (x, y) reads letters(t)[y - bot] at spectral shift
 2 delta x, except that C has 2n letters on 2n + 1 heights: a C step above
 the axis reads one letter lower, and the C steps at height 0 read n-bar, n in
-turn.  D has no path model: ``east_labels`` and ``_Frame`` refuse it.
+turn.  D has no path model: ``model_status`` refuses it.
 
 An h-path from (ux, bot) to (vx, top) is the translate by ux of an h-path
 from (0, bot) to (r, top), r = vx - ux, with the same labels and every
@@ -161,16 +161,35 @@ def enumerate_hpaths(t: AlgType, u: tuple[int, int], v: tuple[int, int]) -> list
     return out
 
 
-def _require_model(t: AlgType, model: str) -> None:
-    """Refuse type D, which the paper gives no path or tableau model."""
+def model_status(t: AlgType, model: str, s: SkewShape | None = None) -> str:
+    """The one table of the models the paper proves for type t on shape s
+    (model: 'path', 'hv', 'rows' or 'columns'): 'proven', or 'not a
+    character' for C tableaux under 'hv'.  Raises ValueError where the paper
+    gives no model.  With s None only the family is read (D refused, C1
+    taken): for the hot path layer and the bijection."""
+    if model not in ("path", "hv", "rows", "columns"):
+        raise ValueError(f"unknown model {model!r}")
     if t.family not in ("A", "B", "C"):
-        raise ValueError(f"the {model} model covers types A, B and C, not {t}")
+        raise ValueError(f"the {'path' if model == 'path' else 'tableau'} model covers types A, B and C, not {t}")
+    if model == "path" or t.family != "C":
+        return "proven"
+    if s is not None:
+        if t.rank < 2:
+            raise ValueError(f"the C tableau rules need rank at least 2, not {t}")
+        if model == "rows" and len(s.lam) > 3:
+            raise ValueError(f"no {t} tableau rule covers {s}: more than 3 rows")
+        # past column depth n + 1, chi_h is virtual and the column rules give 0
+        if model == "columns" and s.depth() > t.rank + 1:
+            raise ValueError(f"no {t} tableau rule covers {s}: a column of depth {s.depth()} > n + 1 = {t.rank + 1}")
+        if model == "columns" and s.lam[1] > 2:
+            raise ValueError(f"no {t} tableau rule covers {s}: more than 2 columns")
+    return "not a character" if model == "hv" else "proven"
 
 
 def east_labels(t: AlgType, p: Path) -> list[tuple[int, int]]:
     """(letter, spectral shift) for each east step, in path order (see the
     module docstring)."""
-    _require_model(t, "path")
+    model_status(t, "path")
     bot, top = band(t)
     alphabet, f, fam_c = letters(t), 2 * delta(t), t.family == "C"
     out = []
@@ -388,7 +407,7 @@ class _Frame:
     """
 
     def __init__(self, t: AlgType, s: SkewShape):
-        _require_model(t, "path")
+        model_status(t, "path")
         self.t, self.s = t, s
         self.us, vs = endpoints(t, s)
         self.ux = [u[0] for u in self.us]

@@ -27,19 +27,18 @@ search.  A tableau sum adds the key of each filling into one dict and has
 the placement read the dict as one ``RingElem``.  No ``Tableau`` is built
 for a sum.
 
-For the C family (rank at least 2) the generating function identity
-requires extra rules that depend on the shape: a two-row block rule and a
-three-row window rule for shapes of at most three rows, and one-/two-column
-rules for shapes of at most two columns.  Each is one test on the letter
-words of the rows it reads, placed by the offsets between their starts, so
-the search applies them to table indices: the two-row rule narrows each
-``_below`` mask (``_below_2row``); the three-row rule on rows r, r+1, r+2 is
-a cached bitmask over row r+2's table for each pair of indices of rows r and
-r+1 (``_row3_mask``), read once per complete filling; and the two-column
-rule reads the columns of a complete filling through the shape's cached
-column layout (``_col_layout``).  The ``Tableau``-level checks
-``satisfies_2row_rule`` and ``satisfies_3row_rule`` are loops over the same
-tests.
+For the C family the generating function identity requires extra rules that
+depend on the shape (``paths.model_status`` says where each holds): a
+two-row block rule and a three-row window rule, and one-/two-column rules.
+Each is one test on the letter words of the rows it reads, placed by the
+offsets between their starts, so the search applies them to table indices:
+the two-row rule narrows each ``_below`` mask (``_below_2row``); the
+three-row rule on rows r, r+1, r+2 is a cached bitmask over row r+2's table
+for each pair of indices of rows r and r+1 (``_row3_mask``), read once per
+complete filling; and the two-column rule reads the columns of a complete
+filling through the shape's cached column layout (``_col_layout``).  The
+``Tableau``-level checks ``satisfies_2row_rule`` and ``satisfies_3row_rule``
+are loops over the same tests.
 
 The three-row rule reads, for each anchor row r, the columns of rows r, r+1,
 r+2 as one word: column (top, mid, bot) has the class (m = n-1)
@@ -86,7 +85,7 @@ from typing import NamedTuple
 
 from .ring import AlgType, Placement, RingElem, delta, letter_order, letters, pack, z_product
 from .shapes import SkewShape
-from .paths import Path, PathTuple, _hpath_table, _require_model, _search, endpoints
+from .paths import Path, PathTuple, _hpath_table, _search, endpoints, model_status
 
 
 class Tableau(NamedTuple):
@@ -324,20 +323,18 @@ RULESETS = ("hv", "rows", "columns", "auto")
 
 
 def resolve_ruleset(t: AlgType, s: SkewShape, ruleset: str) -> str:
+    """The rules that run ('hv' outside C); model_status says if they hold."""
     if ruleset not in RULESETS:
         raise ValueError(f"unknown ruleset {ruleset!r}; expected one of {', '.join(RULESETS)}")
-    if ruleset == "auto":
-        if t.family != "C":
-            return "hv"
-        if len(s.lam) <= 3:
-            return "rows"
-        if (s.lam[1] if s.lam.parts else 0) > 2:
-            raise ValueError(f"no {t} tableau rule covers {s}: more than 3 rows and more than 2 columns")
-        ruleset = "columns"
-    # past column depth n + 1, chi_h is virtual and the column rules give 0
-    if ruleset == "columns" and t.family == "C" and s.depth() > t.rank + 1:
-        raise ValueError(f"no {t} tableau rule covers {s}: a column of depth {s.depth()} > n + 1 = {t.rank + 1}")
-    return ruleset
+    if t.family != "C":
+        return "hv"
+    if ruleset != "auto":
+        return ruleset
+    if len(s.lam) <= 3:
+        return "rows"
+    if s.lam[1] > 2:
+        raise ValueError(f"no {t} tableau rule covers {s}: more than 3 rows and more than 2 columns")
+    return "columns"
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +431,6 @@ class _Rows:
     """
 
     def __init__(self, t: AlgType, s: SkewShape):
-        _require_model(t, "tableau")
-        if t.family == "C" and t.rank < 2:
-            raise ValueError(f"the C tableau rules need rank at least 2, not {t}")
         self.t, self.s = t, s
         rows = range(1, len(s.lam) + 1)
         self.lengths = [s.lam[i] - s.mu[i] for i in rows]
@@ -464,8 +458,7 @@ class _Rows:
         rule prunes the search, the three-row and column rules filter
         complete fillings."""
         ruleset = resolve_ruleset(self.t, self.s, ruleset)
-        if self.t.family != "C":
-            ruleset = "hv"
+        model_status(self.t, ruleset, self.s)
         fits = partial(self._fits, _below_2row if ruleset == "rows" else _below)
         rows = tuple(range(len(self.keys)))
         found = ((cs, key) for _pi, cs, key in _search(rows, self.keys, self.place.kshift, fits, True))
@@ -490,13 +483,10 @@ class _Rows:
 
 
 def enumerate_tableaux(t: AlgType, s: SkewShape, ruleset: str = "auto"):
-    """All tableaux of the shape obeying the family rules and, for C, the
-    shape's extra rules, in row-major alphabet order.  For C, ruleset
-    'auto' picks the row rules for at most three rows, else the column
-    rules for at most two columns, and raises ValueError for other shapes,
-    which no rule covers (ruleset 'hv' still lists their tableaux without
-    extra rules); 'auto' and 'columns' raise it for a column deeper than
-    n + 1.  Types other than A, B and C raise ValueError."""
+    """All tableaux of the shape under the family rules and the ruleset's
+    extra rules (resolve_ruleset), in row-major alphabet order.  Raises
+    ValueError where paths.model_status refuses the ruleset on the shape,
+    which it calls 'not a character' for C under 'hv'."""
     rows = _Rows(t, s)
     return [rows.tableau(cs) for cs, _key in rows.fillings(ruleset)]
 
@@ -523,7 +513,6 @@ def tableau_sum(t: AlgType, s: SkewShape, a_offset: int = 0, ruleset: str = "aut
 def _row_index(t: AlgType, r: int) -> tuple[dict, dict]:
     """(steps -> word, word -> steps) over the h-paths of width r and the
     rows of length r, which are one list: path i reads row word i."""
-    _require_model(t, "tableau")
     steps, words = [a.path.steps for a in _hpath_table(t, r)[2]], _row_table(t, r)[2]
     return dict(zip(steps, words)), dict(zip(words, steps))
 
@@ -545,7 +534,7 @@ class _Link(NamedTuple):
 @lru_cache(maxsize=32)
 def _links(t: AlgType, s: SkewShape) -> tuple[tuple[_Link, ...], tuple[int, ...]]:
     """The links of the shape's rows, and the identity permutation of them."""
-    _require_model(t, "tableau")
+    model_status(t, "hv")
     us, vs = endpoints(t, s)
     links = tuple(_Link(u, v, _row_index(t, v[0] - u[0])[0], {}) for u, v in zip(us, vs))
     return links, tuple(range(len(links)))

@@ -17,6 +17,7 @@ from qjt.series import check_HE, h_coeff
 from qjt.jacobitrudi import chi_h, chi_e
 from qjt.paths import (
     _Frame,
+    model_status,
     no_ordinary_tuples,
     nonintersecting_tuples,
     p_tilde,
@@ -186,23 +187,20 @@ def test_criterion_06_tableaux_C_covered_classes():
     )
 
 
-def test_criterion_07_two_column_conjecture_evidence():
-    # evidence run, non-gating: 5-row two-column shapes at rank 4 against
-    # chi_h, and 6-row ones at rank 5 against chi_e (= chi_h by criterion 2;
-    # chi_h of these shapes takes far longer)
+def test_criterion_07_two_column_rule_at_five_and_six_rows():
+    # the paper derives the two-column rule: 5-row two-column shapes at rank
+    # 4 against chi_h, and 6-row ones at rank 5 against chi_e (= chi_h by
+    # criterion 2; chi_h of these shapes takes far longer)
     cases = [
         (make_type("C", 4), chi_h, [shape(lam) for lam in all_partitions(10, 5, 2) if len(lam) == 5]),
         (make_type("C", 5), chi_e, [shape((2,) * a + (1,) * (6 - a)) for a in range(7)]),
     ]
-    mismatches = [
+    statuses = sorted({model_status(t, "columns", s) for t, _chi, shapes in cases for s in shapes})
+    failures = [
         (str(t), repr(s)) for t, chi, shapes in cases for s in shapes if tableau_sum(t, s, 0, "columns") != chi(t, s)
     ]
-    line = (
-        " and ".join(f"{len(shapes)} {t} shapes" for t, _chi, shapes in cases)
-        + " checked, "
-        + (f"mismatches logged: {mismatches}" if mismatches else "no mismatches")
-    )
-    report(7, "two-column rule evidence at 5 rows, rank 4 (vs chi_h) and 6 rows, rank 5 (vs chi_e) (non-gating)", [], line)
+    line = " and ".join(f"{len(shapes)} {t} shapes" for t, _chi, shapes in cases) + f", model_status {statuses}"
+    report(7, "two-column rule at 5 rows, rank 4 (vs chi_h) and 6 rows, rank 5 (vs chi_e)", failures, line)
 
 
 def _roundtrip_ok(t, s):

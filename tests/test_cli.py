@@ -179,6 +179,38 @@ def test_tableaux_auto_refuses_C_shapes_without_a_rule(capsys, rank, lam, refuse
     assert rc == 0 and out.startswith(f"count: {hv_count}\n")
 
 
+@pytest.mark.parametrize(
+    "ruleset,lam,reason",
+    [
+        # these printed count: 131 against 70 terms of chi_h, and a sum of
+        # 675 terms against 672, with exit 0
+        ("rows", (3, 1, 1, 1), "more than 3 rows"),
+        ("columns", (3, 3, 1, 1), "more than 2 columns"),
+    ],
+)
+def test_tableaux_refuses_explicit_rulesets_outside_their_class(capsys, ruleset, lam, reason):
+    argv = ["tableaux", "--type", "C", "--rank", "3", "--lambda", ",".join(map(str, lam)), "--ruleset", ruleset]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == f"error: no C3 tableau rule covers SkewShape({lam}/()): {reason}\n"
+
+
+def test_tableaux_labels_a_sum_that_is_not_a_character(capsys):
+    # C3 (3,3,1,1) under hv printed a sum that is not chi with no mark
+    argv = ["tableaux", "--type", "C", "--rank", "3", "--lambda", "3,3,1,1", "--ruleset", "hv", "--count"]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and out.startswith("count: 1502\n") and out.endswith("\nmodel: not a character\n")
+    rc, out, _ = run(capsys, *argv, "--output", "json")
+    assert rc == 0 and json.loads(out)["model"] == "not a character"
+    # a proven sum carries no label, and the ruleset field names the rules
+    # that ran: A has no extra rules
+    for fam, rank, lam, ran in (("C", "3", "3,3", "rows"), ("A", "2", "2,1", "hv")):
+        argv = ["tableaux", "--type", fam, "--rank", rank, "--lambda", lam, "--ruleset", "rows", "--count"]
+        rc, out, _ = run(capsys, *argv, "--output", "json")
+        obj = json.loads(out)
+        assert rc == 0 and "model" not in obj and obj["ruleset"] == ran
+
+
 def test_verify_appendixB_names_the_failing_lemmas(capsys, monkeypatch):
     # seed 1 draws (2,2,1)/(1), whose P2 has tuples outside the g-domain
     monkeypatch.setattr(qjt.resolutions, "f2_13", lambda t, pt: pt)

@@ -1,18 +1,22 @@
-"""A cross-model property test: on drawn types, ranks, skew shapes and
-spectral offsets, chi_e and every model that the paper gives the type equal
-chi_h, and the other models refuse.  The acceptance gate's shape sets use
+"""A cross-model property test: on drawn types, ranks, skew shapes,
+spectral offsets and tableau rulesets, chi_e equals chi_h, and each model
+does what paths.model_status says of it: a proven model equals chi_h, only
+the C tableaux under hv are 'not a character', and a model the table
+refuses raises the table's message.  The acceptance gate's shape sets use
 offset 0 and ranks 2-3 almost everywhere; this covers the rest, where the
 path layer's cross-shape caches and the placements' spectral shifts meet
 shapes and offsets that the gate never uses."""
+
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qjt.jacobitrudi import chi_e, chi_h
-from qjt.paths import signed_path_sum
+from qjt.paths import model_status, signed_path_sum
 from qjt.ring import make_type
 from qjt.shapes import shape
-from qjt.tableaux import tableau_sum
+from qjt.tableaux import RULESETS, resolve_ruleset, tableau_sum
 
 # The cap: lam within 4 rows and 4 columns, at most 5 boxes in lam/mu.
 MAX_ROWS, MAX_COLS, MAX_BOXES = 4, 4, 5
@@ -32,39 +36,37 @@ def cases(draw):
         lam.pop()
         mu.pop()
     mu = [m for m in mu if m]
-    return make_type(fam, n), shape(lam, mu), draw(st.integers(-5, 5))
+    return make_type(fam, n), shape(lam, mu), draw(st.integers(-5, 5)), draw(st.sampled_from(RULESETS))
+
+
+def assert_as_the_table_says(t, s, model, total, h):
+    """total() equals h where model_status proves the model on s, is a sum
+    the table calls 'not a character' (C tableaux under hv alone), or raises
+    the table's message."""
+    try:
+        status = model_status(t, model, s)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            total()
+        return
+    got = total()
+    if status == "proven":
+        assert got == h
+    else:
+        assert (status, t.family, model) == ("not a character", "C", "hv")
 
 
 @settings(max_examples=200, deadline=None)
 @given(cases())
 def test_models_agree_with_chi_h(case):
-    t, s, off = case
+    t, s, off, ruleset = case
     h = chi_h(t, s, off)
     assert chi_e(t, s, off) == h
-    if t.family == "D":  # no path or tableau model
-        for fn in (signed_path_sum, tableau_sum):
-            with pytest.raises(ValueError, match="covers types A, B and C, not D"):
-                fn(t, s, off)
+    assert_as_the_table_says(t, s, "path", lambda: signed_path_sum(t, s, off), h)
+    try:
+        model = resolve_ruleset(t, s, ruleset)
+    except ValueError as e:  # auto on a C shape in neither class
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            tableau_sum(t, s, off, ruleset)
         return
-    assert signed_path_sum(t, s, off) == h
-    if t.family != "C":
-        assert tableau_sum(t, s, off, "hv") == h
-        return
-    if t.rank == 1:
-        with pytest.raises(ValueError, match="need rank at least 2"):
-            tableau_sum(t, s, off)
-        return
-    rows, cols = len(s.lam), s.lam[1]
-    if rows <= 3:
-        assert tableau_sum(t, s, off, "rows") == h
-    if cols <= 2 and s.depth() <= t.rank + 1:
-        assert tableau_sum(t, s, off, "columns") == h
-    elif cols <= 2:
-        # a column deeper than n + 1 makes chi_h virtual (C2 (1,1,1,1): five
-        # terms, each of coefficient -1), where the column rules would give 0
-        for ruleset in ("columns", "auto"):
-            with pytest.raises(ValueError, match="no C.* tableau rule covers .*: a column of depth"):
-                tableau_sum(t, s, off, ruleset)
-    if rows > 3 and cols > 2:
-        with pytest.raises(ValueError, match="no C.* tableau rule covers"):
-            tableau_sum(t, s, off)
+    assert_as_the_table_says(t, s, model, lambda: tableau_sum(t, s, off, ruleset), h)

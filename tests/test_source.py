@@ -52,6 +52,32 @@ def test_packed_layout_stays_in_the_ring():
     assert found == []
 
 
+def test_model_coverage_is_decided_in_model_status():
+    # paths.model_status is the one table of which models hold: the
+    # refusals that name a model's coverage are raised there and nowhere
+    # else; resolve_ruleset keeps only auto's refusal of a C shape in
+    # neither of its classes
+    phrases = ("model covers types", "tableau rule covers", "need rank at least 2")
+    found = []
+    for name, tree in modules():
+        defs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        parts = set()  # the pieces of an f-string, matched as the whole
+        for node in ast.walk(tree):  # breadth first: an f-string before its pieces
+            if isinstance(node, ast.JoinedStr):
+                parts.update(map(id, node.values))
+            elif not (isinstance(node, ast.Constant) and isinstance(node.value, str)) or id(node) in parts:
+                continue
+            text = ast.unparse(node)
+            if any(p in text for p in phrases):
+                inner = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+                where = max(inner, key=lambda d: d.lineno).name if inner else "<module>"
+                found.append((name, where, text))
+    assert {(name, where) for name, where, _ in found} == {("paths.py", "model_status"), ("tableaux.py", "resolve_ruleset")}
+    assert [text for _, where, text in found if where == "resolve_ruleset"] == [
+        "f'no {t} tableau rule covers {s}: more than 3 rows and more than 2 columns'"
+    ]
+
+
 def test_tableaux_runs_no_path_tuple_search():
     # the tableau layer computes from letters: it neither enumerates path
     # tuples nor labels path steps (the companion letters are a closed form)

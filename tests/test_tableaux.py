@@ -12,11 +12,11 @@ from qjt.paths import (
     PathTuple,
     _hpath_table,
     _pair_masks,
-    _require_model,
     _transposed,
     band,
     east_labels,
     enumerate_hpaths,
+    model_status,
     no_ordinary_tuples,
     p_tilde,
 )
@@ -256,6 +256,17 @@ def test_unknown_ruleset_is_refused(fam):
                 f(t, s, ruleset="bogus")
 
 
+@pytest.mark.parametrize("fam", ["A", "B", "C", "D"])
+def test_model_status_refuses_unknown_models(fam):
+    # 'auto' is resolved before the table is read; taken as a model, it
+    # would pass every C shape as proven
+    t = make_type(fam, 3)
+    for model in ("auto", "bogus", "tableau"):
+        for s in (None, shape((3, 1, 1, 1))):
+            with pytest.raises(ValueError, match=f"unknown model '{model}'"):
+                model_status(t, model, s)
+
+
 @pytest.mark.parametrize("fam,n", [("A", 2), ("A", 3)])
 def test_tableau_sum_A(fam, n):
     t = make_type(fam, n)
@@ -371,7 +382,7 @@ def _row_heights(t: AlgType, row: tuple) -> list[int]:
     ``paths.east_labels``; unique by monotonicity.  In C an n or n-bar sits
     at height 0 inside the block n-bar, n, ..., n-bar, n that starts at the
     first n-bar directly followed by n."""
-    _require_model(t, "tableau")
+    model_status(t, "hv")
     n, bot, fam_c = t.rank, band(t)[0], t.family == "C"
     hs = [letter_order(t, c) + bot + (1 if fam_c and c < 0 else 0) for c in row]
     m = len(row)
@@ -865,15 +876,27 @@ def _enumeration_digest(cases, ruleset):
     return h.hexdigest()
 
 
-# sha256 of the ordered enumerate_tableaux output on the criterion 4-6 shapes,
-# captured before the cell tests took letters; A and B ignore the ruleset.
+# sha256 of the ordered enumerate_tableaux output on the criterion 4-6 shapes
+# that the ruleset admits, captured before the cell tests took letters; A and
+# B ignore the ruleset.  The C rows and columns digests were taken again over
+# their admitted shapes alone, before model_status refused the others.
 ENUMERATION_GOLDEN = {
     ("AB", "hv"): "c50fec10e8f3505424181ac1dc0647c56464842853ca89159c5e91f7acdc58f6",
     ("C", "hv"): "a8ce916e043a399c702d52ec4a9dd26d86da82396b37927549307e090ae6cdec",
-    ("C", "rows"): "ec224d5b26a8bacffa22f314b7cdbf467d7b93546618097f28518b14ead7f855",
-    ("C", "columns"): "bb939adb6debd9ead870b187b4ff9ccefdb0b743c390d7a3e84be42f5d6f445d",
+    ("C", "rows"): "a82e618471988f2a235ce63eb17d8b1f2821c03fd7836ab9de83b4397345d9b9",
+    ("C", "columns"): "beae09dd48624f3f2c2e0f1e9d5620e6ad1bee5a499a6fce31089d318de613ef",
     ("C", "auto"): "5c0af5e4337acf60b78995abf35fd7f944b2913e8045ff78a28f6c26494a940f",
 }
+
+
+def refusal(t, s, ruleset):
+    """model_status's message for the ruleset on the shape, or None if it
+    admits it."""
+    try:
+        model_status(t, resolve_ruleset(t, s, ruleset), s)
+    except ValueError as e:
+        return str(e)
+    return None
 
 
 @pytest.mark.parametrize("families,ruleset", sorted(ENUMERATION_GOLDEN))
@@ -889,7 +912,15 @@ def test_enumeration_golden(families, ruleset):
             for s in shapes
         ]
     assert sorted(RULESETS) == sorted(r for f, r in ENUMERATION_GOLDEN if f == "C")
-    assert _enumeration_digest(cases, ruleset) == ENUMERATION_GOLDEN[(families, ruleset)]
+    admitted = []
+    for t, s in cases:
+        why = refusal(t, s, ruleset)
+        if why is None:
+            admitted.append((t, s))
+        else:
+            with pytest.raises(ValueError, match=re.escape(why)):
+                enumerate_tableaux(t, s, ruleset)
+    assert _enumeration_digest(admitted, ruleset) == ENUMERATION_GOLDEN[(families, ruleset)]
 
 
 # ---------------------------------------------------------------------------
@@ -978,7 +1009,13 @@ def assert_row_tables_match_oracle(t, s, rulesets):
     # the oracle runs once per distinct rule set: A and B read no extra rule
     wants: dict = {}
     for ruleset in rulesets:
-        rules = resolve_ruleset(t, s, ruleset) if t.family == "C" else "hv"
+        why = refusal(t, s, ruleset)
+        if why is not None:
+            for f in (enumerate_tableaux, tableaux_with_sum, tableau_sum):
+                with pytest.raises(ValueError, match=re.escape(why)):
+                    f(t, s, ruleset=ruleset)
+            continue
+        rules = resolve_ruleset(t, s, ruleset)
         if rules not in wants:
             want = enumerate_tableaux_oracle(t, s, rules)
             wants[rules] = want, [RingElem.sum(T.weight(t, off) for T in want).terms for off in (0, -3)]
@@ -998,6 +1035,20 @@ def test_row_tables_match_cell_search(fam, n):
     for s in [shape(())] + skew_shapes(9, 3, 3):  # no rows: one empty filling
         if len(s.boxes()) <= 5:
             assert_row_tables_match_oracle(t, s, RULESETS)
+
+
+@pytest.mark.parametrize("model,n,lam", [("rows", 3, (3, 1, 1, 1)), ("columns", 3, (3, 3, 1, 1)), ("hv", 2, (1, 1))])
+def test_the_table_refuses_or_labels_where_the_rules_fail(model, n, lam):
+    # witnesses for the table: run past model_status, the cell search with
+    # the ruleset's extra rules sums to something other than chi_h (131
+    # terms against 70, 675 against 672, 6 against 5)
+    t, s = make_type("C", n), shape(lam)
+    assert RingElem.sum(T.weight(t) for T in enumerate_tableaux_oracle(t, s, model)) != chi_h(t, s)
+    if model == "hv":
+        assert model_status(t, model, s) == "not a character"
+    else:
+        with pytest.raises(ValueError, match="no C3 tableau rule covers .*: more than (3 rows|2 columns)$"):
+            model_status(t, model, s)
 
 
 def test_row_tables_match_cell_search_C3_columns():
