@@ -16,17 +16,20 @@ from (0, bot) to (r, top), r = vx - ux, with the same labels and every
 spectral shift moved by 2 delta ux.  So the h-paths of each (type, r)
 are enumerated once, into one table (``_hpath_table``) that holds for each
 path its steps, its point set as an int bitmask (bit (x - x0) * h + y - y0 for
-the point (x, y) in a frame with origin (x0, y0) and h heights), its
-leftmost x at height 0, and its weight as one key from ``ring.pack``.
+the point (x, y) in a frame with origin (x0, y0) and h heights) and its
+leftmost x at height 0, walked off its steps once, and the key of its
+weight from ``ring.row_keys``: the m-th east step of any path reads its
+letter at x = ux + m, so a path's labels are a row word from 2 delta ux.
+Path weights (``path_weight``, ``PathTuple.weight``) read their words so.
 
-A path's points are walked off its steps once, into one bounded cached
-geometry record (``_geometry``): the points, a point -> index map, the
-least and greatest x at each height, the end point, and the point mask in
-the path's own frame.  ``Path.points``, the records of ``classify_pair``
-and ``PathTuple.transposed_pairs`` (the mask moved into their frame) and
-the probes of ``qjt.resolutions`` read it.  ``Path.end`` counts the steps
-instead: most paths asked only for their end, such as the paths that a
-tableau gives, are never probed, and a record would cost them more.
+Other paths' points are walked off their steps once, into one bounded
+cached geometry record per path (``_geometry``): the points, a point ->
+index map, the least and greatest x at each height, the end point, and the
+point mask in the path's own frame.  ``Path.points``, the records of
+``classify_pair`` and ``PathTuple.transposed_pairs`` (the mask moved into
+their frame) and the probes of ``qjt.resolutions`` read it.  ``Path.end``
+counts the steps instead: most paths asked only for their end, such as the
+paths that a tableau gives, are never probed.
 
 Two paths are disjoint when their masks share no bit, specially
 intersecting when every shared bit is at height 0 (for C also the leftmost
@@ -55,7 +58,7 @@ from functools import lru_cache, partial
 from operator import and_
 from typing import NamedTuple
 
-from .ring import AlgType, Placement, RingElem, delta, letters, pack, z_product
+from .ring import AlgType, Placement, RingElem, delta, letters, row_keys, rows_weight
 from .shapes import SkewShape
 
 
@@ -102,8 +105,8 @@ class _Geometry(NamedTuple):
     mask: int
 
 
-# bounded: the h-path tables read each of their paths once, while the
-# resolution maps probe the few paths of one tuple many times
+# bounded: the resolution maps probe the few paths of one tuple many times,
+# while a stream of tuples would keep every path alive
 @lru_cache(maxsize=256)
 def _geometry(p: Path) -> _Geometry:
     x, y = x0, y0 = p.start
@@ -207,8 +210,13 @@ def east_labels(t: AlgType, p: Path) -> list[tuple[int, int]]:
     return out
 
 
+def _word(t: AlgType, p: Path) -> tuple[int, ...]:
+    """p's letters: a row word from shift 2 delta p.start[0] (see east_labels)."""
+    return tuple(letter for letter, _shift in east_labels(t, p))
+
+
 def path_weight(t: AlgType, p: Path, a_offset: int = 0) -> RingElem:
-    return z_product(t, [(letter, shift + a_offset) for letter, shift in east_labels(t, p)])
+    return rows_weight(t, [_word(t, p)], [2 * delta(t) * p.start[0]], a_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +316,32 @@ def is_transposed(t: AlgType, p: Path, q: Path) -> bool:
 # The h-path table
 
 
+def _table_rec(p: Path, bot: int, h: int) -> _Rec:
+    """_rec(p, 0, bot, h) of a path from (0, bot) that spans all h heights of
+    the frame, walked off its steps: no geometry record is built."""
+    x = y = 0  # y counts from bot
+    mask, zx = 1, 0 if bot == 0 else None
+    for s in p.steps:
+        if s == "E":
+            x += 1
+        else:
+            y += 1
+            if y == -bot:
+                zx = x
+        mask |= 1 << (x * h + y)
+    return _Rec(p, mask, zx, x)
+
+
 @lru_cache(maxsize=None)
 def _hpath_table(t: AlgType, r: int) -> tuple[int, int, tuple[_Rec, ...], tuple[int, ...]]:
     """(w, b, records, keys) of the h-paths from (0, bot) to (r, top), in
     enumeration order.  Each record is in the frame with origin (0, bot)
-    and the band's height; keys are the paths' weights from ``pack``, at
-    width w, and b bounds every exponent of a weight."""
+    and the band's height; keys are the weights of the paths' words from
+    ``row_keys``, at width w, and b bounds every exponent of a weight."""
     bot, top = band(t)
     paths = enumerate_hpaths(t, (0, bot), (r, top))
-    w, b, keys = pack(t, (path_weight(t, p) for p in paths))
-    return w, b, tuple(_rec(p, 0, bot, top - bot + 1) for p in paths), keys
+    w, b, keys = row_keys(t, [_word(t, p) for p in paths])
+    return w, b, tuple(_table_rec(p, bot, top - bot + 1) for p in paths), keys
 
 
 @lru_cache(maxsize=None)
@@ -361,9 +385,8 @@ class PathTuple(NamedTuple):
         return _sign(self.pi)
 
     def weight(self, t: AlgType, a_offset: int = 0) -> RingElem:
-        return z_product(
-            t, [(letter, shift + a_offset) for p in self.paths for letter, shift in east_labels(t, p)]
-        )
+        f = 2 * delta(t)
+        return rows_weight(t, [_word(t, p) for p in self.paths], [f * p.start[0] for p in self.paths], a_offset)
 
     def transposed_pairs(self, t: AlgType) -> list[tuple[int, int]]:
         if not self.paths:

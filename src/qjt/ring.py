@@ -21,11 +21,14 @@ never wraps.  Sums and products are accumulated in one fresh dict
 products by one pair loop (``_add_product``); no stored dict is ever
 mutated, so shifted elements may share one.  The (i, s, e) tuple form,
 ``RingElem.terms``, is decoded only when read (text, JSON, classical
-projection) and cached.
+projection) and cached; a decode builds one (i, s, e) tuple per (slot,
+exponent), which all its monomials share.
 
-The path and tableau models sum weights over tuples of rows: ``pack`` makes
-each row's weight one key, and a shape's ``Placement`` shifts the keys of a
-tuple's rows so that their sum is the key of the tuple's weight.
+The path and tableau models sum weights over tuples of rows.  A weight is a
+product of letter images, so its key is a sum of letter keys, one cached
+per (type, width): ``row_keys`` adds them per row word, and a shape's
+``Placement`` shifts the keys of a tuple's rows so that their sum is the
+key of the tuple's weight (``rows_weight`` reads it as a ``RingElem``).
 
 Letters are encoded as ints: k > 0 is the unbarred letter k, 0 is the type-B
 zero letter, -k is the barred letter k-bar.  ``letters(t)`` is the one
@@ -172,12 +175,19 @@ class RingElem:
     def terms(self) -> dict:
         if self._terms is None:
             lo, n, w = self._lo, self._n, self._w
-            self._terms = {
-                tuple(sorted(
-                    (slot % n + 1, slot // n + lo, e) for slot, e in enumerate(_digits(key, w)) if e
-                )): c
-                for key, c in self._keys.items()
-            }
+            shared: dict = {}  # (slot, e) -> the one (i, s, e) tuple of this decode
+            terms = {}
+            for key, c in self._keys.items():
+                factors = []
+                for slot, e in enumerate(_digits(key, w)):
+                    if e:
+                        f = shared.get((slot, e))
+                        if f is None:
+                            f = shared[slot, e] = (slot % n + 1, slot // n + lo, e)
+                        factors.append(f)
+                factors.sort()
+                terms[tuple(factors)] = c
+            self._terms = terms
         return self._terms
 
     # -- sums and products
@@ -529,8 +539,9 @@ def f_hom(t: AlgType, letter: int, shift: int = 0) -> RingElem:
 
 
 def z_product(t: AlgType, zvars: Iterable[tuple[int, int]]) -> RingElem:
-    """f-image of a product of z-variables given as (letter, shift) pairs:
-    one exponent vector, packed once."""
+    """f-image of a product of z-variables given as (letter, shift) pairs,
+    through their summed exponents: the series' letter images, and the
+    tests' oracle of ``row_keys`` and ``rows_weight``."""
     exps: dict[tuple[int, int], int] = {}
     get = exps.get
     for letter, shift in zvars:
@@ -552,23 +563,59 @@ def y_monomial(index: int, shift: int, exponent: int = 1) -> RingElem:
 @lru_cache(maxsize=None)
 def _key_base(t: AlgType) -> int:
     """The least spectral shift in the image of any letter at shift 0: the
-    base of the keys that ``pack`` makes."""
+    base of the keys that ``row_keys`` makes."""
     return min((s for c in letters(t) for _i, s, _e in _f_factors(t, c)), default=0)
 
 
-def pack(t: AlgType, monomials: Iterable[RingElem]) -> tuple[int, int, tuple[int, ...]]:
-    """(w, b, keys): the key of each monomial (coefficient 1, no shift below
-    _key_base(t)) in the type's layout (base _key_base(t), stride t.rank,
-    width w); b bounds every exponent and w is the least width that holds b."""
-    monomials = list(monomials)
-    b = max((x._b for x in monomials), default=0)
-    w = _width(b)
-    return w, b, tuple(_recode(x, _key_base(t), t.rank, w).popitem()[0] for x in monomials)
+# A factor (i, s, e) of a letter's image reaches a slot of a row word (letter
+# m at shift 2 delta m) from one position at most, so over all letters the
+# factors of index i bound a row's exponents at slots of index i: by 6 in
+# every type (the tests check every rank up to 40).  A row fits 8 bits.
+_ROW_BOUND = 6
+
+
+@lru_cache(maxsize=None)
+def _letter_keys(t: AlgType, w: int) -> dict[int, int]:
+    """Each letter's image at shift 0 as one key in the type's layout (base
+    _key_base(t), stride t.rank, width w)."""
+    lo, n = _key_base(t), t.rank
+    return {c: sum(e << w * ((s - lo) * n + i - 1) for i, s, e in _f_factors(t, c)) for c in letters(t)}
+
+
+def _word_keys(t: AlgType, w: int, words) -> tuple[int, ...]:
+    """The key of each row word's weight at width w: its letters' keys,
+    letter m's moved 2 delta m spectral steps (2 delta m w n bits)."""
+    lk, step = _letter_keys(t, w), 2 * delta(t) * w * t.rank
+    try:
+        return tuple(sum(lk[c] << step * m for m, c in enumerate(word)) for word in words)
+    except KeyError as e:
+        letter_order(t, e.args[0])  # raises ValueError: a letter outside the alphabet
+        raise
+
+
+def row_keys(t: AlgType, words) -> tuple[int, int, tuple[int, ...]]:
+    """(w, b, keys): the key of each row word's weight, letter m at shift
+    2 delta m, in the type's layout (base _key_base(t), stride t.rank,
+    width w = 8, which holds _ROW_BOUND); b, read off the keys' digits, is
+    the largest |exponent|."""
+    w = _width(_ROW_BOUND)
+    keys = _word_keys(t, w, words)
+    return w, max((max(map(abs, _digits(k, w))) for k in keys), default=0), keys
+
+
+def rows_weight(t: AlgType, words, starts, a_offset: int = 0) -> RingElem:
+    """The weight of rows of letters, row k's letter m at spectral shift
+    starts[k] + 2 delta m, moved a_offset: the rows' word keys summed
+    through a Placement whose bound is _ROW_BOUND per row."""
+    words = list(words)
+    place = Placement(t, _ROW_BOUND * len(words), starts)
+    key = sum(k << sh for k, sh in zip(_word_keys(t, place.w, words), place.kshift))
+    return place.elem({key: 1}, a_offset)
 
 
 class Placement:
     """A shape's layout for a sum over tuples of packed rows: row i's key
-    from ``pack`` moves shifts[i] spectral steps, a left shift by kshift[i]
+    from ``row_keys`` moves shifts[i] spectral steps, a left shift by kshift[i]
     bits, and a tuple's shifted keys add up to the key of its product, in a
     width that holds bound, the sum of the rows' exponent bounds."""
 

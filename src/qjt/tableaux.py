@@ -15,11 +15,11 @@ the enumeration applies to whole rows.  The rows of each (type, length) that
 obey the horizontal rules are enumerated once, into one table
 (``_row_table``), in lexicographic alphabet order: the order in which a
 row-major fill of the cells meets them.  Each entry holds its letter
-word and its weight, placed from column 0 of row 0, as one key from
-``ring.pack``.  The vertical rule reads only two adjacent rows and the
-offset between their starts, so the rows of a table that may lie under one
-row form one int bitmask (``_below``), built on first use and cached across
-calls.  The depth-first search of the path layer (``paths._search``) runs
+word and the key of its weight from ``ring.row_keys``, a sum of letter
+keys placed from column 0 of row 0.  The vertical rule reads only two
+adjacent rows and the offset between their starts, so the rows of a table
+that may lie under one row form one int bitmask (``_below``), built on
+first use and cached across calls.  The depth-first search of the path layer (``paths._search``) runs
 over these masks and yields the fillings in row-major order, each with its
 weight key: the sum of the row keys, row i's moved by 2 delta * (mu_i + 1 - i)
 spectral steps through the shape's ``ring.Placement``, carried down the
@@ -83,7 +83,7 @@ from functools import lru_cache, partial
 from operator import getitem
 from typing import NamedTuple
 
-from .ring import AlgType, Placement, RingElem, delta, letter_order, letters, pack, z_product
+from .ring import AlgType, Placement, RingElem, delta, letter_order, letters, row_keys, rows_weight
 from .shapes import SkewShape
 from .paths import Path, PathTuple, _hpath_table, _search, endpoints, model_status
 
@@ -103,14 +103,9 @@ class Tableau(NamedTuple):
         return row[j - mu_i - 1]
 
     def weight(self, t: AlgType, a_offset: int = 0) -> RingElem:
-        d = delta(t)
-        factors = []
-        for i, row in enumerate(self.cells, start=1):
-            mu_i = self.shape.mu[i]
-            for m, c in enumerate(row):
-                j = mu_i + 1 + m
-                factors.append((c, a_offset + 2 * (j - i) * d))
-        return z_product(t, factors)
+        """The product of the letter images, cell (i, j)'s at 2 delta (j - i) + a_offset."""
+        f, mu = 2 * delta(t), self.shape.mu
+        return rows_weight(t, self.cells, [f * (mu[i] + 1 - i) for i in range(1, len(self.cells) + 1)], a_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +339,9 @@ def resolve_ruleset(t: AlgType, s: SkewShape, ruleset: str) -> str:
 @lru_cache(maxsize=None)
 def _row_table(t: AlgType, length: int) -> tuple[int, int, tuple, tuple]:
     """(w, b, words, keys) of the rows of this length allowed by _h_ok and
-    _h_triple_ok, in lexicographic alphabet order: keys from ``pack`` of the
-    weights of the words from column 0 of row 0 (letter m at shift 2*delta*m)."""
+    _h_triple_ok, in lexicographic alphabet order: keys from ``row_keys`` of
+    the weights of the words from column 0 of row 0 (letter m at shift
+    2*delta*m)."""
     alphabet = letters(t)
     words = []
     row: list[int] = []
@@ -362,8 +358,7 @@ def _row_table(t: AlgType, length: int) -> tuple[int, int, tuple, tuple]:
             row.pop()
 
     rec()
-    f = 2 * delta(t)
-    w, b, keys = pack(t, (z_product(t, [(c, f * m) for m, c in enumerate(word)]) for word in words))
+    w, b, keys = row_keys(t, words)
     return w, b, tuple(words), keys
 
 

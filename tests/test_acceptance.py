@@ -221,10 +221,15 @@ def _roundtrip_ok(t, s):
     return True
 
 
-def test_criterion_08_bijection_round_trip():
+def criterion_08_cases():
+    """(type, shapes) of criterion 8: the shapes of criteria 4-6."""
     cases = [(make_type("A", n), a_shapes(n)) for n in (1, 2, 3)]
     cases += [(make_type(fam, n), skew_shapes(9, 3, 3)) for fam in ("B", "C") for n in (2, 3)]
-    cases += [(make_type("C", n), shapes) for n in (2, 3) for _, shapes in c_class_shapes(n)]
+    return cases + [(make_type("C", n), shapes) for n in (2, 3) for _, shapes in c_class_shapes(n)]
+
+
+def test_criterion_08_bijection_round_trip():
+    cases = criterion_08_cases()
     failures = [(str(t), repr(s)) for t, shapes in cases for s in shapes if not _roundtrip_ok(t, s)]
     total = sum(len(shapes) for _, shapes in cases)
     report(8, "path/tableau bijection round-trips on all criteria 4-6 shapes", failures, f"{total} shapes")

@@ -12,6 +12,7 @@ from qjt.paths import (
     _classify,
     _hpath_table,
     _pair_masks,
+    _rec,
     band,
     classify_pair,
     east_labels,
@@ -450,6 +451,21 @@ def test_pair_masks_match_classify(fam):
                     assert (disjoint >> e & 1, special >> e & 1) == (verdict == "disjoint", verdict == "specially")
                     seen += 1
     assert seen == {"A": 31_750, "B": 490_430, "C": 325_005}[fam]
+
+
+@pytest.mark.parametrize("fam", ["A", "B", "C"])
+def test_table_records_are_the_geometry_records(fam):
+    # the table walks each path's steps once for its record; _rec reads the
+    # same three values off the path's geometry record
+    seen = 0
+    for n in (1, 2, 3, 4):
+        t = make_type(fam, n)
+        bot, top = band(t)
+        for r in range(6):
+            for a in _hpath_table(t, r)[2]:
+                assert a == _rec(a.path, 0, bot, top - bot + 1), (t, a.path)
+                seen += 1
+    assert seen == {"A": 455, "B": 2_686, "C": 2_214}[fam]
 
 
 def _walk(p):

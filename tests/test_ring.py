@@ -18,10 +18,14 @@ from qjt.ring import (
     letter_str,
     letters,
     make_type,
-    pack,
+    row_keys,
+    rows_weight,
     y_monomial,
     z_product,
 )
+from qjt.ring import _ROW_BOUND, _f_factors, _key_base, _recode, _width, delta
+from qjt.paths import _hpath_table, band, east_labels
+from qjt.tableaux import _row_table
 
 from test_tableaux import parse_letter
 
@@ -441,6 +445,61 @@ def test_kernel_mixed_strides_and_constants():
     assert RingElem.sum([]) == ZERO and RingElem.sum_products([]) == ZERO
 
 
+def repack(t: AlgType, monomials) -> tuple[int, int, tuple[int, ...]]:
+    """The oracle of row_keys: (w, b, keys) of one-term elements with no
+    shift below _key_base(t), re-packed in the type's layout (base
+    _key_base(t), stride t.rank), at the least width w that holds b, the
+    largest bound of the elements."""
+    monomials = list(monomials)
+    b = max((x._b for x in monomials), default=0)
+    w = _width(b)
+    return w, b, tuple(_recode(x, _key_base(t), t.rank, w).popitem()[0] for x in monomials)
+
+
+def test_row_exponents_fit_eight_bits():
+    # the ring's _ROW_BOUND: a factor (i, s, e) of a letter's image reaches
+    # a slot of a row from one position at most, so the sum of |e| over all
+    # letters' factors of index i bounds a row's exponents at slots of
+    # index i; it is at most 6 at every rank, and row_keys packs at 8 bits
+    seen = 0
+    for fam in "ABCD":
+        for n in range(2 if fam == "D" else 1, 41):
+            t = make_type(fam, n)
+            per_index = {}
+            for c in letters(t):
+                for i, _s, e in _f_factors(t, c):
+                    per_index[i] = per_index.get(i, 0) + abs(e)
+            assert max(per_index.values()) <= _ROW_BOUND, t
+            seen += 1
+    assert seen == 159
+
+
+def test_row_keys_are_the_repacked_z_products():
+    # every row table of A-D and every h-path table of A-C, ranks 1-4,
+    # lengths 0-5, and the A1 h-path tables up to width 128, as
+    # test_wide_frames_reuse_the_tables builds them: (w, b, keys) equal the
+    # z_product weights re-packed, and one row's rows_weight is its z_product
+    seen = 0
+    for t in ALL_TYPES:
+        f = 2 * delta(t)
+        bot = band(t)[0]
+        for r in range(6):
+            w, b, words, keys = _row_table(t, r)
+            weights = [z_product(t, [(c, f * m) for m, c in enumerate(word)]) for word in words]
+            assert (w, b, keys) == repack(t, weights), (t, r)
+            for word, x in zip(words[::7], weights[::7]):
+                assert rows_weight(t, [word], [-f], 3) == x.shift_spectral(3 - f), (t, word)
+            if t.family != "D":
+                w, b, recs, keys = _hpath_table(t, r)
+                assert (w, b, keys) == repack(t, (z_product(t, east_labels(t, a.path)) for a in recs)), (t, r)
+            seen += 1
+    for r in range(6, 129):
+        w, b, recs, keys = _hpath_table(A1, r)
+        assert (w, b, keys) == repack(A1, (z_product(A1, east_labels(A1, a.path)) for a in recs)), r
+        seen += 1
+    assert seen == 213
+
+
 # Rows of one-term weights: per row, a list of monomials, each a z-product of
 # (letter index, shift >= 0, power) factors; powers up to 130 put the bound
 # of a tuple past 127, where the placement recodes 8-bit keys
@@ -457,7 +516,7 @@ def test_placed_keys_sum_to_shifted_products(t, rows, shifts, a_offset):
         [z_product(t, [(alphabet[c % len(alphabet)], s) for c, s, e in m for _ in range(e)]) for m in row]
         for row in rows
     ]
-    tabs = [pack(t, row) for row in monos]
+    tabs = [repack(t, row) for row in monos]
     shifts = shifts[: len(rows)]
     place = Placement(t, sum(b for _w, b, _keys in tabs), shifts)
     keys = [place.recode(w, ks) for w, _b, ks in tabs]

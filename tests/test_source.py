@@ -52,6 +52,22 @@ def test_packed_layout_stays_in_the_ring():
     assert found == []
 
 
+def test_weights_sum_letter_keys_outside_the_ring():
+    # z_product sums exponent dicts: the series' letter images and the
+    # tests' oracle; the path and tableau weights sum letter keys through
+    # qjt.ring's row_keys and rows_weight, so no other module names it
+    found = []
+    for name, tree in modules():
+        if name == "ring.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{name}:{node.lineno}" for a in node.names if a.name == "z_product"]
+            elif isinstance(node, ast.Name) and node.id == "z_product" or isinstance(node, ast.Attribute) and node.attr == "z_product":
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def test_model_coverage_is_decided_in_model_status():
     # paths.model_status is the one table of which models hold: the
     # refusals that name a model's coverage are raised there and nowhere

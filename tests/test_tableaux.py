@@ -20,7 +20,7 @@ from qjt.paths import (
     no_ordinary_tuples,
     p_tilde,
 )
-from qjt.ring import AlgType, RingElem, letter_order, letter_str, letters, make_type, z_product
+from qjt.ring import AlgType, RingElem, delta, letter_order, letter_str, letters, make_type, z_product
 from qjt.shapes import shape
 from qjt.tableaux import (
     RULESETS,
@@ -47,7 +47,7 @@ from qjt.tableaux import (
 )
 
 from optimized import error_under_O
-from test_acceptance import a_shapes, c_class_shapes, skew_shapes
+from test_acceptance import a_shapes, c_class_shapes, criterion_08_cases, skew_shapes
 from test_shapes import all_partitions, subpartitions
 
 
@@ -344,6 +344,32 @@ def test_path_tableau_roundtrip(fam, n):
             assert T.weight(t, 0) == pt.weight(t, 0)
             back = tableau_to_path_tuple(t, T)
             assert back.paths == pt.paths
+
+
+def test_weights_are_the_z_products_on_criterion_8_shapes():
+    # Tableau.weight and PathTuple.weight sum letter keys; z_product, which
+    # sums exponents, is their oracle.  Every 50th hv tableau of each of
+    # criterion 8's shapes, the first included, and its path tuple, at
+    # offsets 0 and -3: rows below the first start left of x = 0
+    seen = 0
+    for t, shapes in criterion_08_cases():
+        f = 2 * delta(t)
+        for s in shapes:
+            for T in enumerate_tableaux(t, s, "hv")[::50]:
+                pt = tableau_to_path_tuple(t, T)
+                for off in (0, -3):
+                    cells = [(c, off + f * (s.mu[i] + 1 - i + m)) for i, row in enumerate(T.cells, 1) for m, c in enumerate(row)]
+                    labels = [(c, x + off) for p in pt.paths for c, x in east_labels(t, p)]
+                    assert T.weight(t, off) == z_product(t, cells), (t, s, T.cells, off)
+                    assert pt.weight(t, off) == z_product(t, labels), (t, s, T.cells, off)
+                seen += 1
+    assert seen == 6_295
+
+
+def test_weights_refuse_letters_outside_the_alphabet():
+    t = make_type("C", 2)
+    with pytest.raises(ValueError, match="letter 0 not in alphabet of C2"):
+        Tableau(shape((2,)), ((1, 0),)).weight(t)
 
 
 @pytest.mark.parametrize("fam,n", [("A", 2), ("B", 2), ("C", 2)])
