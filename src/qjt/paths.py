@@ -17,10 +17,13 @@ spectral shift moved by 2 delta ux.  So the h-paths of each (type, r)
 are enumerated once, into one table (``_hpath_table``) that holds for each
 path its steps, its point set as an int bitmask (bit (x - x0) * h + y - y0 for
 the point (x, y) in a frame with origin (x0, y0) and h heights) and its
-leftmost x at height 0, walked off its steps once, and the key of its
-weight from ``ring.row_keys``: the m-th east step of any path reads its
-letter at x = ux + m, so a path's labels are a row word from 2 delta ux.
-Path weights (``path_weight``, ``PathTuple.weight``) read their words so.
+leftmost x at height 0, walked off its steps once, its word and the key
+of the word's weight from ``ring.row_keys``: the m-th east step of any path
+reads its letter at x = ux + m, so a path's labels are a row word from
+2 delta ux.  Path weights (``path_weight``, ``PathTuple.weight``) read their
+words so.  In enumeration order the words are the rows of length r of
+``qjt.tableaux`` in lexicographic alphabet order, so this one table per
+(type, r) serves both layers: path i reads row word i by construction.
 
 Other paths' points are walked off their steps once, into one bounded
 cached geometry record per path (``_geometry``): the points, a point ->
@@ -44,11 +47,11 @@ r_i, r_k, d, c): they are built on first use and cached across shapes
 search (``_search``) yields each tuple as one index per row into its
 table, with its key: every row's weight key moved by 2 delta ux_i spectral
 steps through the shape's ``ring.Placement``, summed down the search.  The
-tableau layer runs it over its row tables, one list with these (see
-``tableaux._row_index``).  A signed path sum
-adds the key of each tuple into one dict with the sign of its permutation
-as the coefficient, and has the placement read the dict as one
-``RingElem``.
+tableau layer runs it over the same tables' words with pi the identity.
+Both layers sum through one signed key sum (``_signed_sum``): it adds the
+key of each tuple into one dict with the sign of its permutation as the
+coefficient, +1 for every tableau, and has the placement read the dict as
+one ``RingElem``.
 """
 
 from __future__ import annotations
@@ -333,15 +336,17 @@ def _table_rec(p: Path, bot: int, h: int) -> _Rec:
 
 
 @lru_cache(maxsize=None)
-def _hpath_table(t: AlgType, r: int) -> tuple[int, int, tuple[_Rec, ...], tuple[int, ...]]:
-    """(w, b, records, keys) of the h-paths from (0, bot) to (r, top), in
-    enumeration order.  Each record is in the frame with origin (0, bot)
-    and the band's height; keys are the weights of the paths' words from
+def _hpath_table(t: AlgType, r: int) -> tuple[int, int, tuple[_Rec, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(w, b, records, words, keys) of the h-paths from (0, bot) to (r, top),
+    in enumeration order: the alphabet order of their words, the rows of
+    length r of the tableau layer.  Each record is in the frame with origin
+    (0, bot) and the band's height; keys are the weights of the words from
     ``row_keys``, at width w, and b bounds every exponent of a weight."""
     bot, top = band(t)
     paths = enumerate_hpaths(t, (0, bot), (r, top))
-    w, b, keys = row_keys(t, [_word(t, p) for p in paths])
-    return w, b, tuple(_table_rec(p, bot, top - bot + 1) for p in paths), keys
+    words = tuple(_word(t, p) for p in paths)
+    w, b, keys = row_keys(t, words)
+    return w, b, tuple(_table_rec(p, bot, top - bot + 1) for p in paths), words, keys
 
 
 @lru_cache(maxsize=None)
@@ -439,7 +444,7 @@ class _Frame:
         bound = sum(max((tabs[r][1] for r in row if r >= 0), default=0) for row in widths)
         self.place = place = Placement(t, bound, [2 * delta(t) * x for x in self.ux])
         # recoded where a table is packed narrower than this shape needs
-        keys = {r: place.recode(w, ks) for r, (w, _b, _rs, ks) in tabs.items()}
+        keys = {r: place.recode(w, ks) for r, (w, _b, _rs, _ws, ks) in tabs.items()}
         self.cands = [[tabs[r][2] if r >= 0 else () for r in row] for row in widths]
         self.keys = [[keys[r] if r >= 0 else () for r in row] for row in widths]
         self.made = [[{} for _ in row] for row in widths]  # c -> Path, per (row, destination)
@@ -495,18 +500,6 @@ class _Frame:
             for pi in itertools.permutations(range(len(keys)))
         )
 
-    def signed_sum(self, found, a_offset: int = 0) -> RingElem:
-        """The sum of sign(pi) * weight over (pi, cs, key): each key added
-        into one dict with the sign as coefficient."""
-        acc: dict = {}
-        get = acc.get
-        last = None
-        for pi, _cs, key in found:
-            if pi is not last:  # the tuples of one permutation come together
-                last, sgn = pi, _sign(pi)
-            acc[key] = get(key, 0) + sgn
-        return self.place.elem(acc, a_offset)
-
 
 def _search(pi, keys, kshift, fits, adjacent_only):
     """Depth-first search over one index per row into the table of weight
@@ -560,6 +553,20 @@ def _search(pi, keys, kshift, fits, adjacent_only):
             allowed[i], todo[i], base[i] = nxt, nxt[0], base[i - 1] + (keys[i - 1][c] << kshift[i - 1])
 
 
+def _signed_sum(place: Placement, found, a_offset: int = 0) -> RingElem:
+    """The sum of sign(pi) * weight over the (pi, cs, key) of a search placed
+    by place: each key added into one dict with the sign as coefficient.
+    Path and tableau sums both run here; a tableau's pi is the identity."""
+    acc: dict = {}
+    get = acc.get
+    last = None
+    for pi, _cs, key in found:
+        if pi is not last:  # the tuples of one permutation come together
+            last, sgn = pi, _sign(pi)
+        acc[key] = get(key, 0) + sgn
+    return place.elem(acc, a_offset)
+
+
 def nonintersecting_tuples(t: AlgType, s: SkewShape) -> list[PathTuple]:
     """P(A_n; mu, lambda): no intersecting pair at all."""
     frame = _Frame(t, s)
@@ -598,10 +605,10 @@ def surviving_tuples_with_sum(t: AlgType, s: SkewShape, a_offset: int = 0) -> tu
     """The surviving tuples and their signed sum, from one enumeration."""
     frame = _Frame(t, s)
     found = list(frame.surviving())
-    return [frame.path_tuple(pi, cs) for pi, cs, _key in found], frame.signed_sum(found, a_offset)
+    return [frame.path_tuple(pi, cs) for pi, cs, _key in found], _signed_sum(frame.place, found, a_offset)
 
 
 def signed_path_sum(t: AlgType, s: SkewShape, a_offset: int = 0) -> RingElem:
     """The cancellation-free signed sum over the type's surviving tuple class."""
     frame = _Frame(t, s)
-    return frame.signed_sum(frame.surviving(), a_offset)
+    return _signed_sum(frame.place, frame.surviving(), a_offset)

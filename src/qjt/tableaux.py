@@ -10,22 +10,24 @@ is weak rows and strict columns in that order, with these exceptions:
   n whose lower cell has an n-bar on its left, or a repeated n-bar whose
   upper cell has an n on its right.
 
-Each cell rule is a test on letters (`_h_ok`, `_h_triple_ok`, `_v_ok`), which
-the enumeration applies to whole rows.  The rows of each (type, length) that
-obey the horizontal rules are enumerated once, into one table
-(``_row_table``), in lexicographic alphabet order: the order in which a
-row-major fill of the cells meets them.  Each entry holds its letter
-word and the key of its weight from ``ring.row_keys``, a sum of letter
-keys placed from column 0 of row 0.  The vertical rule reads only two
-adjacent rows and the offset between their starts, so the rows of a table
-that may lie under one row form one int bitmask (``_below``), built on
-first use and cached across calls.  The depth-first search of the path layer (``paths._search``) runs
-over these masks and yields the fillings in row-major order, each with its
-weight key: the sum of the row keys, row i's moved by 2 delta * (mu_i + 1 - i)
-spectral steps through the shape's ``ring.Placement``, carried down the
-search.  A tableau sum adds the key of each filling into one dict and has
-the placement read the dict as one ``RingElem``.  No ``Tableau`` is built
-for a sum.
+The rows of a length r that obey the horizontal rules are the words that
+the h-paths of width r read, in the order of the h-path table
+(``paths._hpath_table``, one per (type, width) for both layers): the
+lexicographic alphabet order, in which a row-major fill of the cells meets
+them.  Each entry holds its letter word and the key of its weight from
+``ring.row_keys``, a sum of letter keys placed from column 0 of row 0.  (The
+horizontal rules as cell tests on letters are the tests' oracle of the
+table.)  The vertical rule (``_v_ok``) reads only two adjacent rows and the
+offset between their starts, so the rows of a table that may lie under one
+row form one int bitmask (``_below``), built on first use and cached across
+calls.  The depth-first search of the path layer (``paths._search``) runs
+over these masks, with pi the identity, and yields the fillings in
+row-major order, each with its weight key: the sum of the row keys, row i's
+moved by 2 delta * (mu_i + 1 - i) spectral steps through the shape's
+``ring.Placement``, carried down the search.  A tableau sum is the path
+layer's signed key sum (``paths._signed_sum``), every sign +1: each key
+added into one dict, which the placement reads as one ``RingElem``.  No
+``Tableau`` is built for a sum.
 
 For the C family the generating function identity requires extra rules that
 depend on the shape (``paths.model_status`` says where each holds): a
@@ -65,15 +67,14 @@ free (s, s-bar) with s > z, then d lists the inner plain letters, (n-bar, n)
 and the inner barred letters, as a symplectic column splits (Sheats, Trans.
 AMS 1999; Lecouvey, J. Algebra 2002).  No path tuple is searched.
 
-The h-paths of width r (``paths._hpath_table``) and the rows of length r,
-tabulated apart, are one list: h-path i reads row word i, with the same
-key.  Both searches yield one index per row.  The path correspondence maps
-steps to words and words to steps directly, per length (``_row_index``),
-and reads them through one bounded cached record per (type, shape)
-(``_links``): each row's start, end and steps -> word map, the identity
-permutation, and a memo of the Path from the row's start of each word
-that has passed every check, so a round trip builds each row's Path once
-per shape.
+H-path i of width r reads row word i of length r, one entry of one table,
+and both searches yield one index per row into it.  The path
+correspondence maps steps to words and words to steps directly, per length
+(``_row_index``), and reads them through one bounded cached record per
+(type, shape) (``_links``): each row's start, end and steps -> word map,
+the identity permutation, and a memo of the Path from the row's start of
+each word that has passed every check, so a round trip builds each row's
+Path once per shape.
 """
 
 from __future__ import annotations
@@ -83,9 +84,9 @@ from functools import lru_cache, partial
 from operator import getitem
 from typing import NamedTuple
 
-from .ring import AlgType, Placement, RingElem, delta, letter_order, letters, row_keys, rows_weight
+from .ring import AlgType, Placement, RingElem, delta, letter_order, letters, rows_weight
 from .shapes import SkewShape
-from .paths import Path, PathTuple, _hpath_table, _search, endpoints, model_status
+from .paths import Path, PathTuple, _hpath_table, _search, _signed_sum, endpoints, model_status
 
 
 class Tableau(NamedTuple):
@@ -114,19 +115,6 @@ class Tableau(NamedTuple):
 
 def _cmp(t: AlgType, c1: int, c2: int) -> int:
     return letter_order(t, c1) - letter_order(t, c2)
-
-
-def _h_ok(t: AlgType, left: int, right: int) -> bool:
-    if t.family == "B" and left == right == 0:
-        return False
-    return _cmp(t, left, right) <= 0 or (t.family == "C" and (left, right) == (-t.rank, t.rank))
-
-
-def _h_triple_ok(t: AlgType, c1, c2, c3) -> bool:
-    if t.family != "C":
-        return True
-    n = t.rank
-    return (c1, c2, c3) not in ((-n, -n, n), (-n, n, n))
 
 
 def _v_ok(t: AlgType, up: int, dn: int, dn_left, up_right) -> bool:
@@ -333,33 +321,7 @@ def resolve_ruleset(t: AlgType, s: SkewShape, ruleset: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Row tables and enumeration
-
-
-@lru_cache(maxsize=None)
-def _row_table(t: AlgType, length: int) -> tuple[int, int, tuple, tuple]:
-    """(w, b, words, keys) of the rows of this length allowed by _h_ok and
-    _h_triple_ok, in lexicographic alphabet order: keys from ``row_keys`` of
-    the weights of the words from column 0 of row 0 (letter m at shift
-    2*delta*m)."""
-    alphabet = letters(t)
-    words = []
-    row: list[int] = []
-
-    def rec():
-        if len(row) == length:
-            words.append(tuple(row))
-            return
-        for v in alphabet:
-            if row and not (_h_ok(t, row[-1], v) and (len(row) < 2 or _h_triple_ok(t, row[-2], row[-1], v))):
-                continue
-            row.append(v)
-            rec()
-            row.pop()
-
-    rec()
-    w, b, keys = row_keys(t, words)
-    return w, b, tuple(words), keys
+# Row masks and enumeration, over the words of the h-path tables
 
 
 @lru_cache(maxsize=None)
@@ -367,10 +329,10 @@ def _below(t: AlgType, la: int, lb: int, off: int, c: int) -> int:
     """Bitmask over the rows of length lb that may lie under row c of length
     la when the lower row starts off columns right of the upper one: _v_ok
     at every column the two rows share."""
-    up = _row_table(t, la)[2][c]
+    up = _hpath_table(t, la)[3][c]
     cols = range(max(0, -off), min(lb, la - off))  # indices into the lower row
     mask = 0
-    for d, dn in enumerate(_row_table(t, lb)[2]):
+    for d, dn in enumerate(_hpath_table(t, lb)[3]):
         if all(
             _v_ok(t, up[p + off], dn[p], dn[p - 1] if p else None, up[p + off + 1] if p + off + 1 < la else None)
             for p in cols
@@ -384,11 +346,11 @@ def _below_2row(t: AlgType, la: int, lb: int, off: int, c: int) -> int:
     """_below with the two-row rule: the rows of _below(..., c) that the rule
     admits under row c."""
     mask = _below(t, la, lb, off, c)
-    up = _row_table(t, la)[2][c]
+    up = _hpath_table(t, la)[3][c]
     n = t.rank
     if n not in up:
         return mask
-    for d, dn in enumerate(_row_table(t, lb)[2]):
+    for d, dn in enumerate(_hpath_table(t, lb)[3]):
         if mask >> d & 1 and not _2row_ok(n, up, dn, off):
             mask ^= 1 << d
     return mask
@@ -403,37 +365,38 @@ def _row3_mask(t: AlgType, la: int, lb: int, lc: int, off1: int, off2: int, a: i
     under _below_2row(..., b) are tested, and none unless row a has an n-1
     and row b an n or an n-bar."""
     n = t.rank
-    top, mid = _row_table(t, la)[2][a], _row_table(t, lb)[2][b]
+    top, mid = _hpath_table(t, la)[3][a], _hpath_table(t, lb)[3][b]
     mask = -1
     if n - 1 not in top or (n not in mid and -n not in mid):
         return mask
     under = _below_2row(t, lb, lc, off2, b)
-    for d, bot in enumerate(_row_table(t, lc)[2]):
+    for d, bot in enumerate(_hpath_table(t, lc)[3]):
         if under >> d & 1 and 1 - n in bot and not _3row_ok(t, top, mid, bot, off1, off2):
             mask ^= 1 << d
     return mask
 
 
 class _Rows:
-    """The row tables of a shape's rows, read in place.
+    """The h-path tables of a shape's row lengths, read in place.
 
-    Row i of the shape takes its letters from the table of its length.  A
-    filling is one index into each row's table, and rows i, i+1 fit when
-    the lower index is in _below of the upper one (_below_2row for the C
-    row rules).  Row i's first cell (i, mu_i + 1) carries the spectral
+    Row i of the shape takes its letters from the words of the table of its
+    length.  A filling is one index into each row's table, and rows i, i+1
+    fit when the lower index is in _below of the upper one (_below_2row for
+    the C row rules).  Row i's first cell (i, mu_i + 1) carries the spectral
     shift 2*delta*(mu_i + 1 - i), by which the search moves its weight keys
     through the placement, whose width holds the exponents of any filling.
     """
 
     def __init__(self, t: AlgType, s: SkewShape):
+        model_status(t, "hv")  # the tableau layer's refusal, before a table labels a path
         self.t, self.s = t, s
         rows = range(1, len(s.lam) + 1)
         self.lengths = [s.lam[i] - s.mu[i] for i in rows]
         self.mu = [s.mu[i] for i in rows]
-        tabs = [_row_table(t, m) for m in self.lengths]
-        self.words = [tab[2] for tab in tabs]
+        tabs = [_hpath_table(t, m) for m in self.lengths]
+        self.words = [tab[3] for tab in tabs]
         self.place = place = Placement(t, sum(tab[1] for tab in tabs), [2 * delta(t) * (s.mu[i] + 1 - i) for i in rows])
-        self.keys = [place.recode(tab[0], tab[3]) for tab in tabs]
+        self.keys = [place.recode(tab[0], tab[4]) for tab in tabs]
 
     def _fits(self, below, i: int, c: int, k: int) -> int:
         return below(self.t, self.lengths[i], self.lengths[k], self.mu[k] - self.mu[i], c)
@@ -447,34 +410,25 @@ class _Rows:
         return True
 
     def fillings(self, ruleset: str):
-        """(cs, key) for the fillings that obey the cell rules and, for C,
-        the ruleset's extra rules, in row-major alphabet order: cs indexes
-        each row's table and key is the filling's weight key.  The two-row
-        rule prunes the search, the three-row and column rules filter
-        complete fillings."""
+        """The search's (pi, cs, key) for the fillings that obey the cell
+        rules and, for C, the ruleset's extra rules, in row-major alphabet
+        order: pi is the identity, cs indexes each row's table and key is
+        the filling's weight key.  The two-row rule prunes the search, the
+        three-row and column rules filter complete fillings."""
         ruleset = resolve_ruleset(self.t, self.s, ruleset)
         model_status(self.t, ruleset, self.s)
         fits = partial(self._fits, _below_2row if ruleset == "rows" else _below)
         rows = tuple(range(len(self.keys)))
-        found = ((cs, key) for _pi, cs, key in _search(rows, self.keys, self.place.kshift, fits, True))
+        found = _search(rows, self.keys, self.place.kshift, fits, True)
         if ruleset == "rows" and len(rows) > 2:
-            return (x for x in found if self._row3_ok(x[0]))
+            return (x for x in found if self._row3_ok(x[1]))
         if ruleset == "columns":
             t, words, layout = self.t, self.words, _col_layout(self.s.lam.parts, self.s.mu.parts)
-            return (x for x in found if _2col_ok(t, [ws[c] for ws, c in zip(words, x[0])], layout))
+            return (x for x in found if _2col_ok(t, [ws[c] for ws, c in zip(words, x[1])], layout))
         return found
 
     def tableau(self, cs) -> Tableau:
         return Tableau(self.s, tuple(map(getitem, self.words, cs)))
-
-    def weight_sum(self, found, a_offset: int = 0) -> RingElem:
-        """The sum of the weights of the fillings (cs, key): each key added
-        into one dict."""
-        acc: dict = {}
-        get = acc.get
-        for _cs, key in found:
-            acc[key] = get(key, 0) + 1
-        return self.place.elem(acc, a_offset)
 
 
 def enumerate_tableaux(t: AlgType, s: SkewShape, ruleset: str = "auto"):
@@ -483,7 +437,7 @@ def enumerate_tableaux(t: AlgType, s: SkewShape, ruleset: str = "auto"):
     ValueError where paths.model_status refuses the ruleset on the shape,
     which it calls 'not a character' for C under 'hv'."""
     rows = _Rows(t, s)
-    return [rows.tableau(cs) for cs, _key in rows.fillings(ruleset)]
+    return [rows.tableau(cs) for _pi, cs, _key in rows.fillings(ruleset)]
 
 
 def tableaux_with_sum(
@@ -492,12 +446,12 @@ def tableaux_with_sum(
     """The tableaux and their weight sum, from one enumeration."""
     rows = _Rows(t, s)
     found = list(rows.fillings(ruleset))
-    return [rows.tableau(cs) for cs, _key in found], rows.weight_sum(found, a_offset)
+    return [rows.tableau(cs) for _pi, cs, _key in found], _signed_sum(rows.place, found, a_offset)
 
 
 def tableau_sum(t: AlgType, s: SkewShape, a_offset: int = 0, ruleset: str = "auto") -> RingElem:
     rows = _Rows(t, s)
-    return rows.weight_sum(rows.fillings(ruleset), a_offset)
+    return _signed_sum(rows.place, rows.fillings(ruleset), a_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +460,10 @@ def tableau_sum(t: AlgType, s: SkewShape, a_offset: int = 0, ruleset: str = "aut
 
 @lru_cache(maxsize=None)
 def _row_index(t: AlgType, r: int) -> tuple[dict, dict]:
-    """(steps -> word, word -> steps) over the h-paths of width r and the
-    rows of length r, which are one list: path i reads row word i."""
-    steps, words = [a.path.steps for a in _hpath_table(t, r)[2]], _row_table(t, r)[2]
+    """(steps -> word, word -> steps) over the h-path table of width r:
+    path i reads row word i."""
+    recs, words = _hpath_table(t, r)[2:4]
+    steps = [a.path.steps for a in recs]
     return dict(zip(steps, words)), dict(zip(words, steps))
 
 

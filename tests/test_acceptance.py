@@ -211,10 +211,10 @@ def _roundtrip_ok(t, s):
     frame, rows = _Frame(t, s), _Rows(t, s)
     fits = {"A": frame.disjoint, "B": frame.no_ordinary, "C": frame.untransposed}[t.family]
     found = [(pi, cs) for pi, cs, _key in frame.tuples(fits, adjacent_only=t.family == "C")]
-    fillings = [cs for cs, _key in rows.fillings("hv")]
-    if found != [(tuple(range(len(s.lam))), cs) for cs in fillings] or len(tuples) != len(fillings):
+    fillings = [(pi, cs) for pi, cs, _key in rows.fillings("hv")]
+    if found != fillings or len(tuples) != len(fillings):
         return False
-    for p, cs in zip(tuples, fillings):
+    for p, (_pi, cs) in zip(tuples, fillings):
         T = path_tuple_to_tableau(t, p)
         if T != rows.tableau(cs) or tableau_to_path_tuple(t, T).paths != p.paths:
             return False

@@ -13,6 +13,7 @@ from qjt.paths import (
     _hpath_table,
     _pair_masks,
     _rec,
+    _signed_sum,
     band,
     classify_pair,
     east_labels,
@@ -389,7 +390,7 @@ def test_wide_keys_for_many_rows():
     for pick in (0, -1):  # every row EN (Y[1,.]), every row NE (Y[1,.]^-1)
         cs = tuple(pick % len(frame.keys[i][i]) for i in pi)
         pt = frame.path_tuple(pi, cs)
-        assert frame.signed_sum([(pi, cs, key(pick))], -3) == pt.weight(t, -3)
+        assert _signed_sum(frame.place, [(pi, cs, key(pick))], -3) == pt.weight(t, -3)
     # a pair test that admits every pair leaves the first candidates first
     admit_all = lambda pi, i, c, k: -1
     assert next(frame.tuples(admit_all)) == (pi, (0,) * 128, key(0))
@@ -540,7 +541,7 @@ def test_search_keys_are_the_row_sums(fam, n):
             assert key == sum(ks[j][c] << sh for c, ks, j, sh in parts)
             seen += 1
         rows = _Rows(t, s)
-        for cs, key in rows.fillings("hv"):
+        for _pi, cs, key in rows.fillings("hv"):
             assert key == sum(ks[c] << sh for ks, c, sh in zip(rows.keys, cs, rows.place.kshift))
             seen += 1
     assert seen == {"A2": 1_886, "B2": 9_502, "C2": 5_262, "C3": 19_144}[str(t)]

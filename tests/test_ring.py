@@ -24,10 +24,9 @@ from qjt.ring import (
     z_product,
 )
 from qjt.ring import _ROW_BOUND, _f_factors, _key_base, _recode, _width, delta
-from qjt.paths import _hpath_table, band, east_labels
-from qjt.tableaux import _row_table
+from qjt.paths import _hpath_table, east_labels
 
-from test_tableaux import parse_letter
+from test_tableaux import parse_letter, rows_oracle
 
 A1 = make_type("A", 1)
 A2 = make_type("A", 2)
@@ -475,26 +474,28 @@ def test_row_exponents_fit_eight_bits():
 
 
 def test_row_keys_are_the_repacked_z_products():
-    # every row table of A-D and every h-path table of A-C, ranks 1-4,
-    # lengths 0-5, and the A1 h-path tables up to width 128, as
-    # test_wide_frames_reuse_the_tables builds them: (w, b, keys) equal the
-    # z_product weights re-packed, and one row's rows_weight is its z_product
+    # every h-path table of A-C and the cell rules' rows of D (which has no
+    # h-path table), ranks 1-4, lengths 0-5, and the A1 h-path tables up to
+    # width 128, as test_wide_frames_reuse_the_tables builds them: (w, b,
+    # keys) equal the z_product weights re-packed, and one row's rows_weight
+    # is its z_product
     seen = 0
     for t in ALL_TYPES:
         f = 2 * delta(t)
-        bot = band(t)[0]
         for r in range(6):
-            w, b, words, keys = _row_table(t, r)
+            if t.family == "D":
+                words = rows_oracle(t, r)
+                w, b, keys = row_keys(t, words)
+            else:
+                w, b, recs, words, keys = _hpath_table(t, r)
+                assert (w, b, keys) == repack(t, (z_product(t, east_labels(t, a.path)) for a in recs)), (t, r)
             weights = [z_product(t, [(c, f * m) for m, c in enumerate(word)]) for word in words]
             assert (w, b, keys) == repack(t, weights), (t, r)
             for word, x in zip(words[::7], weights[::7]):
                 assert rows_weight(t, [word], [-f], 3) == x.shift_spectral(3 - f), (t, word)
-            if t.family != "D":
-                w, b, recs, keys = _hpath_table(t, r)
-                assert (w, b, keys) == repack(t, (z_product(t, east_labels(t, a.path)) for a in recs)), (t, r)
             seen += 1
     for r in range(6, 129):
-        w, b, recs, keys = _hpath_table(A1, r)
+        w, b, recs, _words, keys = _hpath_table(A1, r)
         assert (w, b, keys) == repack(A1, (z_product(A1, east_labels(A1, a.path)) for a in recs)), r
         seen += 1
     assert seen == 213

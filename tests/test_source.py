@@ -96,7 +96,9 @@ def test_model_coverage_is_decided_in_model_status():
 
 def test_tableaux_runs_no_path_tuple_search():
     # the tableau layer computes from letters: it neither enumerates path
-    # tuples nor labels path steps (the companion letters are a closed form)
+    # tuples nor labels path steps itself (it reads the words of the shared
+    # h-path tables, which label each path once per width, and the
+    # companion letters are a closed form)
     banned = {
         "nonintersecting_tuples", "no_ordinary_tuples", "p_k_tuples", "p_tilde",
         "surviving_tuples_with_sum", "signed_path_sum", "east_labels", "_path_word",
@@ -109,6 +111,23 @@ def test_tableaux_runs_no_path_tuple_search():
         elif isinstance(node, ast.Name) and node.id in banned or isinstance(node, ast.Attribute) and node.attr in banned:
             found.append(f"{node.lineno}:{ast.unparse(node)}")
     assert found == []
+
+
+def test_one_row_table_for_paths_and_tableaux():
+    # the rows of a tableau are the words of the h-path table of their
+    # width: paths._hpath_table alone calls row_keys, and no module builds
+    # rows apart from the cell rules (which the tests keep as the oracle)
+    callers, defined = [], []
+    for name, tree in modules():
+        defs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        defined += [f"{name}:{d.name}" for d in defs if d.name in ("_row_table", "_h_ok", "_h_triple_ok")]
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if getattr(func, "id", None) == "row_keys" or getattr(func, "attr", None) == "row_keys":
+                inner = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+                callers.append(f"{name}:{max(inner, key=lambda d: d.lineno).name if inner else '<module>'}")
+    assert callers == ["paths.py:_hpath_table"]
+    assert defined == []
 
 
 def test_only_the_path_layer_reads_path_points():

@@ -20,7 +20,7 @@ from qjt.paths import (
     no_ordinary_tuples,
     p_tilde,
 )
-from qjt.ring import AlgType, RingElem, delta, letter_order, letter_str, letters, make_type, z_product
+from qjt.ring import AlgType, RingElem, delta, letter_order, letter_str, letters, make_type, row_keys, z_product
 from qjt.shapes import shape
 from qjt.tableaux import (
     RULESETS,
@@ -31,9 +31,6 @@ from qjt.tableaux import (
     _cmp,
     _col_layout,
     _far_pairs,
-    _h_ok,
-    _h_triple_ok,
-    _row_table,
     _v_ok,
     column_companions,
     enumerate_tableaux,
@@ -393,8 +390,8 @@ def test_tableau_path_bijection_counts(fam, n):
         }
 
 
-# The path labels and their inverse: oracles for the agreement of the h-path
-# and row tables, and for the shared table index of the path-tableau
+# The path labels and their inverse: oracles for the words of the h-path
+# tables, and for the shared table index of the path-tableau
 # correspondence, which reads no label.
 
 
@@ -505,19 +502,19 @@ def test_row_heights_invert_the_path_labels(fam):
 
 
 def test_hpath_and_row_tables_agree():
-    # the h-paths of width r and the rows of length r, tabulated apart, are
-    # one list: path i reads row word i, and both have one packed key
+    # the one table of width r holds the words its h-paths read, and they
+    # are the rows of length r that the cell rules allow, in the cell
+    # search's order: path i reads row word i, with one packed key
     seen = 0
     for fam, ranks in (("A", (1, 2, 3, 4)), ("B", (1, 2, 3, 4)), ("C", (2, 3, 4))):
         for n in ranks:
             t = make_type(fam, n)
             bot = band(t)[0]
             for r in range(6):
-                pw, pb, recs, pkeys = _hpath_table(t, r)
-                w, b, words, keys = _row_table(t, r)
-                assert [_path_word(t, bot, rec.path.steps) for rec in recs] == list(words), (t, r)
-                assert (pw, pb) == (w, b), (t, r)
-                assert list(pkeys) == list(keys), (t, r)
+                w, b, recs, words, keys = _hpath_table(t, r)
+                rows = rows_oracle(t, r)
+                assert [_path_word(t, bot, rec.path.steps) for rec in recs] == list(words) == rows, (t, r)
+                assert (w, b, keys) == row_keys(t, rows), (t, r)
                 seen += 1
     assert seen == 66
 
@@ -567,8 +564,8 @@ def test_bijection_matches_the_path_labels(fam):
 def test_adjacent_pair_masks_are_below(fam, ranks):
     # Row k+1 of a shape, lb long, starts off <= 0 columns right of row k,
     # la long, and ends no further right (lb + off <= la).  Their paths start
-    # d = 1 - off columns apart, and since the h-path and row tables are one
-    # list, the path layer's mask of what may follow path c is _below of row
+    # d = 1 - off columns apart, and since path c of a table reads its row
+    # word c, the path layer's mask of what may follow path c is _below of row
     # c: disjoint paths for A, no ordinary meeting for B, and for C no
     # ordinary meeting and no transposed pair (the P~ condition).  Rows of
     # 1-4 cells with -4 <= off; B4 and C4 are left out, as building their
@@ -579,7 +576,7 @@ def test_adjacent_pair_masks_are_below(fam, ranks):
         for la, lb in itertools.product(range(1, 5), repeat=2):
             for off in range(-4, min(0, la - lb) + 1):
                 d = 1 - off
-                for c in range(len(_row_table(t, la)[2])):
+                for c in range(len(_hpath_table(t, la)[3])):
                     disjoint, special = _pair_masks(t, la, lb, d, c)
                     mask = disjoint if fam == "A" else disjoint | special
                     if fam == "C" and _transposed(d, d + la, 0, lb):
@@ -952,7 +949,43 @@ def test_enumeration_golden(families, ruleset):
 # ---------------------------------------------------------------------------
 # The row-major cell search, kept verbatim as the oracle for the row tables
 # of qjt.tableaux, and the whole-tableau rule checks that it and the other
-# tests read.
+# tests read.  The horizontal rules are cell tests on letters here; the
+# library reads its rows off the h-path tables instead.
+
+
+def _h_ok(t: AlgType, left: int, right: int) -> bool:
+    if t.family == "B" and left == right == 0:
+        return False
+    return _cmp(t, left, right) <= 0 or (t.family == "C" and (left, right) == (-t.rank, t.rank))
+
+
+def _h_triple_ok(t: AlgType, c1, c2, c3) -> bool:
+    if t.family != "C":
+        return True
+    n = t.rank
+    return (c1, c2, c3) not in ((-n, -n, n), (-n, n, n))
+
+
+def rows_oracle(t: AlgType, length: int) -> list[tuple]:
+    """The rows of this length allowed by _h_ok and _h_triple_ok, in
+    lexicographic alphabet order."""
+    alphabet = letters(t)
+    words = []
+    row: list[int] = []
+
+    def rec():
+        if len(row) == length:
+            words.append(tuple(row))
+            return
+        for v in alphabet:
+            if row and not (_h_ok(t, row[-1], v) and (len(row) < 2 or _h_triple_ok(t, row[-2], row[-1], v))):
+                continue
+            row.append(v)
+            rec()
+            row.pop()
+
+    rec()
+    return words
 
 
 def is_valid(t: AlgType, T: Tableau) -> bool:
@@ -1101,11 +1134,11 @@ def test_wide_rows_reuse_the_tables():
     # made; its 16-bit keys are recoded from it, not tabulated again
     t = make_type("A", 1)
     tableau_sum(t, shape((2,)))
-    before = _row_table.cache_info().currsize
+    before = _hpath_table.cache_info().currsize
     s = shape(tuple(range(129, 1, -1)), tuple(range(127, 0, -1)))
     assert _Rows(t, s).place.w == 16
     assert tableau_sum(t, s).num_terms() == 4
-    assert _row_table.cache_info().currsize == before
+    assert _hpath_table.cache_info().currsize == before
 
 
 # ---------------------------------------------------------------------------
