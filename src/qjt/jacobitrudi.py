@@ -26,6 +26,8 @@ def chi_h(t: AlgType, s: SkewShape, a_offset: int = 0) -> RingElem:
     # lam and mu 1-indexed and zero-padded to length l
     lam = (0, *s.lam.parts) + (0,) * (l - len(s.lam))
     mu = (0, *s.mu.parts) + (0,) * (l - len(s.mu))
+    # the largest index, lam_1 - mu_l + l - 1, first: the series is built once
+    h_coeff(t, lam[1] - mu[l] + l - 1 if l else 0)
     return determinant(
         [[h_coeff(t, lam[i] - mu[j] - i + j, a_offset + 2 * (lam[i] - i) * d) for j in rows] for i in rows]
     )
@@ -39,6 +41,8 @@ def chi_e(t: AlgType, s: SkewShape, a_offset: int = 0) -> RingElem:
     # the conjugates lam' and mu', 1-indexed up to lam_1: lam'_j counts the parts >= j
     lamc = (0, *(sum(p >= j for p in lam) for j in rows))
     muc = (0, *(sum(p >= j for p in mu) for j in rows))
+    # the largest index, lam'_1 - mu'_m + m - 1 for m = lam_1, first: the series is built once
+    e_coeff(t, lamc[1] - muc[-1] + len(rows) - 1 if rows else 0)
     return determinant(
         [[e_coeff(t, lamc[i] - muc[j] - i + j, a_offset - 2 * (muc[j] - j + 1) * d) for j in rows] for i in rows]
     )

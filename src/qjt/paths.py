@@ -16,14 +16,16 @@ from (0, bot) to (r, top), r = vx - ux, with the same labels and every
 spectral shift moved by 2 delta ux.  So the h-paths of each (type, r)
 are enumerated once, into one table (``_hpath_table``) that holds for each
 path its steps, its point set as an int bitmask (bit (x - x0) * h + y - y0 for
-the point (x, y) in a frame with origin (x0, y0) and h heights) and its
-leftmost x at height 0, walked off its steps once, its word and the key
-of the word's weight from ``ring.row_keys``: the m-th east step of any path
-reads its letter at x = ux + m, so a path's labels are a row word from
-2 delta ux.  Path weights (``path_weight``, ``PathTuple.weight``) read their
-words so.  In enumeration order the words are the rows of length r of
-``qjt.tableaux`` in lexicographic alphabet order, so this one table per
-(type, r) serves both layers: path i reads row word i by construction.
+the point (x, y) in a frame with origin (x0, y0) and h heights), its
+leftmost x at height 0 and its word, all read in one walk of its steps, and
+the key of the word's weight from ``ring.row_keys``: the m-th east step of
+any path reads its letter at x = ux + m, so a path's labels are a row word
+from 2 delta ux.  Path weights (``path_weight``, ``PathTuple.weight``) read
+their words so, off the runs of east steps, with no (letter, shift) pair
+built; ``east_labels`` is the labeling they must agree with.  In
+enumeration order the words are the rows of length r of ``qjt.tableaux``
+in lexicographic alphabet order, so this one table per (type, r) serves
+both layers: path i reads row word i by construction.
 
 Other paths' points are walked off their steps once, into one bounded
 cached geometry record per path (``_geometry``): the points, a point ->
@@ -213,9 +215,34 @@ def east_labels(t: AlgType, p: Path) -> list[tuple[int, int]]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _reads(t: AlgType) -> tuple[tuple[int, int], ...]:
+    """The letters of east_labels by height, from the band's bottom: at
+    each height, the letter of an east step with an even and with an odd
+    number of east steps before it at that height.  The two differ only at
+    C's height 0, which reads n-bar, n in turn.  ValueError for a type with
+    no path model."""
+    model_status(t, "path")
+    alphabet = letters(t)
+    reads = [(c, c) for c in alphabet]
+    if t.family == "C":
+        n = t.rank
+        reads.insert(n, (alphabet[n], alphabet[n - 1]))
+    return tuple(reads)
+
+
 def _word(t: AlgType, p: Path) -> tuple[int, ...]:
-    """p's letters: a row word from shift 2 delta p.start[0] (see east_labels)."""
-    return tuple(letter for letter, _shift in east_labels(t, p))
+    """p's letters, the letters of east_labels read off its runs of east
+    steps: a row word from shift 2 delta p.start[0]."""
+    reads = _reads(t)
+    word: list[int] = []
+    for y, run in enumerate(p.steps.split("N"), p.start[1] - band(t)[0]):
+        if run:
+            if not 0 <= y < len(reads):
+                raise ValueError(f"{p.to_text()} leaves the band of {t}")
+            k = len(run)
+            word += (reads[y] * k)[:k]
+    return tuple(word)
 
 
 def path_weight(t: AlgType, p: Path, a_offset: int = 0) -> RingElem:
@@ -319,20 +346,26 @@ def is_transposed(t: AlgType, p: Path, q: Path) -> bool:
 # The h-path table
 
 
-def _table_rec(p: Path, bot: int, h: int) -> _Rec:
+def _table_rec(p: Path, bot: int, reads) -> tuple[_Rec, tuple[int, ...]]:
     """_rec(p, 0, bot, h) of a path from (0, bot) that spans all h heights of
-    the frame, walked off its steps: no geometry record is built."""
-    x = y = 0  # y counts from bot
+    the frame, and its word (_word), walked off its steps at once: no
+    geometry record is built.  reads is _reads of the type."""
+    h = len(reads)
+    x = y = run = 0  # y counts from bot; run counts the east steps at height y
     mask, zx = 1, 0 if bot == 0 else None
+    word = []
     for s in p.steps:
         if s == "E":
+            word.append(reads[y][run & 1])
+            run += 1
             x += 1
         else:
             y += 1
+            run = 0
             if y == -bot:
                 zx = x
         mask |= 1 << (x * h + y)
-    return _Rec(p, mask, zx, x)
+    return _Rec(p, mask, zx, x), tuple(word)
 
 
 @lru_cache(maxsize=None)
@@ -343,10 +376,10 @@ def _hpath_table(t: AlgType, r: int) -> tuple[int, int, tuple[_Rec, ...], tuple[
     (0, bot) and the band's height; keys are the weights of the words from
     ``row_keys``, at width w, and b bounds every exponent of a weight."""
     bot, top = band(t)
-    paths = enumerate_hpaths(t, (0, bot), (r, top))
-    words = tuple(_word(t, p) for p in paths)
+    reads = _reads(t)
+    recs, words = zip(*(_table_rec(p, bot, reads) for p in enumerate_hpaths(t, (0, bot), (r, top))))
     w, b, keys = row_keys(t, words)
-    return w, b, tuple(_table_rec(p, bot, top - bot + 1) for p in paths), words, keys
+    return w, b, recs, words, keys
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,10 @@ sum_{i+j=k} a_i * shift(b_j, -2*delta*i).
 
 E and H are the ordered products of linear/quadratic factors whose X-degree
 coefficients are the elementary and complete one-row characters e_{i,a} and
-h_{i,a}.
+h_{i,a}.  A build's cost is dominated by its top degree, so ``h_coeff`` and
+``e_coeff`` build each (type, kind) series to exactly the degree asked and
+keep it; a larger degree asked later rebuilds it to that degree.
+``check_HE`` builds its own series to its own truncation, apart from them.
 """
 
 from __future__ import annotations
@@ -82,11 +85,15 @@ def quadratic_factor(t: AlgType, first: int, second: int, sign: int, trunc: int)
 
 
 def geom_inverse(t: AlgType, letter: int, sign: int, trunc: int) -> Series:
-    """(1 - sign * z_{letter,a} X)^{-1} truncated.
-
-    Degree m coefficient is sign^m * z_{c,a} z_{c,a-2d} ... z_{c,a-2d(m-1)}.
-    """
-    return linear_factor(t, letter, -sign, trunc).inverse()
+    """(1 - sign * z_{letter,a} X)^{-1} truncated, from its closed form: the
+    degree m coefficient is sign^m * z_{c,a} z_{c,a-2d} ... z_{c,a-2d(m-1)},
+    so each is the one before times sign * z_{c,a-2d(m-1)}."""
+    d = delta(t)
+    z = f_hom(t, letter).scalar_mul(sign)
+    coeffs = [ONE]
+    for m in range(trunc):
+        coeffs.append(coeffs[-1] * z.shift_spectral(-2 * d * m))
+    return Series(coeffs, d)
 
 
 def _ordered_product(factors: list[Series]) -> Series:
@@ -148,7 +155,8 @@ def H_series(t: AlgType, trunc: int) -> Series:
     return _ordered_product(facs)
 
 
-# Memoized coefficient access: one growing series per (type, kind).
+# Memoized coefficient access: one series per (type, kind), built to the
+# largest degree asked so far.
 _SERIES_CACHE: dict[tuple[AlgType, str], Series] = {}
 
 
@@ -156,9 +164,7 @@ def _coeffs(t: AlgType, kind: str, r: int) -> list[RingElem]:
     key = (t, kind)
     ser = _SERIES_CACHE.get(key)
     if ser is None or ser.trunc < r:
-        trunc = max(r, 8)
-        ser = E_series(t, trunc) if kind == "E" else H_series(t, trunc)
-        _SERIES_CACHE[key] = ser
+        ser = _SERIES_CACHE[key] = E_series(t, r) if kind == "E" else H_series(t, r)
     return ser.coeffs
 
 

@@ -1,0 +1,148 @@
+"""The letter images of qjt.ring, pinned from outside: the generating
+relations among the z-variables and the inverse substitution g.  Each check
+lists its failures as (type, relation, shift); ``tests/test_ring.py`` and
+acceptance criterion 1 run the same checks."""
+
+from qjt.ring import ONE, AlgType, RingElem, make_type, y_monomial, z_product
+
+IMAGE_TYPES = [make_type(f, n) for f in "ABCD" for n in range(1, 5) if not (f == "D" and n < 2)]
+
+# The step c of the relation z_{i,a} z_{ib,a-c} = z_{i-1,a} z_{i-1b,a-c}
+# (z_0 z_0b = 1) of B, C and D at rank n.
+_PAIR_STEP = {
+    "B": lambda n, i: 4 * n - 4 * i + 2,
+    "C": lambda n, i: 2 * n - 2 * i + 4,
+    "D": lambda n, i: 2 * n - 2 * i,
+}
+
+
+def relation_failures(t: AlgType) -> list[tuple[str, str, int]]:
+    """(type, relation, a) of each generating relation of t's letter images
+    that fails at a: prod_k z_{k,a-2k} = 1 for A (a in -4..4), and for B, C
+    and D each pair relation of _PAIR_STEP, i = 1..n (a in -8..8).  The z_0
+    relation of B holds by construction of the image of letter 0."""
+    n = t.rank
+    if t.family == "A":
+        return [
+            (str(t), "prod_k z_{k,a-2k} = 1", a)
+            for a in range(-4, 5)
+            if z_product(t, [(k, a - 2 * k) for k in range(1, n + 2)]) != ONE
+        ]
+    out = []
+    for i in range(1, n + 1):
+        c = _PAIR_STEP[t.family](n, i)
+        name = f"z_{{{i},a}} z_{{{i}b,a-{c}}} = " + (f"z_{{{i - 1},a}} z_{{{i - 1}b,a-{c}}}" if i > 1 else "1")
+        for a in range(-8, 9):
+            lhs = z_product(t, [(i, a), (-i, a - c)])
+            rhs = z_product(t, [(i - 1, a), (1 - i, a - c)]) if i > 1 else ONE
+            if lhs != rhs:
+                out.append((str(t), name, a))
+    return out
+
+
+def inverse_failures(t: AlgType) -> list[tuple[str, str, int]]:
+    """(type, generator^e, a) of each Y-generator of t at a in (-3, 0, 2)
+    and e = +-1 that g followed by f does not give back."""
+    n, fam = t.rank, t.family
+    simple = range(1, {"B": n, "D": n - 1}.get(fam, n + 1))
+
+    def images(a: int, e: int):
+        """(generator, its image under g then f, the generator) at a."""
+        for i in simple:
+            yield f"Y_{{{i},a}}", g_hom(t, i, a, e), y_monomial(i, a, e)
+        if fam in ("B", "D"):
+            want = RingElem.monomial([(n, a - 1, e), (n, a + 1, e)])
+            yield f"Y_{{{n},a-1}} Y_{{{n},a+1}}", g_hom_composite(t, "nn", a, e), want
+        if fam == "D":
+            want = RingElem.monomial([(n - 1, a, e), (n, a, e)])
+            yield f"Y_{{{n - 1},a}} Y_{{{n},a}}", g_hom_composite(t, "n-1,n", a, e), want
+
+    return [
+        (str(t), f"({name})^{e}", a)
+        for a in (-3, 0, 2)
+        for e in (1, -1)
+        for name, got, want in images(a, e)
+        if got != want
+    ]
+
+
+# The inverse substitution g: Y-generators -> z-products (returned in
+# Y-form), the oracle that the letter images of qjt.ring must invert
+
+
+def g_hom(t: AlgType, index: int, shift: int, exponent: int) -> RingElem:
+    """Image of Y_{index, a+shift}^{exponent} (exponent = +-1).
+
+    Returned pushed back through f, so g followed by this representation is
+    the identity on generator monomials.  For B (index n) and D (indices
+    n-1, n) the single Y-variables are not generators of the source ring;
+    use g_hom_composite for those.
+    """
+    n = t.rank
+    fam = t.family
+    if exponent not in (1, -1):
+        raise ValueError("exponent must be +1 or -1")
+    if not 1 <= index <= n:
+        raise ValueError(f"index {index} out of range for {t}")
+    i, a = index, shift
+    if fam == "A":
+        if exponent == 1:
+            zs = [(k, a + i - 2 * k + 1) for k in range(1, i + 1)]
+        else:
+            zs = [(k, a + i - 2 * k + 1) for k in range(i + 1, n + 2)]
+        return z_product(t, zs)
+    if fam == "C":
+        if exponent == 1:
+            zs = [(k, a + i - 2 * k + 1) for k in range(1, i + 1)]
+        else:
+            zs = [(-k, a - 2 * n - i + 2 * k - 3) for k in range(1, i + 1)]
+        return z_product(t, zs)
+    if fam == "B":
+        if i == n:
+            raise ValueError("Y_n for B is only generated in composite pairs")
+        if exponent == 1:
+            zs = [(k, a + 2 * i - 4 * k + 2) for k in range(1, i + 1)]
+        else:
+            zs = [(-k, a - 4 * n - 2 * i + 4 * k) for k in range(1, i + 1)]
+        return z_product(t, zs)
+    if fam == "D":
+        if i >= n - 1:
+            raise ValueError("Y_{n-1}, Y_n for D are only generated in composite pairs")
+        if exponent == 1:
+            zs = [(k, a + i - 2 * k + 1) for k in range(1, i + 1)]
+        else:
+            zs = [(-k, a - 2 * n - i + 2 * k + 1) for k in range(1, i + 1)]
+        return z_product(t, zs)
+    raise ValueError(f"unknown family {fam}")
+
+
+def g_hom_composite(t: AlgType, which: str, shift: int, exponent: int) -> RingElem:
+    """Composite generator images.
+
+    which = 'nn' : Y_{n,a-1} Y_{n,a+1}         (B and D)
+    which = 'n-1,n' : Y_{n-1,a} Y_{n,a}        (D only)
+    shift is the base a; exponent = +-1 applies to the whole pair.
+    """
+    n = t.rank
+    a = shift
+    if exponent not in (1, -1):
+        raise ValueError("exponent must be +1 or -1")
+    if t.family == "B" and which == "nn":
+        if exponent == 1:
+            zs = [(k, a + 2 * n - 4 * k + 2) for k in range(1, n + 1)]
+        else:
+            zs = [(-k, a - 6 * n + 4 * k) for k in range(1, n + 1)]
+        return z_product(t, zs)
+    if t.family == "D" and which == "nn":
+        if exponent == 1:
+            zs = [(k, a + n - 2 * k + 1) for k in range(1, n + 1)]
+        else:
+            zs = [(-k, a - 3 * n + 2 * k + 1) for k in range(1, n + 1)]
+        return z_product(t, zs)
+    if t.family == "D" and which == "n-1,n":
+        if exponent == 1:
+            zs = [(k, a + n - 2 * k) for k in range(1, n)]
+        else:
+            zs = [(-k, a - 3 * n + 2 * k + 2) for k in range(1, n)]
+        return z_product(t, zs)
+    raise ValueError(f"no composite generator {which!r} for {t}")

@@ -32,6 +32,7 @@ from qjt.tableaux import (
 )
 from qjt.classical import verify_decomposition_A, verify_decomposition_C
 
+from letter_images import IMAGE_TYPES, inverse_failures, relation_failures
 from test_shapes import all_partitions, subpartitions
 
 
@@ -70,7 +71,15 @@ def test_criterion_01_he_identity():
                 continue
             if not check_HE(make_type(fam, n), 8):
                 failures.append(f"{fam}{n}")
-    report(1, "H*E(-X) = E(-X)*H = 1 up to X^8, all types, n <= 3", failures)
+    # H*E = 1 holds for any letter images: pin the images themselves
+    for t in IMAGE_TYPES:
+        failures += relation_failures(t) + inverse_failures(t)
+    report(
+        1,
+        "H*E(-X) = E(-X)*H = 1 up to X^8, all types, n <= 3; letter images: generating relations and f(g(Y)) = Y",
+        failures,
+        f"images of {len(IMAGE_TYPES)} types, A-D, n <= 4",
+    )
 
 
 def test_criterion_02_determinant_h_equals_e():

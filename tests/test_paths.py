@@ -14,6 +14,7 @@ from qjt.paths import (
     _pair_masks,
     _rec,
     _signed_sum,
+    _word,
     band,
     classify_pair,
     east_labels,
@@ -100,6 +101,31 @@ def test_labels_refuse_paths_off_the_band():
     for p in (Path((0, -3), "EN"), Path((0, 2), "NE")):
         with pytest.raises(ValueError, match="leaves the band of C2"):
             east_labels(t, p)
+
+
+@pytest.mark.parametrize("fam", "ABCD")
+def test_words_are_the_letters_of_the_labels(fam):
+    # _word walks the runs of east steps directly; east_labels is its oracle,
+    # refusals (a height off the band, type D) and their messages included
+    def outcome(f, t, p):
+        try:
+            return tuple(f(t, p))
+        except ValueError as exc:
+            return str(exc)
+
+    counts = [0, 0]
+    for n in range(2 if fam == "D" else 1, 4):
+        t = make_type(fam, n)
+        for length in range(6):
+            for steps in map("".join, itertools.product("NE", repeat=length)):
+                for y0 in range(-n - 2, n + 2):
+                    p = Path((1, y0), steps)
+                    want = outcome(east_labels, t, p)
+                    if not isinstance(want, str):
+                        want = tuple(c for c, _shift in want)
+                    assert outcome(_word, t, p) == want, (t, p)
+                    counts[isinstance(want, str)] += 1
+    assert counts == {"A": [567, 945], "B": [894, 618], "C": [894, 618], "D": [0, 1134]}[fam]
 
 
 @pytest.mark.parametrize("fam,n", [("A", 2), ("A", 3), ("B", 2), ("C", 2), ("C", 3)])

@@ -23,7 +23,8 @@ def test_no_assert_statements():
 
 def test_no_module_level_dict_caches():
     # caches are functools.lru_cache, which reports hits and misses; the
-    # series cache alone grows its entries' truncation in place
+    # series cache alone is a dict: it holds one series per (type, kind),
+    # replaced by a longer build when a larger degree is asked
     found = []
     for name, tree in modules():
         for node in tree.body:
