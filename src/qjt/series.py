@@ -4,9 +4,13 @@ X twists past coefficients by a spectral shift: X*z_{c,a} = z_{c,a-2*delta}*X,
 so the product rule is (sum a_i X^i)(sum b_j X^j)_k =
 sum_{i+j=k} a_i * shift(b_j, -2*delta*i).
 
-E and H are the ordered products of linear/quadratic factors whose X-degree
-coefficients are the elementary and complete one-row characters e_{i,a} and
-h_{i,a}.  A build's cost is dominated by its top degree, so ``h_coeff`` and
+E and H are the ordered products of linear/quadratic factors and their
+inverses, whose X-degree coefficients are the elementary and complete one-row
+characters e_{i,a} and h_{i,a}.  Each is built one factor at a time, by the
+two-term recurrence of a product or quotient by that factor; only
+``check_HE`` multiplies two series, by the product rule above, so the
+identity it checks does not share the build's arithmetic.
+A build's cost is dominated by its top degree, so ``h_coeff`` and
 ``e_coeff`` build each (type, kind) series to exactly the degree asked and
 keep it; a larger degree asked later rebuilds it to that degree.
 ``check_HE`` builds its own series to its own truncation, apart from them.
@@ -44,19 +48,6 @@ class Series:
             d,
         )
 
-    def inverse(self) -> "Series":
-        """Two-sided inverse; requires constant coefficient 1."""
-        if self.coeffs[0] != ONE:
-            raise ValueError("only a series with constant coefficient 1 is inverted")
-        d = self.delta
-        s = self.coeffs
-        inv = [ONE]
-        for k in range(1, self.trunc + 1):
-            inv.append(
-                RingElem.sum_products((-1, s[i], inv[k - i].shift_spectral(-2 * d * i)) for i in range(1, k + 1))
-            )
-        return Series(inv, d)
-
     def negate_x(self) -> "Series":
         """Substitute X -> -X."""
         return Series(
@@ -67,92 +58,56 @@ class Series:
         return self.coeffs[0].is_one() and all(c.is_zero() for c in self.coeffs[1:])
 
 
-def linear_factor(t: AlgType, letter: int, sign: int, trunc: int) -> Series:
-    """(1 + sign * z_{letter,a} X) truncated."""
-    coeffs = [ONE] + [ZERO] * trunc
-    if trunc >= 1:
-        coeffs[1] = f_hom(t, letter).scalar_mul(sign)
-    return Series(coeffs, delta(t))
+def _each(letters, sign: int, inverted: bool) -> list:
+    return [((c,), sign, inverted) for c in letters]
 
 
-def quadratic_factor(t: AlgType, first: int, second: int, sign: int, trunc: int) -> Series:
-    """(1 + sign * z_{first,a} X z_{second,a} X) truncated."""
-    coeffs = [ONE] + [ZERO] * trunc
-    if trunc >= 2:
-        d = delta(t)
-        coeffs[2] = (f_hom(t, first) * f_hom(t, second, -2 * d)).scalar_mul(sign)
-    return Series(coeffs, delta(t))
+# The factors of E and H in their order, one table each per family of rank n.
+# An entry (word, sign, inverted) is the factor 1 + sign * c X^len(word), or
+# its inverse if flagged, where c = z_{w1,a} for a one-letter word and
+# c = z_{w1,a} z_{w2,a-2*delta} for a two-letter one (from z_{w1,a} X z_{w2,a} X).
+_E_FACTORS = {
+    "A": lambda n: _each(range(1, n + 2), 1, False),
+    "B": lambda n: _each(range(1, n + 1), 1, False) + [((0,), -1, True)] + _each(range(-n, 0), 1, False),
+    "C": lambda n: _each(range(1, n + 1), 1, False) + [((n, -n), -1, False)] + _each(range(-n, 0), 1, False),
+    "D": lambda n: _each(range(1, n + 1), 1, False) + [((-n, n), -1, True)] + _each(range(-n, 0), 1, False),
+}
+_H_FACTORS = {
+    "A": lambda n: _each(range(n + 1, 0, -1), -1, True),
+    "B": lambda n: _each(range(-1, -n - 1, -1), -1, True) + [((0,), 1, False)] + _each(range(n, 0, -1), -1, True),
+    "C": lambda n: _each(range(-1, -n - 1, -1), -1, True) + [((n, -n), -1, True)] + _each(range(n, 0, -1), -1, True),
+    "D": lambda n: _each(range(-1, -n - 1, -1), -1, True) + [((-n, n), -1, False)] + _each(range(n, 0, -1), -1, True),
+}
 
 
-def geom_inverse(t: AlgType, letter: int, sign: int, trunc: int) -> Series:
-    """(1 - sign * z_{letter,a} X)^{-1} truncated, from its closed form: the
-    degree m coefficient is sign^m * z_{c,a} z_{c,a-2d} ... z_{c,a-2d(m-1)},
-    so each is the one before times sign * z_{c,a-2d(m-1)}."""
+def _build(t: AlgType, factors, trunc: int) -> Series:
+    """The ordered product of factors to X^trunc, one factor at a time.
+
+    With c X^m the factor's non-constant term and c_j = shift(c, -2*delta*j),
+    so that X^j c = c_j X^j, multiplying p by 1 + c X^m gives
+    q_k = p_k + p_{k-m} c_{k-m}, and dividing p by it gives
+    q_k = p_k - q_{k-m} c_{k-m}.  Both run in place: a product from the top
+    degree down, as q_k reads the old lower degrees, and a quotient from the
+    bottom up, as q_k reads the new ones."""
     d = delta(t)
-    z = f_hom(t, letter).scalar_mul(sign)
-    coeffs = [ONE]
-    for m in range(trunc):
-        coeffs.append(coeffs[-1] * z.shift_spectral(-2 * d * m))
-    return Series(coeffs, d)
-
-
-def _ordered_product(factors: list[Series]) -> Series:
-    out = factors[0]
-    for fac in factors[1:]:
-        out = out * fac
-    return out
+    p = [ONE] + [ZERO] * trunc
+    for word, sign, inverted in factors:
+        m = len(word)
+        c = f_hom(t, word[0]).scalar_mul(sign)
+        for j, letter in enumerate(word[1:], 1):
+            c = c * f_hom(t, letter, -2 * d * j)
+        s = -1 if inverted else 1
+        for k in range(m, trunc + 1) if inverted else range(trunc, m - 1, -1):
+            p[k] = RingElem.sum_products(((1, p[k], ONE), (s, p[k - m], c.shift_spectral(-2 * d * (k - m)))))
+    return Series(p, d)
 
 
 def E_series(t: AlgType, trunc: int) -> Series:
-    n = t.rank
-    fam = t.family
-    if fam == "A":
-        facs = [linear_factor(t, k, 1, trunc) for k in range(1, n + 2)]
-    elif fam == "B":
-        facs = (
-            [linear_factor(t, k, 1, trunc) for k in range(1, n + 1)]
-            + [geom_inverse(t, 0, 1, trunc)]
-            + [linear_factor(t, -k, 1, trunc) for k in range(n, 0, -1)]
-        )
-    elif fam == "C":
-        facs = (
-            [linear_factor(t, k, 1, trunc) for k in range(1, n + 1)]
-            + [quadratic_factor(t, n, -n, -1, trunc)]
-            + [linear_factor(t, -k, 1, trunc) for k in range(n, 0, -1)]
-        )
-    else:  # D
-        facs = (
-            [linear_factor(t, k, 1, trunc) for k in range(1, n + 1)]
-            + [quadratic_factor(t, -n, n, -1, trunc).inverse()]
-            + [linear_factor(t, -k, 1, trunc) for k in range(n, 0, -1)]
-        )
-    return _ordered_product(facs)
+    return _build(t, _E_FACTORS[t.family](t.rank), trunc)
 
 
 def H_series(t: AlgType, trunc: int) -> Series:
-    n = t.rank
-    fam = t.family
-    if fam == "A":
-        facs = [geom_inverse(t, k, 1, trunc) for k in range(n + 1, 0, -1)]
-    elif fam == "B":
-        facs = (
-            [geom_inverse(t, -k, 1, trunc) for k in range(1, n + 1)]
-            + [linear_factor(t, 0, 1, trunc)]
-            + [geom_inverse(t, k, 1, trunc) for k in range(n, 0, -1)]
-        )
-    elif fam == "C":
-        facs = (
-            [geom_inverse(t, -k, 1, trunc) for k in range(1, n + 1)]
-            + [quadratic_factor(t, n, -n, -1, trunc).inverse()]
-            + [geom_inverse(t, k, 1, trunc) for k in range(n, 0, -1)]
-        )
-    else:  # D
-        facs = (
-            [geom_inverse(t, -k, 1, trunc) for k in range(1, n + 1)]
-            + [quadratic_factor(t, -n, n, -1, trunc)]
-            + [geom_inverse(t, k, 1, trunc) for k in range(n, 0, -1)]
-        )
-    return _ordered_product(facs)
+    return _build(t, _H_FACTORS[t.family](t.rank), trunc)
 
 
 # Memoized coefficient access: one series per (type, kind), built to the

@@ -12,7 +12,7 @@ import pytest
 
 from qjt.checks import resolution_maps
 from qjt.ring import make_type
-from qjt.shapes import hw_monomial, shape
+from qjt.shapes import shape
 from qjt.series import check_HE, h_coeff
 from qjt.jacobitrudi import chi_h, chi_e
 from qjt.paths import (
@@ -33,7 +33,7 @@ from qjt.tableaux import (
 from qjt.classical import verify_decomposition_A, verify_decomposition_C
 
 from letter_images import IMAGE_TYPES, inverse_failures, relation_failures
-from test_shapes import all_partitions, subpartitions
+from test_shapes import all_partitions, hw_monomial, subpartitions
 
 
 def report(num, name, failures, extra=""):

@@ -6,8 +6,8 @@ import pytest
 
 from qjt import series
 from qjt.jacobitrudi import chi_e, chi_h
-from qjt.ring import ONE, ZERO, AlgType, f_hom, letters, make_type
-from qjt.series import E_series, H_series, Series, check_HE, e_coeff, geom_inverse, h_coeff, linear_factor
+from qjt.ring import ONE, ZERO, RingElem, delta, f_hom, letters, make_type
+from qjt.series import E_series, H_series, Series, _build, check_HE, e_coeff, h_coeff
 from qjt.shapes import shape
 
 from optimized import error_under_O
@@ -20,28 +20,151 @@ C2 = make_type("C", 2)
 C3 = make_type("C", 3)
 
 
-def test_geom_inverse_coeffs():
-    s = geom_inverse(A2, 1, 1, 3)
+SMALL_TYPES = [make_type(f, n) for f in "ABCD" for n in (1, 2, 3) if not (f == "D" and n < 2)]
+ORACLE_TYPES = [make_type(f, n) for f in "ABCD" for n in (1, 2, 3, 4) if not (f == "D" and n < 2)]
+
+
+# The oracle: E and H as ordered convolutions of dense truncated factor
+# series, each quotient by the inversion recursion or the geometric closed form.
+
+
+def linear_factor(t, letter, sign, trunc):
+    """(1 + sign * z_{letter,a} X) truncated."""
+    coeffs = [ONE] + [ZERO] * trunc
+    if trunc >= 1:
+        coeffs[1] = f_hom(t, letter).scalar_mul(sign)
+    return Series(coeffs, delta(t))
+
+
+def quadratic_factor(t, first, second, sign, trunc):
+    """(1 + sign * z_{first,a} X z_{second,a} X) truncated."""
+    coeffs = [ONE] + [ZERO] * trunc
+    if trunc >= 2:
+        coeffs[2] = (f_hom(t, first) * f_hom(t, second, -2 * delta(t))).scalar_mul(sign)
+    return Series(coeffs, delta(t))
+
+
+def geom_inverse(t, letter, sign, trunc):
+    """(1 - sign * z_{letter,a} X)^{-1} truncated, from its closed form: the
+    degree m coefficient is sign^m * z_{c,a} z_{c,a-2d} ... z_{c,a-2d(m-1)}."""
+    d = delta(t)
+    z = f_hom(t, letter).scalar_mul(sign)
+    coeffs = [ONE]
+    for m in range(trunc):
+        coeffs.append(coeffs[-1] * z.shift_spectral(-2 * d * m))
+    return Series(coeffs, d)
+
+
+def inverse(s):
+    """The two-sided inverse of a series with constant coefficient 1."""
     assert s.coeffs[0] == ONE
+    d, inv = s.delta, [ONE]
+    for k in range(1, s.trunc + 1):
+        inv.append(
+            RingElem.sum_products((-1, s.coeffs[i], inv[k - i].shift_spectral(-2 * d * i)) for i in range(1, k + 1))
+        )
+    return Series(inv, d)
+
+
+def ordered_product(factors):
+    out = factors[0]
+    for fac in factors[1:]:
+        out = out * fac
+    return out
+
+
+def oracle_E(t, trunc):
+    n, fam = t.rank, t.family
+    if fam == "A":
+        facs = [linear_factor(t, k, 1, trunc) for k in range(1, n + 2)]
+    elif fam == "B":
+        facs = (
+            [linear_factor(t, k, 1, trunc) for k in range(1, n + 1)]
+            + [geom_inverse(t, 0, 1, trunc)]
+            + [linear_factor(t, -k, 1, trunc) for k in range(n, 0, -1)]
+        )
+    elif fam == "C":
+        facs = (
+            [linear_factor(t, k, 1, trunc) for k in range(1, n + 1)]
+            + [quadratic_factor(t, n, -n, -1, trunc)]
+            + [linear_factor(t, -k, 1, trunc) for k in range(n, 0, -1)]
+        )
+    else:  # D
+        facs = (
+            [linear_factor(t, k, 1, trunc) for k in range(1, n + 1)]
+            + [inverse(quadratic_factor(t, -n, n, -1, trunc))]
+            + [linear_factor(t, -k, 1, trunc) for k in range(n, 0, -1)]
+        )
+    return ordered_product(facs)
+
+
+def oracle_H(t, trunc):
+    n, fam = t.rank, t.family
+    if fam == "A":
+        facs = [geom_inverse(t, k, 1, trunc) for k in range(n + 1, 0, -1)]
+    elif fam == "B":
+        facs = (
+            [geom_inverse(t, -k, 1, trunc) for k in range(1, n + 1)]
+            + [linear_factor(t, 0, 1, trunc)]
+            + [geom_inverse(t, k, 1, trunc) for k in range(n, 0, -1)]
+        )
+    elif fam == "C":
+        facs = (
+            [geom_inverse(t, -k, 1, trunc) for k in range(1, n + 1)]
+            + [inverse(quadratic_factor(t, n, -n, -1, trunc))]
+            + [geom_inverse(t, k, 1, trunc) for k in range(n, 0, -1)]
+        )
+    else:  # D
+        facs = (
+            [geom_inverse(t, -k, 1, trunc) for k in range(1, n + 1)]
+            + [quadratic_factor(t, -n, n, -1, trunc)]
+            + [geom_inverse(t, k, 1, trunc) for k in range(n, 0, -1)]
+        )
+    return ordered_product(facs)
+
+
+def same(got, want):
+    return (
+        got.delta == want.delta
+        and got.trunc == want.trunc
+        and all(g == w and g.terms == w.terms for g, w in zip(got.coeffs, want.coeffs))
+    )
+
+
+@pytest.mark.parametrize("t", ORACLE_TYPES, ids=str)
+def test_E_and_H_equal_the_factor_series_oracle(t):
+    assert same(E_series(t, 9), oracle_E(t, 9)), t
+    assert same(H_series(t, 9), oracle_H(t, 9)), t
+
+
+def test_geom_inverse_coeffs():
+    # a quotient step by 1 - z X from 1 is the geometric series
+    s = _build(A2, [((1,), -1, True)], 3)
+    assert same(s, geom_inverse(A2, 1, 1, 3))
     assert s.coeffs[1] == f_hom(A2, 1, 0)
     assert s.coeffs[2] == f_hom(A2, 1, 0) * f_hom(A2, 1, -2)
     # B has delta = 2, so the ladder steps by 4
-    sb = geom_inverse(B2, 2, 1, 2)
+    sb = _build(B2, [((2,), -1, True)], 2)
+    assert same(sb, geom_inverse(B2, 2, 1, 2))
     assert sb.coeffs[2] == f_hom(B2, 2, 0) * f_hom(B2, 2, -4)
 
 
-SMALL_TYPES = [make_type(f, n) for f in "ABCD" for n in (1, 2, 3) if not (f == "D" and n < 2)]
-
-
 def test_geom_inverse_is_the_inverse_of_its_linear_factor():
-    # the closed form against the inversion recursion, coefficient by coefficient
+    # each step of the builder, from 1, against the dense factor series and
+    # the inversion recursion, coefficient by coefficient
     for t in SMALL_TYPES:
+        n = t.rank
         for c in letters(t):
             for sign in (1, -1):
-                got, want = geom_inverse(t, c, sign, 8), linear_factor(t, c, -sign, 8).inverse()
-                assert got.trunc == want.trunc == 8
-                for m, (g, w) in enumerate(zip(got.coeffs, want.coeffs)):
-                    assert g == w and g.terms == w.terms, (t, c, sign, m)
+                assert same(_build(t, [((c,), sign, False)], 8), linear_factor(t, c, sign, 8)), (t, c, sign)
+                want = inverse(linear_factor(t, c, -sign, 8))
+                assert same(geom_inverse(t, c, sign, 8), want), (t, c, sign)
+                assert same(_build(t, [((c,), -sign, True)], 8), want), (t, c, sign)
+        for word in ((n, -n), (-n, n)) if t.family in "CD" else ():
+            for sign in (1, -1):
+                quad = quadratic_factor(t, *word, sign, 8)
+                assert same(_build(t, [(word, sign, False)], 8), quad), (t, word, sign)
+                assert same(_build(t, [(word, sign, True)], 8), inverse(quad)), (t, word, sign)
 
 
 def test_E_examples():
@@ -105,15 +228,10 @@ def test_check_HE(fam, n):
 def test_series_invariants_fail_closed():
     with pytest.raises(ValueError, match="spectral steps"):
         H_series(C2, 3) * H_series(B2, 3)
-    with pytest.raises(ValueError, match="constant coefficient 1"):
-        Series([ONE.scalar_mul(2), ONE], 1).inverse()
-    prelude = "from qjt.ring import ONE, make_type; from qjt.series import H_series, Series; "
+    prelude = "from qjt.ring import make_type; from qjt.series import H_series; "
     assert error_under_O(
         prelude + "H_series(make_type('C', 2), 3) * H_series(make_type('B', 2), 3)"
     ).startswith("ValueError: series with spectral steps")
-    assert error_under_O(
-        prelude + "Series([ONE.scalar_mul(2), ONE], 1).inverse()"
-    ).startswith("ValueError: only a series with constant coefficient 1")
 
 
 # The coefficient cache builds each (type, kind) series to the largest degree

@@ -4,11 +4,10 @@ import itertools
 
 import pytest
 
-from qjt.ring import make_type, y_monomial, RingElem
+from qjt.ring import AlgType, RingElem, delta, make_type, y_monomial
 from qjt.shapes import (
     Partition,
     SkewShape,
-    hw_monomial,
     parse_partition,
     shape,
 )
@@ -114,6 +113,35 @@ def test_highest_weight_tableau():
     }
     assert highest_weight_tableau(shape((1,))) == {(1, 1): 1}
     assert highest_weight_tableau(shape((2, 2))) == {(1, 1): 1, (1, 2): 1, (2, 1): 2, (2, 2): 2}
+
+
+def hw_monomial(t: AlgType, s: SkewShape, a_offset: int = 0) -> RingElem:
+    """The Y-monomial of the highest weight tableau, by the column product.
+
+    Column j contributes Y_{c(j), a(j)} in general, where c(j) is the column
+    height lam'_j - mu'_j and a(j) = a + (2j - lam'_j - mu'_j - 1) * delta;
+    for B/D columns of full height n the factor is instead
+    Y_{n, a(j)-1} Y_{n, a(j)+1}, for D columns of height n-1 an extra
+    Y_{n, a(j)} appears, and empty columns contribute 1.
+    """
+    n = t.rank
+    if s.depth() > n:
+        raise ValueError(f"depth {s.depth()} exceeds rank {n}")
+    d = delta(t)
+    lamc, muc = s.lam.conjugate(), s.mu.conjugate()
+    factors = []
+    for j in range(1, len(lamc) + 1):
+        h = lamc[j] - muc[j]
+        if h == 0:
+            continue
+        aj = a_offset + (2 * j - lamc[j] - muc[j] - 1) * d
+        if t.family in ("B", "D") and h == n:
+            factors += [(n, aj - 1, 1), (n, aj + 1, 1)]
+        elif t.family == "D" and h == n - 1:
+            factors += [(h, aj, 1), (n, aj, 1)]
+        else:
+            factors.append((h, aj, 1))
+    return RingElem.monomial(factors)
 
 
 def test_hw_monomial_examples():
