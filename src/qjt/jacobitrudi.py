@@ -12,12 +12,6 @@ from .series import e_coeff, h_coeff
 from .shapes import SkewShape
 
 
-def determinant(matrix: list[list[RingElem]]) -> RingElem:
-    """Exact determinant of a square matrix (``RingElem.determinant``);
-    ValueError for a non-square one."""
-    return RingElem.determinant(matrix)
-
-
 def chi_h(t: AlgType, s: SkewShape, a_offset: int = 0) -> RingElem:
     """det( h_{lam_i - mu_j - i + j} at offset a_offset + 2(lam_i - i) delta )."""
     d = delta(t)
@@ -28,7 +22,7 @@ def chi_h(t: AlgType, s: SkewShape, a_offset: int = 0) -> RingElem:
     mu = (0, *s.mu.parts) + (0,) * (l - len(s.mu))
     # the largest index, lam_1 - mu_l + l - 1, first: the series is built once
     h_coeff(t, lam[1] - mu[l] + l - 1 if l else 0)
-    return determinant(
+    return RingElem.determinant(
         [[h_coeff(t, lam[i] - mu[j] - i + j, a_offset + 2 * (lam[i] - i) * d) for j in rows] for i in rows]
     )
 
@@ -43,6 +37,6 @@ def chi_e(t: AlgType, s: SkewShape, a_offset: int = 0) -> RingElem:
     muc = (0, *(sum(p >= j for p in mu) for j in rows))
     # the largest index, lam'_1 - mu'_m + m - 1 for m = lam_1, first: the series is built once
     e_coeff(t, lamc[1] - muc[-1] + len(rows) - 1 if rows else 0)
-    return determinant(
+    return RingElem.determinant(
         [[e_coeff(t, lamc[i] - muc[j] - i + j, a_offset - 2 * (muc[j] - j + 1) * d) for j in rows] for i in rows]
     )

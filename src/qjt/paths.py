@@ -29,27 +29,28 @@ both layers: path i reads row word i by construction.
 
 Other paths' points are walked off their steps once, into one bounded
 cached geometry record per path (``_geometry``): the points, a point ->
-index map, the least and greatest x at each height, the end point, and the
-point mask in the path's own frame.  ``Path.points``, the records of
-``classify_pair`` and ``PathTuple.transposed_pairs`` (the mask moved into
-their frame) and the probes of ``qjt.resolutions`` read it.  ``Path.end``
-counts the steps instead: most paths asked only for their end, such as the
-paths that a tableau gives, are never probed.
+index map, the least and greatest x at each height and the end point.
+``Path.points``, ``common_points`` and the probes of ``qjt.resolutions``
+read it.  ``Path.end`` counts the steps instead: most paths asked only for
+their end, such as the paths that a tableau gives, are never probed.
 
-Two paths are disjoint when their masks share no bit, specially
-intersecting when every shared bit is at height 0 (for C also the leftmost
-height-0 x's differ by an odd number), and ordinarily intersecting
-otherwise; the verdicts on one path against a list form one bitmask.  A
-tuple enumeration (``_Frame``) reads the table of each endpoint pair (row
-i, destination j) in place.  Seen from row k > i, a path of row i lies
-d = ux_i - ux_k further east, and the verdicts on table path c of width
-r_i, moved d east, against the table of width r_k depend only on (type,
-r_i, r_k, d, c): they are built on first use and cached across shapes
-(``_pair_masks``), as ``tableaux._below`` is for rows.  The depth-first
-search (``_search``) yields each tuple as one index per row into its
-table, with its key: every row's weight key moved by 2 delta ux_i spectral
-steps through the shape's ``ring.Placement``, summed down the search.  The
-tableau layer runs it over the same tables' words with pi the identity.
+Two paths are disjoint when they share no point, specially intersecting
+when every shared point is at height 0 (for C also the leftmost height-0
+x's differ by an odd number), and ordinarily intersecting otherwise.
+``classify_pair`` reads the verdict off ``common_points``, the one
+definition of where two paths meet.  Within the h-path tables a point set
+is an int bitmask and the verdicts on one path against a list form one
+bitmask (``_classes``).  A tuple enumeration (``_Frame``) reads the table
+of each endpoint pair (row i, destination j) in place.  Seen from row
+k > i, a path of row i lies d = ux_i - ux_k further east, and the verdicts
+on table path c of width r_i, moved d east, against the table of width r_k
+depend only on (type, r_i, r_k, d, c): they are built on first use and
+cached across shapes (``_pair_masks``), as ``tableaux._below`` is for
+rows.  The depth-first search (``_search``) yields each tuple as one index
+per row into its table, with its key: every row's weight key moved by
+2 delta ux_i spectral steps through the shape's ``ring.Placement``, summed
+down the search.  The tableau layer runs it over the same tables' words
+with pi the identity.
 Both layers sum through one signed key sum (``_signed_sum``): it adds the
 key of each tuple into one dict with the sign of its permutation as the
 coefficient, +1 for every tableau, and has the placement read the dict as
@@ -99,22 +100,20 @@ class Path(NamedTuple):
 class _Geometry(NamedTuple):
     """A path's points and what is read off them.  With (x0, y0) the start,
     left[y - y0] and right[y - y0] are the least and the greatest x at
-    height y, and mask has bit (x - x0) * h + y - y0 for each point (x, y),
-    h being the number of heights the path spans."""
+    height y."""
 
     points: tuple[tuple[int, int], ...]
     index: dict  # point -> its index in points
     left: tuple[int, ...]
     right: tuple[int, ...]
     end: tuple[int, int]
-    mask: int
 
 
 # bounded: the resolution maps probe the few paths of one tuple many times,
 # while a stream of tuples would keep every path alive
 @lru_cache(maxsize=256)
 def _geometry(p: Path) -> _Geometry:
-    x, y = x0, y0 = p.start
+    x, y = p.start
     pts, left, right = [(x, y)], [x], []
     for s in p.steps:
         if s == "E":
@@ -125,11 +124,7 @@ def _geometry(p: Path) -> _Geometry:
             left.append(x)
         pts.append((x, y))
     right.append(x)
-    h = y - y0 + 1
-    mask = 0
-    for px, py in pts:
-        mask |= 1 << ((px - x0) * h + py - y0)
-    return _Geometry(tuple(pts), {q: m for m, q in enumerate(pts)}, tuple(left), tuple(right), (x, y), mask)
+    return _Geometry(tuple(pts), {q: m for m, q in enumerate(pts)}, tuple(left), tuple(right), (x, y))
 
 
 def band(t: AlgType) -> tuple[int, int]:
@@ -250,7 +245,46 @@ def path_weight(t: AlgType, p: Path, a_offset: int = 0) -> RingElem:
 
 
 # ---------------------------------------------------------------------------
-# Paths as bitmask records; pair classification
+# Pair classification
+
+
+def common_points(p: Path, q: Path) -> set:
+    """The points that p and q share: the keys common to their geometry
+    records' index maps."""
+    return _geometry(p).index.keys() & _geometry(q).index.keys()
+
+
+def classify_pair(t: AlgType, p: Path, q: Path) -> str:
+    """'disjoint', 'specially' or 'ordinarily', read off the common points
+    (see the module docstring)."""
+    model_status(t, "path")
+    common = common_points(p, q)
+    if not common:
+        return "disjoint"
+    if t.family == "A" or any(y for _x, y in common):
+        return "ordinarily"
+    # both paths reach height 0, so both geometry records have a left x there
+    if t.family == "B" or (_geometry(p).left[-p.start[1]] - _geometry(q).left[-q.start[1]]) % 2:
+        return "specially"
+    return "ordinarily"
+
+
+def _transposed(x1: int, v1: int, x2: int, v2: int) -> bool:
+    """Paths from x1 to v1 and from x2 to v2 have opposite start and end
+    orders."""
+    return (x1 - x2) * (v1 - v2) < 0
+
+
+def is_transposed(t: AlgType, p: Path, q: Path) -> bool:
+    """For non-ordinarily-intersecting pairs: opposite start-x/end-x orders.
+    An ordinarily intersecting pair raises ValueError."""
+    if classify_pair(t, p, q) == "ordinarily":
+        raise ValueError(f"{p.to_text()} and {q.to_text()} intersect ordinarily in {t}")
+    return _transposed(p.start[0], p.end[0], q.start[0], q.end[0])
+
+
+# ---------------------------------------------------------------------------
+# Bitmask records and the h-path table
 
 
 class _Rec(NamedTuple):
@@ -261,20 +295,6 @@ class _Rec(NamedTuple):
     mask: int
     zx: int | None
     vx: int
-
-
-def _rec(p: Path, x0: int, y0: int, h: int) -> _Rec:
-    """The record of p in the frame with origin (x0, y0) and h heights: the
-    geometry's mask moved there, or laid out again where p spans fewer
-    heights than the frame."""
-    g = _geometry(p)
-    (sx, sy), (vx, vy) = p.start, g.end
-    if vy - sy + 1 == h:  # then sy == y0
-        mask = g.mask << (sx - x0) * h
-    else:
-        mask = sum(1 << ((x - x0) * h + y - y0) for x, y in g.points)
-    zx = g.left[-sy] if sy <= 0 <= vy else None
-    return _Rec(p, mask, zx, vx)
 
 
 def _zero_row(x0: int, x1: int, y0: int, h: int) -> int:
@@ -288,8 +308,8 @@ def _classes(fam: str, mask: int, zx: int | None, recs, zero: int) -> tuple[int,
     """Bitmasks over recs of the paths disjoint from, and specially
     intersecting, the path with this mask and height-0 x; the others
     intersect it ordinarily.  All are in one frame whose height-0 bits are
-    zero.  A meeting at height 0 only is special for B, and for C (and D)
-    when the leftmost height-0 x's also differ by an odd number."""
+    zero.  A meeting at height 0 only is special for B, and for C when the
+    leftmost height-0 x's also differ by an odd number."""
     disjoint = special = 0
     off_axis = ~zero
     for d, b in enumerate(recs):
@@ -301,55 +321,11 @@ def _classes(fam: str, mask: int, zx: int | None, recs, zero: int) -> tuple[int,
     return disjoint, special
 
 
-def _classify(fam: str, a: _Rec, b: _Rec, zero: int) -> str:
-    disjoint, special = _classes(fam, a.mask, a.zx, (b,), zero)
-    return "disjoint" if disjoint else "specially" if special else "ordinarily"
-
-
-def _transposed(x1: int, v1: int, x2: int, v2: int) -> bool:
-    """Paths from x1 to v1 and from x2 to v2 have opposite start and end
-    orders."""
-    return (x1 - x2) * (v1 - v2) < 0
-
-
-def _bare_records(paths) -> tuple[list[_Rec], int]:
-    """Records of arbitrary paths in a frame that spans them all, and the
-    frame's height-0 bits."""
-    ends = [_geometry(p).end for p in paths]
-    x0 = min(p.start[0] for p in paths)
-    y0 = min(p.start[1] for p in paths)
-    h = max(y for _x, y in ends) - y0 + 1
-    recs = [_rec(p, x0, y0, h) for p in paths]
-    return recs, _zero_row(x0, max(x for x, _y in ends), y0, h)
-
-
-def _bare_transposed(a: _Rec, b: _Rec) -> bool:
-    return _transposed(a.path.start[0], a.vx, b.path.start[0], b.vx)
-
-
-def classify_pair(t: AlgType, p: Path, q: Path) -> str:
-    """'disjoint', 'specially' or 'ordinarily'."""
-    (a, b), zero = _bare_records((p, q))
-    return _classify(t.family, a, b, zero)
-
-
-def is_transposed(t: AlgType, p: Path, q: Path) -> bool:
-    """For non-ordinarily-intersecting pairs: opposite start-x/end-x orders.
-    An ordinarily intersecting pair raises ValueError."""
-    (a, b), zero = _bare_records((p, q))
-    if _classify(t.family, a, b, zero) == "ordinarily":
-        raise ValueError(f"{p.to_text()} and {q.to_text()} intersect ordinarily in {t}")
-    return _bare_transposed(a, b)
-
-
-# ---------------------------------------------------------------------------
-# The h-path table
-
-
 def _table_rec(p: Path, bot: int, reads) -> tuple[_Rec, tuple[int, ...]]:
-    """_rec(p, 0, bot, h) of a path from (0, bot) that spans all h heights of
-    the frame, and its word (_word), walked off its steps at once: no
-    geometry record is built.  reads is _reads of the type."""
+    """The record of a path from (0, bot) in the frame with origin (0, bot)
+    and the band's h heights, which it spans, and its word (_word), walked
+    off its steps at once: no geometry record is built.  reads is _reads of
+    the type."""
     h = len(reads)
     x = y = run = 0  # y counts from bot; run counts the east steps at height y
     mask, zx = 1, 0 if bot == 0 else None
@@ -427,13 +403,15 @@ class PathTuple(NamedTuple):
         return rows_weight(t, [_word(t, p) for p in self.paths], [f * p.start[0] for p in self.paths], a_offset)
 
     def transposed_pairs(self, t: AlgType) -> list[tuple[int, int]]:
-        if not self.paths:
-            return []
-        recs, zero = _bare_records(self.paths)
+        """The transposed pairs (i, j), i < j, that do not intersect
+        ordinarily: only the transposed pairs are classified."""
+        model_status(t, "path")
+        paths = self.paths
+        ends = [(p.start[0], p.end[0]) for p in paths]
         return [
             (i, j)
-            for (i, a), (j, b) in itertools.combinations(enumerate(recs), 2)
-            if _classify(t.family, a, b, zero) != "ordinarily" and _bare_transposed(a, b)
+            for i, j in itertools.combinations(range(len(paths)), 2)
+            if _transposed(*ends[i], *ends[j]) and classify_pair(t, paths[i], paths[j]) != "ordinarily"
         ]
 
     def to_json_obj(self) -> dict:

@@ -8,11 +8,12 @@ explicit, checkable conditions on the surviving tuples.
 All maps act on tuples of C-type h-paths.  A map may be inapplicable to a
 given tuple; callers probe applicability with the `NotApplicable` exception
 or the condition predicates.  The probes (a point on a path, its index,
-the leftmost or rightmost point at a height, the common points of two
-paths) are lookups in the path's cached geometry record
-(``paths._geometry``), and omega caches the rotated shape per (shape,
-center).  ``retuple`` still checks the count, starts, ends and permutation
-of every tuple that a map builds.
+the leftmost or rightmost point at a height) are lookups in the path's
+cached geometry record (``paths._geometry``); the common points of two
+paths are ``paths.common_points``, which ``paths.classify_pair`` reads
+too.  omega caches the rotated shape per (shape, center).  ``retuple``
+still checks the count, starts, ends and permutation of every tuple that a
+map builds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 from .ring import AlgType
 from .shapes import Partition, SkewShape
-from .paths import Path, PathTuple, _geometry, classify_pair, endpoints, is_transposed
+from .paths import Path, PathTuple, _geometry, _transposed, classify_pair, common_points, endpoints
 
 
 class NotApplicable(Exception):
@@ -88,7 +89,7 @@ def _rightmost(p: Path, y: int):
 
 
 def _common(p: Path, q: Path):
-    pts = _geometry(p).index.keys() & _geometry(q).index.keys()
+    pts = common_points(p, q)
     if not pts:
         raise NotApplicable("paths do not intersect")
     return pts
@@ -118,9 +119,8 @@ def retuple(t: AlgType, s: SkewShape, paths) -> PathTuple:
 
 def r_y_pair(t: AlgType, p1: Path, p2: Path, y: int) -> tuple:
     """Resolve the pair along heights ±y (y >= 1) or 0 (see r_0 cases)."""
-    if y == 0 and classify_pair(t, p1, p2) == "specially" and is_transposed(
-        t, p1, p2
-    ):
+    ends = (p1.start[0], p1.end[0], p2.start[0], p2.end[0])
+    if y == 0 and classify_pair(t, p1, p2) == "specially" and _transposed(*ends):
         return _r0_transposed(p1, p2)
     w1 = _leftmost(p1, -y)
     w2 = _rightmost(p2, y)

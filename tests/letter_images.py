@@ -1,9 +1,14 @@
 """The letter images of qjt.ring, pinned from outside: the generating
-relations among the z-variables and the inverse substitution g.  Each check
-lists its failures as (type, relation, shift); ``tests/test_ring.py`` and
-acceptance criterion 1 run the same checks."""
+relations among the z-variables and the inverse substitution g, and for D,
+which has no path or tableau model, the one-row series as sums over their
+tableau words.  Each check lists its failures as (type, relation, shift) or
+(type, coefficient, degree); ``tests/test_ring.py`` and acceptance
+criterion 1 run the same checks."""
 
-from qjt.ring import ONE, AlgType, RingElem, make_type, y_monomial, z_product
+import itertools
+
+from qjt.ring import ONE, AlgType, RingElem, letters, make_type, y_monomial, z_product
+from qjt.series import e_coeff, h_coeff
 
 IMAGE_TYPES = [make_type(f, n) for f in "ABCD" for n in range(1, 5) if not (f == "D" and n < 2)]
 
@@ -37,6 +42,36 @@ def relation_failures(t: AlgType) -> list[tuple[str, str, int]]:
             rhs = z_product(t, [(i - 1, a), (1 - i, a - c)]) if i > 1 else ONE
             if lhs != rhs:
                 out.append((str(t), name, a))
+    return out
+
+
+def d_word_failures(t: AlgType) -> list[tuple[str, str, int]]:
+    """(type, coefficient, k) of each h_k and e_k of type D, k <= 4, that
+    differs from its sum of z-products over tableau words, read in
+    letters(t) order.  h_k at offset 2(k - 1) sums the weakly increasing
+    words that do not hold both n and n-bar, letter m of a word at shift 2m;
+    e_k sums the strictly increasing words, except that adjacent n and n-bar
+    may come in either order, letter m at shift -2m.  H E(-X) = 1 and
+    chi_h = chi_e hold for any letter images used alike in both series;
+    these sums do not."""
+    n, alphabet = t.rank, letters(t)
+    pos = {c: p for p, c in enumerate(alphabet)}
+
+    def word_sum(words, step):
+        return RingElem.sum(z_product(t, [(c, step * m) for m, c in enumerate(w)]) for w in words)
+
+    out = []
+    for k in range(1, 5):
+        rows = [w for w in itertools.combinations_with_replacement(alphabet, k) if not {n, -n} <= set(w)]
+        columns = [
+            w
+            for w in itertools.product(alphabet, repeat=k)
+            if all(pos[a] < pos[b] or {a, b} == {n, -n} for a, b in zip(w, w[1:]))
+        ]
+        if word_sum(rows, 2) != h_coeff(t, k, 2 * (k - 1)):
+            out.append((str(t), "h_k", k))
+        if word_sum(columns, -2) != e_coeff(t, k):
+            out.append((str(t), "e_k", k))
     return out
 
 

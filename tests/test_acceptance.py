@@ -32,7 +32,7 @@ from qjt.tableaux import (
 )
 from qjt.classical import verify_decomposition_A, verify_decomposition_C
 
-from letter_images import IMAGE_TYPES, inverse_failures, relation_failures
+from letter_images import IMAGE_TYPES, d_word_failures, inverse_failures, relation_failures
 from test_shapes import all_partitions, hw_monomial, subpartitions
 
 
@@ -74,11 +74,16 @@ def test_criterion_01_he_identity():
     # H*E = 1 holds for any letter images: pin the images themselves
     for t in IMAGE_TYPES:
         failures += relation_failures(t) + inverse_failures(t)
+    # and so does chi_h = chi_e: pin D's one-row series to their tableau words
+    d_types = [t for t in IMAGE_TYPES if t.family == "D"]
+    for t in d_types:
+        failures += d_word_failures(t)
     report(
         1,
-        "H*E(-X) = E(-X)*H = 1 up to X^8, all types, n <= 3; letter images: generating relations and f(g(Y)) = Y",
+        "H*E(-X) = E(-X)*H = 1 up to X^8, all types, n <= 3; letter images: generating relations and f(g(Y)) = Y;"
+        " D: h_k and e_k as sums over tableau words",
         failures,
-        f"images of {len(IMAGE_TYPES)} types, A-D, n <= 4",
+        f"images of {len(IMAGE_TYPES)} types, A-D, n <= 4; words of {len(d_types)} D types, k <= 4",
     )
 
 

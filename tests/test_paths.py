@@ -2,21 +2,21 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qjt.jacobitrudi import chi_h
 from qjt.paths import (
     Path,
     PathTuple,
     _Frame,
-    _bare_records,
-    _classify,
+    _Rec,
     _hpath_table,
     _pair_masks,
-    _rec,
     _signed_sum,
     _word,
     band,
     classify_pair,
+    common_points,
     east_labels,
     endpoints,
     enumerate_hpaths,
@@ -264,6 +264,14 @@ def test_path_layer_refuses_type_D():
     # of the band would index past the alphabet
     with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
         east_labels(t, Path((0, -3), "NNNNNNE"))
+    # the pair classification gave D the C verdict: this pair read specially,
+    # and transposed_pairs read [] for the tuple of the two
+    p, q = parse_path("(0,-3):NNNEENNN"), parse_path("(1,-3):NNNEENNN")
+    for fn in (classify_pair, is_transposed):
+        with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
+            fn(t, p, q)
+    with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
+        PathTuple((p, q), (0, 1), s).transposed_pairs(t)
 
 
 def test_is_transposed_fails_closed_on_ordinary_pair():
@@ -463,7 +471,7 @@ def test_wide_frames_reuse_the_tables():
 @pytest.mark.parametrize("fam", ["A", "B", "C"])
 def test_pair_masks_match_classify(fam):
     # path c of width ri moved d columns east against each path e of width
-    # rk, classified in one frame with the whole table of width rk
+    # rk, classified by their common points
     seen = 0
     for n in (1, 2, 3):
         t = make_type(fam, n)
@@ -472,27 +480,12 @@ def test_pair_masks_match_classify(fam):
             others = [b.path for b in _hpath_table(t, rk)[2]]
             for c, a in enumerate(_hpath_table(t, ri)[2]):
                 disjoint, special = _pair_masks(t, ri, rk, d, c)
-                (p, *recs), zero = _bare_records([Path((d, bot), a.path.steps)] + others)
-                for e, b in enumerate(recs):
-                    verdict = _classify(fam, p, b, zero)
+                p = Path((d, bot), a.path.steps)
+                for e, q in enumerate(others):
+                    verdict = classify_pair(t, p, q)
                     assert (disjoint >> e & 1, special >> e & 1) == (verdict == "disjoint", verdict == "specially")
                     seen += 1
     assert seen == {"A": 31_750, "B": 490_430, "C": 325_005}[fam]
-
-
-@pytest.mark.parametrize("fam", ["A", "B", "C"])
-def test_table_records_are_the_geometry_records(fam):
-    # the table walks each path's steps once for its record; _rec reads the
-    # same three values off the path's geometry record
-    seen = 0
-    for n in (1, 2, 3, 4):
-        t = make_type(fam, n)
-        bot, top = band(t)
-        for r in range(6):
-            for a in _hpath_table(t, r)[2]:
-                assert a == _rec(a.path, 0, bot, top - bot + 1), (t, a.path)
-                seen += 1
-    assert seen == {"A": 455, "B": 2_686, "C": 2_214}[fam]
 
 
 def _walk(p):
@@ -502,6 +495,30 @@ def _walk(p):
         x, y = (x + 1, y) if s == "E" else (x, y + 1)
         pts.append((x, y))
     return pts
+
+
+def _walk_rec(p, bot, h):
+    """The record of a path from (0, bot) in the frame with origin (0, bot)
+    and h heights, read off its walked points."""
+    pts = _walk(p)
+    zero = [x for x, y in pts if y == 0]
+    mask = sum(1 << (x * h + y - bot) for x, y in pts)
+    return _Rec(p, mask, min(zero) if zero else None, pts[-1][0])
+
+
+@pytest.mark.parametrize("fam", ["A", "B", "C"])
+def test_table_records_are_the_geometry_records(fam):
+    # the table walks each path's steps once for its record: the point mask,
+    # the leftmost height-0 x and the end x, here read off the walked points
+    seen = 0
+    for n in (1, 2, 3, 4):
+        t = make_type(fam, n)
+        bot, top = band(t)
+        for r in range(6):
+            for a in _hpath_table(t, r)[2]:
+                assert a == _walk_rec(a.path, bot, top - bot + 1), (t, a.path)
+                seen += 1
+    assert seen == {"A": 455, "B": 2_686, "C": 2_214}[fam]
 
 
 def _ref_leftmost(pts, y):
@@ -551,6 +568,7 @@ def test_geometry_matches_list_scans(fam):
                         assert _outcome(_index, p, pt) == _outcome(_ref_index, pts, pt)
                         assert _on(p, pt) == (pt in pts)
                     q = Path((sx + 1, sy), a.path.steps)
+                    assert common_points(p, q) == set(pts) & set(_walk(q))
                     assert _outcome(_common, p, q) == (set(pts) & set(_walk(q)) or "paths do not intersect")
                     seen += 1
     assert seen == {"A": 360, "B": 1_272, "C": 1_041}[fam]
@@ -574,8 +592,8 @@ def test_search_keys_are_the_row_sums(fam, n):
 
 
 def test_classify_pair_across_spans():
-    # paths that span different heights get their masks laid out again in
-    # the pair's frame, rather than moved
+    # pairs of paths that span different heights, some of them starting or
+    # ending off the axis
     words = ["".join(w) for k in (2, 3, 4) for w in itertools.product("NE", repeat=k)]
     paths = [Path((x, y), w) for x in (0, 1) for y in (-2, -1, 0) for w in words]
     seen = 0
@@ -585,3 +603,45 @@ def test_classify_pair_across_spans():
             assert classify_pair(t, p, q) == _ref_classify(t, p, q), (t, p, q)
             seen += p.end[1] - p.start[1] != q.end[1] - q.start[1]
     assert seen == 3_408
+
+
+# Arbitrary paths: N/E step strings of length <= 8 from starts in and
+# around the band, not only the h-paths of a tuple.  Free step strings
+# rarely meet at height 0 alone, so half the draws are axis paths: north to
+# height 0, a run east along it, north again.
+PAIR_TYPES = [make_type(f, n) for f, n in (("A", 2), ("B", 2), ("C", 2), ("C", 3))]
+
+
+def _axis_path(x, below, run, above):
+    return Path((x, -below), "N" * below + "E" * run + "N" * above)
+
+
+@st.composite
+def typed_paths(draw, count):
+    t = draw(st.sampled_from(PAIR_TYPES))
+    bot, top = band(t)
+    free = st.builds(Path, st.tuples(st.integers(-2, 3), st.integers(bot - 2, top + 1)), st.text("NE", max_size=8))
+    axis = st.builds(_axis_path, st.integers(-2, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
+    return t, draw(st.lists(free | axis, min_size=count[0], max_size=count[1]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(typed_paths((2, 2)))
+def test_classify_pair_on_arbitrary_paths(drawn):
+    t, (p, q) = drawn
+    verdict = classify_pair(t, p, q)
+    assert verdict == _ref_classify(t, p, q)
+    if verdict != "ordinarily":
+        assert is_transposed(t, p, q) == _ref_transposed(p, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(typed_paths((2, 3)))
+def test_transposed_pairs_on_arbitrary_paths(drawn):
+    t, paths = drawn
+    pt = PathTuple(tuple(paths), tuple(range(len(paths))), shape(()))
+    assert pt.transposed_pairs(t) == [
+        (i, j)
+        for i, j in itertools.combinations(range(len(paths)), 2)
+        if _ref_classify(t, paths[i], paths[j]) != "ordinarily" and _ref_transposed(paths[i], paths[j])
+    ]
