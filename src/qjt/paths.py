@@ -288,13 +288,12 @@ def is_transposed(t: AlgType, p: Path, q: Path) -> bool:
 
 
 class _Rec(NamedTuple):
-    """A path in a frame: its point set as a bitmask, its leftmost x at
-    height 0 (None if it never gets there) and its end x."""
+    """A path in a frame: its point set as a bitmask and its leftmost x at
+    height 0 (None if it never gets there)."""
 
     path: Path
     mask: int
     zx: int | None
-    vx: int
 
 
 def _zero_row(x0: int, x1: int, y0: int, h: int) -> int:
@@ -341,7 +340,7 @@ def _table_rec(p: Path, bot: int, reads) -> tuple[_Rec, tuple[int, ...]]:
             if y == -bot:
                 zx = x
         mask |= 1 << (x * h + y)
-    return _Rec(p, mask, zx, x), tuple(word)
+    return _Rec(p, mask, zx), tuple(word)
 
 
 @lru_cache(maxsize=None)

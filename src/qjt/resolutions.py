@@ -5,15 +5,17 @@ what turns the signed path sum into a positive tableau sum: the k-transposed
 classes cancel against each other except for images characterized by
 explicit, checkable conditions on the surviving tuples.
 
-All maps act on tuples of C-type h-paths.  A map may be inapplicable to a
-given tuple; callers probe applicability with the `NotApplicable` exception
-or the condition predicates.  The probes (a point on a path, its index,
-the leftmost or rightmost point at a height) are lookups in the path's
-cached geometry record (``paths._geometry``); the common points of two
-paths are ``paths.common_points``, which ``paths.classify_pair`` reads
-too.  omega caches the rotated shape per (shape, center).  ``retuple``
-still checks the count, starts, ends and permutation of every tuple that a
-map builds.
+All maps act on tuples of C-type h-paths; the maps and the conditions
+refuse other types with ValueError.  A map may be inapplicable to a given
+tuple; callers probe applicability with the `NotApplicable` exception or
+the condition predicates.  The probes (a point on a path, its index, the
+leftmost or rightmost point at a height) are lookups in the path's cached
+geometry record (``paths._geometry``); the common points of two paths are
+``paths.common_points``, which ``paths.classify_pair`` reads too.  Each
+new path is spliced from step strings (``_splice``): the steps of one path
+up to a point, a joint, and the steps of another from a point on.  omega
+caches the rotated shape per (shape, center).  ``retuple`` still checks
+the count, starts, ends and permutation of every tuple that a map builds.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 
 from .ring import AlgType
 from .shapes import Partition, SkewShape
-from .paths import Path, PathTuple, _geometry, _transposed, classify_pair, common_points, endpoints
+from .paths import Path, PathTuple, _geometry, _require_C, _transposed, classify_pair, common_points, endpoints
 
 
 class NotApplicable(Exception):
@@ -44,31 +46,13 @@ def _index(p: Path, pt) -> int:
     return m
 
 
-def _prefix_points(p: Path, pt) -> list:
-    return list(_geometry(p).points[: _index(p, pt) + 1])
-
-
-def _suffix_points(p: Path, pt) -> list:
-    return list(_geometry(p).points[_index(p, pt) :])
-
-
-def _east_run(a, b) -> list:
-    if a[1] != b[1] or b[0] < a[0]:
-        raise NotApplicable(f"no east run {a} -> {b}")
-    return [(x, a[1]) for x in range(a[0] + 1, b[0] + 1)]
-
-
-def _path_from_points(pts) -> Path:
-    steps = []
-    for m in range(len(pts) - 1):
-        dx, dy = pts[m + 1][0] - pts[m][0], pts[m + 1][1] - pts[m][1]
-        if (dx, dy) == (1, 0):
-            steps.append("E")
-        elif (dx, dy) == (0, 1):
-            steps.append("N")
-        else:
-            raise NotApplicable(f"not a unit step: {pts[m]} -> {pts[m + 1]}")
-    return Path(pts[0], "".join(steps))
+def _splice(p: Path, a, joint: str, q: Path, b) -> Path:
+    """p up to its point a, the steps joint, then q from its point b; the
+    joint must lead from a to b."""
+    east = joint.count("E")
+    if (a[0] + east, a[1] + len(joint) - east) != b:
+        raise NotApplicable(f"steps {joint!r} do not lead from {a} to {b}")
+    return Path(p.start, p.steps[: _index(p, a)] + joint + q.steps[_index(q, b) :])
 
 
 def _at_height(p: Path, y: int, xs: tuple):
@@ -119,6 +103,7 @@ def retuple(t: AlgType, s: SkewShape, paths) -> PathTuple:
 
 def r_y_pair(t: AlgType, p1: Path, p2: Path, y: int) -> tuple:
     """Resolve the pair along heights ±y (y >= 1) or 0 (see r_0 cases)."""
+    _require_C(t, "r_y_pair")
     ends = (p1.start[0], p1.end[0], p2.start[0], p2.end[0])
     if y == 0 and classify_pair(t, p1, p2) == "specially" and _transposed(*ends):
         return _r0_transposed(p1, p2)
@@ -129,19 +114,11 @@ def r_y_pair(t: AlgType, p1: Path, p2: Path, y: int) -> tuple:
     if not (_on(p2, w1s) and _on(p1, w2s)):
         raise NotApplicable("condition on w1*, w2* fails")
     below1 = _pt_add(w1, (0, -1))
-    p1n = (
-        _prefix_points(p1, below1)
-        + _east_run(below1, _pt_add(w2s, (0, -1)))
-        + _suffix_points(p1, w2s)
-    )
     above2 = _pt_add(w2, (0, 1))
-    p2n = (
-        _prefix_points(p2, w1s)
-        + [_pt_add(w1s, (0, 1))]
-        + _east_run(_pt_add(w1s, (0, 1)), above2)
-        + _suffix_points(p2, above2)[1:]
+    return (
+        _splice(p1, below1, "E" * (w2s[0] - below1[0]) + "N", p1, w2s),
+        _splice(p2, w1s, "N" + "E" * (above2[0] - w1s[0]), p2, above2),
     )
-    return _path_from_points(p1n), _path_from_points(p2n)
 
 
 def _r0_transposed(p1: Path, p2: Path) -> tuple:
@@ -151,23 +128,18 @@ def _r0_transposed(p1: Path, p2: Path) -> tuple:
         raise NotApplicable(f"common points {zero} are not all at height 0")
     if not (_on(p1, _pt_add(u, (0, -1))) and _on(p2, _pt_add(u, (-1, 0)))):
         raise NotApplicable("crossing orientation differs from the assumed one")
-    p1n = (
-        _prefix_points(p1, _pt_add(u, (0, -1)))
-        + _east_run(_pt_add(u, (0, -1)), _pt_add(v, (1, -1)))
-        + [_pt_add(v, (1, 0))]
-        + _suffix_points(p2, _pt_add(v, (1, 0)))[1:]
+    run = "E" * (v[0] - u[0] + 1)
+    return (
+        _splice(p1, _pt_add(u, (0, -1)), run + "N", p2, _pt_add(v, (1, 0))),
+        _splice(p2, _pt_add(u, (-1, 0)), "N" + run, p1, _pt_add(v, (0, 1))),
     )
-    p2n = (
-        _prefix_points(p2, _pt_add(u, (-1, 0)))
-        + [_pt_add(u, (-1, 1))]
-        + _east_run(_pt_add(u, (-1, 1)), _pt_add(v, (0, 1)))
-        + _suffix_points(p1, _pt_add(v, (0, 1)))[1:]
-    )
-    return _path_from_points(p1n), _path_from_points(p2n)
 
 
 def r_y(t: AlgType, pt: PathTuple, i: int, j: int, y: int) -> PathTuple:
     """Apply the pair map to rows i < j (1-based) of the tuple."""
+    _require_C(t, "r_y")
+    if not 1 <= i < j <= len(pt.paths):
+        raise ValueError(f"rows {i}, {j} are not 1 <= i < j <= {len(pt.paths)}")
     paths = list(pt.paths)
     pi, pj = paths[i - 1], paths[j - 1]
     paths[i - 1], paths[j - 1] = r_y_pair(t, pi, pj, y)
@@ -244,20 +216,17 @@ def is_p2_cross(t: AlgType, pt: PathTuple) -> bool:
 def g_map(t: AlgType, pt: PathTuple) -> PathTuple:
     """Straighten a doubly-crossed three-row tuple into the adjacent-pair
     constrained class without changing weight or sign."""
+    _require_C(t, "g_map")
     p1, p2, p3 = pt.paths
     u, u_, v, v_ = crossing_markers(t, pt)
     if not (_on(p2, u_) and _on(p1, v_)):
         raise NotApplicable("crossing corners not on the expected rows")
-    p1n = _prefix_points(p1, v_) + [_pt_add(v_, (0, 1))] + _suffix_points(
-        p3, _pt_add(v_, (0, 1))
-    )[1:]
-    p2n = _prefix_points(p2, v) + _east_run(v, u) + _suffix_points(p1, u)[1:]
-    p3n = (
-        _prefix_points(p3, _pt_add(u_, (0, -1)))
-        + [u_]
-        + _suffix_points(p2, u_)[1:]
-    )
-    return retuple(t, pt.shape, [_path_from_points(x) for x in (p1n, p2n, p3n)])
+    paths = [
+        _splice(p1, v_, "N", p3, _pt_add(v_, (0, 1))),
+        _splice(p2, v, "E" * (u[0] - v[0]), p1, u),
+        _splice(p3, _pt_add(u_, (0, -1)), "N", p2, u_),
+    ]
+    return retuple(t, pt.shape, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +236,7 @@ def g_map(t: AlgType, pt: PathTuple) -> PathTuple:
 def f2_13(t: AlgType, pt: PathTuple) -> PathTuple:
     """Resolve the (1,3) transposed pair of a doubly-crossed tuple that is
     not in the g-map domain; lands in the (2,3)-transposed class."""
+    _require_C(t, "f2_13")
     p1, p2, p3 = pt.paths
     u = min(_common(p1, p3))
     u_ = _pt_add(u, (-1, 1))
@@ -279,6 +249,7 @@ def f2_13(t: AlgType, pt: PathTuple) -> PathTuple:
 
 
 def f2_23(t: AlgType, pt: PathTuple, xhat2: int | None = None) -> PathTuple:
+    _require_C(t, "f2_23")
     if xhat2 is None:
         xhat2 = default_center(pt.shape)
     return omega(t, f2_13(t, omega(t, pt, xhat2)), xhat2)
@@ -287,6 +258,7 @@ def f2_23(t: AlgType, pt: PathTuple, xhat2: int | None = None) -> PathTuple:
 def f1_12(t: AlgType, pt: PathTuple) -> PathTuple:
     """Resolve the (1,2) transposed pair of a singly-crossed tuple; lands in
     the crossing-free class."""
+    _require_C(t, "f1_12")
     p1, p2, p3 = pt.paths
     w1 = _leftmost(p1, -1)
     w1s = _pt_add(w1, (-2, 2))
@@ -304,6 +276,7 @@ def f1_12(t: AlgType, pt: PathTuple) -> PathTuple:
 
 
 def f1_23(t: AlgType, pt: PathTuple, xhat2: int | None = None) -> PathTuple:
+    _require_C(t, "f1_23")
     if xhat2 is None:
         xhat2 = default_center(pt.shape)
     return omega(t, f1_12(t, omega(t, pt, xhat2)), xhat2)
@@ -341,16 +314,19 @@ def _cond_core(t: AlgType, pa: Path, pb: Path, pc: Path):
 
 def condition_f2_13(t: AlgType, pt: PathTuple):
     """Image test for f2_13 on a (2,3)-transposed tuple: 'a', 'b' or None."""
+    _require_C(t, "condition_f2_13")
     p1, p2, p3 = pt.paths
     return _cond_core(t, p1, p3, p2)
 
 
 def condition_f2_23(t: AlgType, pt: PathTuple):
+    _require_C(t, "condition_f2_23")
     return condition_f2_13(t, omega(t, pt))
 
 
 def condition_f1_12(t: AlgType, pt: PathTuple):
     """Image test for f1_12 on a crossing-free tuple: 'a', 'b1', 'b2', None."""
+    _require_C(t, "condition_f1_12")
     p1, p2, p3 = pt.paths
     res = _cond_core(t, p1, p2, p3)
     if res != "b":
@@ -370,4 +346,5 @@ def condition_f1_12(t: AlgType, pt: PathTuple):
 
 
 def condition_f1_23(t: AlgType, pt: PathTuple):
+    _require_C(t, "condition_f1_23")
     return condition_f1_12(t, omega(t, pt))

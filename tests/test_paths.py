@@ -503,13 +503,13 @@ def _walk_rec(p, bot, h):
     pts = _walk(p)
     zero = [x for x, y in pts if y == 0]
     mask = sum(1 << (x * h + y - bot) for x, y in pts)
-    return _Rec(p, mask, min(zero) if zero else None, pts[-1][0])
+    return _Rec(p, mask, min(zero) if zero else None)
 
 
 @pytest.mark.parametrize("fam", ["A", "B", "C"])
 def test_table_records_are_the_geometry_records(fam):
-    # the table walks each path's steps once for its record: the point mask,
-    # the leftmost height-0 x and the end x, here read off the walked points
+    # the table walks each path's steps once for its record: the point mask
+    # and the leftmost height-0 x, here read off the walked points
     seen = 0
     for n in (1, 2, 3, 4):
         t = make_type(fam, n)

@@ -179,3 +179,12 @@ def test_series_are_built_by_recurrence_and_only_check_HE_multiplies_them():
             if isinstance(x, ast.BinOp) and isinstance(x.op, ast.Mult) and is_series(x.left) and is_series(x.right)
         ]
     assert products == ["check_HE:H * Em", "check_HE:Em * H"]
+
+
+def test_resolution_maps_splice_step_strings():
+    # the maps build each new path as one splice of step strings
+    # (resolutions._splice): no point-list helpers, and no point lists read
+    tree = dict(modules())["resolutions.py"]
+    gone = {"_prefix_points", "_suffix_points", "_east_run", "_path_from_points"}
+    assert [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name in gone] == []
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "points"] == []
