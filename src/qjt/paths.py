@@ -53,8 +53,8 @@ down the search.  The tableau layer runs it over the same tables' words
 with pi the identity.
 Both layers sum through one signed key sum (``_signed_sum``): it adds the
 key of each tuple into one dict with the sign of its permutation as the
-coefficient, +1 for every tableau, and has the placement read the dict as
-one ``RingElem``.
+coefficient, +1 for every tableau, deletes a key where it cancels, and has
+the placement read the dict as one ``RingElem``.
 """
 
 from __future__ import annotations
@@ -565,15 +565,19 @@ def _search(pi, keys, kshift, fits, adjacent_only):
 
 def _signed_sum(place: Placement, found, a_offset: int = 0) -> RingElem:
     """The sum of sign(pi) * weight over the (pi, cs, key) of a search placed
-    by place: each key added into one dict with the sign as coefficient.
-    Path and tableau sums both run here; a tableau's pi is the identity."""
+    by place: each key added into one dict with the sign as coefficient; a
+    key leaves the dict where it cancels, and the dict is the result.  Path
+    and tableau sums both run here; a tableau's pi is the identity."""
     acc: dict = {}
     get = acc.get
     last = None
     for pi, _cs, key in found:
         if pi is not last:  # the tuples of one permutation come together
             last, sgn = pi, _sign(pi)
-        acc[key] = get(key, 0) + sgn
+        if v := get(key, 0) + sgn:
+            acc[key] = v
+        else:
+            del acc[key]
     return place.elem(acc, a_offset)
 
 

@@ -126,8 +126,6 @@ def _r0_transposed(p1: Path, p2: Path) -> tuple:
     u, v = zero[0], zero[-1]
     if not u[1] == v[1] == 0:
         raise NotApplicable(f"common points {zero} are not all at height 0")
-    if not (_on(p1, _pt_add(u, (0, -1))) and _on(p2, _pt_add(u, (-1, 0)))):
-        raise NotApplicable("crossing orientation differs from the assumed one")
     run = "E" * (v[0] - u[0] + 1)
     return (
         _splice(p1, _pt_add(u, (0, -1)), run + "N", p2, _pt_add(v, (1, 0))),

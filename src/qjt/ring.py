@@ -18,11 +18,12 @@ Each element tracks a bound on its exponents; when a product could exceed
 the digit range, the operands are re-encoded at twice the width, so a digit
 never wraps.  Sums and products are accumulated in one fresh dict
 (``RingElem.sum``, ``RingElem.sum_products``, ``RingElem.determinant``), the
-products by one pair loop (``_add_product``); no stored dict is ever
-mutated, so shifted elements may share one.  The (i, s, e) tuple form,
-``RingElem.terms``, is decoded only when read (text, JSON, classical
-projection) and cached; a decode builds one (i, s, e) tuple per (slot,
-exponent), which all its monomials share.
+products by one pair loop (``_add_product``); a key leaves the dict where
+its coefficient cancels, so the dict is the result, with no zero filter.
+No stored dict is ever mutated, so shifted elements may share one.  The
+(i, s, e) tuple form, ``RingElem.terms``, is decoded only when read (text,
+JSON, classical projection) and cached; a decode builds one (i, s, e) tuple
+per (slot, exponent), which all its monomials share.
 
 The path and tableau models sum weights over tuples of rows.  A weight is a
 product of letter images, so its key is a sum of letter keys, one cached
@@ -194,16 +195,19 @@ class RingElem:
 
     @staticmethod
     def sum(elems: Iterable["RingElem"]) -> "RingElem":
-        """The sum of elems, accumulated in one new dict."""
+        """The sum of elems, accumulated in one new dict: the result."""
         elems = list(elems)
         keys, lo, n, w = _align(elems, 0)
         acc: dict = {}
         get = acc.get
         for ks in keys:
             for k, c in ks.items():
-                acc[k] = get(k, 0) + c
+                if v := get(k, 0) + c:
+                    acc[k] = v
+                else:
+                    del acc[k]
         b = max((x._b for x in elems), default=0)
-        return RingElem._make({k: c for k, c in acc.items() if c}, lo, n, w, b)
+        return RingElem._make(acc, lo, n, w, b)
 
     @staticmethod
     def sum_products(triples: Iterable[tuple[int, "RingElem", "RingElem"]]) -> "RingElem":
@@ -215,7 +219,7 @@ class RingElem:
         acc: dict = {}
         for (c, _x, _y), ka, kb in zip(triples, keys[0::2], keys[1::2]):
             _add_product(acc, c, ka, kb)
-        return RingElem._make({k: v for k, v in acc.items() if v}, lo, n, w, bound)
+        return RingElem._make(acc, lo, n, w, bound)
 
     @staticmethod
     def determinant(matrix: list[list["RingElem"]]) -> "RingElem":
@@ -251,7 +255,7 @@ class RingElem:
                         sub = minor(cols[:pos] + cols[pos + 1 :])
                         if sub:
                             _add_product(acc, -1 if pos % 2 else 1, row[j], sub)
-                out = memo[cols] = {k: c for k, c in acc.items() if c}
+                out = memo[cols] = acc
             return out
 
         return RingElem._make(minor(tuple(range(l))), lo, n, w, bound)
@@ -399,7 +403,8 @@ def _is_const(x: RingElem) -> bool:
 
 def _add_product(acc: dict, c: int, ka: dict, kb: dict):
     """acc += c * ka * kb for key dicts in one layout, the smaller operand
-    in the outer loop: the ring's one pair-product loop."""
+    in the outer loop: the ring's one pair-product loop.  A key leaves acc
+    where its coefficient cancels, so acc holds only live monomials."""
     if len(ka) > len(kb):
         ka, kb = kb, ka
     get = acc.get
@@ -408,7 +413,10 @@ def _add_product(acc: dict, c: int, ka: dict, kb: dict):
         c1 *= c
         for k2, c2 in items:
             k = k1 + k2
-            acc[k] = get(k, 0) + c1 * c2
+            if v := get(k, 0) + c1 * c2:
+                acc[k] = v
+            else:
+                del acc[k]
 
 
 def _align(elems, bound: int) -> tuple[list[dict], int, int, int]:
@@ -634,5 +642,6 @@ class Placement:
         return tuple(sum(e << (self.w * slot) for slot, e in enumerate(_digits(k, w)) if e) for k in keys)
 
     def elem(self, acc: dict, a_offset: int = 0) -> RingElem:
-        """The element of acc, from keys to coefficients, moved a_offset."""
-        return RingElem._make({k: c for k, c in acc.items() if c}, self.lo + a_offset, self.n, self.w, self.bound)
+        """The element of acc, from keys to nonzero coefficients (a key
+        leaves acc where it cancels), moved a_offset: acc is its dict."""
+        return RingElem._make(acc, self.lo + a_offset, self.n, self.w, self.bound)

@@ -89,6 +89,15 @@ def test_determinant_matches_leibniz_on_mixed_layouts():
         big = RingElem.monomial([(1, 0, e)])
         x, y = y_monomial(4, -3), RingElem.monomial([(2, 5, -e)]).shift_spectral(1)
         assert RingElem.determinant([[big, x], [y, big]]).terms == leibniz_terms([[big, x], [y, big]])
+    # a repeated row: every product cancels, so each key that the minors
+    # add is deleted again and the determinant is an empty dict
+    u = RingElem.monomial([(1, 0, 130), (3, 2, -1)]) + y_monomial(2, -1).shift_spectral(4)
+    v = RingElem({((1, 1, 2),): 3, ((2, -2, -1), (4, 0, 1)): -1, (): 2}).shift_spectral(-2)
+    r = [u, v, RingElem.const(-3)]
+    s = [y_monomial(4, 5, 70), u - v, v.shift_spectral(1)]
+    for matrix in ([[u, v], [u, v]], [r, s, r]):
+        det = RingElem.determinant(matrix)
+        assert det.is_zero() and det.terms == leibniz_terms(matrix) == {}, matrix
 
 
 @pytest.mark.parametrize("matrix", [

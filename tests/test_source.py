@@ -188,3 +188,29 @@ def test_resolution_maps_splice_step_strings():
     gone = {"_prefix_points", "_suffix_points", "_east_run", "_path_from_points"}
     assert [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name in gone] == []
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "points"] == []
+
+
+def test_accumulators_hold_only_live_monomials():
+    # a key leaves the ring's accumulators (and the path and tableau key
+    # sum) where its coefficient cancels, so no result is copied through a
+    # filter on its coefficients; _encode keeps its filter, as its input
+    # comes from outside.  A filter is a comprehension over d.items() whose
+    # condition reads the value.
+    trees = dict(modules())
+    scopes = [("ring.py", trees["ring.py"])]
+    scopes += [("paths.py", d) for d in ast.walk(trees["paths.py"]) if isinstance(d, ast.FunctionDef) and d.name == "_signed_sum"]
+    found = []
+    for name, tree in scopes:
+        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.comprehension) or not node.ifs:
+                continue
+            items = isinstance(node.iter, ast.Call) and getattr(node.iter.func, "attr", None) == "items"
+            value = node.target.elts[-1] if isinstance(node.target, ast.Tuple) else None
+            if items and isinstance(value, ast.Name) and any(
+                isinstance(x, ast.Name) and x.id == value.id for cond in node.ifs for x in ast.walk(cond)
+            ):
+                inner = [d for d in defs if d.lineno <= node.iter.lineno <= d.end_lineno]
+                where = max(inner, key=lambda d: d.lineno).name if inner else "<module>"
+                found.append((name, where, node.iter.lineno))
+    assert [where for _, where, _ in found] == ["_encode", "_encode"], found
