@@ -5,7 +5,9 @@ the variables Y[i,s] (i = node index, s = integer spectral shift relative to a
 formal base point a, which is never stored).  The letter variables z[c,s] are
 pushed through the type-dependent monomial substitution ``f_hom`` at
 construction time, so the generating relations between the z's hold
-automatically and equality is plain structural equality.
+automatically and equality is plain structural equality.  The images of a
+type's letters are derived from one rule: they form a Frenkel-Mukhin string,
+in which each image is an earlier one times A_{i,a}^{-1} (``_a_inverse``).
 
 A ring element stores each monomial as one packed integer key (Monagan and
 Pearce's packed exponent vectors).  The exponent of Y[i,s] is a balanced
@@ -462,83 +464,65 @@ ONE = RingElem.const(1)
 
 # ---------------------------------------------------------------------------
 # The substitution f: z-variables -> Y-monomials
+#
+# The letters of a type are the monomials of the q-character of its vector
+# representation, which form one Frenkel-Mukhin string: from Y_{1,0}
+# (Y_{1,-1} Y_{1,1} for B1, Y_{1,0} Y_{2,0} for D2), each letter's image is
+# an earlier one times A_{i,a}^{-1}.  Each type's image table is derived
+# once, from its string of steps.
+
+
+def _d(t: AlgType, i: int) -> int:
+    """d_i: 2 for the nodes i < n of B and the node n of C, else 1."""
+    return 2 if (t.family == "B" and i < t.rank) or (t.family == "C" and i == t.rank) else 1
+
+
+def _a_inverse(t: AlgType, i: int, a: int) -> list[tuple[int, int, int]]:
+    """Y-factors of A_{i,a}^{-1}: Y_{i,a-d_i}^{-1} Y_{i,a+d_i}^{-1}, times
+    Y_{j,a} for each Dynkin neighbour j of i with d_j >= d_i, and
+    Y_{j,a-1} Y_{j,a+1} for each with d_j < d_i."""
+    n, d = t.rank, _d(t, i)
+    edges = [(j, j + 1) for j in range(1, n)]
+    if t.family == "D":  # the fork: (n-1, n) becomes (n-2, n); D2 has no edge
+        edges = edges[:-1] + ([(n - 2, n)] if n >= 3 else [])
+    out = [(i, a - d, -1), (i, a + d, -1)]
+    for j in [q for p, q in edges if p == i] + [p for p, q in edges if q == i]:
+        out += [(j, a, 1)] if _d(t, j) >= d else [(j, a - 1, 1), (j, a + 1, 1)]
+    return out
+
+
+def _string(t: AlgType) -> list[tuple[int, int, int, int]]:
+    """The steps (c, c', i, a), z_{c'} = z_c A_{i,a}^{-1}, each letter but 1
+    reached once and after its c: up the unbarred letters, through the
+    middle of the family, and down the barred ones."""
+    n, fam, d = t.rank, t.family, delta(t)
+    up = [(c, c + 1, c, d * c) for c in range(1, n + (fam == "A"))]
+    if fam == "A":
+        return up
+    middle = {
+        "B": [(n, 0, n, 2 * n), (0, -n, n, 2 * n - 2)],
+        "C": [(n, -n, n, n + 1)],
+        "D": [(n - 1, -n, n, n - 1), (n, 1 - n, n, n - 1)],
+    }[fam]
+    top = {"B": 4 * n, "C": 2 * n + 3, "D": 2 * n - 1}[fam]
+    return up + middle + [(-i, 1 - i, i - 1, top - d * i) for i in range(n - (fam == "D"), 1, -1)]
 
 
 @lru_cache(maxsize=None)
+def _images(t: AlgType) -> dict[int, tuple[tuple[int, int, int], ...]]:
+    """Each letter's image as sorted Y-factors (i, relative shift, exponent)."""
+    start = {("B", 1): ((1, -1, 1), (1, 1, 1)), ("D", 2): ((1, 0, 1), (2, 0, 1))}.get(t, ((1, 0, 1),))
+    images = {1: start}
+    for c, c2, i, a in _string(t):
+        (images[c2],) = RingElem.monomial([*images[c], *_a_inverse(t, i, a)]).terms  # its one monomial
+    return images
+
+
 def _f_factors(t: AlgType, letter: int) -> tuple[tuple[int, int, int], ...]:
     """Y-factors (i, relative shift, exponent) of the image of z_{letter,a};
     ValueError for a letter outside the alphabet."""
     letter_order(t, letter)
-    n = t.rank
-    fam = t.family
-    if 0 < letter <= {"A": n + 1, "C": n, "D": n - 2}.get(fam, 0):
-        # every A letter, and the unbarred C and D letters whose image is the A one
-        i = letter
-        out = [(i, i - 1, 1)] if i <= n else []
-        if i >= 2:
-            out.append((i - 1, i, -1))
-        return tuple(out)
-    if fam == "B":
-        if letter == 0:
-            # z_0 is determined by the generating relation
-            # z_{0,a} = prod_k z_{k,a+4n-4k} z_{kbar,a-4n+4k}.
-            acc: dict[tuple[int, int], int] = {}
-            for k in range(1, n + 1):
-                for i, s, e in _f_factors(t, k):
-                    acc[(i, s + 4 * n - 4 * k)] = acc.get((i, s + 4 * n - 4 * k), 0) + e
-                for i, s, e in _f_factors(t, -k):
-                    acc[(i, s - 4 * n + 4 * k)] = acc.get((i, s - 4 * n + 4 * k), 0) + e
-            return tuple((i, s, e) for (i, s), e in sorted(acc.items()) if e)
-        if 1 <= letter <= n - 1:
-            i = letter
-            return ((i, 2 * i - 2, 1), (i - 1, 2 * i, -1)) if i >= 2 else ((1, 0, 1),)
-        if letter == n:
-            out = [(n, 2 * n - 3, 1), (n, 2 * n - 1, 1)]
-            if n >= 2:
-                out.append((n - 1, 2 * n, -1))
-            return tuple(out)
-        if letter == -n:
-            out = []
-            if n >= 2:
-                out.append((n - 1, 2 * n - 2, 1))
-            out += [(n, 2 * n - 1, -1), (n, 2 * n + 1, -1)]
-            return tuple(out)
-        i = -letter  # -(n-1) <= letter <= -1
-        out = []
-        if i >= 2:
-            out.append((i - 1, 4 * n - 2 * i - 2, 1))
-        out.append((i, 4 * n - 2 * i, -1))
-        return tuple(out)
-    if fam == "C":
-        i = -letter
-        out = []
-        if i >= 2:
-            out.append((i - 1, 2 * n - i + 2, 1))
-        out.append((i, 2 * n - i + 3, -1))
-        return tuple(out)
-    if fam == "D":
-        if letter == n - 1:
-            out = [(n, n - 2, 1), (n - 1, n - 2, 1)]
-            if n >= 3:
-                out.append((n - 2, n - 1, -1))
-            return tuple(out)
-        if letter == n:
-            return ((n, n - 2, 1), (n - 1, n, -1))
-        if letter == -n:
-            return ((n - 1, n - 2, 1), (n, n, -1))
-        if letter == -(n - 1):
-            out = []
-            if n >= 3:
-                out.append((n - 2, n - 1, 1))
-            out += [(n - 1, n, -1), (n, n, -1)]
-            return tuple(out)
-        i = -letter  # -(n-2) <= letter <= -1
-        out = []
-        if i >= 2:
-            out.append((i - 1, 2 * n - i - 2, 1))
-        out.append((i, 2 * n - i - 1, -1))
-        return tuple(out)
-    raise ValueError(f"unknown family {fam}")
+    return _images(t)[letter]
 
 
 def f_hom(t: AlgType, letter: int, shift: int = 0) -> RingElem:

@@ -1,9 +1,14 @@
-"""The letter images of qjt.ring, pinned from outside: the generating
-relations among the z-variables and the inverse substitution g, and for D,
-which has no path or tableau model, the one-row series as sums over their
-tableau words.  Each check lists its failures as (type, relation, shift) or
-(type, coefficient, degree); ``tests/test_ring.py`` and acceptance
-criterion 1 run the same checks."""
+"""The letter images of qjt.ring, pinned from outside.  qjt.ring derives
+them along one Frenkel-Mukhin string per type, each image the one before
+times A_{i,a}^{-1}; the checks here do not use that rule.  They are the
+generating relations among the z-variables (B's z_0 relation included), the
+inverse substitution g, and for D, which has no path or tableau model, the
+one-row series as sums over their tableau words.  Each check lists its
+failures as (type, relation, shift) or (type, coefficient, degree);
+``tests/test_ring.py`` and acceptance criterion 1 run the same checks.
+``oracle_factors`` writes every image out case by case, as the library did
+before the string: ``tests/test_ring.py`` compares the derived images with
+it."""
 
 import itertools
 
@@ -24,8 +29,8 @@ _PAIR_STEP = {
 def relation_failures(t: AlgType) -> list[tuple[str, str, int]]:
     """(type, relation, a) of each generating relation of t's letter images
     that fails at a: prod_k z_{k,a-2k} = 1 for A (a in -4..4), and for B, C
-    and D each pair relation of _PAIR_STEP, i = 1..n (a in -8..8).  The z_0
-    relation of B holds by construction of the image of letter 0."""
+    and D each pair relation of _PAIR_STEP, i = 1..n, and for B
+    z_{0,a} = prod_k z_{k,a+4n-4k} z_{kb,a-4n+4k} (a in -8..8)."""
     n = t.rank
     if t.family == "A":
         return [
@@ -41,6 +46,12 @@ def relation_failures(t: AlgType) -> list[tuple[str, str, int]]:
             lhs = z_product(t, [(i, a), (-i, a - c)])
             rhs = z_product(t, [(i - 1, a), (1 - i, a - c)]) if i > 1 else ONE
             if lhs != rhs:
+                out.append((str(t), name, a))
+    if t.family == "B":
+        name = "z_{0,a} = prod_k z_{k,a+4n-4k} z_{kb,a-4n+4k}"
+        for a in range(-8, 9):
+            rhs = [(k, a + 4 * n - 4 * k) for k in range(1, n + 1)] + [(-k, a - 4 * n + 4 * k) for k in range(1, n + 1)]
+            if z_product(t, [(0, a)]) != z_product(t, rhs):
                 out.append((str(t), name, a))
     return out
 
@@ -181,3 +192,76 @@ def g_hom_composite(t: AlgType, which: str, shift: int, exponent: int) -> RingEl
             zs = [(-k, a - 3 * n + 2 * k + 2) for k in range(1, n)]
         return z_product(t, zs)
     raise ValueError(f"no composite generator {which!r} for {t}")
+
+
+# The images written out case by case: the oracle of the string derivation
+# in qjt.ring
+
+
+def oracle_factors(t: AlgType, letter: int) -> tuple[tuple[int, int, int], ...]:
+    """Y-factors (i, relative shift, exponent) of the image of z_{letter,a},
+    sorted; B's z_0 by its generating relation over the other letters."""
+    if letter not in letters(t):
+        raise ValueError(f"letter {letter} not in alphabet of {t}")
+    n = t.rank
+    fam = t.family
+    if 0 < letter <= {"A": n + 1, "C": n, "D": n - 2}.get(fam, 0):
+        # every A letter, and the unbarred C and D letters whose image is the A one
+        i = letter
+        out = [(i, i - 1, 1)] if i <= n else []
+        if i >= 2:
+            out.append((i - 1, i, -1))
+    elif fam == "B" and letter == 0:
+        # z_{0,a} = prod_k z_{k,a+4n-4k} z_{kbar,a-4n+4k}
+        acc: dict[tuple[int, int], int] = {}
+        for k in range(1, n + 1):
+            for i, s, e in oracle_factors(t, k):
+                acc[(i, s + 4 * n - 4 * k)] = acc.get((i, s + 4 * n - 4 * k), 0) + e
+            for i, s, e in oracle_factors(t, -k):
+                acc[(i, s - 4 * n + 4 * k)] = acc.get((i, s - 4 * n + 4 * k), 0) + e
+        out = [(i, s, e) for (i, s), e in acc.items() if e]
+    elif fam == "B":
+        if 1 <= letter <= n - 1:
+            i = letter
+            out = [(i, 2 * i - 2, 1), (i - 1, 2 * i, -1)] if i >= 2 else [(1, 0, 1)]
+        elif letter == n:
+            out = [(n, 2 * n - 3, 1), (n, 2 * n - 1, 1)]
+            if n >= 2:
+                out.append((n - 1, 2 * n, -1))
+        elif letter == -n:
+            out = []
+            if n >= 2:
+                out.append((n - 1, 2 * n - 2, 1))
+            out += [(n, 2 * n - 1, -1), (n, 2 * n + 1, -1)]
+        else:
+            i = -letter  # -(n-1) <= letter <= -1
+            out = []
+            if i >= 2:
+                out.append((i - 1, 4 * n - 2 * i - 2, 1))
+            out.append((i, 4 * n - 2 * i, -1))
+    elif fam == "C":
+        i = -letter
+        out = []
+        if i >= 2:
+            out.append((i - 1, 2 * n - i + 2, 1))
+        out.append((i, 2 * n - i + 3, -1))
+    elif letter == n - 1:  # D from here on
+        out = [(n, n - 2, 1), (n - 1, n - 2, 1)]
+        if n >= 3:
+            out.append((n - 2, n - 1, -1))
+    elif letter == n:
+        out = [(n, n - 2, 1), (n - 1, n, -1)]
+    elif letter == -n:
+        out = [(n - 1, n - 2, 1), (n, n, -1)]
+    elif letter == -(n - 1):
+        out = []
+        if n >= 3:
+            out.append((n - 2, n - 1, 1))
+        out += [(n - 1, n, -1), (n, n, -1)]
+    else:
+        i = -letter  # -(n-2) <= letter <= -1
+        out = []
+        if i >= 2:
+            out.append((i - 1, 2 * n - i - 2, 1))
+        out.append((i, 2 * n - i - 1, -1))
+    return tuple(sorted(out))

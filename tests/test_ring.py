@@ -23,10 +23,19 @@ from qjt.ring import (
     y_monomial,
     z_product,
 )
+from qjt import ring, series
 from qjt.ring import _ROW_BOUND, _f_factors, _key_base, _recode, _width, delta
 from qjt.paths import _hpath_table, east_labels
 
-from letter_images import IMAGE_TYPES as ALL_TYPES, g_hom, g_hom_composite, inverse_failures, relation_failures
+from letter_images import (
+    IMAGE_TYPES as ALL_TYPES,
+    d_word_failures,
+    g_hom,
+    g_hom_composite,
+    inverse_failures,
+    oracle_factors,
+    relation_failures,
+)
 from test_tableaux import parse_letter, rows_oracle
 
 A1 = make_type("A", 1)
@@ -121,6 +130,51 @@ def test_f_g_inverse_all_generators():
 
 def test_generating_relations_hold():
     assert [f for t in ALL_TYPES for f in relation_failures(t)] == []
+
+
+def test_letter_images_are_the_oracle_tables():
+    # the images derived along each type's Frenkel-Mukhin string equal the
+    # case-by-case tables on every letter of A1-A40, B1-B40, C1-C40, D2-D40
+    types = [make_type(f, n) for f in "ABCD" for n in range(2 if f == "D" else 1, 41)]
+    assert len(types) == 159
+    assert [(t, c) for t in types for c in letters(t) if tuple(sorted(_f_factors(t, c))) != oracle_factors(t, c)] == []
+
+
+def _clear_image_caches():
+    """Forget every image-derived value: the lru_caches of qjt.ring and
+    qjt.series, and the series cache."""
+    for module in (ring, series):
+        for x in vars(module).values():
+            if hasattr(x, "cache_clear"):
+                x.cache_clear()
+    series._SERIES_CACHE.clear()
+
+
+def test_every_shifted_image_factor_fails_the_letter_checks(monkeypatch):
+    # the generated mutant sweep: each factor of each letter image of A-D at
+    # ranks 2 and 3, moved +2, -2 or +1 spectral steps, must fail a letter
+    # check of criterion 1; the mutants of B's letter 0 fail its z_0 relation
+    images = {t: {c: _f_factors(t, c) for c in letters(t)} for t in (make_type(f, n) for f in "ABCD" for n in (2, 3))}
+    monkeypatch.setattr(series, "_SERIES_CACHE", {})
+    mutants, survivors = 0, []
+    try:
+        for t, table in images.items():
+            for c, factors in table.items():
+                for k, (i, s, e) in enumerate(factors):
+                    for d in (2, -2, 1):
+                        moved = {**table, c: factors[:k] + ((i, s + d, e),) + factors[k + 1 :]}
+                        monkeypatch.setattr(ring, "_f_factors", lambda _t, letter, moved=moved: moved[letter])
+                        _clear_image_caches()
+                        mutants += 1
+                        failures = relation_failures(t) or inverse_failures(t)
+                        if t.family == "D" and not failures:
+                            failures = d_word_failures(t)
+                        if not failures or (c == 0 and not any(r.startswith("z_{0,a}") for _t, r, _a in failures)):
+                            survivors.append((str(t), c, (i, s, e), d))
+    finally:
+        monkeypatch.undo()
+        _clear_image_caches()
+    assert (mutants, survivors) == (210, [])
 
 
 def test_beta():
