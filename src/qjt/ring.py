@@ -15,13 +15,15 @@ w-bit digit at slot (s - lo) * n + i - 1: spectral shift major, node index
 minor, with lo, the stride n and the width w kept per element.  Multiplying
 two monomials is then one integer add, and a spectral shift is O(1): it
 moves lo and shares the key dict.  Operands of +, * and == are aligned first
-(a lower lo is a left shift of the keys; a larger n or w is a re-encoding).
-Each element tracks a bound on its exponents; when a product could exceed
-the digit range, the operands are re-encoded at twice the width, so a digit
-never wraps.  Sums and products are accumulated in one fresh dict
-(``RingElem.sum``, ``RingElem.sum_products``, ``RingElem.determinant``), the
-products by one pair loop (``_add_product``); a key leaves the dict where
-its coefficient cancels, so the dict is the result, with no zero filter.
+(a lower lo is a left shift of the keys; a larger n or w is a re-encoding;
+== of one layout compares the dicts), a determinant's entries only where
+they meet a nonzero minor.  Each element tracks a bound on its exponents;
+when a product could exceed the digit range, the operands are re-encoded at
+twice the width, so a digit never wraps.  Sums and products are accumulated
+in one fresh dict (``RingElem.sum``, ``RingElem.sum_products``,
+``RingElem.determinant``), the products by one pair loop (``_add_product``,
+whose first term into an empty dict is a comprehension); a key leaves the
+dict where its coefficient cancels, so it is the result, unfiltered.
 No stored dict is ever mutated, so shifted elements may share one.  The
 (i, s, e) tuple form, ``RingElem.terms``, is decoded only when read (text,
 JSON, classical projection) and cached; a decode builds one (i, s, e) tuple
@@ -142,16 +144,13 @@ class RingElem:
     __slots__ = ("_keys", "_lo", "_n", "_w", "_b", "_terms")
 
     def __init__(self, terms: dict | None = None):
-        self._set(*_encode([(_exponents(m), c) for m, c in (terms or {}).items()]))
-
-    def _set(self, keys: dict, lo: int, n: int, w: int, b: int):
-        self._keys, self._lo, self._n, self._w, self._b = keys, lo, n, w, b
+        self._keys, self._lo, self._n, self._w, self._b = _encode([(_exponents(m), c) for m, c in (terms or {}).items()])
         self._terms = None
 
     @staticmethod
     def _make(keys: dict, lo: int, n: int, w: int, b: int) -> "RingElem":
         x = object.__new__(RingElem)
-        x._set(keys, lo, n, w, b)
+        x._keys, x._lo, x._n, x._w, x._b, x._terms = keys, lo, n, w, b, None
         return x
 
     @staticmethod
@@ -220,7 +219,7 @@ class RingElem:
         keys, lo, n, w = _align([z for _, x, y in triples for z in (x, y)], bound)
         acc: dict = {}
         for (c, _x, _y), ka, kb in zip(triples, keys[0::2], keys[1::2]):
-            _add_product(acc, c, ka, kb)
+            acc = _add_product(acc, c, ka, kb)
         return RingElem._make(acc, lo, n, w, bound)
 
     @staticmethod
@@ -228,39 +227,51 @@ class RingElem:
         """Exact determinant of a square matrix by cofactor expansion along
         the rows; the ring has no division, so elimination is not an option.
 
-        All entries are aligned once, in a width that holds the sum over the
-        rows of the row's largest exponent bound, which bounds every product
-        in the expansion.  The minor on the last len(cols) rows and the
-        columns cols is a key dict memoized by cols; a last-row minor is its
-        entry's own dict, and zero entries and minors are skipped.
+        One scan of the entries fixes the layout of ``_align``, in a width
+        that holds the sum over the rows of the row's largest exponent
+        bound, which bounds every product in the expansion.  The minor on the
+        last popcount(mask) rows and the columns in mask is a key dict
+        memoized by the bitmask; a last-row minor is its entry's keys.  Zero
+        entries and minors are skipped, and an entry's keys are moved into
+        the layout (``_moved``) only where the entry meets a nonzero minor.
         """
         l = len(matrix)
-        if any(len(row) != l for row in matrix):
-            raise ValueError(f"determinant of a non-square matrix: row lengths {[len(row) for row in matrix]}")
         if l == 0:
             return ONE
-        bound = sum(max((x._b for x in row if x._keys), default=0) for row in matrix)
-        keys, lo, n, w = _align([x for row in matrix for x in row], bound)
-        rows = [keys[i * l : (i + 1) * l] for i in range(l)]
-        last = rows[-1]
-        memo: dict[tuple, dict] = {}
+        bound, lo, n, w = 0, None, 1, _W0
+        for row in matrix:
+            if len(row) != l:
+                raise ValueError(f"determinant of a non-square matrix: row lengths {[len(row) for row in matrix]}")
+            rb = 0
+            for x in row:
+                if x._keys:
+                    if x._b > rb:
+                        rb = x._b
+                    if not _is_const(x):
+                        if lo is None or x._lo < lo:
+                            lo = x._lo
+                        n, w = max(n, x._n), max(w, x._w)
+            bound += rb
+        lo, w = lo or 0, max(w, _width(bound))
+        memo: dict[int, dict] = {}
 
-        def minor(cols: tuple) -> dict:
-            if len(cols) == 1:
-                return last[cols[0]]
-            out = memo.get(cols)
+        def minor(mask: int) -> dict:
+            out = memo.get(mask)
             if out is None:
-                row = rows[l - len(cols)]
-                acc: dict = {}
-                for pos, j in enumerate(cols):
-                    if row[j]:
-                        sub = minor(cols[:pos] + cols[pos + 1 :])
-                        if sub:
-                            _add_product(acc, -1 if pos % 2 else 1, row[j], sub)
-                out = memo[cols] = acc
+                i = l - mask.bit_count()
+                if i == l - 1:
+                    out = _moved(matrix[i][mask.bit_length() - 1], lo, n, w)
+                else:
+                    row, out, sign = matrix[i], {}, 1
+                    for j in range(l):
+                        if mask >> j & 1:
+                            if row[j]._keys and (sub := minor(mask ^ 1 << j)):
+                                out = _add_product(out, sign, _moved(row[j], lo, n, w), sub)
+                            sign = -sign
+                memo[mask] = out
             return out
 
-        return RingElem._make(minor(tuple(range(l))), lo, n, w, bound)
+        return RingElem._make(minor((1 << l) - 1), lo, n, w, bound)
 
     # -- ring operations
 
@@ -286,6 +297,8 @@ class RingElem:
             return False
         if len(self._keys) != len(other._keys):
             return False
+        if (self._lo, self._n, self._w) == (other._lo, other._n, other._w):
+            return self._keys == other._keys
         a, b = _align((self, other), 0)[0]
         return a == b
 
@@ -403,15 +416,22 @@ def _is_const(x: RingElem) -> bool:
     return not keys or (len(keys) == 1 and 0 in keys)
 
 
-def _add_product(acc: dict, c: int, ka: dict, kb: dict):
-    """acc += c * ka * kb for key dicts in one layout, the smaller operand
-    in the outer loop: the ring's one pair-product loop.  A key leaves acc
-    where its coefficient cancels, so acc holds only live monomials."""
+def _add_product(acc: dict, c: int, ka: dict, kb: dict) -> dict:
+    """acc + c * ka * kb for key dicts in one layout, the smaller operand
+    in the outer loop: the ring's one pair-product loop, which adds to acc
+    and returns it.  A key leaves acc where its coefficient cancels, so acc
+    holds only live monomials.  Into an empty acc, the first term of the
+    smaller operand writes a new dict, a copy for the constant 1: within
+    one term no two keys meet and none cancels."""
     if len(ka) > len(kb):
         ka, kb = kb, ka
+    items, terms = kb.items(), iter(ka.items())
+    if not acc and ka:
+        k1, c1 = next(terms)
+        c1 *= c
+        acc = kb.copy() if k1 == 0 and c1 == 1 else {k1 + k2: c1 * c2 for k2, c2 in items}
     get = acc.get
-    items = kb.items()
-    for k1, c1 in ka.items():
+    for k1, c1 in terms:
         c1 *= c
         for k2, c2 in items:
             k = k1 + k2
@@ -419,29 +439,29 @@ def _add_product(acc: dict, c: int, ka: dict, kb: dict):
                 acc[k] = v
             else:
                 del acc[k]
+    return acc
+
+
+def _moved(x: RingElem, lo: int, n: int, w: int) -> dict:
+    """x's keys in the layout (lo, n, w), with lo <= x._lo, n >= x._n and
+    w >= x._w; a constant's keys, and keys already in the layout, are
+    returned as they are, not copied."""
+    if x._lo == lo and x._n == n and x._w == w or _is_const(x):
+        return x._keys
+    if x._n != n or x._w != w:
+        return _recode(x, lo, n, w)
+    sh = w * n * (x._lo - lo)
+    return {k << sh: c for k, c in x._keys.items()}
 
 
 def _align(elems, bound: int) -> tuple[list[dict], int, int, int]:
-    """The keys of elems in one layout (lo, n, w): the least lo, the largest
-    n, and the largest w, widened until bound fits.  Keys already in the
-    layout are returned as they are, not copied."""
+    """The keys of elems, each by ``_moved``, in one layout (lo, n, w): the
+    least lo, the largest n, and the largest w, widened until bound fits."""
     live = [x for x in elems if not _is_const(x)]
     if not live:
         return [x._keys for x in elems], 0, 1, _width(bound)
-    lo = min(x._lo for x in live)
-    n = max(x._n for x in live)
-    w = max(_width(bound), max(x._w for x in live))
-    out = []
-    for x in elems:
-        keys = x._keys
-        if not _is_const(x):
-            if x._n != n or x._w != w:
-                keys = _recode(x, lo, n, w)
-            elif x._lo != lo:
-                sh = w * n * (x._lo - lo)
-                keys = {k << sh: c for k, c in keys.items()}
-        out.append(keys)
-    return out, lo, n, w
+    lo, n, w = min(x._lo for x in live), max(x._n for x in live), max(_width(bound), max(x._w for x in live))
+    return [_moved(x, lo, n, w) for x in elems], lo, n, w
 
 
 def _recode(x: RingElem, lo: int, n: int, w: int) -> dict:

@@ -10,9 +10,10 @@ characters e_{i,a} and h_{i,a}.  Each is built one factor at a time, by the
 two-term recurrence of a product or quotient by that factor; only
 ``check_HE`` multiplies two series, by the product rule above, so the
 identity it checks does not share the build's arithmetic.
-A build's cost is dominated by its top degree, so ``h_coeff`` and
-``e_coeff`` build each (type, kind) series to exactly the degree asked and
-keep it; a larger degree asked later rebuilds it to that degree.
+A build's cost is dominated by its top degree, so ``coefficients`` (and
+``h_coeff`` and ``e_coeff``, which read one coefficient through it) builds
+each (type, kind) series to exactly the degree asked and keeps it; a larger
+degree asked later rebuilds it to that degree.
 ``check_HE`` builds its own series to its own truncation, apart from them.
 """
 
@@ -115,7 +116,12 @@ def H_series(t: AlgType, trunc: int) -> Series:
 _SERIES_CACHE: dict[tuple[AlgType, str], Series] = {}
 
 
-def _coeffs(t: AlgType, kind: str, r: int) -> list[RingElem]:
+def coefficients(t: AlgType, kind: str, r: int) -> list[RingElem]:
+    """The coefficients of degree 0 to at least r of the held "E" or "H"
+    series of t, built to degree r if it holds less; [1] for r < 1, with
+    nothing built.  The list is shared: read it, never change it."""
+    if r < 1:
+        return [ONE]
     key = (t, kind)
     ser = _SERIES_CACHE.get(key)
     if ser is None or ser.trunc < r:
@@ -125,20 +131,12 @@ def _coeffs(t: AlgType, kind: str, r: int) -> list[RingElem]:
 
 def h_coeff(t: AlgType, r: int, offset: int = 0) -> RingElem:
     """h_{r, a+offset}; zero for r < 0, one for r = 0."""
-    if r < 0:
-        return ZERO
-    if r == 0:
-        return ONE
-    return _coeffs(t, "H", r)[r].shift_spectral(offset)
+    return coefficients(t, "H", r)[r].shift_spectral(offset) if r >= 0 else ZERO
 
 
 def e_coeff(t: AlgType, r: int, offset: int = 0) -> RingElem:
     """e_{r, a+offset}; zero for r < 0, one for r = 0."""
-    if r < 0:
-        return ZERO
-    if r == 0:
-        return ONE
-    return _coeffs(t, "E", r)[r].shift_spectral(offset)
+    return coefficients(t, "E", r)[r].shift_spectral(offset) if r >= 0 else ZERO
 
 
 def check_HE(t: AlgType, trunc: int) -> bool:

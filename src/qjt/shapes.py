@@ -13,12 +13,15 @@ def parse_partition(text: str) -> tuple[int, ...]:
 
 
 class Partition:
-    """A weakly decreasing tuple of positive integers, hashed once."""
+    """A weakly decreasing tuple of positive integers, hashed once; trailing
+    zero parts are dropped, and a zero before a positive part is refused."""
 
     __slots__ = ("parts", "_hash")
 
     def __init__(self, parts=()):
-        parts = tuple(p for p in parts if p != 0)
+        parts = tuple(parts)
+        while parts and parts[-1] == 0:
+            parts = parts[:-1]
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"not weakly decreasing: {parts}")
         if parts and parts[-1] < 0:

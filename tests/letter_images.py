@@ -12,8 +12,10 @@ it."""
 
 import itertools
 
-from qjt.ring import ONE, AlgType, RingElem, letters, make_type, y_monomial, z_product
+from qjt.jacobitrudi import chi_h
+from qjt.ring import ONE, AlgType, RingElem, delta, letters, make_type, y_monomial, z_product
 from qjt.series import e_coeff, h_coeff
+from qjt.shapes import SkewShape, shape
 
 IMAGE_TYPES = [make_type(f, n) for f in "ABCD" for n in range(1, 5) if not (f == "D" and n < 2)]
 
@@ -83,6 +85,48 @@ def d_word_failures(t: AlgType) -> list[tuple[str, str, int]]:
             out.append((str(t), "h_k", k))
         if word_sum(columns, -2) != e_coeff(t, k):
             out.append((str(t), "e_k", k))
+    return out
+
+
+# sigma = r^vee h^vee, in spectral steps: the shift between a fundamental
+# module and its dual
+_DUAL_SHIFT = {"A": lambda n: n + 1, "B": lambda n: 4 * n - 2, "C": lambda n: 2 * n + 2, "D": lambda n: 2 * n - 2}
+
+
+def _dual_index(t: AlgType, i: int) -> int:
+    """i*: n + 1 - i for A, n - 1 and n swapped for D of odd rank, else i."""
+    n = t.rank
+    if t.family == "A":
+        return n + 1 - i
+    if t.family == "D" and n % 2 and i >= n - 1:
+        return 2 * n - 1 - i
+    return i
+
+
+def rotated(t: AlgType, s: SkewShape) -> tuple[SkewShape, int]:
+    """(rot(s), offset): s turned 180 degrees inside L rows and lam_1
+    columns, L = n + 1 for A (a column of n + 1 boxes is 1) and the number
+    of rows of lam otherwise, and the offset -sigma - 2 delta (lam_1 - L) at
+    which chi of rot(s) is the dual of chi_{s,0}."""
+    lam, mu = s.lam, s.mu
+    L, c = (t.rank + 1 if t.family == "A" else len(lam)), lam[1]
+    if len(lam) > L:
+        raise ValueError(f"{s} has more than {L} rows")
+    rot = shape(tuple(c - mu[L + 1 - i] for i in range(1, L + 1)), tuple(c - lam[L + 1 - i] for i in range(1, L + 1)))
+    return rot, -_DUAL_SHIFT[t.family](t.rank) - 2 * delta(t) * (c - L)
+
+
+def duality_failures(t: AlgType, shapes) -> list[tuple[str, str]]:
+    """(type, shape) of each skew shape s where the dual of chi_{s,0} is not
+    chi of rot(s) at the offset of ``rotated``.  The dual sends Y_{i,s} to
+    Y_{i*,-s}^{-1}; it is taken here on the decoded terms of chi_h, so no
+    library code dualizes.  The closed-form offset is read, not searched."""
+    out = []
+    for s in shapes:
+        rot, offset = rotated(t, s)
+        dual = {tuple(sorted((_dual_index(t, i), -x, -e) for i, x, e in m)): c for m, c in chi_h(t, s).terms.items()}
+        if dual != chi_h(t, rot, offset).terms:
+            out.append((str(t), repr(s)))
     return out
 
 

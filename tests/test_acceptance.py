@@ -32,7 +32,7 @@ from qjt.tableaux import (
 )
 from qjt.classical import verify_decomposition_A, verify_decomposition_C
 
-from letter_images import IMAGE_TYPES, d_word_failures, inverse_failures, relation_failures
+from letter_images import IMAGE_TYPES, d_word_failures, duality_failures, inverse_failures, relation_failures
 from test_shapes import all_partitions, hw_monomial, subpartitions
 
 
@@ -119,11 +119,19 @@ def test_criterion_02_determinant_h_equals_e():
                 if chi_h(t, shape(lam)).terms.get(m) != 1:
                     failures.append((str(t), f"{lam}: highest-weight coefficient"))
                 straight += 1
+    # the dual of chi is chi of the shape turned 180 degrees, at a closed-form
+    # offset: lam in a 3 x 3 box (at most 5 boxes at rank 3), mu with fewer rows
+    dual = 0
+    for fam in ("A", "B", "C", "D"):
+        for n in (2, 3):
+            shapes = [s for s in skew_shapes(9 if n == 2 else 5, 3, 3) if len(s.mu) < len(s.lam)]
+            failures += duality_failures(make_type(fam, n), shapes)
+            dual += len(shapes)
     report(
         2,
-        "chi_h == chi_e on random skew shapes, A-D; highest-weight coefficient 1",
+        "chi_h == chi_e on random skew shapes, A-D; highest-weight coefficient 1; dual(chi) = chi of the rotated shape",
         failures,
-        f"{checked} skew shapes; {straight} straight shapes in an n x 3 box, n in {{2,3}}",
+        f"{checked} skew shapes; {straight} straight shapes in an n x 3 box, n in {{2,3}}; {dual} duality shapes, A-D, n in {{2,3}}",
     )
 
 

@@ -129,6 +129,14 @@ def test_usage_errors_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("verb", ["qchar", "paths", "tableaux"])
+@pytest.mark.parametrize("flags", [("--lambda", "2,0,1"), ("--lambda", "2,1", "--mu", "1,0,1")])
+def test_interior_zero_parts_exit_2(capsys, verb, flags):
+    # a zero before a positive part is refused, not dropped: (2,0,1) is not (2,1)
+    rc, out, err = run(capsys, verb, "--type", "A", "--rank", "2", *flags)
+    assert (rc, out) == (2, "") and "not weakly decreasing" in err
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--count", "0"), ("--count", "-2"), ("--max-rank", "1"), ("--max-rank", "0"), ("--trunc", "0"),
 ])

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from qjt import series
 from qjt.jacobitrudi import chi_e, chi_h
 from qjt.ring import ONE, ZERO, RingElem, letters, make_type, f_hom, y_monomial
+from qjt.ring import _add_product, _align
 from qjt.series import e_coeff, h_coeff
 from qjt.shapes import shape
 
@@ -98,6 +100,141 @@ def test_determinant_matches_leibniz_on_mixed_layouts():
     for matrix in ([[u, v], [u, v]], [r, s, r]):
         det = RingElem.determinant(matrix)
         assert det.is_zero() and det.terms == leibniz_terms(matrix) == {}, matrix
+
+
+def random_monomial(rng):
+    """One term, coefficient +-1 or +-2, in its own layout."""
+    factors = {(rng.randint(1, 4), rng.randint(-2, 2)): rng.choice((-1, 1, 2, 70)) for _ in range(rng.randint(1, 2))}
+    return RingElem.monomial([(i, s, e) for (i, s), e in factors.items()], rng.choice((-2, -1, 1, 2)))
+
+
+def skew_like(rng, l):
+    """A matrix shaped like a Jacobi-Trudi one: zero below a band, 1 or -1
+    on some cells of it, and monomials and polynomials above, in mixed
+    bases, strides and widths; some columns are zero below a random row,
+    which makes the cofactors of some nonzero entries zero."""
+    band = rng.randint(0, 1)
+    cut = {j: rng.randint(1, l) for j in range(l) if rng.random() < 0.3}
+    matrix = []
+    for i in range(l):
+        row = []
+        for j in range(l):
+            if j < i - band or i >= cut.get(j, l):
+                row.append(ZERO)
+            elif j == i - band and rng.random() < 0.7:
+                row.append(rng.choice((ONE, ONE, RingElem.const(-1))))
+            else:
+                row.append((random_monomial(rng) if rng.random() < 0.5 else random_entry(rng)).shift_spectral(rng.randint(-3, 3)))
+        matrix.append(row)
+    return matrix
+
+
+def test_determinant_matches_leibniz_on_skew_like_matrices():
+    # every result equals the Leibniz sum and holds no zero coefficient;
+    # the matrices include nonzero entries whose cofactor is zero
+    rng = random.Random(20261020)
+    zero_cofactors = 0
+    for l in (1, 2, 3, 3, 4, 4, 5):
+        for _ in range(10):
+            matrix = skew_like(rng, l)
+            det = RingElem.determinant(matrix)
+            assert det.terms == leibniz_terms(matrix), matrix
+            assert 0 not in det.terms.values() and 0 not in det._keys.values()
+            for i, j in itertools.product(range(l), repeat=2):
+                minor = [row[:j] + row[j + 1 :] for k, row in enumerate(matrix) if k != i]
+                zero_cofactors += not matrix[i][j].is_zero() and not leibniz_terms(minor)
+    assert zero_cofactors >= 20, zero_cofactors
+
+
+def one_layout(*elems, bound=0):
+    """The key dicts of elems in one layout, and the layout."""
+    keys, lo, n, w = _align(elems, bound)
+    return keys, (lo, n, w)
+
+
+def product_terms(c, x, y):
+    """c * x * y on decoded terms, with dict arithmetic."""
+    return leibniz_terms([[x.scalar_mul(c), ZERO], [ZERO, y]])
+
+
+@pytest.mark.parametrize("c", [1, -1, 2, -2])
+def test_add_product_writes_its_first_term_into_an_empty_accumulator(c):
+    # a monomial (a constant, 1 included) times a polynomial into an empty
+    # accumulator is one new dict; so is the first term of a longer operand,
+    # whose other terms then cancel against it: (a + b)(a - b) = a^2 - b^2
+    poly = RingElem({((1, 0, 1), (2, 1, -1)): 3, ((3, 2, 2),): -1, (): 5}).shift_spectral(2)
+    a, b = y_monomial(1, 0), RingElem.monomial([(2, 3, 1)], 2)
+    monomials = (ONE, RingElem.const(-1), RingElem.const(2), y_monomial(2, -1), RingElem.monomial([(1, 1, 70)], -2))
+    for p, q in [(m, poly) for m in monomials] + [(a + b, a - b), (poly, poly)]:
+        for x, y in ((p, q), (q, p)):
+            (kx, ky), (lo, n, w) = one_layout(x, y, bound=x._b + y._b)
+            before = (dict(kx), dict(ky))
+            out = _add_product({}, c, kx, ky)
+            assert out is not kx and out is not ky and (kx, ky) == before
+            got = RingElem._make(out, lo, n, w, x._b + y._b)
+            assert got.terms == product_terms(c, x, y) and 0 not in out.values(), (c, x, y)
+
+
+@pytest.mark.parametrize("c", [1, -1, 2, -2])
+def test_add_product_adds_a_monomial_product_to_a_live_accumulator_by_pairs(c):
+    # a nonempty accumulator takes the pair loop: it is added to in place,
+    # and the key that cancels leaves it
+    poly = RingElem({((1, 0, 1),): 3, ((3, 2, 2),): -1, (): 5})
+    mono = RingElem.monomial([(2, 1, 1)], 2)
+    first = RingElem.monomial([(2, 1, 1)], -5 * 2 * c)  # cancels c * mono * 5
+    other = y_monomial(4, 3)
+    (km, kp, kf, ko), (lo, n, w) = one_layout(mono, poly, first, other, bound=2)
+    acc = {**kf, **ko}
+    out = _add_product(acc, c, km, kp)
+    assert out is acc and 0 not in out.values()
+    want = RingElem.sum([RingElem.sum_products([(c, mono, poly)]), first, other])
+    assert RingElem._make(out, lo, n, w, 2) == want and len(out) == 3
+
+
+class CountingKeys(dict):
+    """A key dict that counts each read of its items, keys or values."""
+
+    def __init__(self, keys):
+        super().__init__(keys)
+        self.reads = 0
+
+    def _read(self, method):
+        self.reads += 1
+        return method()
+
+    def items(self):
+        return self._read(super().items)
+
+    def keys(self):
+        return self._read(super().keys)
+
+    def values(self):
+        return self._read(super().values)
+
+    def __iter__(self):
+        return self._read(super().__iter__)
+
+    def copy(self):
+        return self._read(super().copy)
+
+
+def test_a_zero_cofactor_entry_is_never_read(monkeypatch):
+    # chi_h of C3 (3,3,1)/(3,2,1) is det [[1, h2, h4], [0, h1, h3], [0, 0, 1]]
+    # = h1 at 2 delta: h2 and the 148-term h4 have cofactor zero, so their
+    # keys are neither moved into the layout nor multiplied (h2, at base 2,
+    # is outside the layout, whose base is that of h3 and h4)
+    t = make_type("C", 3)
+    monkeypatch.setattr(series, "_SERIES_CACHE", {})
+    coeffs = series.coefficients(t, "H", 4)
+    assert coeffs[4].num_terms() == 148
+    counted = {}
+    for r in (2, 4):
+        x = coeffs[r]
+        counted[r] = CountingKeys(x._keys)
+        coeffs[r] = RingElem._make(counted[r], x._lo, x._n, x._w, x._b)
+    got = chi_h(t, shape((3, 3, 1), (3, 2, 1)))
+    assert {r: c.reads for r, c in counted.items()} == {2: 0, 4: 0}
+    assert got == h_coeff(t, 1, 2) and got.num_terms() == 6
 
 
 @pytest.mark.parametrize("matrix", [

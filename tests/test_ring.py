@@ -26,10 +26,12 @@ from qjt.ring import (
 from qjt import ring, series
 from qjt.ring import _ROW_BOUND, _f_factors, _key_base, _recode, _width, delta
 from qjt.paths import _hpath_table, east_labels
+from qjt.shapes import shape
 
 from letter_images import (
     IMAGE_TYPES as ALL_TYPES,
     d_word_failures,
+    duality_failures,
     g_hom,
     g_hom_composite,
     inverse_failures,
@@ -175,6 +177,30 @@ def test_every_shifted_image_factor_fails_the_letter_checks(monkeypatch):
         monkeypatch.undo()
         _clear_image_caches()
     assert (mutants, survivors) == (210, [])
+
+
+def test_duality_fails_under_every_zero_letter_mutant(monkeypatch):
+    # the 12 mutants of B's letter 0 above pass every letter check but the
+    # z_0 relation; criterion 2's duality identity, which reads no relation,
+    # fails under each of them on the shapes (1), (1,1) and (2,1)/(1)
+    shapes = [shape((1,)), shape((1, 1)), shape((2, 1), (1,))]
+    monkeypatch.setattr(series, "_SERIES_CACHE", {})
+    mutants, survivors = 0, []
+    try:
+        for t in (make_type("B", 2), make_type("B", 3)):
+            table = {c: _f_factors(t, c) for c in letters(t)}
+            for k, (i, s, e) in enumerate(table[0]):
+                for d in (2, -2, 1):
+                    moved = {**table, 0: table[0][:k] + ((i, s + d, e),) + table[0][k + 1 :]}
+                    monkeypatch.setattr(ring, "_f_factors", lambda _t, letter, moved=moved: moved[letter])
+                    _clear_image_caches()
+                    mutants += 1
+                    if not duality_failures(t, shapes):
+                        survivors.append((str(t), (i, s, e), d))
+    finally:
+        monkeypatch.undo()
+        _clear_image_caches()
+    assert (mutants, survivors) == (12, [])
 
 
 def test_beta():

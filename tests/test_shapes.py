@@ -54,6 +54,18 @@ def test_parse_partition():
         parse_partition("2,3")
 
 
+def test_trailing_zeros_are_dropped_and_interior_zeros_refused():
+    assert Partition((2, 1, 0, 0)).parts == (2, 1) and Partition((0,)).parts == ()
+    assert shape((2, 1, 0), (1, 0)) == shape((2, 1), (1,))
+    for parts in ((2, 0, 1), (0, 1), (3, 0, 0, 2, 0)):
+        with pytest.raises(ValueError, match="not weakly decreasing"):
+            Partition(parts)
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        parse_partition("2,0,1")
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        shape((2, 1), (1, 0, 1))
+
+
 def test_conjugate():
     assert Partition((4, 3, 2)).conjugate() == Partition((3, 3, 2, 1))
     assert Partition(()).conjugate() == Partition(())
