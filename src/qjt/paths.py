@@ -29,10 +29,10 @@ both layers: path i reads row word i by construction.
 
 Other paths' points are walked off their steps once, into one bounded
 cached geometry record per path (``_geometry``): the points, a point ->
-index map, the least and greatest x at each height and the end point.
-``Path.points``, ``common_points`` and the probes of ``qjt.resolutions``
-read it.  ``Path.end`` counts the steps instead: most paths asked only for
-their end, such as the paths that a tableau gives, are never probed.
+index map and the least and greatest x at each height.  ``Path.points``,
+``common_points`` and the probes of ``qjt.resolutions`` read it.  The one
+definition of a path's end, ``Path.end``, counts the steps instead: most
+paths asked only for their end, such as a tableau's paths, are never probed.
 
 Two paths are disjoint when they share no point, specially intersecting
 when every shared point is at height 0 (for C also the leftmost height-0
@@ -106,7 +106,6 @@ class _Geometry(NamedTuple):
     index: dict  # point -> its index in points
     left: tuple[int, ...]
     right: tuple[int, ...]
-    end: tuple[int, int]
 
 
 # bounded: the resolution maps probe the few paths of one tuple many times,
@@ -124,7 +123,7 @@ def _geometry(p: Path) -> _Geometry:
             left.append(x)
         pts.append((x, y))
     right.append(x)
-    return _Geometry(tuple(pts), {q: m for m, q in enumerate(pts)}, tuple(left), tuple(right), (x, y))
+    return _Geometry(tuple(pts), {q: m for m, q in enumerate(pts)}, tuple(left), tuple(right))
 
 
 def band(t: AlgType) -> tuple[int, int]:

@@ -86,7 +86,7 @@ def retuple(t: AlgType, s: SkewShape, paths) -> PathTuple:
         raise ValueError(f"{len(paths)} paths for a shape of {len(us)} rows")
     pi = []
     for i, p in enumerate(paths):
-        v = _geometry(p).end
+        v = p.end
         if p.start != us[i] or v not in vs:
             raise ValueError(
                 f"path {i + 1} runs {p.start} -> {v}; the shape's starts are {list(us)}, its ends {list(vs)}"
@@ -161,7 +161,7 @@ def omega(t: AlgType, pt: PathTuple, xhat2: int | None = None) -> PathTuple:
     l = len(pt.paths)
     rotated = [None] * l
     for p, j in zip(pt.paths, pt.pi):
-        x, y = _geometry(p).end
+        x, y = p.end
         rotated[l - 1 - j] = Path((xhat2 - x, -y), p.steps[::-1])
     return retuple(t, _rotated(s, xhat2), rotated)
 

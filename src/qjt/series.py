@@ -1,4 +1,5 @@
-"""Truncated series in a noncommuting symbol X over RingElem coefficients.
+"""Truncated series in a noncommuting symbol X over RingElem coefficients:
+a series is the list of its coefficients, that of X^i at index i.
 
 X twists past coefficients by a spectral shift: X*z_{c,a} = z_{c,a-2*delta}*X,
 so the product rule is (sum a_i X^i)(sum b_j X^j)_k =
@@ -20,43 +21,6 @@ degree asked later rebuilds it to that degree.
 from __future__ import annotations
 
 from .ring import ONE, ZERO, AlgType, RingElem, delta, f_hom
-
-
-class Series:
-    """coeffs[i] is the coefficient of X^i, for i = 0..trunc."""
-
-    __slots__ = ("coeffs", "delta")
-
-    def __init__(self, coeffs: list[RingElem], delta_: int):
-        self.coeffs = coeffs
-        self.delta = delta_
-
-    @property
-    def trunc(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __mul__(self, other: "Series") -> "Series":
-        if self.delta != other.delta:
-            raise ValueError(f"series with spectral steps {self.delta} and {other.delta} do not multiply")
-        trunc = min(self.trunc, other.trunc)
-        d = self.delta
-        a, b = self.coeffs, other.coeffs
-        return Series(
-            [
-                RingElem.sum_products((1, a[i], b[k - i].shift_spectral(-2 * d * i)) for i in range(k + 1))
-                for k in range(trunc + 1)
-            ],
-            d,
-        )
-
-    def negate_x(self) -> "Series":
-        """Substitute X -> -X."""
-        return Series(
-            [c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)], self.delta
-        )
-
-    def is_one(self) -> bool:
-        return self.coeffs[0].is_one() and all(c.is_zero() for c in self.coeffs[1:])
 
 
 def _each(letters, sign: int, inverted: bool) -> list:
@@ -81,7 +45,7 @@ _H_FACTORS = {
 }
 
 
-def _build(t: AlgType, factors, trunc: int) -> Series:
+def _build(t: AlgType, factors, trunc: int) -> list[RingElem]:
     """The ordered product of factors to X^trunc, one factor at a time.
 
     With c X^m the factor's non-constant term and c_j = shift(c, -2*delta*j),
@@ -100,33 +64,35 @@ def _build(t: AlgType, factors, trunc: int) -> Series:
         s = -1 if inverted else 1
         for k in range(m, trunc + 1) if inverted else range(trunc, m - 1, -1):
             p[k] = RingElem.sum_products(((1, p[k], ONE), (s, p[k - m], c.shift_spectral(-2 * d * (k - m)))))
-    return Series(p, d)
+    return p
 
 
-def E_series(t: AlgType, trunc: int) -> Series:
+def E_series(t: AlgType, trunc: int) -> list[RingElem]:
     return _build(t, _E_FACTORS[t.family](t.rank), trunc)
 
 
-def H_series(t: AlgType, trunc: int) -> Series:
+def H_series(t: AlgType, trunc: int) -> list[RingElem]:
     return _build(t, _H_FACTORS[t.family](t.rank), trunc)
 
 
 # Memoized coefficient access: one series per (type, kind), built to the
 # largest degree asked so far.
-_SERIES_CACHE: dict[tuple[AlgType, str], Series] = {}
+_SERIES_CACHE: dict[tuple[AlgType, str], list[RingElem]] = {}
 
 
 def coefficients(t: AlgType, kind: str, r: int) -> list[RingElem]:
     """The coefficients of degree 0 to at least r of the held "E" or "H"
     series of t, built to degree r if it holds less; [1] for r < 1, with
     nothing built.  The list is shared: read it, never change it."""
+    if kind not in ("E", "H"):
+        raise ValueError(f"unknown series kind {kind!r}: expected 'E' or 'H'")
     if r < 1:
         return [ONE]
     key = (t, kind)
-    ser = _SERIES_CACHE.get(key)
-    if ser is None or ser.trunc < r:
-        ser = _SERIES_CACHE[key] = E_series(t, r) if kind == "E" else H_series(t, r)
-    return ser.coeffs
+    coeffs = _SERIES_CACHE.get(key)
+    if coeffs is None or len(coeffs) <= r:
+        coeffs = _SERIES_CACHE[key] = E_series(t, r) if kind == "E" else H_series(t, r)
+    return coeffs
 
 
 def h_coeff(t: AlgType, r: int, offset: int = 0) -> RingElem:
@@ -140,7 +106,14 @@ def e_coeff(t: AlgType, r: int, offset: int = 0) -> RingElem:
 
 
 def check_HE(t: AlgType, trunc: int) -> bool:
-    """H_a(z,X) E_a(z,-X) = E_a(z,-X) H_a(z,X) = 1 up to X^trunc."""
+    """H_a(z,X) E_a(z,-X) = E_a(z,-X) H_a(z,X) = 1 up to X^trunc, by the
+    product rule, one degree at a time: no product is held whole."""
+    d = delta(t)
     H = H_series(t, trunc)
-    Em = E_series(t, trunc).negate_x()
-    return (H * Em).is_one() and (Em * H).is_one()
+    Em = [c if i % 2 == 0 else -c for i, c in enumerate(E_series(t, trunc))]
+    return all(
+        RingElem.sum_products((1, a[i], b[k - i].shift_spectral(-2 * d * i)) for i in range(k + 1))
+        == (ONE if k == 0 else ZERO)
+        for a, b in ((H, Em), (Em, H))
+        for k in range(trunc + 1)
+    )

@@ -144,41 +144,45 @@ def test_only_the_path_layer_reads_path_points():
     assert found == []
 
 
+def _own_nodes(scope):
+    """The nodes of a module or function body, less those of the functions
+    defined in it."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    todo = [x for x in scope.body if not isinstance(x, functions)]
+    while todo:
+        x = todo.pop()
+        yield x
+        todo += [c for c in ast.iter_child_nodes(x) if not isinstance(c, functions)]
+
+
+def _is_convolution(x):
+    # a sum_products over a comprehension that runs over a range of degrees
+    return (
+        isinstance(x, ast.Call)
+        and getattr(x.func, "attr", getattr(x.func, "id", None)) == "sum_products"
+        and any(
+            isinstance(a, (ast.GeneratorExp, ast.ListComp))
+            and any(isinstance(g.iter, ast.Call) and getattr(g.iter.func, "id", None) == "range" for g in a.generators)
+            for a in x.args
+        )
+    )
+
+
 def test_series_are_built_by_recurrence_and_only_check_HE_multiplies_them():
     # E and H are built factor by factor by a two-term recurrence, with no
     # dense factor series, series inverse or ordered convolution; the one
-    # product of two series is check_HE's, so the identity it checks never
-    # shares the build's arithmetic.  A name holds a series when it is a
-    # parameter annotated with Series, or is bound to a call of a function
-    # returning one, or to an item of such a name.
+    # product of two series, a convolution over the degrees, is check_HE's,
+    # so the identity it checks never shares the build's arithmetic
     tree = dict(modules())["series.py"]
-    defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
     gone = {"linear_factor", "quadratic_factor", "geom_inverse", "inverse", "_ordered_product"}
-    assert [d.name for d in defs if d.name in gone] == []
-    makers = {d.name for d in defs if d.returns is not None and "Series" in ast.unparse(d.returns)}
-    products = []
-    for d in defs:
-        held = {a.arg for a in d.args.args if a.annotation is not None and "Series" in ast.unparse(a.annotation)}
-
-        def is_series(x):
-            x = x.value if isinstance(x, ast.Subscript) else x
-            if isinstance(x, ast.Call):
-                return getattr(x.func, "id", getattr(x.func, "attr", None)) in makers
-            return isinstance(x, ast.Name) and x.id in held
-
-        binds = [(x.targets[0], x.value) if isinstance(x, ast.Assign) else (x.target, x.iter)
-                 for x in ast.walk(d) if isinstance(x, (ast.Assign, ast.For))]
-        while True:  # to a fixed point: held only grows, within the names of d
-            bound = {name.id for name, value in binds if isinstance(name, ast.Name) and is_series(value)}
-            if bound <= held:
-                break
-            held |= bound
-        products += [
-            f"{d.name}:{ast.unparse(x)}"
-            for x in ast.walk(d)
-            if isinstance(x, ast.BinOp) and isinstance(x.op, ast.Mult) and is_series(x.left) and is_series(x.right)
-        ]
-    assert products == ["check_HE:H * Em", "check_HE:Em * H"]
+    assert [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name in gone] == []
+    found = []
+    for name, tree in modules():
+        scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for scope in scopes:
+            if any(_is_convolution(x) for x in _own_nodes(scope)):
+                found.append(f"{name}:{getattr(scope, 'name', '<module>')}")
+    assert found == ["series.py:check_HE"]
 
 
 def test_resolution_maps_splice_step_strings():
