@@ -17,10 +17,11 @@ spectral shift moved by 2 delta ux.  So the h-paths of each (type, r)
 are enumerated once, into one table (``_hpath_table``) that holds for each
 path its steps, its point set as an int bitmask (bit (x - x0) * h + y - y0 for
 the point (x, y) in a frame with origin (x0, y0) and h heights), its
-leftmost x at height 0 and its word, all read in one walk of its steps, and
-the key of the word's weight from ``ring.row_keys``: the m-th east step of
-any path reads its letter at x = ux + m, so a path's labels are a row word
-from 2 delta ux.  Path weights (``path_weight``, ``PathTuple.weight``) read
+leftmost x at height 0 and its word, all read in one walk of its steps.
+The weight keys of a table's words, at a placement's width, are packed once
+by ``ring.word_keys`` (``_table_keys``): the m-th east step of any path
+reads its letter at x = ux + m, so a path's labels are a row word from
+2 delta ux.  Path weights (``path_weight``, ``PathTuple.weight``) read
 their words so, off the runs of east steps, with no (letter, shift) pair
 built; ``east_labels`` is the labeling they must agree with.  In
 enumeration order the words are the rows of length r of ``qjt.tableaux``
@@ -64,7 +65,7 @@ from functools import lru_cache, partial
 from operator import and_
 from typing import NamedTuple
 
-from .ring import AlgType, Placement, RingElem, delta, letters, row_keys, rows_weight
+from .ring import AlgType, Placement, RingElem, delta, letters, rows_weight, word_keys
 from .shapes import SkewShape
 
 
@@ -343,17 +344,21 @@ def _table_rec(p: Path, bot: int, reads) -> tuple[_Rec, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _hpath_table(t: AlgType, r: int) -> tuple[int, int, tuple[_Rec, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """(w, b, records, words, keys) of the h-paths from (0, bot) to (r, top),
-    in enumeration order: the alphabet order of their words, the rows of
+def _hpath_table(t: AlgType, r: int) -> tuple[tuple[_Rec, ...], tuple[tuple[int, ...], ...]]:
+    """(records, words) of the h-paths from (0, bot) to (r, top), in
+    enumeration order: the alphabet order of their words, the rows of
     length r of the tableau layer.  Each record is in the frame with origin
-    (0, bot) and the band's height; keys are the weights of the words from
-    ``row_keys``, at width w, and b bounds every exponent of a weight."""
+    (0, bot) and the band's height."""
     bot, top = band(t)
     reads = _reads(t)
     recs, words = zip(*(_table_rec(p, bot, reads) for p in enumerate_hpaths(t, (0, bot), (r, top))))
-    w, b, keys = row_keys(t, words)
-    return w, b, recs, words, keys
+    return recs, words
+
+
+@lru_cache(maxsize=None)
+def _table_keys(t: AlgType, r: int, w: int) -> tuple[int, ...]:
+    """The weight keys of the words of _hpath_table(t, r), at width w."""
+    return word_keys(t, w, _hpath_table(t, r)[1])
 
 
 @lru_cache(maxsize=None)
@@ -364,8 +369,8 @@ def _pair_masks(t: AlgType, ri: int, rk: int, d: int, c: int) -> tuple[int, int]
     shapes: the path layer's counterpart of ``tableaux._below``."""
     bot, top = band(t)
     h = top - bot + 1
-    a = _hpath_table(t, ri)[2][c]
-    return _classes(t.family, a.mask << d * h, a.zx + d, _hpath_table(t, rk)[2], _zero_row(0, rk, bot, h))
+    a = _hpath_table(t, ri)[0][c]
+    return _classes(t.family, a.mask << d * h, a.zx + d, _hpath_table(t, rk)[0], _zero_row(0, rk, bot, h))
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +454,9 @@ class _Frame:
         self.us, vs = endpoints(t, s)
         self.ux = [u[0] for u in self.us]
         self.widths = widths = [[v[0] - u[0] for v in vs] for u in self.us]
-        tabs = {r: _hpath_table(t, r) for row in widths for r in row if r >= 0}
-        bound = sum(max((tabs[r][1] for r in row if r >= 0), default=0) for row in widths)
-        self.place = place = Placement(t, bound, [2 * delta(t) * x for x in self.ux])
-        # recoded where a table is packed narrower than this shape needs
-        keys = {r: place.recode(w, ks) for r, (w, _b, _rs, _ws, ks) in tabs.items()}
-        self.cands = [[tabs[r][2] if r >= 0 else () for r in row] for row in widths]
-        self.keys = [[keys[r] if r >= 0 else () for r in row] for row in widths]
+        self.place = place = Placement(t, [2 * delta(t) * x for x in self.ux])
+        self.cands = [[_hpath_table(t, r)[0] if r >= 0 else () for r in row] for row in widths]
+        self.keys = [[_table_keys(t, r, place.w) if r >= 0 else () for r in row] for row in widths]
         self.made = [[{} for _ in row] for row in widths]  # c -> Path, per (row, destination)
 
     # Pair tests: the bitmask of row k's candidates that may follow

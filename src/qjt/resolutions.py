@@ -155,6 +155,7 @@ def omega(t: AlgType, pt: PathTuple, xhat2: int | None = None) -> PathTuple:
     rotated shape is a partition pair.  Conjugating a map by omega requires
     the same center on both sides.
     """
+    _require_C(t, "omega")
     s = pt.shape
     if xhat2 is None:
         xhat2 = default_center(s)
@@ -197,6 +198,7 @@ def transposed_index_pairs(t: AlgType, pt: PathTuple) -> list:
 
 def crossing_markers(t: AlgType, pt: PathTuple):
     """(u, u', v, v') for a two-transposed-pair three-row tuple."""
+    _require_C(t, "crossing_markers")
     p1, p2, p3 = pt.paths
     u = min(_common(p1, p3))
     v = max(_common(p2, p3))

@@ -31,9 +31,10 @@ per (slot, exponent), which all its monomials share.
 
 The path and tableau models sum weights over tuples of rows.  A weight is a
 product of letter images, so its key is a sum of letter keys, one cached
-per (type, width): ``row_keys`` adds them per row word, and a shape's
-``Placement`` shifts the keys of a tuple's rows so that their sum is the
-key of the tuple's weight (``rows_weight`` reads it as a ``RingElem``).
+per (type, width): ``word_keys`` adds them per row word at the width of a
+shape's ``Placement`` (``_ROW_BOUND`` per row), which shifts the keys of a
+tuple's rows so that their sum is the key of the tuple's weight
+(``rows_weight`` reads it as a ``RingElem``).
 
 Letters are encoded as ints: k > 0 is the unbarred letter k, 0 is the type-B
 zero letter, -k is the barred letter k-bar.  ``letters(t)`` is the one
@@ -553,7 +554,7 @@ def f_hom(t: AlgType, letter: int, shift: int = 0) -> RingElem:
 def z_product(t: AlgType, zvars: Iterable[tuple[int, int]]) -> RingElem:
     """f-image of a product of z-variables given as (letter, shift) pairs,
     through their summed exponents: the series' letter images, and the
-    tests' oracle of ``row_keys`` and ``rows_weight``."""
+    tests' oracle of ``word_keys`` and ``rows_weight``."""
     exps: dict[tuple[int, int], int] = {}
     get = exps.get
     for letter, shift in zvars:
@@ -575,14 +576,15 @@ def y_monomial(index: int, shift: int, exponent: int = 1) -> RingElem:
 @lru_cache(maxsize=None)
 def _key_base(t: AlgType) -> int:
     """The least spectral shift in the image of any letter at shift 0: the
-    base of the keys that ``row_keys`` makes."""
+    base of the keys that ``word_keys`` makes."""
     return min((s for c in letters(t) for _i, s, _e in _f_factors(t, c)), default=0)
 
 
 # A factor (i, s, e) of a letter's image reaches a slot of a row word (letter
 # m at shift 2 delta m) from one position at most, so over all letters the
 # factors of index i bound a row's exponents at slots of index i: by 6 in
-# every type (the tests check every rank up to 40).  A row fits 8 bits.
+# every type (the tests check every rank up to 40).  A placement of l rows
+# packs at the width that holds 6 l: 8 bits up to 21 rows.
 _ROW_BOUND = 6
 
 
@@ -594,9 +596,10 @@ def _letter_keys(t: AlgType, w: int) -> dict[int, int]:
     return {c: sum(e << w * ((s - lo) * n + i - 1) for i, s, e in _f_factors(t, c)) for c in letters(t)}
 
 
-def _word_keys(t: AlgType, w: int, words) -> tuple[int, ...]:
-    """The key of each row word's weight at width w: its letters' keys,
-    letter m's moved 2 delta m spectral steps (2 delta m w n bits)."""
+def word_keys(t: AlgType, w: int, words) -> tuple[int, ...]:
+    """The key of each row word's weight, letter m at shift 2 delta m, in
+    the type's layout (base _key_base(t), stride t.rank, width w): its
+    letters' keys, letter m's moved 2 delta m w n bits."""
     lk, step = _letter_keys(t, w), 2 * delta(t) * w * t.rank
     try:
         return tuple(sum(lk[c] << step * m for m, c in enumerate(word)) for word in words)
@@ -605,45 +608,28 @@ def _word_keys(t: AlgType, w: int, words) -> tuple[int, ...]:
         raise
 
 
-def row_keys(t: AlgType, words) -> tuple[int, int, tuple[int, ...]]:
-    """(w, b, keys): the key of each row word's weight, letter m at shift
-    2 delta m, in the type's layout (base _key_base(t), stride t.rank,
-    width w = 8, which holds _ROW_BOUND); b, read off the keys' digits, is
-    the largest |exponent|."""
-    w = _width(_ROW_BOUND)
-    keys = _word_keys(t, w, words)
-    return w, max((max(map(abs, _digits(k, w))) for k in keys), default=0), keys
-
-
 def rows_weight(t: AlgType, words, starts, a_offset: int = 0) -> RingElem:
     """The weight of rows of letters, row k's letter m at spectral shift
     starts[k] + 2 delta m, moved a_offset: the rows' word keys summed
-    through a Placement whose bound is _ROW_BOUND per row."""
-    words = list(words)
-    place = Placement(t, _ROW_BOUND * len(words), starts)
-    key = sum(k << sh for k, sh in zip(_word_keys(t, place.w, words), place.kshift))
+    through their Placement."""
+    place = Placement(t, starts)
+    key = sum(k << sh for k, sh in zip(word_keys(t, place.w, words), place.kshift))
     return place.elem({key: 1}, a_offset)
 
 
 class Placement:
-    """A shape's layout for a sum over tuples of packed rows: row i's key
-    from ``row_keys`` moves shifts[i] spectral steps, a left shift by kshift[i]
-    bits, and a tuple's shifted keys add up to the key of its product, in a
-    width that holds bound, the sum of the rows' exponent bounds."""
+    """A shape's layout for a sum over tuples of rows: row i's key from
+    ``word_keys`` at width w moves shifts[i] spectral steps, a left shift
+    by kshift[i] bits, and a tuple's shifted keys add up to the key of its
+    product, in a width that holds bound, _ROW_BOUND per row."""
 
     __slots__ = ("n", "w", "bound", "lo", "kshift")
 
-    def __init__(self, t: AlgType, bound: int, shifts):
-        x0 = min(shifts, default=0)
-        self.n, self.w, self.bound = t.rank, _width(bound), bound
+    def __init__(self, t: AlgType, shifts):
+        x0, self.bound = min(shifts, default=0), _ROW_BOUND * len(shifts)
+        self.n, self.w = t.rank, _width(self.bound)
         self.lo = _key_base(t) + x0
         self.kshift = tuple(self.w * self.n * (x - x0) for x in shifts)
-
-    def recode(self, w: int, keys: tuple) -> tuple:
-        """keys packed at width w <= self.w, in this width (keys if w is it)."""
-        if w == self.w:
-            return keys
-        return tuple(sum(e << (self.w * slot) for slot, e in enumerate(_digits(k, w)) if e) for k in keys)
 
     def elem(self, acc: dict, a_offset: int = 0) -> RingElem:
         """The element of acc, from keys to nonzero coefficients (a key

@@ -14,10 +14,10 @@ The rows of a length r that obey the horizontal rules are the words that
 the h-paths of width r read, in the order of the h-path table
 (``paths._hpath_table``, one per (type, width) for both layers): the
 lexicographic alphabet order, in which a row-major fill of the cells meets
-them.  Each entry holds its letter word and the key of its weight from
-``ring.row_keys``, a sum of letter keys placed from column 0 of row 0.  (The
-horizontal rules as cell tests on letters are the tests' oracle of the
-table.)  The vertical rule (``_v_ok``) reads only two adjacent rows and the
+them.  The keys of their weights at a placement's width
+(``paths._table_keys``) are sums of letter keys placed from column 0 of row
+0.  (The horizontal rules as cell tests on letters are the tests' oracle of
+the table.)  The vertical rule (``_v_ok``) reads only two adjacent rows and the
 offset between their starts, so the rows of a table that may lie under one
 row form one int bitmask (``_below``), built on first use and cached across
 calls.  The depth-first search of the path layer (``paths._search``) runs
@@ -86,7 +86,7 @@ from typing import NamedTuple
 
 from .ring import AlgType, Placement, RingElem, delta, letter_order, letters, rows_weight
 from .shapes import SkewShape
-from .paths import Path, PathTuple, _hpath_table, _search, _signed_sum, endpoints, model_status
+from .paths import Path, PathTuple, _hpath_table, _search, _signed_sum, _table_keys, endpoints, model_status
 
 
 class Tableau(NamedTuple):
@@ -329,10 +329,10 @@ def _below(t: AlgType, la: int, lb: int, off: int, c: int) -> int:
     """Bitmask over the rows of length lb that may lie under row c of length
     la when the lower row starts off columns right of the upper one: _v_ok
     at every column the two rows share."""
-    up = _hpath_table(t, la)[3][c]
+    up = _hpath_table(t, la)[1][c]
     cols = range(max(0, -off), min(lb, la - off))  # indices into the lower row
     mask = 0
-    for d, dn in enumerate(_hpath_table(t, lb)[3]):
+    for d, dn in enumerate(_hpath_table(t, lb)[1]):
         if all(
             _v_ok(t, up[p + off], dn[p], dn[p - 1] if p else None, up[p + off + 1] if p + off + 1 < la else None)
             for p in cols
@@ -346,11 +346,11 @@ def _below_2row(t: AlgType, la: int, lb: int, off: int, c: int) -> int:
     """_below with the two-row rule: the rows of _below(..., c) that the rule
     admits under row c."""
     mask = _below(t, la, lb, off, c)
-    up = _hpath_table(t, la)[3][c]
+    up = _hpath_table(t, la)[1][c]
     n = t.rank
     if n not in up:
         return mask
-    for d, dn in enumerate(_hpath_table(t, lb)[3]):
+    for d, dn in enumerate(_hpath_table(t, lb)[1]):
         if mask >> d & 1 and not _2row_ok(n, up, dn, off):
             mask ^= 1 << d
     return mask
@@ -365,12 +365,12 @@ def _row3_mask(t: AlgType, la: int, lb: int, lc: int, off1: int, off2: int, a: i
     under _below_2row(..., b) are tested, and none unless row a has an n-1
     and row b an n or an n-bar."""
     n = t.rank
-    top, mid = _hpath_table(t, la)[3][a], _hpath_table(t, lb)[3][b]
+    top, mid = _hpath_table(t, la)[1][a], _hpath_table(t, lb)[1][b]
     mask = -1
     if n - 1 not in top or (n not in mid and -n not in mid):
         return mask
     under = _below_2row(t, lb, lc, off2, b)
-    for d, bot in enumerate(_hpath_table(t, lc)[3]):
+    for d, bot in enumerate(_hpath_table(t, lc)[1]):
         if under >> d & 1 and 1 - n in bot and not _3row_ok(t, top, mid, bot, off1, off2):
             mask ^= 1 << d
     return mask
@@ -393,10 +393,9 @@ class _Rows:
         rows = range(1, len(s.lam) + 1)
         self.lengths = [s.lam[i] - s.mu[i] for i in rows]
         self.mu = [s.mu[i] for i in rows]
-        tabs = [_hpath_table(t, m) for m in self.lengths]
-        self.words = [tab[3] for tab in tabs]
-        self.place = place = Placement(t, sum(tab[1] for tab in tabs), [2 * delta(t) * (s.mu[i] + 1 - i) for i in rows])
-        self.keys = [place.recode(tab[0], tab[4]) for tab in tabs]
+        self.words = [_hpath_table(t, m)[1] for m in self.lengths]
+        self.place = place = Placement(t, [2 * delta(t) * (s.mu[i] + 1 - i) for i in rows])
+        self.keys = [_table_keys(t, m, place.w) for m in self.lengths]
 
     def _fits(self, below, i: int, c: int, k: int) -> int:
         return below(self.t, self.lengths[i], self.lengths[k], self.mu[k] - self.mu[i], c)
@@ -462,7 +461,7 @@ def tableau_sum(t: AlgType, s: SkewShape, a_offset: int = 0, ruleset: str = "aut
 def _row_index(t: AlgType, r: int) -> tuple[dict, dict]:
     """(steps -> word, word -> steps) over the h-path table of width r:
     path i reads row word i."""
-    recs, words = _hpath_table(t, r)[2:4]
+    recs, words = _hpath_table(t, r)
     steps = [a.path.steps for a in recs]
     return dict(zip(steps, words)), dict(zip(words, steps))
 

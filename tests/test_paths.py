@@ -409,9 +409,9 @@ def test_pair_classes_match_reference():
 
 
 def test_wide_keys_for_many_rows():
-    # in a 128-row column every row's paths have an exponent 1, so a tuple
-    # may reach 128, past the 127 that 8-bit digits hold: the frame's
-    # placement recodes the tables' 8-bit keys at 16 bits
+    # a 128-row column: its placement holds _ROW_BOUND = 6 per row, past the
+    # 127 that 8-bit digits hold, so the frame packs the tables' words at 16
+    # bits
     t = make_type("A", 1)
     s = shape([1] * 128)
     frame = _Frame(t, s)
@@ -449,9 +449,9 @@ def test_frame_path_tuples_are_the_rebuilt_tuples(fam):
 
 
 def test_wide_frames_reuse_the_tables():
-    # the 128-row column needs 16-bit keys; its frame recodes the tables of
-    # the 127-row column, which it shares, and tabulates only its one new
-    # width, 128
+    # the 128-row column needs 16-bit keys; its frame packs them from the
+    # words of the tables of the 127-row column, which it shares, and
+    # tabulates only its one new width, 128
     t = make_type("A", 1)
     _hpath_table.cache_clear()
     _Frame(t, shape([1] * 127))
@@ -477,8 +477,8 @@ def test_pair_masks_match_classify(fam):
         t = make_type(fam, n)
         bot = band(t)[0]
         for ri, rk, d in itertools.product(range(5), range(5), range(5)):
-            others = [b.path for b in _hpath_table(t, rk)[2]]
-            for c, a in enumerate(_hpath_table(t, ri)[2]):
+            others = [b.path for b in _hpath_table(t, rk)[0]]
+            for c, a in enumerate(_hpath_table(t, ri)[0]):
                 disjoint, special = _pair_masks(t, ri, rk, d, c)
                 p = Path((d, bot), a.path.steps)
                 for e, q in enumerate(others):
@@ -515,7 +515,7 @@ def test_table_records_are_the_geometry_records(fam):
         t = make_type(fam, n)
         bot, top = band(t)
         for r in range(6):
-            for a in _hpath_table(t, r)[2]:
+            for a in _hpath_table(t, r)[0]:
                 assert a == _walk_rec(a.path, bot, top - bot + 1), (t, a.path)
                 seen += 1
     assert seen == {"A": 455, "B": 2_686, "C": 2_214}[fam]
@@ -556,7 +556,7 @@ def test_geometry_matches_list_scans(fam):
         t = make_type(fam, n)
         bot, top = band(t)
         for r in range(5):
-            for a in _hpath_table(t, r)[2]:
+            for a in _hpath_table(t, r)[0]:
                 for sx, sy in ((0, bot), (-3, bot), (2, bot + 1)):
                     p = Path((sx, sy), a.path.steps)
                     pts = _walk(p)

@@ -122,7 +122,7 @@ def test_splice_refuses_a_joint_that_misses_its_end():
 REFUSALS = {
     "r_y_pair": "r_y_pair(t, pt.paths[0], pt.paths[1], 0)",
     "r_y": "r_y(t, pt, 1, 2, 0)",
-    **{f: f"{f}(t, pt)" for f in ("g_map", "f2_13", "f2_23", "f1_12", "f1_23")},
+    **{f: f"{f}(t, pt)" for f in ("omega", "crossing_markers", "g_map", "f2_13", "f2_23", "f1_12", "f1_23")},
     **{f"condition_{f}": f"condition_{f}(t, pt)" for f in ("f2_13", "f2_23", "f1_12", "f1_23")},
 }
 

@@ -18,14 +18,14 @@ from qjt.ring import (
     letter_str,
     letters,
     make_type,
-    row_keys,
     rows_weight,
+    word_keys,
     y_monomial,
     z_product,
 )
 from qjt import ring, series
-from qjt.ring import _ROW_BOUND, _f_factors, _key_base, _recode, _width, delta
-from qjt.paths import _hpath_table, east_labels
+from qjt.ring import _ROW_BOUND, _digits, _f_factors, _key_base, _recode, delta
+from qjt.paths import _hpath_table, _table_keys, east_labels
 from qjt.shapes import shape
 
 from letter_images import (
@@ -381,22 +381,18 @@ def test_kernel_mixed_strides_and_constants():
     assert RingElem.sum([]) == ZERO and RingElem.sum_products([]) == ZERO
 
 
-def repack(t: AlgType, monomials) -> tuple[int, int, tuple[int, ...]]:
-    """The oracle of row_keys: (w, b, keys) of one-term elements with no
-    shift below _key_base(t), re-packed in the type's layout (base
-    _key_base(t), stride t.rank), at the least width w that holds b, the
-    largest bound of the elements."""
-    monomials = list(monomials)
-    b = max((x._b for x in monomials), default=0)
-    w = _width(b)
-    return w, b, tuple(_recode(x, _key_base(t), t.rank, w).popitem()[0] for x in monomials)
+def repack(t: AlgType, w: int, monomials) -> tuple[int, ...]:
+    """The oracle of word_keys: the keys of one-term elements with no shift
+    below _key_base(t), re-packed in the type's layout (base _key_base(t),
+    stride t.rank) at width w."""
+    return tuple(_recode(x, _key_base(t), t.rank, w).popitem()[0] for x in monomials)
 
 
 def test_row_exponents_fit_eight_bits():
     # the ring's _ROW_BOUND: a factor (i, s, e) of a letter's image reaches
     # a slot of a row from one position at most, so the sum of |e| over all
     # letters' factors of index i bounds a row's exponents at slots of
-    # index i; it is at most 6 at every rank, and row_keys packs at 8 bits
+    # index i; it is at most 6 at every rank, and a placement holds 6 per row
     seen = 0
     for fam in "ABCD":
         for n in range(2 if fam == "D" else 1, 41):
@@ -410,57 +406,78 @@ def test_row_exponents_fit_eight_bits():
     assert seen == 159
 
 
+BOUND_TYPES = [make_type(f, n) for f in "ABCD" for n in range(2 if f == "D" else 1, 7)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BOUND_TYPES), st.lists(st.integers(0, 13), max_size=8))
+def test_any_row_word_keeps_its_exponents_within_the_row_bound(t, picks):
+    # every placement packs each row at _ROW_BOUND, so it must hold for any
+    # word of letters, repeats and all, not only for the rows of the tables
+    alphabet = letters(t)
+    word = [alphabet[c % len(alphabet)] for c in picks]
+    (key,) = word_keys(t, 8, [word])
+    assert max(map(abs, _digits(key, 8))) <= _ROW_BOUND, (t, word)
+    f = 2 * delta(t)
+    assert (key,) == repack(t, 8, [z_product(t, [(c, f * m) for m, c in enumerate(word)])]), (t, word)
+
+
 def test_row_keys_are_the_repacked_z_products():
     # every h-path table of A-C and the cell rules' rows of D (which has no
     # h-path table), ranks 1-4, lengths 0-5, and the A1 h-path tables up to
-    # width 128, as test_wide_frames_reuse_the_tables builds them: (w, b,
-    # keys) equal the z_product weights re-packed, and one row's rows_weight
-    # is its z_product
+    # width 128, as test_wide_frames_reuse_the_tables builds them: the keys
+    # at widths 8 and 16 equal the z_product weights re-packed, and one
+    # row's rows_weight is its z_product
     seen = 0
     for t in ALL_TYPES:
         f = 2 * delta(t)
         for r in range(6):
             if t.family == "D":
                 words = rows_oracle(t, r)
-                w, b, keys = row_keys(t, words)
+                keys = {w: word_keys(t, w, words) for w in (8, 16)}
             else:
-                w, b, recs, words, keys = _hpath_table(t, r)
-                assert (w, b, keys) == repack(t, (z_product(t, east_labels(t, a.path)) for a in recs)), (t, r)
+                recs, words = _hpath_table(t, r)
+                keys = {w: _table_keys(t, r, w) for w in (8, 16)}
+                assert keys[8] == repack(t, 8, (z_product(t, east_labels(t, a.path)) for a in recs)), (t, r)
             weights = [z_product(t, [(c, f * m) for m, c in enumerate(word)]) for word in words]
-            assert (w, b, keys) == repack(t, weights), (t, r)
+            for w, ks in keys.items():
+                assert ks == repack(t, w, weights), (t, r, w)
             for word, x in zip(words[::7], weights[::7]):
                 assert rows_weight(t, [word], [-f], 3) == x.shift_spectral(3 - f), (t, word)
             seen += 1
     for r in range(6, 129):
-        w, b, recs, _words, keys = _hpath_table(A1, r)
-        assert (w, b, keys) == repack(A1, (z_product(A1, east_labels(A1, a.path)) for a in recs)), r
+        recs, _words = _hpath_table(A1, r)
+        assert _table_keys(A1, r, 8) == repack(A1, 8, (z_product(A1, east_labels(A1, a.path)) for a in recs)), r
         seen += 1
     assert seen == 213
 
 
-# Rows of one-term weights: per row, a list of monomials, each a z-product of
-# (letter index, shift >= 0, power) factors; powers up to 130 put the bound
-# of a tuple past 127, where the placement recodes 8-bit keys
-zfactors = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 6), st.integers(1, 130)), max_size=3)
-packed_rows = st.lists(st.lists(zfactors, min_size=1, max_size=3), max_size=4)
+# Rows of letter words: per row, the words a tuple may pick, each a list of
+# letter indices, and its spectral shift; up to 21 rows, which a placement
+# packs at 8 bits, or 22-24, which it packs at 16; and a few picks, one word
+# per row each
+row_words = st.tuples(st.lists(st.lists(st.integers(0, 7), max_size=4), min_size=1, max_size=3), st.integers(-8, 8))
+placed_rows = st.one_of(st.lists(row_words, max_size=21), st.lists(row_words, min_size=22, max_size=24))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(ALL_TYPES), packed_rows, st.lists(st.integers(-8, 8), min_size=4, max_size=4),
+@given(st.sampled_from(ALL_TYPES), placed_rows,
+       st.lists(st.lists(st.integers(0, 2), min_size=24, max_size=24), min_size=1, max_size=4),
        st.integers(-5, 5))
-def test_placed_keys_sum_to_shifted_products(t, rows, shifts, a_offset):
+def test_placed_keys_sum_to_shifted_products(t, rows, picks, a_offset):
     alphabet = letters(t)
-    monos = [
-        [z_product(t, [(alphabet[c % len(alphabet)], s) for c, s, e in m for _ in range(e)]) for m in row]
-        for row in rows
-    ]
-    tabs = [repack(t, row) for row in monos]
-    shifts = shifts[: len(rows)]
-    place = Placement(t, sum(b for _w, b, _keys in tabs), shifts)
-    keys = [place.recode(w, ks) for w, _b, ks in tabs]
+    f = 2 * delta(t)
+    words = [[[alphabet[c % len(alphabet)] for c in word] for word in row] for row, _d in rows]
+    shifts = [d for _row, d in rows]
+    monos = [[z_product(t, [(c, f * m) for m, c in enumerate(word)]) for word in row] for row in words]
+    place = Placement(t, shifts)
+    assert place.w == (8 if len(rows) <= 21 else 16)
+    keys = [word_keys(t, place.w, row) for row in words]
+    assert keys == [repack(t, place.w, row) for row in monos]
     acc: dict = {}
     want = []
-    for pick in itertools.product(*(range(len(row)) for row in rows)):
+    for pick in picks:
+        pick = [p % len(row) for p, row in zip(pick, words)]
         key = sum(ks[c] << sh for ks, c, sh in zip(keys, pick, place.kshift))
         acc[key] = acc.get(key, 0) + 1
         x = ONE

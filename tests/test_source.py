@@ -56,7 +56,7 @@ def test_packed_layout_stays_in_the_ring():
 def test_weights_sum_letter_keys_outside_the_ring():
     # z_product sums exponent dicts: the series' letter images and the
     # tests' oracle; the path and tableau weights sum letter keys through
-    # qjt.ring's row_keys and rows_weight, so no other module names it
+    # qjt.ring's word_keys and rows_weight, so no other module names it
     found = []
     for name, tree in modules():
         if name == "ring.py":
@@ -116,18 +116,21 @@ def test_tableaux_runs_no_path_tuple_search():
 
 def test_one_row_table_for_paths_and_tableaux():
     # the rows of a tableau are the words of the h-path table of their
-    # width: paths._hpath_table alone calls row_keys, and no module builds
-    # rows apart from the cell rules (which the tests keep as the oracle)
+    # width, packed at a placement's width by paths._table_keys: it and
+    # ring.rows_weight alone call word_keys, no second packing of rows
+    # (row_keys, recode) exists, and no module builds rows apart from the
+    # cell rules (which the tests keep as the oracle)
+    banned = ("_row_table", "_h_ok", "_h_triple_ok", "row_keys", "recode")
     callers, defined = [], []
     for name, tree in modules():
         defs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        defined += [f"{name}:{d.name}" for d in defs if d.name in ("_row_table", "_h_ok", "_h_triple_ok")]
+        defined += [f"{name}:{d.name}" for d in defs if d.name in banned]
         for node in ast.walk(tree):
             func = node.func if isinstance(node, ast.Call) else None
-            if getattr(func, "id", None) == "row_keys" or getattr(func, "attr", None) == "row_keys":
+            if getattr(func, "id", None) == "word_keys" or getattr(func, "attr", None) == "word_keys":
                 inner = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
                 callers.append(f"{name}:{max(inner, key=lambda d: d.lineno).name if inner else '<module>'}")
-    assert callers == ["paths.py:_hpath_table"]
+    assert callers == ["paths.py:_table_keys", "ring.py:rows_weight"]
     assert defined == []
 
 

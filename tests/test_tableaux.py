@@ -10,7 +10,9 @@ from qjt.jacobitrudi import chi_h
 from qjt.paths import (
     Path,
     PathTuple,
+    _Frame,
     _hpath_table,
+    _table_keys,
     _pair_masks,
     _transposed,
     band,
@@ -20,7 +22,7 @@ from qjt.paths import (
     no_ordinary_tuples,
     p_tilde,
 )
-from qjt.ring import AlgType, RingElem, delta, letter_order, letter_str, letters, make_type, row_keys, z_product
+from qjt.ring import AlgType, RingElem, delta, letter_order, letter_str, letters, make_type, word_keys, z_product
 from qjt.shapes import shape
 from qjt.tableaux import (
     RULESETS,
@@ -494,7 +496,7 @@ def test_row_heights_invert_the_path_labels(fam):
         t = make_type(fam, n)
         bot = band(t)[0]
         for r in range(4):
-            for rec in _hpath_table(t, r)[2]:
+            for rec in _hpath_table(t, r)[0]:
                 heights = [y for _x, y in rec.path.east_steps()]
                 assert _row_heights(t, _path_word(t, bot, rec.path.steps)) == heights, (t, rec.path)
                 seen += 1
@@ -511,10 +513,10 @@ def test_hpath_and_row_tables_agree():
             t = make_type(fam, n)
             bot = band(t)[0]
             for r in range(6):
-                w, b, recs, words, keys = _hpath_table(t, r)
+                recs, words = _hpath_table(t, r)
                 rows = rows_oracle(t, r)
                 assert [_path_word(t, bot, rec.path.steps) for rec in recs] == list(words) == rows, (t, r)
-                assert (w, b, keys) == row_keys(t, rows), (t, r)
+                assert _table_keys(t, r, 8) == word_keys(t, 8, rows), (t, r)
                 seen += 1
     assert seen == 66
 
@@ -576,7 +578,7 @@ def test_adjacent_pair_masks_are_below(fam, ranks):
         for la, lb in itertools.product(range(1, 5), repeat=2):
             for off in range(-4, min(0, la - lb) + 1):
                 d = 1 - off
-                for c in range(len(_hpath_table(t, la)[3])):
+                for c in range(len(_hpath_table(t, la)[1])):
                     disjoint, special = _pair_masks(t, la, lb, d, c)
                     mask = disjoint if fam == "A" else disjoint | special
                     if fam == "C" and _transposed(d, d + la, 0, lb):
@@ -1117,8 +1119,8 @@ def test_row_tables_match_cell_search_C3_columns():
 
 
 def test_row_keys_widen_with_the_exponent_bound():
-    # a 128-row A1 ribbon: each row's table bounds its exponents by 1, so the
-    # bound of a filling passes 127 and the 8-bit row keys are recoded at 16
+    # a 128-row A1 ribbon: the placement holds _ROW_BOUND = 6 per row, past
+    # the 127 of 8-bit digits, so the rows' words are packed at 16 bits
     t = make_type("A", 1)
     s = shape(tuple(range(129, 1, -1)), tuple(range(127, 0, -1)))
     assert _Rows(t, s).place.bound > 127
@@ -1129,9 +1131,27 @@ def test_row_keys_widen_with_the_exponent_bound():
     assert tableau_sum(t, s, 5).terms == total.terms
 
 
+@pytest.mark.parametrize("l, w", [(21, 8), (22, 16)])
+def test_placements_widen_past_21_rows(l, w):
+    # 6 per row: 21 rows hold 126 in 8-bit digits and 22 rows need 16 bits,
+    # in the path frame and the tableau rows alike; an l-row A1 ribbon of
+    # two-cell rows has 4 tableaux, and its sum is their z_products
+    t = make_type("A", 1)
+    s = shape(tuple(range(l + 1, 1, -1)), tuple(range(l - 1, 0, -1)))
+    assert _Frame(t, s).place.w == _Rows(t, s).place.w == w
+    tabs, total = tableaux_with_sum(t, s, 5)
+    assert len(tabs) == 4 and total._w == w
+    assert total == RingElem.sum(T.weight(t, 5) for T in tabs)
+    f = 2 * delta(t)
+    assert total == RingElem.sum(
+        z_product(t, [(c, 5 + f * (s.mu[i] + 1 - i + m)) for i, row in enumerate(T.cells, 1) for m, c in enumerate(row)])
+        for T in tabs
+    )
+
+
 def test_wide_rows_reuse_the_tables():
     # the ribbon above reads only the table of length 2, which A1 (2) has
-    # made; its 16-bit keys are recoded from it, not tabulated again
+    # made; its 16-bit keys are packed from its words, not tabulated again
     t = make_type("A", 1)
     tableau_sum(t, shape((2,)))
     before = _hpath_table.cache_info().currsize
