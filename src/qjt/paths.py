@@ -13,20 +13,20 @@ turn.  D has no path model: ``model_status`` refuses it.
 
 An h-path from (ux, bot) to (vx, top) is the translate by ux of an h-path
 from (0, bot) to (r, top), r = vx - ux, with the same labels and every
-spectral shift moved by 2 delta ux.  So the h-paths of each (type, r)
-are enumerated once, into one table (``_hpath_table``) that holds for each
-path its steps, its point set as an int bitmask (bit (x - x0) * h + y - y0 for
-the point (x, y) in a frame with origin (x0, y0) and h heights), its
-leftmost x at height 0 and its word, all read in one walk of its steps.
-The weight keys of a table's words, at a placement's width, are packed once
-by ``ring.word_keys`` (``_table_keys``): the m-th east step of any path
-reads its letter at x = ux + m, so a path's labels are a row word from
-2 delta ux.  Path weights (``path_weight``, ``PathTuple.weight``) read
-their words so, off the runs of east steps, with no (letter, shift) pair
-built; ``east_labels`` is the labeling they must agree with.  In
-enumeration order the words are the rows of length r of ``qjt.tableaux``
-in lexicographic alphabet order, so this one table per (type, r) serves
-both layers: path i reads row word i by construction.
+spectral shift moved by 2 delta ux.  So the h-paths of each (type, r) are
+enumerated once, into one table (``_hpath_table``) of parallel tuples, with
+no Path object: each path's steps, its point set as an int bitmask (bit
+(x - x0) * h + y - y0 for the point (x, y) in a frame with origin (x0, y0)
+and h heights), its leftmost x at height 0 and its word, all read in one
+walk of its steps.  The weight keys of a table's words, at a placement's
+width, are packed once by ``ring.word_keys`` (``_table_keys``): the m-th
+east step of any path reads its letter at x = ux + m, so a path's labels
+are a row word from 2 delta ux.  Path weights (``path_weight``,
+``PathTuple.weight``) read their words so, off the runs of east steps, with
+no (letter, shift) pair built; ``east_labels`` is the labeling they must
+agree with.  In enumeration order the words are the rows of length r of
+``qjt.tableaux`` in lexicographic alphabet order, so this one table per
+(type, r) serves both layers: path i reads row word i by construction.
 
 Other paths' points are walked off their steps once, into one bounded
 cached geometry record per path (``_geometry``): the points, a point ->
@@ -39,15 +39,16 @@ Two paths are disjoint when they share no point, specially intersecting
 when every shared point is at height 0 (for C also the leftmost height-0
 x's differ by an odd number), and ordinarily intersecting otherwise.
 ``classify_pair`` reads the verdict off ``common_points``, the one
-definition of where two paths meet.  Within the h-path tables a point set
-is an int bitmask and the verdicts on one path against a list form one
-bitmask (``_classes``).  A tuple enumeration (``_Frame``) reads the table
-of each endpoint pair (row i, destination j) in place.  Seen from row
-k > i, a path of row i lies d = ux_i - ux_k further east, and the verdicts
-on table path c of width r_i, moved d east, against the table of width r_k
-depend only on (type, r_i, r_k, d, c): they are built on first use and
-cached across shapes (``_pair_masks``), as ``tableaux._below`` is for
-rows.  The depth-first search (``_search``) yields each tuple as one index
+definition of where two paths meet.  Within the h-path tables the verdicts
+on one path against a table form two bitmasks.  A tuple enumeration
+(``_Frame``) reads the table of each endpoint pair (row i, destination j)
+in place.  Seen from row k > i, a path of row i lies d = ux_i - ux_k
+further east, and the verdicts on table path c of width r_i, moved d east,
+against the table of width r_k depend only on (type, r_i, r_k, d, c)
+(``_pair_masks``).  They form one mask table per (type, r_i, r_k, d)
+(``_mask_table``), as ``tableaux._below`` does for rows: a list indexed by
+c, filled on first use and shared across shapes, so a mask costs one list
+slot.  The depth-first search (``_search``) yields each tuple as one index
 per row into its table, with its key: every row's weight key moved by
 2 delta ux_i spectral steps through the shape's ``ring.Placement``, summed
 down the search.  The tableau layer runs it over the same tables' words
@@ -61,8 +62,8 @@ the placement read the dict as one ``RingElem``.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, partial
-from operator import and_
+from functools import lru_cache, partial, wraps
+from operator import and_, itemgetter
 from typing import NamedTuple
 
 from .ring import AlgType, Placement, RingElem, delta, letters, rows_weight, word_keys
@@ -284,52 +285,27 @@ def is_transposed(t: AlgType, p: Path, q: Path) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bitmask records and the h-path table
+# The h-path tables and the mask tables over them
 
 
-class _Rec(NamedTuple):
-    """A path in a frame: its point set as a bitmask and its leftmost x at
-    height 0 (None if it never gets there)."""
+class _Table(NamedTuple):
+    """An h-path table (_hpath_table): entry c of each field is path c's."""
 
-    path: Path
-    mask: int
-    zx: int | None
-
-
-def _zero_row(x0: int, x1: int, y0: int, h: int) -> int:
-    """The bits of the points (x, 0), x0 <= x <= x1, in a frame."""
-    if not 0 <= -y0 < h:
-        return 0
-    return sum(1 << ((x - x0) * h - y0) for x in range(x0, x1 + 1))
+    steps: tuple[str, ...]
+    masks: tuple[int, ...]  # point sets, in the frame with origin (0, bot) and the band's heights
+    zx: tuple[int, ...]  # leftmost x at height 0
+    words: tuple[tuple[int, ...], ...]
 
 
-def _classes(fam: str, mask: int, zx: int | None, recs, zero: int) -> tuple[int, int]:
-    """Bitmasks over recs of the paths disjoint from, and specially
-    intersecting, the path with this mask and height-0 x; the others
-    intersect it ordinarily.  All are in one frame whose height-0 bits are
-    zero.  A meeting at height 0 only is special for B, and for C when the
-    leftmost height-0 x's also differ by an odd number."""
-    disjoint = special = 0
-    off_axis = ~zero
-    for d, b in enumerate(recs):
-        common = mask & b.mask
-        if not common:
-            disjoint |= 1 << d
-        elif fam != "A" and not common & off_axis and (fam == "B" or (zx - b.zx) % 2):
-            special |= 1 << d
-    return disjoint, special
-
-
-def _table_rec(p: Path, bot: int, reads) -> tuple[_Rec, tuple[int, ...]]:
-    """The record of a path from (0, bot) in the frame with origin (0, bot)
-    and the band's h heights, which it spans, and its word (_word), walked
-    off its steps at once: no geometry record is built.  reads is _reads of
-    the type."""
+def _walk_steps(steps: str, bot: int, reads) -> tuple[int, int, tuple[int, ...]]:
+    """The point mask, leftmost height-0 x and word (_word) of the path with
+    these steps from (0, bot), in the frame with origin (0, bot) and the
+    band's h heights, in one walk; reads is _reads of the type."""
     h = len(reads)
     x = y = run = 0  # y counts from bot; run counts the east steps at height y
     mask, zx = 1, 0 if bot == 0 else None
     word = []
-    for s in p.steps:
+    for s in steps:
         if s == "E":
             word.append(reads[y][run & 1])
             run += 1
@@ -340,37 +316,64 @@ def _table_rec(p: Path, bot: int, reads) -> tuple[_Rec, tuple[int, ...]]:
             if y == -bot:
                 zx = x
         mask |= 1 << (x * h + y)
-    return _Rec(p, mask, zx), tuple(word)
+    return mask, zx, tuple(word)
 
 
 @lru_cache(maxsize=None)
-def _hpath_table(t: AlgType, r: int) -> tuple[tuple[_Rec, ...], tuple[tuple[int, ...], ...]]:
-    """(records, words) of the h-paths from (0, bot) to (r, top), in
-    enumeration order: the alphabet order of their words, the rows of
-    length r of the tableau layer.  Each record is in the frame with origin
-    (0, bot) and the band's height."""
+def _hpath_table(t: AlgType, r: int) -> _Table:
+    """The h-paths from (0, bot) to (r, top) as parallel tuples, in
+    enumeration order: the alphabet order of their words, the rows of length
+    r of the tableau layer.  No Path is kept (_Frame builds its own)."""
     bot, top = band(t)
     reads = _reads(t)
-    recs, words = zip(*(_table_rec(p, bot, reads) for p in enumerate_hpaths(t, (0, bot), (r, top))))
-    return recs, words
+    steps = tuple(p.steps for p in enumerate_hpaths(t, (0, bot), (r, top)))
+    return _Table(steps, *zip(*(_walk_steps(x, bot, reads) for x in steps)))
 
 
 @lru_cache(maxsize=None)
 def _table_keys(t: AlgType, r: int, w: int) -> tuple[int, ...]:
     """The weight keys of the words of _hpath_table(t, r), at width w."""
-    return word_keys(t, w, _hpath_table(t, r)[1])
+    return word_keys(t, w, _hpath_table(t, r).words)
 
 
-@lru_cache(maxsize=None)
+def _mask_table(build):
+    """build(t, la, lb, off, c), a mask over the table of width lb for
+    entry c of the table of width la, off columns apart, cached per table:
+    one slot list per (t, la, lb, off), indexed by c, filled on first use
+    and shared across shapes.  cache_clear empties every list."""
+    slots = lru_cache(maxsize=None)(lambda t, la, lb, off: [None] * len(_hpath_table(t, la).steps))
+
+    @wraps(build)
+    def mask(t: AlgType, la: int, lb: int, off: int, c: int):
+        table = slots(t, la, lb, off)
+        m = table[c]
+        if m is None:
+            m = table[c] = build(t, la, lb, off, c)
+        return m
+
+    mask.cache_clear = slots.cache_clear
+    return mask
+
+
+@_mask_table
 def _pair_masks(t: AlgType, ri: int, rk: int, d: int, c: int) -> tuple[int, int]:
     """(disjoint, special) bitmasks over the h-paths of width rk of the
     paths that h-path c of width ri, moved d >= 0 columns east, misses and
-    meets specially (see _classes), built on first use and cached across
-    shapes: the path layer's counterpart of ``tableaux._below``."""
+    meets specially; it meets the others ordinarily.  A meeting at height
+    0 only is special for B, and for C when the leftmost height-0 x's also
+    differ by an odd number.  The path layer's ``tableaux._below``."""
     bot, top = band(t)
-    h = top - bot + 1
-    a = _hpath_table(t, ri)[0][c]
-    return _classes(t.family, a.mask << d * h, a.zx + d, _hpath_table(t, rk)[0], _zero_row(0, rk, bot, h))
+    h, fam, a, b = top - bot + 1, t.family, _hpath_table(t, ri), _hpath_table(t, rk)
+    mask, zx = a.masks[c] << d * h, a.zx[c] + d
+    off_axis = ~sum(1 << (x * h - bot) for x in range(rk + 1))  # all but the height-0 bits
+    disjoint = special = 0
+    for e, (m, x) in enumerate(zip(b.masks, b.zx)):
+        common = mask & m
+        if not common:
+            disjoint |= 1 << e
+        elif fam != "A" and not common & off_axis and (fam == "B" or (zx - x) % 2):
+            special |= 1 << e
+    return disjoint, special
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +440,14 @@ def endpoints(t: AlgType, s: SkewShape) -> tuple[tuple, tuple]:
 class _Frame:
     """The h-path tables of a shape's endpoint pairs, read in place.
 
-    cands[i][j] is the table of the paths from us[i] to vs[j], of width
-    widths[i][j], kept in its own frame (origin (0, bot)).  A path of row i
-    seen from row k > i lies ux[i] - ux[k] > 0 columns further east, so the
-    pair tests read _pair_masks.  keys[i][j] holds the weight keys of
-    cands[i][j] at the placement's width, which holds the exponents of any
-    tuple; the search moves row i's keys 2 delta ux[i] spectral steps.
-    made[i][j] memoizes the Path from us[i] of each index of cands[i][j]
-    that path_tuple has built: a plain dict, bounded by the size of that
-    table, that lives as long as the frame.
+    The paths from us[i] to vs[j] are the h-path table of width
+    widths[i][j] in its own frame (origin (0, bot)), with steps steps[i][j]
+    and weight keys keys[i][j] at the placement's width, which holds the
+    exponents of any tuple; the search moves row i's keys 2 delta ux[i]
+    spectral steps.  A path of row i seen from row k > i lies ux[i] - ux[k]
+    > 0 columns further east, so the pair tests read _pair_masks.
+    made[i][j] memoizes the Path from us[i] of each index of that table
+    that path_tuple has built: a plain dict, bounded by the table's size.
     """
 
     def __init__(self, t: AlgType, s: SkewShape):
@@ -455,7 +457,7 @@ class _Frame:
         self.ux = [u[0] for u in self.us]
         self.widths = widths = [[v[0] - u[0] for v in vs] for u in self.us]
         self.place = place = Placement(t, [2 * delta(t) * x for x in self.ux])
-        self.cands = [[_hpath_table(t, r)[0] if r >= 0 else () for r in row] for row in widths]
+        self.steps = [[_hpath_table(t, r).steps if r >= 0 else () for r in row] for row in widths]
         self.keys = [[_table_keys(t, r, place.w) if r >= 0 else () for r in row] for row in widths]
         self.made = [[{} for _ in row] for row in widths]  # c -> Path, per (row, destination)
 
@@ -489,7 +491,7 @@ class _Frame:
             made = self.made[i][j]
             p = made.get(c)
             if p is None:
-                p = made[c] = Path(self.us[i], self.cands[i][j][c].path.steps)
+                p = made[c] = Path(self.us[i], self.steps[i][j][c])
             paths.append(p)
         return PathTuple(tuple(paths), pi, self.s)
 
@@ -603,8 +605,8 @@ def p_k_tuples(t: AlgType, s: SkewShape) -> dict[int, list[PathTuple]]:
     _require_C(t, "p_k_tuples")
     frame = _Frame(t, s)
     out: dict[int, list[PathTuple]] = {}
-    for pi, cs, _key in frame.tuples(frame.no_ordinary):
-        out.setdefault(frame.transposed_count(pi), []).append(frame.path_tuple(pi, cs))
+    for pi, found in itertools.groupby(frame.tuples(frame.no_ordinary), itemgetter(0)):  # one count per pi
+        out.setdefault(frame.transposed_count(pi), []).extend(frame.path_tuple(pi, cs) for _pi, cs, _key in found)
     return out
 
 

@@ -14,10 +14,12 @@ Pearce's packed exponent vectors).  The exponent of Y[i,s] is a balanced
 w-bit digit at slot (s - lo) * n + i - 1: spectral shift major, node index
 minor, with lo, the stride n and the width w kept per element.  Multiplying
 two monomials is then one integer add, and a spectral shift is O(1): it
-moves lo and shares the key dict.  Operands of +, * and == are aligned first
-(a lower lo is a left shift of the keys; a larger n or w is a re-encoding;
-== of one layout compares the dicts), a determinant's entries only where
-they meet a nonzero minor.  Each element tracks a bound on its exponents;
+moves lo and shares the key dict.  Operands of + and * are aligned first
+(a lower lo is a left shift of the keys; a larger n or w is a re-encoding),
+a determinant's entries only where they meet a nonzero minor.  == compares
+the dicts of one layout; where the layouts differ in lo alone, it looks the
+higher side's keys, shifted, up in the other's dict, and elsewhere it
+aligns them too.  Each element tracks a bound on its exponents;
 when a product could exceed the digit range, the operands are re-encoded at
 twice the width, so a digit never wraps.  Sums and products are accumulated
 in one fresh dict (``RingElem.sum``, ``RingElem.sum_products``,
@@ -298,8 +300,13 @@ class RingElem:
             return False
         if len(self._keys) != len(other._keys):
             return False
-        if (self._lo, self._n, self._w) == (other._lo, other._n, other._w):
-            return self._keys == other._keys
+        if self._n == other._n and self._w == other._w:
+            if self._lo == other._lo:
+                return self._keys == other._keys
+            # one layout but for lo: the higher side's keys, shifted, read in place
+            hi, lo = (self, other) if self._lo > other._lo else (other, self)
+            sh, get = hi._w * hi._n * (hi._lo - lo._lo), lo._keys.get
+            return all(get(k << sh) == c for k, c in hi._keys.items())
         a, b = _align((self, other), 0)[0]
         return a == b
 

@@ -10,37 +10,40 @@ is weak rows and strict columns in that order, with these exceptions:
   n whose lower cell has an n-bar on its left, or a repeated n-bar whose
   upper cell has an n on its right.
 
-The rows of a length r that obey the horizontal rules are the words that
-the h-paths of width r read, in the order of the h-path table
+The rows of a length r that obey the horizontal rules are the words that the
+h-paths of width r read, in the order of the h-path table
 (``paths._hpath_table``, one per (type, width) for both layers): the
 lexicographic alphabet order, in which a row-major fill of the cells meets
 them.  The keys of their weights at a placement's width
 (``paths._table_keys``) are sums of letter keys placed from column 0 of row
 0.  (The horizontal rules as cell tests on letters are the tests' oracle of
-the table.)  The vertical rule (``_v_ok``) reads only two adjacent rows and the
-offset between their starts, so the rows of a table that may lie under one
-row form one int bitmask (``_below``), built on first use and cached across
-calls.  The depth-first search of the path layer (``paths._search``) runs
-over these masks, with pi the identity, and yields the fillings in
-row-major order, each with its weight key: the sum of the row keys, row i's
-moved by 2 delta * (mu_i + 1 - i) spectral steps through the shape's
-``ring.Placement``, carried down the search.  A tableau sum is the path
-layer's signed key sum (``paths._signed_sum``), every sign +1: each key
-added into one dict, which the placement reads as one ``RingElem``.  No
-``Tableau`` is built for a sum.
+the table.)  The vertical rule (``_v_ok``) reads only two adjacent rows and
+the offset between their starts, so the rows of a table that may lie under
+one row form one int bitmask (``_below``), cached in one mask table per
+(type, lengths, offset) (``paths._mask_table``).  The depth-first search of
+the path layer (``paths._search``) runs over these masks, with pi the
+identity, and yields the fillings in row-major order, each with its weight
+key: the sum of the row keys, row i's moved by 2 delta * (mu_i + 1 - i)
+spectral steps through the shape's ``ring.Placement``, carried down the
+search.  A tableau sum is the path layer's signed key sum
+(``paths._signed_sum``), every sign +1: each key added into one dict, which
+the placement reads as one ``RingElem``.  No ``Tableau`` is built for a sum.
 
 For the C family the generating function identity requires extra rules that
 depend on the shape (``paths.model_status`` says where each holds): a
 two-row block rule and a three-row window rule, and one-/two-column rules.
 Each is one test on the letter words of the rows it reads, placed by the
-offsets between their starts, so the search applies them to table indices:
-the two-row rule narrows each ``_below`` mask (``_below_2row``); the
-three-row rule on rows r, r+1, r+2 is a cached bitmask over row r+2's table
-for each pair of indices of rows r and r+1 (``_row3_mask``), read once per
-complete filling; and the two-column rule reads the columns of a complete
-filling through the shape's cached column layout (``_col_layout``).  The
-``Tableau``-level checks ``satisfies_2row_rule`` and ``satisfies_3row_rule``
-are loops over the same tests.
+offsets between their starts, so the search applies them to table indices.
+The two-row rule narrows each ``_below`` mask (``_below_2row``, a mask table
+of its own); the three-row rule on rows r, r+1, r+2 is a cached bitmask over
+row r+2's table for a pair of indices of rows r and r+1 (``_row3_mask``),
+read per complete filling.  Both first read per-table bitmasks of the rows
+that can start a pattern (``_holding``: an upper row holding n; n-1 over n
+or n-bar), so no window where a rule cannot apply is tested or cached.  The
+two-column rule reads the columns of a complete filling through the shape's
+cached column layout (``_col_layout``).  The ``Tableau``-level checks
+``satisfies_2row_rule`` and ``satisfies_3row_rule`` are loops over the same
+tests.
 
 The three-row rule reads, for each anchor row r, the columns of rows r, r+1,
 r+2 as one word: column (top, mid, bot) has the class (m = n-1)
@@ -86,7 +89,7 @@ from typing import NamedTuple
 
 from .ring import AlgType, Placement, RingElem, delta, letter_order, letters, rows_weight
 from .shapes import SkewShape
-from .paths import Path, PathTuple, _hpath_table, _search, _signed_sum, _table_keys, endpoints, model_status
+from .paths import Path, PathTuple, _hpath_table, _mask_table, _search, _signed_sum, _table_keys, endpoints, model_status
 
 
 class Tableau(NamedTuple):
@@ -325,14 +328,21 @@ def resolve_ruleset(t: AlgType, s: SkewShape, ruleset: str) -> str:
 
 
 @lru_cache(maxsize=None)
+def _holding(t: AlgType, r: int, held: tuple) -> int:
+    """Bitmask over the rows of length r that hold a letter of held: the
+    rows that can start a pattern of a C row rule."""
+    return sum(1 << c for c, word in enumerate(_hpath_table(t, r).words) if any(x in word for x in held))
+
+
+@_mask_table
 def _below(t: AlgType, la: int, lb: int, off: int, c: int) -> int:
     """Bitmask over the rows of length lb that may lie under row c of length
     la when the lower row starts off columns right of the upper one: _v_ok
     at every column the two rows share."""
-    up = _hpath_table(t, la)[1][c]
+    up = _hpath_table(t, la).words[c]
     cols = range(max(0, -off), min(lb, la - off))  # indices into the lower row
     mask = 0
-    for d, dn in enumerate(_hpath_table(t, lb)[1]):
+    for d, dn in enumerate(_hpath_table(t, lb).words):
         if all(
             _v_ok(t, up[p + off], dn[p], dn[p - 1] if p else None, up[p + off + 1] if p + off + 1 < la else None)
             for p in cols
@@ -341,16 +351,17 @@ def _below(t: AlgType, la: int, lb: int, off: int, c: int) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
+@_mask_table
 def _below_2row(t: AlgType, la: int, lb: int, off: int, c: int) -> int:
     """_below with the two-row rule: the rows of _below(..., c) that the rule
-    admits under row c."""
+    admits under row c.  The rule reads an n atop an n-bar, so under a row
+    that holds no n (_holding) the slot takes _below's mask, not tested."""
     mask = _below(t, la, lb, off, c)
-    up = _hpath_table(t, la)[1][c]
     n = t.rank
-    if n not in up:
+    if not _holding(t, la, (n,)) >> c & 1:
         return mask
-    for d, dn in enumerate(_hpath_table(t, lb)[1]):
+    up = _hpath_table(t, la).words[c]
+    for d, dn in enumerate(_hpath_table(t, lb).words):
         if mask >> d & 1 and not _2row_ok(n, up, dn, off):
             mask ^= 1 << d
     return mask
@@ -362,16 +373,14 @@ def _row3_mask(t: AlgType, la: int, lb: int, lc: int, off1: int, off2: int, a: i
     rule admits under rows a (length la) and b (length lb), each row
     starting off1, resp. off2, columns right of the one above.  Every
     pattern holds a column (n-1, n or n-bar, 1-n), so only rows with a 1-n
-    under _below_2row(..., b) are tested, and none unless row a has an n-1
-    and row b an n or an n-bar."""
+    under _below_2row(..., b) are tested.  Callers ask only where row a
+    holds n-1 and row b an n or an n-bar (_holding): no window where the
+    rule cannot apply is cached."""
     n = t.rank
-    top, mid = _hpath_table(t, la)[1][a], _hpath_table(t, lb)[1][b]
-    mask = -1
-    if n - 1 not in top or (n not in mid and -n not in mid):
-        return mask
-    under = _below_2row(t, lb, lc, off2, b)
-    for d, bot in enumerate(_hpath_table(t, lc)[1]):
-        if under >> d & 1 and 1 - n in bot and not _3row_ok(t, top, mid, bot, off1, off2):
+    top, mid = _hpath_table(t, la).words[a], _hpath_table(t, lb).words[b]
+    mask, under = -1, _below_2row(t, lb, lc, off2, b) & _holding(t, lc, (1 - n,))
+    for d, bot in enumerate(_hpath_table(t, lc).words):
+        if under >> d & 1 and not _3row_ok(t, top, mid, bot, off1, off2):
             mask ^= 1 << d
     return mask
 
@@ -393,20 +402,23 @@ class _Rows:
         rows = range(1, len(s.lam) + 1)
         self.lengths = [s.lam[i] - s.mu[i] for i in rows]
         self.mu = [s.mu[i] for i in rows]
-        self.words = [_hpath_table(t, m)[1] for m in self.lengths]
+        self.words = [_hpath_table(t, m).words for m in self.lengths]
         self.place = place = Placement(t, [2 * delta(t) * (s.mu[i] + 1 - i) for i in rows])
         self.keys = [_table_keys(t, m, place.w) for m in self.lengths]
 
     def _fits(self, below, i: int, c: int, k: int) -> int:
         return below(self.t, self.lengths[i], self.lengths[k], self.mu[k] - self.mu[i], c)
 
-    def _row3_ok(self, cs) -> bool:
-        t, ls, mu = self.t, self.lengths, self.mu
-        for r in range(len(cs) - 2):
-            offs = mu[r + 1] - mu[r], mu[r + 2] - mu[r + 1]
-            if not _row3_mask(t, ls[r], ls[r + 1], ls[r + 2], *offs, cs[r], cs[r + 1]) >> cs[r + 2] & 1:
-                return False
-        return True
+    def _row3_passed(self, found):
+        """The fillings of found that pass the three-row rule, on three rows
+        (the rows ruleset covers no more): _row3_mask is read only where rows
+        1 and 2 can start a pattern (_holding)."""
+        t, (la, lb, lc), (m1, m2, m3), n = self.t, self.lengths, self.mu, self.t.rank
+        tops, mids = _holding(t, la, (n - 1,)), _holding(t, lb, (n, -n))
+        for x in found:
+            a, b, c = x[1]
+            if not (tops >> a & 1 and mids >> b & 1) or _row3_mask(t, la, lb, lc, m2 - m1, m3 - m2, a, b) >> c & 1:
+                yield x
 
     def fillings(self, ruleset: str):
         """The search's (pi, cs, key) for the fillings that obey the cell
@@ -420,7 +432,7 @@ class _Rows:
         rows = tuple(range(len(self.keys)))
         found = _search(rows, self.keys, self.place.kshift, fits, True)
         if ruleset == "rows" and len(rows) > 2:
-            return (x for x in found if self._row3_ok(x[1]))
+            return self._row3_passed(found)
         if ruleset == "columns":
             t, words, layout = self.t, self.words, _col_layout(self.s.lam.parts, self.s.mu.parts)
             return (x for x in found if _2col_ok(t, [ws[c] for ws, c in zip(words, x[1])], layout))
@@ -461,9 +473,8 @@ def tableau_sum(t: AlgType, s: SkewShape, a_offset: int = 0, ruleset: str = "aut
 def _row_index(t: AlgType, r: int) -> tuple[dict, dict]:
     """(steps -> word, word -> steps) over the h-path table of width r:
     path i reads row word i."""
-    recs, words = _hpath_table(t, r)
-    steps = [a.path.steps for a in recs]
-    return dict(zip(steps, words)), dict(zip(words, steps))
+    table = _hpath_table(t, r)
+    return dict(zip(table.steps, table.words)), dict(zip(table.words, table.steps))
 
 
 class _Link(NamedTuple):

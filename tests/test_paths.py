@@ -9,7 +9,6 @@ from qjt.paths import (
     Path,
     PathTuple,
     _Frame,
-    _Rec,
     _hpath_table,
     _pair_masks,
     _signed_sum,
@@ -441,8 +440,8 @@ def test_frame_path_tuples_are_the_rebuilt_tuples(fam):
     for s in skew_shapes(9, 3, 3):
         frame = _Frame(t, s)
         for pi, cs, _key in frame.tuples(frame.no_ordinary):
-            rows = zip(frame.us, frame.cands, pi, cs)
-            rebuilt = PathTuple(tuple(Path(u, cands[j][c].path.steps) for u, cands, j, c in rows), pi, s)
+            rows = zip(frame.us, frame.steps, pi, cs)
+            rebuilt = PathTuple(tuple(Path(u, steps[j][c]) for u, steps, j, c in rows), pi, s)
             assert frame.path_tuple(pi, cs) == rebuilt == frame.path_tuple(pi, cs), (s, pi, cs)
             seen += 1
     assert seen == {"B": 12_039, "C": 6_753}[fam]
@@ -477,10 +476,10 @@ def test_pair_masks_match_classify(fam):
         t = make_type(fam, n)
         bot = band(t)[0]
         for ri, rk, d in itertools.product(range(5), range(5), range(5)):
-            others = [b.path for b in _hpath_table(t, rk)[0]]
-            for c, a in enumerate(_hpath_table(t, ri)[0]):
+            others = [Path((0, bot), steps) for steps in _hpath_table(t, rk).steps]
+            for c, steps in enumerate(_hpath_table(t, ri).steps):
                 disjoint, special = _pair_masks(t, ri, rk, d, c)
-                p = Path((d, bot), a.path.steps)
+                p = Path((d, bot), steps)
                 for e, q in enumerate(others):
                     verdict = classify_pair(t, p, q)
                     assert (disjoint >> e & 1, special >> e & 1) == (verdict == "disjoint", verdict == "specially")
@@ -498,25 +497,26 @@ def _walk(p):
 
 
 def _walk_rec(p, bot, h):
-    """The record of a path from (0, bot) in the frame with origin (0, bot)
-    and h heights, read off its walked points."""
+    """The point mask and leftmost height-0 x of a path from (0, bot) in
+    the frame with origin (0, bot) and h heights, read off its walked
+    points."""
     pts = _walk(p)
     zero = [x for x, y in pts if y == 0]
-    mask = sum(1 << (x * h + y - bot) for x, y in pts)
-    return _Rec(p, mask, min(zero) if zero else None)
+    return sum(1 << (x * h + y - bot) for x, y in pts), min(zero) if zero else None
 
 
 @pytest.mark.parametrize("fam", ["A", "B", "C"])
 def test_table_records_are_the_geometry_records(fam):
-    # the table walks each path's steps once for its record: the point mask
-    # and the leftmost height-0 x, here read off the walked points
+    # the table walks each path's steps once for its point mask and its
+    # leftmost height-0 x, here read off the walked points
     seen = 0
     for n in (1, 2, 3, 4):
         t = make_type(fam, n)
         bot, top = band(t)
         for r in range(6):
-            for a in _hpath_table(t, r)[0]:
-                assert a == _walk_rec(a.path, bot, top - bot + 1), (t, a.path)
+            table = _hpath_table(t, r)
+            for steps, mask, zx in zip(table.steps, table.masks, table.zx):
+                assert (mask, zx) == _walk_rec(Path((0, bot), steps), bot, top - bot + 1), (t, steps)
                 seen += 1
     assert seen == {"A": 455, "B": 2_686, "C": 2_214}[fam]
 
@@ -556,9 +556,9 @@ def test_geometry_matches_list_scans(fam):
         t = make_type(fam, n)
         bot, top = band(t)
         for r in range(5):
-            for a in _hpath_table(t, r)[0]:
+            for steps in _hpath_table(t, r).steps:
                 for sx, sy in ((0, bot), (-3, bot), (2, bot + 1)):
-                    p = Path((sx, sy), a.path.steps)
+                    p = Path((sx, sy), steps)
                     pts = _walk(p)
                     assert p.points() == tuple(pts) and p.end == pts[-1]
                     for y in range(sy - 1, sy + top - bot + 2):
@@ -567,7 +567,7 @@ def test_geometry_matches_list_scans(fam):
                     for pt in pts + [(x + 1, y) for x, y in pts] + [(x, y - 1) for x, y in pts]:
                         assert _outcome(_index, p, pt) == _outcome(_ref_index, pts, pt)
                         assert _on(p, pt) == (pt in pts)
-                    q = Path((sx + 1, sy), a.path.steps)
+                    q = Path((sx + 1, sy), steps)
                     assert common_points(p, q) == set(pts) & set(_walk(q))
                     assert _outcome(_common, p, q) == (set(pts) & set(_walk(q)) or "paths do not intersect")
                     seen += 1

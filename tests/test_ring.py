@@ -24,8 +24,8 @@ from qjt.ring import (
     z_product,
 )
 from qjt import ring, series
-from qjt.ring import _ROW_BOUND, _digits, _f_factors, _key_base, _recode, delta
-from qjt.paths import _hpath_table, _table_keys, east_labels
+from qjt.ring import _ROW_BOUND, _align, _digits, _f_factors, _key_base, _moved, _recode, delta
+from qjt.paths import Path, _hpath_table, _table_keys, band, east_labels
 from qjt.shapes import shape
 
 from letter_images import (
@@ -355,6 +355,54 @@ def test_kernel_cancellation_and_layouts(x, d):
     assert X * ONE == X == ONE * X
 
 
+def _at_lo(x: RingElem, lo: int) -> RingElem:
+    """x keyed at the base shift lo <= x._lo, in its own stride and width."""
+    return RingElem._make(_moved(x, lo, x._n, x._w), lo, x._n, x._w, x._b)
+
+
+def _aligned_eq(x: RingElem, y: RingElem) -> bool:
+    """== through _align: both operands re-keyed into one layout."""
+    a, b = _align((x, y), 0)[0]
+    return a == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_dicts, st.integers(1, 12), st.data())
+def test_equality_across_base_shifts(x, k, data):
+    # one element keyed at lo and at lo - k (same stride and width) is equal
+    # in both orders; negating one coefficient, or moving one key a slot,
+    # makes it unequal, as the re-keyed comparison says
+    X = RingElem(x)
+    Y = _at_lo(X, X._lo - k)
+    assert (Y._lo, Y._n, Y._w) == (X._lo - k, X._n, X._w)
+    assert X == Y and Y == X and _aligned_eq(X, Y)
+    if not Y._keys:
+        return
+    keys = sorted(Y._keys)
+    key = data.draw(st.sampled_from(keys))
+    negated = RingElem._make({**Y._keys, key: -Y._keys[key]}, Y._lo, Y._n, Y._w, Y._b)
+    moved = {q: c for q, c in Y._keys.items() if q != key}
+    moved[key << Y._w] = Y._keys[key]
+    shifted = RingElem._make(moved, Y._lo, Y._n, Y._w, Y._b + 1)
+    for Z in (negated, shifted):
+        unequal = Z._keys != Y._keys
+        assert (X == Z) == (Z == X) == (not unequal) == _aligned_eq(X, Z), (x, k, key)
+
+
+def test_equality_of_constants_across_base_shifts():
+    # a constant fits every layout: the constant 1 equals a shifted 1, and
+    # a monomial equals itself keyed lower, but not a neighbour's shift
+    for d in (-3, 1, 4):
+        assert ONE == ONE.shift_spectral(d) and ONE.shift_spectral(d) == ONE
+        assert RingElem.const(2) != ONE.shift_spectral(d) != RingElem.const(2)
+        assert ZERO == ZERO.shift_spectral(d)
+    m = y_monomial(2, 3) * y_monomial(1, 5)
+    for k in (1, 2, 7):
+        low = _at_lo(m, m._lo - k)
+        assert low == m and m == low
+        assert low != m.shift_spectral(1) and m.shift_spectral(-1) != low
+
+
 def test_kernel_width_widens():
     m = RingElem.monomial([(1, 0, 200)])
     assert (m * m).terms == {((1, 0, 400),): 1}
@@ -436,9 +484,11 @@ def test_row_keys_are_the_repacked_z_products():
                 words = rows_oracle(t, r)
                 keys = {w: word_keys(t, w, words) for w in (8, 16)}
             else:
-                recs, words = _hpath_table(t, r)
+                table, start = _hpath_table(t, r), (0, band(t)[0])
+                words = table.words
                 keys = {w: _table_keys(t, r, w) for w in (8, 16)}
-                assert keys[8] == repack(t, 8, (z_product(t, east_labels(t, a.path)) for a in recs)), (t, r)
+                labels = (east_labels(t, Path(start, steps)) for steps in table.steps)
+                assert keys[8] == repack(t, 8, (z_product(t, x) for x in labels)), (t, r)
             weights = [z_product(t, [(c, f * m) for m, c in enumerate(word)]) for word in words]
             for w, ks in keys.items():
                 assert ks == repack(t, w, weights), (t, r, w)
@@ -446,8 +496,8 @@ def test_row_keys_are_the_repacked_z_products():
                 assert rows_weight(t, [word], [-f], 3) == x.shift_spectral(3 - f), (t, word)
             seen += 1
     for r in range(6, 129):
-        recs, _words = _hpath_table(A1, r)
-        assert _table_keys(A1, r, 8) == repack(A1, 8, (z_product(A1, east_labels(A1, a.path)) for a in recs)), r
+        labels = (east_labels(A1, Path((0, 0), steps)) for steps in _hpath_table(A1, r).steps)
+        assert _table_keys(A1, r, 8) == repack(A1, 8, (z_product(A1, x) for x in labels)), r
         seen += 1
     assert seen == 213
 

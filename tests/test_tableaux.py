@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 
+import qjt.paths as paths_module
 import qjt.tableaux as tableaux_module
 from qjt.jacobitrudi import chi_h
 from qjt.paths import (
@@ -496,9 +499,9 @@ def test_row_heights_invert_the_path_labels(fam):
         t = make_type(fam, n)
         bot = band(t)[0]
         for r in range(4):
-            for rec in _hpath_table(t, r)[0]:
-                heights = [y for _x, y in rec.path.east_steps()]
-                assert _row_heights(t, _path_word(t, bot, rec.path.steps)) == heights, (t, rec.path)
+            for steps in _hpath_table(t, r).steps:
+                heights = [y for _x, y in Path((0, bot), steps).east_steps()]
+                assert _row_heights(t, _path_word(t, bot, steps)) == heights, (t, steps)
                 seen += 1
     assert seen == {"A": 121, "B": 388, "C": 318}[fam]
 
@@ -513,9 +516,9 @@ def test_hpath_and_row_tables_agree():
             t = make_type(fam, n)
             bot = band(t)[0]
             for r in range(6):
-                recs, words = _hpath_table(t, r)
+                table = _hpath_table(t, r)
                 rows = rows_oracle(t, r)
-                assert [_path_word(t, bot, rec.path.steps) for rec in recs] == list(words) == rows, (t, r)
+                assert [_path_word(t, bot, steps) for steps in table.steps] == list(table.words) == rows, (t, r)
                 assert _table_keys(t, r, 8) == word_keys(t, 8, rows), (t, r)
                 seen += 1
     assert seen == 66
@@ -578,7 +581,7 @@ def test_adjacent_pair_masks_are_below(fam, ranks):
         for la, lb in itertools.product(range(1, 5), repeat=2):
             for off in range(-4, min(0, la - lb) + 1):
                 d = 1 - off
-                for c in range(len(_hpath_table(t, la)[1])):
+                for c in range(len(_hpath_table(t, la).words)):
                     disjoint, special = _pair_masks(t, la, lb, d, c)
                     mask = disjoint if fam == "A" else disjoint | special
                     if fam == "C" and _transposed(d, d + la, 0, lb):
@@ -1160,6 +1163,37 @@ def test_wide_rows_reuse_the_tables():
     assert tableau_sum(t, s).num_terms() == 4
     assert _hpath_table.cache_info().currsize == before
 
+
+
+def test_mask_tables_stay_small():
+    # the mask tables hold one list slot per cached mask and skip the
+    # three-row windows the rule cannot read.  After the B3 hv and C3 rows
+    # sums of the tableaux benchmark's shapes (3 x 3 box, at most 6 boxes)
+    # and the C2 p_k_tuples of its three-row shapes, clearing the four mask
+    # tables and the precheck masks frees 215 KiB under tracemalloc
+    # (CPython 3.11).  One lru_cache entry per (type, lengths, offset,
+    # index) held 827.6 KiB on the same run; the bound is half of that.
+    caches = (tableaux_module._below, tableaux_module._below_2row, tableaux_module._row3_mask,
+              paths_module._pair_masks, tableaux_module._holding)
+    small = [s for s in skew_shapes(9, 3, 3) if s.size() <= 6]
+    for f in caches:
+        f.cache_clear()
+    tracemalloc.start()
+    try:
+        for s in small:
+            tableau_sum(make_type("B", 3), s, 0, "hv")
+            tableau_sum(make_type("C", 3), s, 0, "rows")
+        for s in skew_shapes(9, 3, 3, exact_rows=3):
+            paths_module.p_k_tuples(make_type("C", 2), s)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        for f in caches:
+            f.cache_clear()
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(small) == 166 and freed < 827.6 * 1024 / 2, freed
 
 # ---------------------------------------------------------------------------
 # The three-row rule as five nested loops over run lengths, kept verbatim as
