@@ -17,11 +17,11 @@ spectral shift moved by 2 delta ux.  So the h-paths of each (type, r) are
 enumerated once, into one table (``_hpath_table``) of parallel tuples, with
 no Path object: each path's steps, its point set as an int bitmask (bit
 (x - x0) * h + y - y0 for the point (x, y) in a frame with origin (x0, y0)
-and h heights), its leftmost x at height 0 and its word, all read in one
-walk of its steps.  The weight keys of a table's words, at a placement's
-width, are packed once by ``ring.word_keys`` (``_table_keys``): the m-th
-east step of any path reads its letter at x = ux + m, so a path's labels
-are a row word from 2 delta ux.  Path weights (``path_weight``,
+and h heights), its leftmost x at height 0 and its word, all recorded by
+the search that enumerates them.  The weight keys of a table's words, at a
+placement's width, are packed once by ``ring.word_keys`` (``_table_keys``):
+the m-th east step of any path reads its letter at x = ux + m, so a path's
+labels are a row word from 2 delta ux.  Path weights (``path_weight``,
 ``PathTuple.weight``) read their words so, off the runs of east steps, with
 no (letter, shift) pair built; ``east_labels`` is the labeling they must
 agree with.  In enumeration order the words are the rows of length r of
@@ -29,8 +29,8 @@ agree with.  In enumeration order the words are the rows of length r of
 (type, r) serves both layers: path i reads row word i by construction.
 
 Other paths' points are walked off their steps once, into one bounded
-cached geometry record per path (``_geometry``): the points, a point ->
-index map and the least and greatest x at each height.  ``Path.points``,
+cached geometry record per path (``_geometry``): a point -> index map
+in path order and the least and greatest x at each height.  ``Path.points``,
 ``common_points`` and the probes of ``qjt.resolutions`` read it.  The one
 definition of a path's end, ``Path.end``, counts the steps instead: most
 paths asked only for their end, such as a tableau's paths, are never probed.
@@ -81,7 +81,7 @@ class Path(NamedTuple):
         return (x + east, y + len(self.steps) - east)
 
     def points(self) -> tuple[tuple[int, int], ...]:
-        return _geometry(self).points
+        return tuple(_geometry(self).index)
 
     def east_steps(self) -> list[tuple[int, int]]:
         """Start points (x, y) of the eastward steps, in path order."""
@@ -100,12 +100,12 @@ class Path(NamedTuple):
 
 
 class _Geometry(NamedTuple):
-    """A path's points and what is read off them.  With (x0, y0) the start,
-    left[y - y0] and right[y - y0] are the least and the greatest x at
-    height y."""
+    """What is read off a path's points.  A monotone path meets each of its
+    points once, so the keys of index are the points in path order.  With
+    (x0, y0) the start, left[y - y0] and right[y - y0] are the least and
+    the greatest x at height y."""
 
-    points: tuple[tuple[int, int], ...]
-    index: dict  # point -> its index in points
+    index: dict  # point -> its index along the path
     left: tuple[int, ...]
     right: tuple[int, ...]
 
@@ -115,7 +115,7 @@ class _Geometry(NamedTuple):
 @lru_cache(maxsize=256)
 def _geometry(p: Path) -> _Geometry:
     x, y = p.start
-    pts, left, right = [(x, y)], [x], []
+    index, left, right = {(x, y): 0}, [x], []
     for s in p.steps:
         if s == "E":
             x += 1
@@ -123,9 +123,9 @@ def _geometry(p: Path) -> _Geometry:
             right.append(x)
             y += 1
             left.append(x)
-        pts.append((x, y))
+        index[x, y] = len(index)
     right.append(x)
-    return _Geometry(tuple(pts), {q: m for m, q in enumerate(pts)}, tuple(left), tuple(right))
+    return _Geometry(index, tuple(left), tuple(right))
 
 
 def band(t: AlgType) -> tuple[int, int]:
@@ -134,35 +134,12 @@ def band(t: AlgType) -> tuple[int, int]:
 
 
 def enumerate_hpaths(t: AlgType, u: tuple[int, int], v: tuple[int, int]) -> list[Path]:
-    """All h-paths of the type from u to v (empty if unreachable)."""
+    """All h-paths of the type from u to v (empty if unreachable): the table
+    of width v_x - u_x (_hpath_table), from u."""
     bot, top = band(t)
-    if u[1] != bot or v[1] != top:
+    if u[1] != bot or v[1] != top or v[0] < u[0]:
         return []
-    r, m = v[0] - u[0], v[1] - u[1]
-    if r < 0:
-        return []
-    out = []
-    fam = t.family
-
-    def rec(prefix: list[str], x: int, y: int, zero_easts: int):
-        if x == v[0] and y == v[1]:
-            out.append(Path(u, "".join(prefix)))
-            return
-        if x < v[0]:
-            ze = zero_easts + (1 if y == 0 else 0)
-            if not (fam == "B" and ze > 1):
-                prefix.append("E")
-                rec(prefix, x + 1, y, ze)
-                prefix.pop()
-        if y < v[1]:
-            # leaving height 0 with an odd east count is dead for C
-            if not (fam == "C" and y == 0 and zero_easts % 2 == 1):
-                prefix.append("N")
-                rec(prefix, x, y + 1, zero_easts)
-                prefix.pop()
-
-    rec([], u[0], u[1], 0)
-    return out
+    return [Path(u, s) for s in _hpath_table(t, v[0] - u[0]).steps]
 
 
 def model_status(t: AlgType, model: str, s: SkewShape | None = None) -> str:
@@ -297,37 +274,35 @@ class _Table(NamedTuple):
     words: tuple[tuple[int, ...], ...]
 
 
-def _walk_steps(steps: str, bot: int, reads) -> tuple[int, int, tuple[int, ...]]:
-    """The point mask, leftmost height-0 x and word (_word) of the path with
-    these steps from (0, bot), in the frame with origin (0, bot) and the
-    band's h heights, in one walk; reads is _reads of the type."""
-    h = len(reads)
-    x = y = run = 0  # y counts from bot; run counts the east steps at height y
-    mask, zx = 1, 0 if bot == 0 else None
-    word = []
-    for s in steps:
-        if s == "E":
-            word.append(reads[y][run & 1])
-            run += 1
-            x += 1
-        else:
-            y += 1
-            run = 0
-            if y == -bot:
-                zx = x
-        mask |= 1 << (x * h + y)
-    return mask, zx, tuple(word)
-
-
 @lru_cache(maxsize=None)
 def _hpath_table(t: AlgType, r: int) -> _Table:
-    """The h-paths from (0, bot) to (r, top) as parallel tuples, in
-    enumeration order: the alphabet order of their words, the rows of length
-    r of the tableau layer.  No Path is kept (_Frame builds its own)."""
-    bot, top = band(t)
-    reads = _reads(t)
-    steps = tuple(p.steps for p in enumerate_hpaths(t, (0, bot), (r, top)))
-    return _Table(steps, *zip(*(_walk_steps(x, bot, reads) for x in steps)))
+    """The h-paths from (0, bot) to (r, top) as parallel tuples, from the
+    one h-path search: depth first, east before north, so in the alphabet
+    order of their words (the tableau layer's rows of length r).  Each step
+    extends the path's steps, point mask, leftmost height-0 x and word
+    (_word); a leaf records them.  No Path is kept (_Frame builds its own)."""
+    bot, reads, fam = band(t)[0], _reads(t), t.family
+    h, steps, word, found = len(reads), [], [], []
+
+    def step(x: int, y: int, run: int, mask: int, zx) -> None:
+        # y counts from bot; run counts the east steps at height y
+        if x == r and y == h - 1:
+            found.append(("".join(steps), mask, zx, tuple(word)))
+            return
+        at_zero = y == -bot
+        if x < r and not (fam == "B" and at_zero and run):  # B: one east step at height 0
+            steps.append("E")
+            word.append(reads[y][run & 1])
+            step(x + 1, y, run + 1, mask | 1 << ((x + 1) * h + y), zx)
+            steps.pop()
+            word.pop()
+        if y < h - 1 and not (fam == "C" and at_zero and run & 1):  # C: an even number there
+            steps.append("N")
+            step(x, y + 1, 0, mask | 1 << (x * h + y + 1), x if y + 1 == -bot else zx)
+            steps.pop()
+
+    step(0, 0, 0, 1, 0 if bot == 0 else None)
+    return _Table(*map(tuple, zip(*found)))
 
 
 @lru_cache(maxsize=None)

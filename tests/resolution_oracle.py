@@ -9,7 +9,7 @@ step strings; the probes, ``retuple`` and omega are the library's.
 
 from __future__ import annotations
 
-from qjt.paths import Path, PathTuple, _geometry, _transposed, classify_pair
+from qjt.paths import Path, PathTuple, _transposed, classify_pair
 from qjt.resolutions import (
     NotApplicable,
     _common,
@@ -27,11 +27,11 @@ from qjt.ring import AlgType
 
 
 def _prefix_points(p: Path, pt) -> list:
-    return list(_geometry(p).points[: _index(p, pt) + 1])
+    return list(p.points()[: _index(p, pt) + 1])
 
 
 def _suffix_points(p: Path, pt) -> list:
-    return list(_geometry(p).points[_index(p, pt) :])
+    return list(p.points()[_index(p, pt) :])
 
 
 def _east_run(a, b) -> list:

@@ -271,6 +271,10 @@ def test_path_layer_refuses_type_D():
             fn(t, p, q)
     with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
         PathTuple((p, q), (0, 1), s).transposed_pairs(t)
+    # the h-paths are the table's, which has no D rules: this gave 28
+    # unlabelled band walks
+    with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
+        enumerate_hpaths(t, (0, -3), (2, 3))
 
 
 def test_is_transposed_fails_closed_on_ordinary_pair():
@@ -518,6 +522,27 @@ def test_table_records_are_the_geometry_records(fam):
             for steps, mask, zx in zip(table.steps, table.masks, table.zx):
                 assert (mask, zx) == _walk_rec(Path((0, bot), steps), bot, top - bot + 1), (t, steps)
                 seen += 1
+    assert seen == {"A": 455, "B": 2_686, "C": 2_214}[fam]
+
+
+@pytest.mark.parametrize("fam", ["A", "B", "C"])
+def test_table_steps_are_the_brute_force_hpaths(fam):
+    # every E/N word of r E's and h - 1 N's whose run of E's at height 0
+    # (after -bot N's) has at most one step (B) or an even number (C),
+    # sorted with E before N: the h-paths in table order
+    seen = 0
+    for n in (1, 2, 3, 4):
+        t = make_type(fam, n)
+        bot, top = band(t)
+        for r in range(6):
+            kept = []
+            for east in itertools.combinations(range(r + top - bot), r):
+                w = "".join("E" if m in east else "N" for m in range(r + top - bot))
+                zero = len(w.split("N")[-bot])
+                if fam == "A" or (zero <= 1 if fam == "B" else zero % 2 == 0):
+                    kept.append(w)
+            assert _hpath_table(t, r).steps == tuple(sorted(kept)), (t, r)  # "E" < "N"
+            seen += len(kept)
     assert seen == {"A": 455, "B": 2_686, "C": 2_214}[fam]
 
 

@@ -119,8 +119,10 @@ def test_one_row_table_for_paths_and_tableaux():
     # width, packed at a placement's width by paths._table_keys: it and
     # ring.rows_weight alone call word_keys, no second packing of rows
     # (row_keys, recode) exists, and no module builds rows apart from the
-    # cell rules (which the tests keep as the oracle)
-    banned = ("_row_table", "_h_ok", "_h_triple_ok", "row_keys", "recode")
+    # cell rules (which the tests keep as the oracle); the table's one
+    # search records each path as it steps (no second walk, _walk_steps),
+    # and enumerate_hpaths reads the table with no search of its own
+    banned = ("_row_table", "_h_ok", "_h_triple_ok", "row_keys", "recode", "_walk_steps")
     callers, defined = [], []
     for name, tree in modules():
         defs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
@@ -132,6 +134,9 @@ def test_one_row_table_for_paths_and_tableaux():
                 callers.append(f"{name}:{max(inner, key=lambda d: d.lineno).name if inner else '<module>'}")
     assert callers == ["paths.py:_table_keys", "ring.py:rows_weight"]
     assert defined == []
+    enum = next(n for n in dict(modules())["paths.py"].body if getattr(n, "name", None) == "enumerate_hpaths")
+    nested = [n.name for n in ast.walk(enum) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n is not enum]
+    assert nested == []
 
 
 def test_only_the_path_layer_reads_path_points():
