@@ -135,7 +135,9 @@ def band(t: AlgType) -> tuple[int, int]:
 
 def enumerate_hpaths(t: AlgType, u: tuple[int, int], v: tuple[int, int]) -> list[Path]:
     """All h-paths of the type from u to v (empty if unreachable): the table
-    of width v_x - u_x (_hpath_table), from u."""
+    of width v_x - u_x (_hpath_table), from u.  Type D is refused,
+    whatever the endpoints."""
+    model_status(t, "path")
     bot, top = band(t)
     if u[1] != bot or v[1] != top or v[0] < u[0]:
         return []

@@ -21,11 +21,12 @@ the dicts of one layout; where the layouts differ in lo alone, it looks the
 higher side's keys, shifted, up in the other's dict, and elsewhere it
 aligns them too.  Each element tracks a bound on its exponents;
 when a product could exceed the digit range, the operands are re-encoded at
-twice the width, so a digit never wraps.  Sums and products are accumulated
-in one fresh dict (``RingElem.sum``, ``RingElem.sum_products``,
-``RingElem.determinant``), the products by one pair loop (``_add_product``,
-whose first term into an empty dict is a comprehension); a key leaves the
-dict where its coefficient cancels, so it is the result, unfiltered.
+twice the width, so a digit never wraps.  Products are accumulated in one
+fresh dict (``RingElem.sum_products``, ``RingElem.determinant``) by the
+ring's one pair loop (``_add_product``, whose first term into an empty dict
+is a comprehension); a sum is a sum of products with 1 (``RingElem.sum``).
+A key leaves the dict where its coefficient cancels, so it is the result,
+unfiltered.
 No stored dict is ever mutated, so shifted elements may share one.  The
 (i, s, e) tuple form, ``RingElem.terms``, is decoded only when read (text,
 JSON, classical projection) and cached; a decode builds one (i, s, e) tuple
@@ -156,17 +157,7 @@ class RingElem:
         x._keys, x._lo, x._n, x._w, x._b, x._terms = keys, lo, n, w, b, None
         return x
 
-    @staticmethod
-    def _from_exponents(items: list[tuple[dict, int]], n: int = 1) -> "RingElem":
-        """Sum of coef * prod Y[i,s]^e over ({(i, s): e}, coef) items, with
-        stride at least n."""
-        return RingElem._make(*_encode(items, n))
-
     # -- constructors
-
-    @staticmethod
-    def zero() -> "RingElem":
-        return RingElem._make({}, 0, 1, _W0, 0)
 
     @staticmethod
     def const(c: int) -> "RingElem":
@@ -174,7 +165,7 @@ class RingElem:
 
     @staticmethod
     def monomial(factors: Iterable[tuple[int, int, int]], coef: int = 1) -> "RingElem":
-        return RingElem._from_exponents([(_exponents(factors), coef)])
+        return RingElem({tuple(factors): coef})
 
     @property
     def terms(self) -> dict:
@@ -199,19 +190,9 @@ class RingElem:
 
     @staticmethod
     def sum(elems: Iterable["RingElem"]) -> "RingElem":
-        """The sum of elems, accumulated in one new dict: the result."""
-        elems = list(elems)
-        keys, lo, n, w = _align(elems, 0)
-        acc: dict = {}
-        get = acc.get
-        for ks in keys:
-            for k, c in ks.items():
-                if v := get(k, 0) + c:
-                    acc[k] = v
-                else:
-                    del acc[k]
-        b = max((x._b for x in elems), default=0)
-        return RingElem._make(acc, lo, n, w, b)
+        """The sum of elems, as products with 1: ``sum_products`` of
+        (1, x, ONE), whose constant leaves the layout as it is."""
+        return RingElem.sum_products((1, x, ONE) for x in elems)
 
     @staticmethod
     def sum_products(triples: Iterable[tuple[int, "RingElem", "RingElem"]]) -> "RingElem":
@@ -292,7 +273,7 @@ class RingElem:
 
     def scalar_mul(self, c: int) -> "RingElem":
         if c == 0:
-            return RingElem.zero()
+            return RingElem.const(0)
         return RingElem._make({k: c * cc for k, cc in self._keys.items()}, self._lo, self._n, self._w, self._b)
 
     def __eq__(self, other) -> bool:
@@ -338,9 +319,8 @@ class RingElem:
         The result is represented as a RingElem with all shifts zero,
         i.e. a Laurent polynomial in y_1..y_n.
         """
-        return RingElem._from_exponents(
-            [(_exponents((i, 0, e) for i, _s, e in m), c) for m, c in self.terms.items()], self._n
-        )
+        items = [(_exponents((i, 0, e) for i, _s, e in m), c) for m, c in self.terms.items()]
+        return RingElem._make(*_encode(items, self._n))
 
     # -- serialization
 
@@ -486,7 +466,7 @@ def _recode(x: RingElem, lo: int, n: int, w: int) -> dict:
     return out
 
 
-ZERO = RingElem.zero()
+ZERO = RingElem.const(0)
 ONE = RingElem.const(1)
 
 
@@ -562,13 +542,8 @@ def z_product(t: AlgType, zvars: Iterable[tuple[int, int]]) -> RingElem:
     """f-image of a product of z-variables given as (letter, shift) pairs,
     through their summed exponents: the series' letter images, and the
     tests' oracle of ``word_keys`` and ``rows_weight``."""
-    exps: dict[tuple[int, int], int] = {}
-    get = exps.get
-    for letter, shift in zvars:
-        for i, s, e in _f_factors(t, letter):
-            k = (i, s + shift)
-            exps[k] = get(k, 0) + e
-    return RingElem._from_exponents([(exps, 1)], t.rank)
+    exps = _exponents((i, s + shift, e) for letter, shift in zvars for i, s, e in _f_factors(t, letter))
+    return RingElem._make(*_encode([(exps, 1)], t.rank))
 
 
 def y_monomial(index: int, shift: int, exponent: int = 1) -> RingElem:

@@ -51,7 +51,7 @@ def test_schur_product_expands_by_lr():
     cases = [((2,), (1, 1)), ((2, 1), (1,)), ((1, 1), (1, 1))]
     for mu, nu in cases:
         prod = schur_poly(mu, nvars) * schur_poly(nu, nvars)
-        total = RingElem.zero()
+        total = RingElem.const(0)
         size = sum(mu) + sum(nu)
         for lam in all_partitions(size, nvars, size):
             if sum(lam) != size:

@@ -272,9 +272,10 @@ def test_path_layer_refuses_type_D():
     with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
         PathTuple((p, q), (0, 1), s).transposed_pairs(t)
     # the h-paths are the table's, which has no D rules: this gave 28
-    # unlabelled band walks
-    with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
-        enumerate_hpaths(t, (0, -3), (2, 3))
+    # unlabelled band walks; endpoints off the band's bottom or top gave []
+    for u, v in (((0, -3), (2, 3)), ((0, 0), (2, 3)), ((0, -3), (2, 2))):
+        with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
+            enumerate_hpaths(t, u, v)
 
 
 def test_is_transposed_fails_closed_on_ordinary_pair():

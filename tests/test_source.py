@@ -39,7 +39,8 @@ def test_no_module_level_dict_caches():
 
 def test_packed_layout_stays_in_the_ring():
     # qjt.ring alone knows how a monomial is packed: the other modules reach
-    # packed keys through pack and Placement, never a private name or field
+    # packed keys through word_keys, rows_weight and Placement, never a
+    # private name or field
     fields = {"_make", "_keys", "_b", "_w", "_lo", "_n"}
     found = []
     for name, tree in modules():
@@ -226,3 +227,20 @@ def test_accumulators_hold_only_live_monomials():
                 where = max(inner, key=lambda d: d.lineno).name if inner else "<module>"
                 found.append((name, where, node.iter.lineno))
     assert [where for _, where, _ in found] == ["_encode", "_encode"], found
+
+
+def test_one_way_to_add_and_one_way_to_build_in_the_ring():
+    # a sum is a sum of products with 1, so the ring's one cancel-and-delete
+    # loop is _add_product (the path layer's key sum, _signed_sum, is the
+    # other deleting accumulator); RingElem builds through _make, __init__
+    # and const, with no renamed copies of them
+    found = []
+    for name, tree in modules():
+        defs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Delete) and any(isinstance(x, ast.Subscript) for x in node.targets):
+                inner = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+                found.append(f"{name[:-3]}.{max(inner, key=lambda d: d.lineno).name if inner else '<module>'}")
+    assert found == ["paths._signed_sum", "ring._add_product"]
+    ring = next(n for n in dict(modules())["ring.py"].body if getattr(n, "name", None) == "RingElem")
+    assert [n.name for n in ring.body if getattr(n, "name", None) in ("_from_exponents", "zero")] == []
