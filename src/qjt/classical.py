@@ -40,9 +40,8 @@ def z_text(p: RingElem) -> str:
 def normalize_projective(p: RingElem, nvars: int) -> RingElem:
     """Canonical form modulo z_1*...*z_nvars = 1: shift each exponent vector
     so its minimum entry is zero."""
-    return RingElem.sum(
-        RingElem.monomial([*m, *((k, 0, -min(_dense(m, nvars))) for k in range(1, nvars + 1))], c)
-        for m, c in p.terms.items()
+    return RingElem(
+        ([*m, *((k, 0, -min(_dense(m, nvars))) for k in range(1, nvars + 1))], c) for m, c in p.terms.items()
     )
 
 
@@ -53,10 +52,7 @@ def beta_to_z(t: AlgType, e: RingElem) -> RingElem:
     n+1 variables (modulo the determinant relation) and for type C in n
     variables.
     """
-    out = RingElem.sum(
-        RingElem.monomial(((k, 0, exp) for i, _s, exp in m for k in range(1, i + 1)), c)
-        for m, c in e.beta().terms.items()
-    )
+    out = RingElem((((k, 0, exp) for i, _s, exp in m for k in range(1, i + 1)), c) for m, c in e.beta().terms.items())
     return normalize_projective(out, t.rank + 1) if t.family == "A" else out
 
 
@@ -74,8 +70,8 @@ def _require_rows(p: Partition, limit: int, name: str) -> None:
 def schur_poly(lam, nvars: int) -> RingElem:
     """Schur polynomial s_lambda(z_1..z_nvars) as a sum over semistandard
     tableaux, which are the type A_{nvars-1} tableaux."""
-    return RingElem.sum(
-        RingElem.monomial((c, 0, 1) for row in T.cells for c in row)
+    return RingElem(
+        (((c, 0, 1) for row in T.cells for c in row), 1)
         for T in enumerate_tableaux(AlgType("A", nvars - 1), shape(lam), "hv")
     )
 
@@ -128,8 +124,8 @@ def sp_character(mu, n: int) -> RingElem:
     """
     mu_p = Partition(mu)
     _require_rows(mu_p, n, f"C{n}")
-    return RingElem.sum(
-        RingElem.monomial(((v + 1) // 2, 0, -1 if v % 2 == 0 else 1) for row in T.cells for v in row)
+    return RingElem(
+        ((((v + 1) // 2, 0, -1 if v % 2 == 0 else 1) for row in T.cells for v in row), 1)
         for T in enumerate_tableaux(AlgType("A", 2 * n - 1), shape(mu_p), "hv")
         if all(min(row) >= 2 * i - 1 for i, row in enumerate(T.cells, start=1))
     )

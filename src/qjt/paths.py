@@ -46,12 +46,13 @@ in place.  Seen from row k > i, a path of row i lies d = ux_i - ux_k
 further east, and the verdicts on table path c of width r_i, moved d east,
 against the table of width r_k depend only on (type, r_i, r_k, d, c)
 (``_pair_masks``).  They form one mask table per (type, r_i, r_k, d)
-(``_mask_table``), as ``tableaux._below`` does for rows: a list indexed by
-c, filled on first use and shared across shapes, so a mask costs one list
-slot.  The depth-first search (``_search``) yields each tuple as one index
-per row into its table, with its key: every row's weight key moved by
-2 delta ux_i spectral steps through the shape's ``ring.Placement``, summed
-down the search.  The tableau layer runs it over the same tables' words
+(``_mask_table``): a list indexed by c, filled on first use and shared
+across shapes and with the tableau layer, whose rule for adjacent rows
+(``tableaux._below``) reads them, so a mask costs one list slot.  The
+depth-first search (``_search``) yields each tuple as one index per row
+into its table, with its key: every row's weight key moved by 2 delta ux_i
+spectral steps through the shape's ``ring.Placement``, summed down the
+search.  The tableau layer runs it over the same tables' words
 with pi the identity.
 Both layers sum through one signed key sum (``_signed_sum``): it adds the
 key of each tuple into one dict with the sign of its permutation as the
@@ -338,7 +339,8 @@ def _pair_masks(t: AlgType, ri: int, rk: int, d: int, c: int) -> tuple[int, int]
     paths that h-path c of width ri, moved d >= 0 columns east, misses and
     meets specially; it meets the others ordinarily.  A meeting at height
     0 only is special for B, and for C when the leftmost height-0 x's also
-    differ by an odd number.  The path layer's ``tableaux._below``."""
+    differ by an odd number.  With d >= 1 they are also the vertical rule
+    of the tableau rows: ``tableaux._below`` reads them."""
     bot, top = band(t)
     h, fam, a, b = top - bot + 1, t.family, _hpath_table(t, ri), _hpath_table(t, rk)
     mask, zx = a.masks[c] << d * h, a.zx[c] + d

@@ -143,12 +143,16 @@ class RingElem:
     ``terms`` is the decoded form: a dict from monomials, each a tuple of
     (i, s, e) factors with nonzero exponent e sorted by (i, s), to
     coefficients.  It is decoded on first use and cached, and is read-only.
+    ``RingElem(pairs)`` encodes (factors, coefficient) pairs, such as the
+    items of a ``terms`` dict, in one pass that adds repeated monomials.
     """
 
     __slots__ = ("_keys", "_lo", "_n", "_w", "_b", "_terms")
 
-    def __init__(self, terms: dict | None = None):
-        self._keys, self._lo, self._n, self._w, self._b = _encode([(_exponents(m), c) for m, c in (terms or {}).items()])
+    def __init__(self, terms: Iterable[tuple[Iterable[tuple[int, int, int]], int]] = ()):
+        if isinstance(terms, dict):  # iterating one would read a two-factor monomial as a pair
+            raise TypeError("RingElem takes (factors, coefficient) pairs: pass a dict's .items()")
+        self._keys, self._lo, self._n, self._w, self._b = _encode([(_exponents(m), c) for m, c in terms])
         self._terms = None
 
     @staticmethod
@@ -165,7 +169,7 @@ class RingElem:
 
     @staticmethod
     def monomial(factors: Iterable[tuple[int, int, int]], coef: int = 1) -> "RingElem":
-        return RingElem({tuple(factors): coef})
+        return RingElem([(factors, coef)])
 
     @property
     def terms(self) -> dict:

@@ -17,17 +17,23 @@ lexicographic alphabet order, in which a row-major fill of the cells meets
 them.  The keys of their weights at a placement's width
 (``paths._table_keys``) are sums of letter keys placed from column 0 of row
 0.  (The horizontal rules as cell tests on letters are the tests' oracle of
-the table.)  The vertical rule (``_v_ok``) reads only two adjacent rows and
-the offset between their starts, so the rows of a table that may lie under
-one row form one int bitmask (``_below``), cached in one mask table per
-(type, lengths, offset) (``paths._mask_table``).  The depth-first search of
-the path layer (``paths._search``) runs over these masks, with pi the
-identity, and yields the fillings in row-major order, each with its weight
-key: the sum of the row keys, row i's moved by 2 delta * (mu_i + 1 - i)
-spectral steps through the shape's ``ring.Placement``, carried down the
-search.  A tableau sum is the path layer's signed key sum
-(``paths._signed_sum``), every sign +1: each key added into one dict, which
-the placement reads as one ``RingElem``.  No ``Tableau`` is built for a sum.
+the table.)  The vertical rule is the paths' pair condition (Gessel-Viennot):
+row k+1 may lie under row k exactly when their paths, which start
+d = mu_k - mu_{k+1} + 1 >= 1 columns apart and end lam_k - lam_{k+1} + 1
+>= 1 apart, miss (A) or meet only specially (B, C).  Adjacent rows are
+never transposed, so C's no-transposed-pair half of P~ always holds.  The
+rows of a table that may lie under one row are thus one int bitmask
+(``_below``) read off the path layer's ``paths._pair_masks``: one family of
+mask tables (``paths._mask_table``) serves both layers.  (The vertical rule
+as a cell test on letters is the tests' oracle of these masks.)  The
+depth-first search of the path layer (``paths._search``) runs over these
+masks, with pi the identity, and yields the fillings in row-major order,
+each with its weight key: the sum of the row keys, row i's moved by
+2 delta * (mu_i + 1 - i) spectral steps through the shape's
+``ring.Placement``, carried down the search.  A tableau sum is the path
+layer's signed key sum (``paths._signed_sum``), every sign +1: each key
+added into one dict, which the placement reads as one ``RingElem``.
+No ``Tableau`` is built for a sum.
 
 For the C family the generating function identity requires extra rules that
 depend on the shape (``paths.model_status`` says where each holds): a
@@ -89,7 +95,7 @@ from typing import NamedTuple
 
 from .ring import AlgType, Placement, RingElem, delta, letter_order, letters, rows_weight
 from .shapes import SkewShape
-from .paths import Path, PathTuple, _hpath_table, _mask_table, _search, _signed_sum, _table_keys, endpoints, model_status
+from .paths import Path, PathTuple, _hpath_table, _mask_table, _pair_masks, _search, _signed_sum, _table_keys, endpoints, model_status
 
 
 class Tableau(NamedTuple):
@@ -113,23 +119,11 @@ class Tableau(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Cell rules
+# Letter order
 
 
 def _cmp(t: AlgType, c1: int, c2: int) -> int:
     return letter_order(t, c1) - letter_order(t, c2)
-
-
-def _v_ok(t: AlgType, up: int, dn: int, dn_left, up_right) -> bool:
-    """Vertical rule between a letter and the letter below it; dn_left is the
-    letter left of the lower cell, up_right the letter right of the upper
-    cell (None where there is no cell)."""
-    n = t.rank
-    return (
-        _cmp(t, up, dn) < 0
-        or (t.family == "B" and up == dn == 0)
-        or (t.family == "C" and (up == dn == n and dn_left == -n or up == dn == -n and up_right == n))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -334,21 +328,13 @@ def _holding(t: AlgType, r: int, held: tuple) -> int:
     return sum(1 << c for c, word in enumerate(_hpath_table(t, r).words) if any(x in word for x in held))
 
 
-@_mask_table
 def _below(t: AlgType, la: int, lb: int, off: int, c: int) -> int:
     """Bitmask over the rows of length lb that may lie under row c of length
-    la when the lower row starts off columns right of the upper one: _v_ok
-    at every column the two rows share."""
-    up = _hpath_table(t, la).words[c]
-    cols = range(max(0, -off), min(lb, la - off))  # indices into the lower row
-    mask = 0
-    for d, dn in enumerate(_hpath_table(t, lb).words):
-        if all(
-            _v_ok(t, up[p + off], dn[p], dn[p - 1] if p else None, up[p + off + 1] if p + off + 1 < la else None)
-            for p in cols
-        ):
-            mask |= 1 << d
-    return mask
+    la when the lower row starts off <= 0 columns right of the upper one:
+    the paths of the two rows, d = 1 - off columns apart, miss (A) or meet
+    only specially (B, C) (see the module docstring)."""
+    disjoint, special = _pair_masks(t, la, lb, 1 - off, c)
+    return disjoint if t.family == "A" else disjoint | special
 
 
 @_mask_table

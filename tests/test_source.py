@@ -244,3 +244,17 @@ def test_one_way_to_add_and_one_way_to_build_in_the_ring():
     assert found == ["paths._signed_sum", "ring._add_product"]
     ring = next(n for n in dict(modules())["ring.py"].body if getattr(n, "name", None) == "RingElem")
     assert [n.name for n in ring.body if getattr(n, "name", None) in ("_from_exponents", "zero")] == []
+
+
+def test_the_vertical_rule_is_the_pair_mask():
+    # the rows that may lie under a row are the paths' pair masks
+    # (tableaux._below reads paths._pair_masks): no module keeps the
+    # vertical cell rule (the tests keep it as the oracle), and the one
+    # tableau mask table is the two-row rule's
+    trees = dict(modules())
+    defined = [f"{name}:{n.lineno}" for name, tree in trees.items() for n in ast.walk(tree)
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name == "_v_ok"]
+    assert defined == []
+    tables = [n.name for n in ast.walk(trees["tableaux.py"]) if isinstance(n, ast.FunctionDef)
+              and any(getattr(x, "id", getattr(x, "attr", None)) == "_mask_table" for x in n.decorator_list)]
+    assert tables == ["_below_2row"]

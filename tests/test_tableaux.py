@@ -16,7 +16,6 @@ from qjt.paths import (
     _Frame,
     _hpath_table,
     _table_keys,
-    _pair_masks,
     _transposed,
     band,
     east_labels,
@@ -36,7 +35,6 @@ from qjt.tableaux import (
     _cmp,
     _col_layout,
     _far_pairs,
-    _v_ok,
     column_companions,
     enumerate_tableaux,
     path_tuple_to_tableau,
@@ -565,30 +563,26 @@ def test_bijection_matches_the_path_labels(fam):
     assert (seen, refused) == {"A": (199, 75), "B": (786, 436), "C": (516, 258)}[fam]
 
 
-@pytest.mark.parametrize("fam,ranks", [("A", (1, 2, 3, 4)), ("B", (1, 2, 3)), ("C", (2, 3))])
+@pytest.mark.parametrize("fam,ranks", [("A", (1, 2, 3, 4)), ("B", (1, 2, 3)), ("C", (1, 2, 3))])
 def test_adjacent_pair_masks_are_below(fam, ranks):
     # Row k+1 of a shape, lb long, starts off <= 0 columns right of row k,
     # la long, and ends no further right (lb + off <= la).  Their paths start
-    # d = 1 - off columns apart, and since path c of a table reads its row
-    # word c, the path layer's mask of what may follow path c is _below of row
-    # c: disjoint paths for A, no ordinary meeting for B, and for C no
-    # ordinary meeting and no transposed pair (the P~ condition).  Rows of
-    # 1-4 cells with -4 <= off; B4 and C4 are left out, as building their
-    # _below masks alone takes 5.0 and 3.7 s.
+    # d = 1 - off >= 1 columns apart and end d + la - lb >= 1 apart, so they
+    # are never transposed; and since path c of a table reads its row word
+    # c, _below, the path layer's mask of what may follow path c (disjoint
+    # paths for A, no ordinary meeting for B and C), is the vertical cell
+    # rule's mask, below_oracle.  Rows of 0-4 cells with -4 <= off; B4 and C4
+    # are left out, as their oracle masks alone take seconds.
     seen = 0
     for n in ranks:
         t = make_type(fam, n)
-        for la, lb in itertools.product(range(1, 5), repeat=2):
+        for la, lb in itertools.product(range(5), repeat=2):
             for off in range(-4, min(0, la - lb) + 1):
-                d = 1 - off
+                assert not _transposed(1 - off, 1 - off + la, 0, lb)
                 for c in range(len(_hpath_table(t, la).words)):
-                    disjoint, special = _pair_masks(t, la, lb, d, c)
-                    mask = disjoint if fam == "A" else disjoint | special
-                    if fam == "C" and _transposed(d, d + la, 0, lb):
-                        mask = 0
-                    assert mask == _below(t, la, lb, off, c), (t, la, lb, off, c)
+                    assert _below(t, la, lb, off, c) == below_oracle(t, la, lb, off, c), (t, la, lb, off, c)
                     seen += 1
-    assert seen == {"A": 255 + 634 + 1_306 + 2_390, "B": 440 + 1_978 + 5_660, "C": 1_619 + 4_596}[fam]
+    assert seen == {"A": 340 + 819 + 1_666 + 3_030, "B": 575 + 2_513 + 7_140, "C": 510 + 2_059 + 5_801}[fam]
 
 
 def test_serialization():
@@ -953,9 +947,10 @@ def test_enumeration_golden(families, ruleset):
 
 # ---------------------------------------------------------------------------
 # The row-major cell search, kept verbatim as the oracle for the row tables
-# of qjt.tableaux, and the whole-tableau rule checks that it and the other
-# tests read.  The horizontal rules are cell tests on letters here; the
-# library reads its rows off the h-path tables instead.
+# and the row masks of qjt.tableaux, and the whole-tableau rule checks that
+# it and the other tests read.  The horizontal and vertical rules are cell
+# tests on letters here; the library reads its rows off the h-path tables
+# and the rows that may lie under a row off the paths' pair masks instead.
 
 
 def _h_ok(t: AlgType, left: int, right: int) -> bool:
@@ -969,6 +964,34 @@ def _h_triple_ok(t: AlgType, c1, c2, c3) -> bool:
         return True
     n = t.rank
     return (c1, c2, c3) not in ((-n, -n, n), (-n, n, n))
+
+
+def _v_ok(t: AlgType, up: int, dn: int, dn_left, up_right) -> bool:
+    """Vertical rule between a letter and the letter below it; dn_left is the
+    letter left of the lower cell, up_right the letter right of the upper
+    cell (None where there is no cell)."""
+    n = t.rank
+    return (
+        _cmp(t, up, dn) < 0
+        or (t.family == "B" and up == dn == 0)
+        or (t.family == "C" and (up == dn == n and dn_left == -n or up == dn == -n and up_right == n))
+    )
+
+
+def below_oracle(t: AlgType, la: int, lb: int, off: int, c: int) -> int:
+    """Bitmask over the rows of length lb that may lie under row c of length
+    la when the lower row starts off columns right of the upper one: _v_ok
+    at every column the two rows share."""
+    up = _hpath_table(t, la).words[c]
+    cols = range(max(0, -off), min(lb, la - off))  # indices into the lower row
+    mask = 0
+    for d, dn in enumerate(_hpath_table(t, lb).words):
+        if all(
+            _v_ok(t, up[p + off], dn[p], dn[p - 1] if p else None, up[p + off + 1] if p + off + 1 < la else None)
+            for p in cols
+        ):
+            mask |= 1 << d
+    return mask
 
 
 def rows_oracle(t: AlgType, length: int) -> list[tuple]:
@@ -1169,12 +1192,12 @@ def test_mask_tables_stay_small():
     # the mask tables hold one list slot per cached mask and skip the
     # three-row windows the rule cannot read.  After the B3 hv and C3 rows
     # sums of the tableaux benchmark's shapes (3 x 3 box, at most 6 boxes)
-    # and the C2 p_k_tuples of its three-row shapes, clearing the four mask
-    # tables and the precheck masks frees 215 KiB under tracemalloc
-    # (CPython 3.11).  One lru_cache entry per (type, lengths, offset,
-    # index) held 827.6 KiB on the same run; the bound is half of that.
-    caches = (tableaux_module._below, tableaux_module._below_2row, tableaux_module._row3_mask,
-              paths_module._pair_masks, tableaux_module._holding)
+    # and the C2 p_k_tuples of its three-row shapes, clearing the three mask
+    # tables and the precheck masks frees 257 KiB under tracemalloc
+    # (CPython 3.11): the rows below a row are its pair masks, two ints a
+    # slot.  One lru_cache entry per (type, lengths, offset, index) held
+    # 827.6 KiB on the same run; the bound is half of that.
+    caches = (tableaux_module._below_2row, tableaux_module._row3_mask, paths_module._pair_masks, tableaux_module._holding)
     small = [s for s in skew_shapes(9, 3, 3) if s.size() <= 6]
     for f in caches:
         f.cache_clear()
