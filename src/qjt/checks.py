@@ -155,7 +155,7 @@ def _identity(suite, args):
     rng = random.Random(args.seed)
     failures = []
     for fam in families:
-        for n in (2, 3):
+        for n in range(2, args.max_rank + 1):
             t = make_type(fam, n)
             for s in _random_shapes(rng, args.count, max_rows, 3):
                 if lhs(t, s) != chi_h(t, s):

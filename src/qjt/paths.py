@@ -18,8 +18,9 @@ enumerated once, into one table (``_hpath_table``) of parallel tuples, with
 no Path object: each path's steps, its point set as an int bitmask (bit
 (x - x0) * h + y - y0 for the point (x, y) in a frame with origin (x0, y0)
 and h heights), its leftmost x at height 0 and its word, all recorded by
-the search that enumerates them.  The weight keys of a table's words, at a
-placement's width, are packed once by ``ring.word_keys`` (``_table_keys``):
+the search that enumerates them, for rows of any length.  The weight keys
+of a table's words, at a placement's width, are packed once by
+``ring.word_keys`` (``_table_keys``):
 the m-th east step of any path reads its letter at x = ux + m, so a path's
 labels are a row word from 2 delta ux.  Path weights (``path_weight``,
 ``PathTuple.weight``) read their words so, off the runs of east steps, with
@@ -41,30 +42,31 @@ x's differ by an odd number), and ordinarily intersecting otherwise.
 ``classify_pair`` reads the verdict off ``common_points``, the one
 definition of where two paths meet.  Within the h-path tables the verdicts
 on one path against a table form two bitmasks.  A tuple enumeration
-(``_Frame``) reads the table of each endpoint pair (row i, destination j)
-in place.  Seen from row k > i, a path of row i lies d = ux_i - ux_k
-further east, and the verdicts on table path c of width r_i, moved d east,
-against the table of width r_k depend only on (type, r_i, r_k, d, c)
+(``_Frame``) looks up the table of each row i's width vx_pi(i) - ux_i when
+its search starts the permutation pi (``_Frame.rows``), and reads it in
+place.  Seen from row k > i, a path of row i lies d = ux_i - ux_k further
+east, and the verdicts on table path c of width r_i, moved d east, against
+the table of width r_k depend only on (type, r_i, r_k, d, c)
 (``_pair_masks``).  They form one mask table per (type, r_i, r_k, d)
 (``_mask_table``): a list indexed by c, filled on first use and shared
-across shapes and with the tableau layer, whose rule for adjacent rows
-(``tableaux._below``) reads them, so a mask costs one list slot.  The
-depth-first search (``_search``) yields each tuple as one index per row
+across shapes and with the tableau layer, so a mask costs one list slot.
+The depth-first search (``_search``) yields each tuple as one index per row
 into its table, with its key: every row's weight key moved by 2 delta ux_i
 spectral steps through the shape's ``ring.Placement``, summed down the
-search.  The tableau layer runs it over the same tables' words
-with pi the identity.
-Both layers sum through one signed key sum (``_signed_sum``): it adds the
-key of each tuple into one dict with the sign of its permutation as the
-coefficient, +1 for every tableau, deletes a key where it cancels, and has
-the placement read the dict as one ``RingElem``.
+search.  A tableau is a tuple of the identity permutation whose adjacent
+rows meet only as the type allows (Gessel-Viennot): the tableau layer
+searches that permutation alone.  Both layers sum through one signed key
+sum (``_signed_sum``): it adds the key of each tuple into one dict with the
+sign of its permutation as the coefficient, +1 for every tableau, deletes a
+key where it cancels, and has the placement read the dict as one
+``RingElem``.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache, partial, wraps
-from operator import and_, itemgetter
+from operator import and_, itemgetter, or_
 from typing import NamedTuple
 
 from .ring import AlgType, Placement, RingElem, delta, letters, rows_weight, word_keys
@@ -279,32 +281,35 @@ class _Table(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _hpath_table(t: AlgType, r: int) -> _Table:
-    """The h-paths from (0, bot) to (r, top) as parallel tuples, from the
-    one h-path search: depth first, east before north, so in the alphabet
-    order of their words (the tableau layer's rows of length r).  Each step
-    extends the path's steps, point mask, leftmost height-0 x and word
-    (_word); a leaf records them.  No Path is kept (_Frame builds its own)."""
+    """The h-paths from (0, bot) to (r >= 0, top) as parallel tuples, from
+    the one h-path search: depth first, east before north, so in the
+    alphabet order of their words (the tableau layer's rows of length r).
+    Its stack holds one entry per height a path reaches, so a row of any
+    length is searched: each run of e east steps at height y, longest
+    first, and the north step after it extend the path's steps, point
+    mask, leftmost height-0 x and word (_word).  No Path is kept."""
     bot, reads, fam = band(t)[0], _reads(t), t.family
-    h, steps, word, found = len(reads), [], [], []
-
-    def step(x: int, y: int, run: int, mask: int, zx) -> None:
-        # y counts from bot; run counts the east steps at height y
-        if x == r and y == h - 1:
-            found.append(("".join(steps), mask, zx, tuple(word)))
-            return
-        at_zero = y == -bot
-        if x < r and not (fam == "B" and at_zero and run):  # B: one east step at height 0
-            steps.append("E")
-            word.append(reads[y][run & 1])
-            step(x + 1, y, run + 1, mask | 1 << ((x + 1) * h + y), zx)
-            steps.pop()
-            word.pop()
-        if y < h - 1 and not (fam == "C" and at_zero and run & 1):  # C: an even number there
-            steps.append("N")
-            step(x, y + 1, 0, mask | 1 << (x * h + y + 1), x if y + 1 == -bot else zx)
-            steps.pop()
-
-    step(0, 0, 0, 1, 0 if bot == 0 else None)
+    h, top, found = len(reads), len(reads) - 1, []
+    # from (0, 0), e east steps: the points they reach, and with a north step
+    runs = list(itertools.accumulate((1 << e * h for e in range(1, r + 1)), or_, initial=0))
+    masks, steps = [m | 1 << e * h + 1 for e, m in enumerate(runs)], ["E" * e + "N" for e in range(r + 1)]
+    words = [(pair * r)[:r] for pair in reads]  # a run of e at height y reads words[y][:e]
+    todo = [(0, 0, 1, 0 if bot == 0 else None, "", ())]  # a path that has just reached height y at (x, y)
+    while todo:
+        x, y, mask, zx, path, word = todo.pop()
+        if y == top:
+            e = r - x
+            found.append((path + "E" * e, mask | runs[e] << x * h + y, zx, word + words[y][:e]))
+            continue
+        es = range(r - x + 1)
+        if y == -bot and fam == "B":  # one east step at height 0
+            es = es[:2]
+        elif y == -bot and fam == "C":  # an even number there
+            es = es[::2]
+        at, ws, y = x * h + y, words[y], y + 1
+        for e in es:  # the longest run is pushed last, so searched first
+            z = x + e
+            todo.append((z, y, mask | masks[e] << at, z if y == -bot else zx, path + steps[e], word + ws[:e]))
     return _Table(*map(tuple, zip(*found)))
 
 
@@ -340,7 +345,7 @@ def _pair_masks(t: AlgType, ri: int, rk: int, d: int, c: int) -> tuple[int, int]
     meets specially; it meets the others ordinarily.  A meeting at height
     0 only is special for B, and for C when the leftmost height-0 x's also
     differ by an odd number.  With d >= 1 they are also the vertical rule
-    of the tableau rows: ``tableaux._below`` reads them."""
+    of the tableau rows, whose search runs the frame's pair tests."""
     bot, top = band(t)
     h, fam, a, b = top - bot + 1, t.family, _hpath_table(t, ri), _hpath_table(t, rk)
     mask, zx = a.masks[c] << d * h, a.zx[c] + d
@@ -419,94 +424,102 @@ def endpoints(t: AlgType, s: SkewShape) -> tuple[tuple, tuple]:
 class _Frame:
     """The h-path tables of a shape's endpoint pairs, read in place.
 
-    The paths from us[i] to vs[j] are the h-path table of width
-    widths[i][j] in its own frame (origin (0, bot)), with steps steps[i][j]
-    and weight keys keys[i][j] at the placement's width, which holds the
-    exponents of any tuple; the search moves row i's keys 2 delta ux[i]
+    Row i's path runs from us[i] = (ux[i], bot) to vs[pi[i]]: a path of the
+    h-path table of width vx[pi[i]] - ux[i] in its own frame (origin (0,
+    bot)).  rows(pi), the one place a frame's rows come from, looks up the
+    tables and weight keys of a permutation's rows when the search starts
+    it; the keys are packed at the placement's width, which holds the
+    exponents of any tuple, and the search moves row i's 2 delta ux[i]
     spectral steps.  A path of row i seen from row k > i lies ux[i] - ux[k]
-    > 0 columns further east, so the pair tests read _pair_masks.
-    made[i][j] memoizes the Path from us[i] of each index of that table
-    that path_tuple has built: a plain dict, bounded by the table's size.
+    > 0 columns further east, so the pair tests read _pair_masks.  made
+    memoizes each Path that path_tuple builds, by (row, destination, index):
+    a plain dict, bounded by the tables' sizes.
     """
 
     def __init__(self, t: AlgType, s: SkewShape):
         model_status(t, "path")
         self.t, self.s = t, s
         self.us, vs = endpoints(t, s)
-        self.ux = [u[0] for u in self.us]
-        self.widths = widths = [[v[0] - u[0] for v in vs] for u in self.us]
-        self.place = place = Placement(t, [2 * delta(t) * x for x in self.ux])
-        self.steps = [[_hpath_table(t, r).steps if r >= 0 else () for r in row] for row in widths]
-        self.keys = [[_table_keys(t, r, place.w) if r >= 0 else () for r in row] for row in widths]
-        self.made = [[{} for _ in row] for row in widths]  # c -> Path, per (row, destination)
+        self.ux, self.vx = [u[0] for u in self.us], [v[0] for v in vs]
+        self.place = Placement(t, [2 * delta(t) * x for x in self.ux])
+        self.made: dict = {}  # (row, destination, index) -> Path
+
+    def rows(self, pi):
+        """(widths, tables, keys) of the rows to vs[pi[.]]: row i's width
+        vx[pi[i]] - ux[i], its h-path table and the table's weight keys at
+        the placement's width; None where a row ends west of its start."""
+        widths = [self.vx[j] - x for x, j in zip(self.ux, pi)]
+        if min(widths, default=0) < 0:
+            return None
+        t, w = self.t, self.place.w
+        return widths, [_hpath_table(t, r) for r in widths], [_table_keys(t, r, w) for r in widths]
 
     # Pair tests: the bitmask of row k's candidates that may follow
-    # candidate c of row i < k, the rows running to vs[pi[.]].
+    # candidate c of row i < k, the rows of widths ws.
 
-    def _masks(self, pi, i: int, c: int, k: int) -> tuple[int, int]:
-        return _pair_masks(self.t, self.widths[i][pi[i]], self.widths[k][pi[k]], self.ux[i] - self.ux[k], c)
+    def _masks(self, ws, i: int, c: int, k: int) -> tuple[int, int]:
+        return _pair_masks(self.t, ws[i], ws[k], self.ux[i] - self.ux[k], c)
 
-    def disjoint(self, pi, i: int, c: int, k: int) -> int:
-        return self._masks(pi, i, c, k)[0]
+    def disjoint(self, ws, i: int, c: int, k: int) -> int:
+        return self._masks(ws, i, c, k)[0]
 
-    def no_ordinary(self, pi, i: int, c: int, k: int) -> int:
-        disjoint, special = self._masks(pi, i, c, k)
+    def no_ordinary(self, ws, i: int, c: int, k: int) -> int:
+        """The surviving tuples' pair test: disjoint for A, where no meeting
+        is special, and no ordinary meeting for B and C."""
+        disjoint, special = self._masks(ws, i, c, k)
         return disjoint | special
 
-    def untransposed(self, pi, i: int, c: int, k: int) -> int:
-        ux, widths = self.ux, self.widths
-        if _transposed(ux[i], ux[i] + widths[i][pi[i]], ux[k], ux[k] + widths[k][pi[k]]):
+    def untransposed(self, ws, i: int, c: int, k: int) -> int:
+        ux = self.ux
+        if _transposed(ux[i], ux[i] + ws[i], ux[k], ux[k] + ws[k]):
             return 0
-        return self.no_ordinary(pi, i, c, k)
-
-    def surviving(self):
-        return self.tuples(self.disjoint if self.t.family == "A" else self.no_ordinary)
+        return self.no_ordinary(ws, i, c, k)
 
     def path_tuple(self, pi: tuple[int, ...], cs) -> PathTuple:
         """The tuple whose row i is path cs[i] of its table to vs[pi[i]];
         each Path is built once per frame."""
-        paths = []
+        made, paths = self.made, []
         for i, (j, c) in enumerate(zip(pi, cs)):
-            made = self.made[i][j]
-            p = made.get(c)
+            p = made.get((i, j, c))
             if p is None:
-                p = made[c] = Path(self.us[i], self.steps[i][j][c])
+                u = self.us[i]
+                p = made[i, j, c] = Path(u, _hpath_table(self.t, self.vx[j] - u[0]).steps[c])
             paths.append(p)
         return PathTuple(tuple(paths), pi, self.s)
 
     def transposed_count(self, pi) -> int:
-        ends = [(x, x + ws[j]) for x, ws, j in zip(self.ux, self.widths, pi)]
+        ends = [(x, self.vx[j]) for x, j in zip(self.ux, pi)]
         return sum(_transposed(*e1, *e2) for e1, e2 in itertools.combinations(ends, 2))
 
-    def tuples(self, fits, adjacent_only: bool = False):
+    def search(self, pi, fits, adjacent_only: bool = False):
         """(pi, cs, key) of every tuple whose row i is path cs[i] of the
-        table from us[i] to vs[pi[i]] and whose rows i < k pass fits(pi, i,
+        table from us[i] to vs[pi[i]] and whose rows i < k pass fits(ws, i,
         c, k), a pair test (see above; adjacent rows only with
-        adjacent_only), in search order: permutations in lexicographic
-        order, then each row's table in order.  key is the sum of the rows'
-        weight keys, each moved by the placement."""
-        keys, kshift = self.keys, self.place.kshift
-        return itertools.chain.from_iterable(
-            _search(pi, [keys[i][j] for i, j in enumerate(pi)], kshift, partial(fits, pi), adjacent_only)
-            for pi in itertools.permutations(range(len(keys)))
-        )
+        adjacent_only), in table order.  key is the sum of the rows' weight
+        keys, each moved by the placement."""
+        rows = self.rows(pi)
+        return () if rows is None else _search(pi, rows[2], self.place.kshift, partial(fits, rows[0]), adjacent_only)
+
+    def tuples(self, fits, adjacent_only: bool = False):
+        """The search's tuples of every permutation, in lexicographic order."""
+        perms = itertools.permutations(range(len(self.ux)))
+        return itertools.chain.from_iterable(self.search(pi, fits, adjacent_only) for pi in perms)
 
 
 def _search(pi, keys, kshift, fits, adjacent_only):
-    """Depth-first search over one index per row into the table of weight
-    keys keys[i], in table order: (pi, cs, key) for each index tuple cs
-    whose rows i < k pass fits(i, c, k), the bitmask of row k's indices that
-    may follow index c of row i (adjacent rows only with adjacent_only); key
-    adds keys[i][c] << kshift[i] over the rows.  The masks that index c of
-    row i leaves the later rows are kept per (i, c), and a choice that leaves
-    a later row without an index is cut at once.  No rows: one empty tuple."""
+    """Depth-first search over one index per row into the non-empty table
+    of weight keys keys[i], in table order: (pi, cs, key) for each index
+    tuple cs whose rows i < k pass fits(i, c, k), the bitmask of row k's
+    indices that may follow index c of row i (adjacent rows only with
+    adjacent_only); key adds keys[i][c] << kshift[i] over the rows.  The
+    masks that index c of row i leaves the later rows are kept per (i, c),
+    and a choice that leaves a later row without an index is cut at once.
+    No rows: one empty tuple."""
     l = len(keys)
     if not l:
         yield pi, (), 0
         return
     full = tuple((1 << len(ks)) - 1 for ks in keys)
-    if not all(full):
-        return
     last = l - 1
     chosen: list = [None] * l
     after: list = [{} for _ in range(l)]
@@ -599,11 +612,11 @@ def p_tilde(t: AlgType, s: SkewShape) -> list[PathTuple]:
 def surviving_tuples_with_sum(t: AlgType, s: SkewShape, a_offset: int = 0) -> tuple[list[PathTuple], RingElem]:
     """The surviving tuples and their signed sum, from one enumeration."""
     frame = _Frame(t, s)
-    found = list(frame.surviving())
+    found = list(frame.tuples(frame.no_ordinary))
     return [frame.path_tuple(pi, cs) for pi, cs, _key in found], _signed_sum(frame.place, found, a_offset)
 
 
 def signed_path_sum(t: AlgType, s: SkewShape, a_offset: int = 0) -> RingElem:
     """The cancellation-free signed sum over the type's surviving tuple class."""
     frame = _Frame(t, s)
-    return _signed_sum(frame.place, frame.surviving(), a_offset)
+    return _signed_sum(frame.place, frame.tuples(frame.no_ordinary), a_offset)

@@ -14,36 +14,39 @@ The rows of a length r that obey the horizontal rules are the words that the
 h-paths of width r read, in the order of the h-path table
 (``paths._hpath_table``, one per (type, width) for both layers): the
 lexicographic alphabet order, in which a row-major fill of the cells meets
-them.  The keys of their weights at a placement's width
-(``paths._table_keys``) are sums of letter keys placed from column 0 of row
-0.  (The horizontal rules as cell tests on letters are the tests' oracle of
-the table.)  The vertical rule is the paths' pair condition (Gessel-Viennot):
-row k+1 may lie under row k exactly when their paths, which start
-d = mu_k - mu_{k+1} + 1 >= 1 columns apart and end lam_k - lam_{k+1} + 1
->= 1 apart, miss (A) or meet only specially (B, C).  Adjacent rows are
-never transposed, so C's no-transposed-pair half of P~ always holds.  The
-rows of a table that may lie under one row are thus one int bitmask
-(``_below``) read off the path layer's ``paths._pair_masks``: one family of
-mask tables (``paths._mask_table``) serves both layers.  (The vertical rule
-as a cell test on letters is the tests' oracle of these masks.)  The
-depth-first search of the path layer (``paths._search``) runs over these
-masks, with pi the identity, and yields the fillings in row-major order,
-each with its weight key: the sum of the row keys, row i's moved by
-2 delta * (mu_i + 1 - i) spectral steps through the shape's
-``ring.Placement``, carried down the search.  A tableau sum is the path
-layer's signed key sum (``paths._signed_sum``), every sign +1: each key
-added into one dict, which the placement reads as one ``RingElem``.
-No ``Tableau`` is built for a sum.
+them.  (The horizontal rules as cell tests on letters are the tests' oracle
+of the table.)  The vertical rule is the paths' pair condition
+(Gessel-Viennot): row k+1 may lie under row k exactly when their paths,
+which start d = mu_k - mu_{k+1} + 1 >= 1 columns apart and end
+lam_k - lam_{k+1} + 1 >= 1 apart, miss (A) or meet only specially (B, C).
+Adjacent rows are never transposed, so C's no-transposed-pair half of P~
+always holds.  (The vertical rule as a cell test on letters is the tests'
+oracle of the paths' pair masks.)  So a tableau is a path tuple of the
+identity permutation, and the tableau layer keeps no frame of its own: it
+runs the search of the shape's ``paths._Frame`` on that permutation alone,
+adjacent rows only, with the surviving tuples' pair test
+(``_Frame.no_ordinary``).  The frame's identity rows are the shape's rows,
+row i from x = mu_i + 1 - i, so the search yields the fillings in row-major
+order, each with its weight key: the sum of the row keys, row i's moved by
+2 delta * (mu_i + 1 - i) spectral steps through the frame's
+``ring.Placement``.  A tableau sum is the path layer's signed key sum
+(``paths._signed_sum``), every sign +1: each key added into one dict, which
+the placement reads as one ``RingElem``.  No ``Tableau`` is built for a
+sum; tableaux and the column rule read the words of the row tables that
+the frame hands out (``_Frame.rows``).
 
 For the C family the generating function identity requires extra rules that
 depend on the shape (``paths.model_status`` says where each holds): a
 two-row block rule and a three-row window rule, and one-/two-column rules.
 Each is one test on the letter words of the rows it reads, placed by the
 offsets between their starts, so the search applies them to table indices.
-The two-row rule narrows each ``_below`` mask (``_below_2row``, a mask table
-of its own); the three-row rule on rows r, r+1, r+2 is a cached bitmask over
-row r+2's table for a pair of indices of rows r and r+1 (``_row3_mask``),
-read per complete filling.  Both first read per-table bitmasks of the rows
+Their tables are keyed, as the pair masks are, by the offset d of the
+paths of a row and the row under it (the lower row starts 1 - d columns
+right of the upper one).  The two-row rule narrows each pair mask
+(``_below_2row``, a mask table of its own, the C row rules' pair test); the
+three-row rule on rows r, r+1, r+2 is a cached bitmask over row r+2's table
+for a pair of indices of rows r and r+1 (``_row3_mask``), read per complete
+filling.  Both first read per-table bitmasks of the rows
 that can start a pattern (``_holding``: an upper row holding n; n-1 over n
 or n-bar), so no window where a rule cannot apply is tested or cached.  The
 two-column rule reads the columns of a complete filling through the shape's
@@ -89,13 +92,13 @@ Path once per shape.
 from __future__ import annotations
 
 import re
-from functools import lru_cache, partial
-from operator import getitem
+from functools import lru_cache
+from operator import getitem, sub
 from typing import NamedTuple
 
-from .ring import AlgType, Placement, RingElem, delta, letter_order, letters, rows_weight
+from .ring import AlgType, RingElem, delta, letter_order, letters, rows_weight
 from .shapes import SkewShape
-from .paths import Path, PathTuple, _hpath_table, _mask_table, _pair_masks, _search, _signed_sum, _table_keys, endpoints, model_status
+from .paths import Path, PathTuple, _Frame, _hpath_table, _mask_table, _pair_masks, _signed_sum, endpoints, model_status
 
 
 class Tableau(NamedTuple):
@@ -328,104 +331,83 @@ def _holding(t: AlgType, r: int, held: tuple) -> int:
     return sum(1 << c for c, word in enumerate(_hpath_table(t, r).words) if any(x in word for x in held))
 
 
-def _below(t: AlgType, la: int, lb: int, off: int, c: int) -> int:
-    """Bitmask over the rows of length lb that may lie under row c of length
-    la when the lower row starts off <= 0 columns right of the upper one:
-    the paths of the two rows, d = 1 - off columns apart, miss (A) or meet
-    only specially (B, C) (see the module docstring)."""
-    disjoint, special = _pair_masks(t, la, lb, 1 - off, c)
-    return disjoint if t.family == "A" else disjoint | special
-
-
 @_mask_table
-def _below_2row(t: AlgType, la: int, lb: int, off: int, c: int) -> int:
-    """_below with the two-row rule: the rows of _below(..., c) that the rule
-    admits under row c.  The rule reads an n atop an n-bar, so under a row
-    that holds no n (_holding) the slot takes _below's mask, not tested."""
-    mask = _below(t, la, lb, off, c)
-    n = t.rank
+def _below_2row(t: AlgType, la: int, lb: int, d: int, c: int) -> int:
+    """Bitmask over the C rows of length lb that may lie under row c of
+    length la, their paths d >= 1 columns apart (the lower row starts
+    1 - d <= 0 columns right of the upper one): the rows whose paths meet
+    path c only specially (_pair_masks) and that the two-row rule admits.
+    The rule reads an n atop an n-bar, so under a row that holds no n
+    (_holding) the slot takes the pair mask, not tested."""
+    disjoint, special = _pair_masks(t, la, lb, d, c)
+    mask, n = disjoint | special, t.rank
     if not _holding(t, la, (n,)) >> c & 1:
         return mask
     up = _hpath_table(t, la).words[c]
-    for d, dn in enumerate(_hpath_table(t, lb).words):
-        if mask >> d & 1 and not _2row_ok(n, up, dn, off):
-            mask ^= 1 << d
+    for e, dn in enumerate(_hpath_table(t, lb).words):
+        if mask >> e & 1 and not _2row_ok(n, up, dn, 1 - d):
+            mask ^= 1 << e
     return mask
 
 
 @lru_cache(maxsize=None)
-def _row3_mask(t: AlgType, la: int, lb: int, lc: int, off1: int, off2: int, a: int, b: int) -> int:
+def _row3_mask(t: AlgType, la: int, lb: int, lc: int, d1: int, d2: int, a: int, b: int) -> int:
     """Bitmask (-1 for all) over the rows of length lc that the three-row
-    rule admits under rows a (length la) and b (length lb), each row
-    starting off1, resp. off2, columns right of the one above.  Every
+    rule admits under rows a (length la) and b (length lb), the paths of
+    each row and the row under it d1, resp. d2, columns apart.  Every
     pattern holds a column (n-1, n or n-bar, 1-n), so only rows with a 1-n
     under _below_2row(..., b) are tested.  Callers ask only where row a
     holds n-1 and row b an n or an n-bar (_holding): no window where the
     rule cannot apply is cached."""
     n = t.rank
     top, mid = _hpath_table(t, la).words[a], _hpath_table(t, lb).words[b]
-    mask, under = -1, _below_2row(t, lb, lc, off2, b) & _holding(t, lc, (1 - n,))
-    for d, bot in enumerate(_hpath_table(t, lc).words):
-        if under >> d & 1 and not _3row_ok(t, top, mid, bot, off1, off2):
-            mask ^= 1 << d
+    mask, under = -1, _below_2row(t, lb, lc, d2, b) & _holding(t, lc, (1 - n,))
+    for e, bot in enumerate(_hpath_table(t, lc).words):
+        if under >> e & 1 and not _3row_ok(t, top, mid, bot, 1 - d1, 1 - d2):
+            mask ^= 1 << e
     return mask
 
 
-class _Rows:
-    """The h-path tables of a shape's row lengths, read in place.
+def _row3_passed(t: AlgType, widths, ux, found):
+    """The fillings of found that pass the three-row rule, on three rows
+    (the rows ruleset covers no more) of these widths, starting at these x's:
+    _row3_mask is read only where rows 1 and 2 can start a pattern
+    (_holding)."""
+    (la, lb, lc), (x1, x2, x3), n = widths, ux, t.rank
+    tops, mids = _holding(t, la, (n - 1,)), _holding(t, lb, (n, -n))
+    for x in found:
+        a, b, c = x[1]
+        if not (tops >> a & 1 and mids >> b & 1) or _row3_mask(t, la, lb, lc, x1 - x2, x2 - x3, a, b) >> c & 1:
+            yield x
 
-    Row i of the shape takes its letters from the words of the table of its
-    length.  A filling is one index into each row's table, and rows i, i+1
-    fit when the lower index is in _below of the upper one (_below_2row for
-    the C row rules).  Row i's first cell (i, mu_i + 1) carries the spectral
-    shift 2*delta*(mu_i + 1 - i), by which the search moves its weight keys
-    through the placement, whose width holds the exponents of any filling.
-    """
 
-    def __init__(self, t: AlgType, s: SkewShape):
-        model_status(t, "hv")  # the tableau layer's refusal, before a table labels a path
-        self.t, self.s = t, s
-        rows = range(1, len(s.lam) + 1)
-        self.lengths = [s.lam[i] - s.mu[i] for i in rows]
-        self.mu = [s.mu[i] for i in rows]
-        self.words = [_hpath_table(t, m).words for m in self.lengths]
-        self.place = place = Placement(t, [2 * delta(t) * (s.mu[i] + 1 - i) for i in rows])
-        self.keys = [_table_keys(t, m, place.w) for m in self.lengths]
+def _words(frame) -> list:
+    """The words of the tables of the frame's identity rows: the shape's rows."""
+    return [table.words for table in frame.rows(tuple(range(len(frame.ux))))[1]]
 
-    def _fits(self, below, i: int, c: int, k: int) -> int:
-        return below(self.t, self.lengths[i], self.lengths[k], self.mu[k] - self.mu[i], c)
 
-    def _row3_passed(self, found):
-        """The fillings of found that pass the three-row rule, on three rows
-        (the rows ruleset covers no more): _row3_mask is read only where rows
-        1 and 2 can start a pattern (_holding)."""
-        t, (la, lb, lc), (m1, m2, m3), n = self.t, self.lengths, self.mu, self.t.rank
-        tops, mids = _holding(t, la, (n - 1,)), _holding(t, lb, (n, -n))
-        for x in found:
-            a, b, c = x[1]
-            if not (tops >> a & 1 and mids >> b & 1) or _row3_mask(t, la, lb, lc, m2 - m1, m3 - m2, a, b) >> c & 1:
-                yield x
-
-    def fillings(self, ruleset: str):
-        """The search's (pi, cs, key) for the fillings that obey the cell
-        rules and, for C, the ruleset's extra rules, in row-major alphabet
-        order: pi is the identity, cs indexes each row's table and key is
-        the filling's weight key.  The two-row rule prunes the search, the
-        three-row and column rules filter complete fillings."""
-        ruleset = resolve_ruleset(self.t, self.s, ruleset)
-        model_status(self.t, ruleset, self.s)
-        fits = partial(self._fits, _below_2row if ruleset == "rows" else _below)
-        rows = tuple(range(len(self.keys)))
-        found = _search(rows, self.keys, self.place.kshift, fits, True)
-        if ruleset == "rows" and len(rows) > 2:
-            return self._row3_passed(found)
-        if ruleset == "columns":
-            t, words, layout = self.t, self.words, _col_layout(self.s.lam.parts, self.s.mu.parts)
-            return (x for x in found if _2col_ok(t, [ws[c] for ws, c in zip(words, x[1])], layout))
-        return found
-
-    def tableau(self, cs) -> Tableau:
-        return Tableau(self.s, tuple(map(getitem, self.words, cs)))
+def _fillings(t: AlgType, s: SkewShape, ruleset: str):
+    """The shape's path frame and the search's (pi, cs, key) for the
+    fillings that obey the cell rules and, for C, the ruleset's extra rules,
+    in row-major alphabet order: the frame's tuples of the identity pi whose
+    adjacent rows pass its pair test of the surviving tuples (narrowed by
+    the two-row rule for the C row rules), cs indexing each row's table and
+    key the filling's weight key.  The three-row and column rules filter
+    complete fillings."""
+    model_status(t, "hv")  # the tableau layer's refusal, before the ruleset's and the frame's
+    ruleset = resolve_ruleset(t, s, ruleset)
+    model_status(t, ruleset, s)
+    frame = _Frame(t, s)
+    ux, fits = frame.ux, frame.no_ordinary
+    if ruleset == "rows":
+        fits = lambda ws, i, c, k: _below_2row(t, ws[i], ws[k], ux[i] - ux[k], c)
+    found = frame.search(tuple(range(len(ux))), fits, adjacent_only=True)
+    if ruleset == "rows" and len(ux) > 2:
+        return frame, _row3_passed(t, list(map(sub, frame.vx, ux)), ux, found)
+    if ruleset == "columns":
+        words, layout = _words(frame), _col_layout(s.lam.parts, s.mu.parts)
+        return frame, (x for x in found if _2col_ok(t, [ws[c] for ws, c in zip(words, x[1])], layout))
+    return frame, found
 
 
 def enumerate_tableaux(t: AlgType, s: SkewShape, ruleset: str = "auto"):
@@ -433,22 +415,24 @@ def enumerate_tableaux(t: AlgType, s: SkewShape, ruleset: str = "auto"):
     extra rules (resolve_ruleset), in row-major alphabet order.  Raises
     ValueError where paths.model_status refuses the ruleset on the shape,
     which it calls 'not a character' for C under 'hv'."""
-    rows = _Rows(t, s)
-    return [rows.tableau(cs) for _pi, cs, _key in rows.fillings(ruleset)]
+    frame, found = _fillings(t, s, ruleset)
+    words = _words(frame)
+    return [Tableau(s, tuple(map(getitem, words, cs))) for _pi, cs, _key in found]
 
 
 def tableaux_with_sum(
     t: AlgType, s: SkewShape, a_offset: int = 0, ruleset: str = "auto"
 ) -> tuple[list[Tableau], RingElem]:
     """The tableaux and their weight sum, from one enumeration."""
-    rows = _Rows(t, s)
-    found = list(rows.fillings(ruleset))
-    return [rows.tableau(cs) for _pi, cs, _key in found], _signed_sum(rows.place, found, a_offset)
+    frame, found = _fillings(t, s, ruleset)
+    found, words = list(found), _words(frame)
+    tabs = [Tableau(s, tuple(map(getitem, words, cs))) for _pi, cs, _key in found]
+    return tabs, _signed_sum(frame.place, found, a_offset)
 
 
 def tableau_sum(t: AlgType, s: SkewShape, a_offset: int = 0, ruleset: str = "auto") -> RingElem:
-    rows = _Rows(t, s)
-    return _signed_sum(rows.place, rows.fillings(ruleset), a_offset)
+    frame, found = _fillings(t, s, ruleset)
+    return _signed_sum(frame.place, found, a_offset)
 
 
 # ---------------------------------------------------------------------------

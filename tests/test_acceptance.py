@@ -17,6 +17,7 @@ from qjt.series import check_HE, h_coeff
 from qjt.jacobitrudi import chi_h, chi_e
 from qjt.paths import (
     _Frame,
+    _hpath_table,
     model_status,
     no_ordinary_tuples,
     nonintersecting_tuples,
@@ -24,7 +25,8 @@ from qjt.paths import (
     signed_path_sum,
 )
 from qjt.tableaux import (
-    _Rows,
+    Tableau,
+    _fillings,
     column_companions,
     path_tuple_to_tableau,
     tableau_sum,
@@ -226,19 +228,22 @@ def test_criterion_07_two_column_rule_at_five_and_six_rows():
 
 
 def _roundtrip_ok(t, s):
-    """The path search and the row search yield one list of index tuples,
-    in one order, and the type's path tuples, in that order, go to the hv
-    tableaux of those index tuples and back to themselves."""
+    """The path search over every permutation and the tableau search, the
+    same frame's search of the identity, yield one list of index tuples, in
+    one order, and the type's path tuples, in that order, go to the hv
+    tableaux of those index tuples (row i's word is entry cs[i] of the
+    table of its length) and back to themselves."""
     tuples = {"A": nonintersecting_tuples, "B": no_ordinary_tuples, "C": p_tilde}[t.family](t, s)
-    frame, rows = _Frame(t, s), _Rows(t, s)
+    frame = _Frame(t, s)
     fits = {"A": frame.disjoint, "B": frame.no_ordinary, "C": frame.untransposed}[t.family]
     found = [(pi, cs) for pi, cs, _key in frame.tuples(fits, adjacent_only=t.family == "C")]
-    fillings = [(pi, cs) for pi, cs, _key in rows.fillings("hv")]
+    fillings = [(pi, cs) for pi, cs, _key in _fillings(t, s, "hv")[1]]
     if found != fillings or len(tuples) != len(fillings):
         return False
+    words = [_hpath_table(t, s.lam[i] - s.mu[i]).words for i in range(1, len(s.lam) + 1)]
     for p, (_pi, cs) in zip(tuples, fillings):
         T = path_tuple_to_tableau(t, p)
-        if T != rows.tableau(cs) or tableau_to_path_tuple(t, T).paths != p.paths:
+        if T != Tableau(s, tuple(ws[c] for ws, c in zip(words, cs))) or tableau_to_path_tuple(t, T).paths != p.paths:
             return False
     return True
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qjt
+import qjt.checks
 import qjt.resolutions
 from qjt.cli import main
 from qjt.ring import make_type
@@ -92,6 +93,25 @@ def test_verify_suites_pass(capsys):
             "--max-rank", "2", "--trunc", "6", "--count", "3",
         )
         assert rc == 0, (suite, out)
+
+
+@pytest.mark.parametrize("suite", ["det", "paths", "tableaux-A", "tableaux-B", "tableaux-C"])
+def test_identity_suites_run_ranks_2_to_max_rank(capsys, monkeypatch, suite):
+    # the identity suites run ranks 2..--max-rank (default 3); the sides of
+    # each identity are recorded here, not computed
+    seen = []
+
+    def record(t, s, *args):
+        seen.append(t.rank)
+        return 0
+
+    for name in ("chi_h", "chi_e", "signed_path_sum", "tableau_sum"):
+        monkeypatch.setattr(qjt.checks, name, record)
+    for flags, ranks in (((), [2, 3]), (("--max-rank", "2"), [2]), (("--max-rank", "4"), [2, 3, 4])):
+        seen.clear()
+        rc, out, _ = run(capsys, "verify", "--suite", suite, "--count", "2", *flags)
+        assert rc == 0, out
+        assert sorted(set(seen)) == ranks, flags
 
 
 def test_verify_deterministic_given_seed(capsys):

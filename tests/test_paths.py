@@ -12,6 +12,7 @@ from qjt.paths import (
     _hpath_table,
     _pair_masks,
     _signed_sum,
+    _table_keys,
     _word,
     band,
     classify_pair,
@@ -30,7 +31,7 @@ from qjt.paths import (
 )
 from qjt.resolutions import NotApplicable, _common, _index, _leftmost, _on, _rightmost
 from qjt.ring import RingElem, delta, make_type, z_product
-from qjt.tableaux import _Rows
+from qjt.tableaux import _fillings
 from qjt.series import h_coeff
 from qjt.shapes import shape
 
@@ -421,16 +422,17 @@ def test_wide_keys_for_many_rows():
     frame = _Frame(t, s)
     assert frame.place.w == 16
     pi = tuple(range(128))
+    keys = _table_keys(t, 1, 16)  # in place, every row is one column wide
 
     def key(pick):
-        return sum(frame.keys[i][i][pick] << sh for i, sh in zip(pi, frame.place.kshift))
+        return sum(keys[pick] << sh for sh in frame.place.kshift)
 
     for pick in (0, -1):  # every row EN (Y[1,.]), every row NE (Y[1,.]^-1)
-        cs = tuple(pick % len(frame.keys[i][i]) for i in pi)
+        cs = (pick % len(keys),) * 128
         pt = frame.path_tuple(pi, cs)
         assert _signed_sum(frame.place, [(pi, cs, key(pick))], -3) == pt.weight(t, -3)
     # a pair test that admits every pair leaves the first candidates first
-    admit_all = lambda pi, i, c, k: -1
+    admit_all = lambda ws, i, c, k: -1
     assert next(frame.tuples(admit_all)) == (pi, (0,) * 128, key(0))
 
 
@@ -444,23 +446,36 @@ def test_frame_path_tuples_are_the_rebuilt_tuples(fam):
     seen = 0
     for s in skew_shapes(9, 3, 3):
         frame = _Frame(t, s)
+        us, vs = endpoints(t, s)
         for pi, cs, _key in frame.tuples(frame.no_ordinary):
-            rows = zip(frame.us, frame.steps, pi, cs)
-            rebuilt = PathTuple(tuple(Path(u, steps[j][c]) for u, steps, j, c in rows), pi, s)
+            rows = zip(us, pi, cs)
+            rebuilt = PathTuple(tuple(Path(u, _hpath_table(t, vs[j][0] - u[0]).steps[c]) for u, j, c in rows), pi, s)
             assert frame.path_tuple(pi, cs) == rebuilt == frame.path_tuple(pi, cs), (s, pi, cs)
             seen += 1
     assert seen == {"B": 12_039, "C": 6_753}[fam]
 
 
 def test_wide_frames_reuse_the_tables():
-    # the 128-row column needs 16-bit keys; its frame packs them from the
-    # words of the tables of the 127-row column, which it shares, and
-    # tabulates only its one new width, 128
+    # a frame tabulates nothing up front: a search looks up the tables of
+    # its permutation's rows.  In an l-row column, the cycle (0 1 ... k)
+    # runs rows 0..k-1 zero columns and row k k + 1 columns, so the l
+    # cycles reach every width the frame has a path for, 0..l.  The 128-row
+    # column needs 16-bit keys; its frame packs them from the words of the
+    # tables of the 127-row column, which it shares, and tabulates only its
+    # one new width, 128
     t = make_type("A", 1)
+
+    def search_cycles(l):
+        frame = _Frame(t, shape([1] * l))
+        for k in range(l):
+            pi = (*range(1, k + 1), 0, *range(k + 1, l))
+            assert list(frame.search(pi, lambda ws, i, c, k: 0)) == []  # a pair test that admits no pair
+        return frame
+
     _hpath_table.cache_clear()
-    _Frame(t, shape([1] * 127))
+    search_cycles(127)
     assert _hpath_table.cache_info().currsize == 128
-    frame = _Frame(t, shape([1] * 128))
+    frame = search_cycles(128)
     assert frame.place.w == 16
     assert _hpath_table.cache_info().currsize == 129
 
@@ -606,13 +621,17 @@ def test_search_keys_are_the_row_sums(fam, n):
     seen = 0
     for s in _small_skew_shapes(4):
         frame = _Frame(t, s)
+        us, vs = endpoints(t, s)
+        w, kshift = frame.place.w, frame.place.kshift
         for pi, cs, key in frame.tuples(frame.no_ordinary):
-            parts = zip(cs, frame.keys, pi, frame.place.kshift)
-            assert key == sum(ks[j][c] << sh for c, ks, j, sh in parts)
+            parts = zip(cs, us, pi, kshift)
+            assert key == sum(_table_keys(t, vs[j][0] - u[0], w)[c] << sh for c, u, j, sh in parts)
             seen += 1
-        rows = _Rows(t, s)
-        for _pi, cs, key in rows.fillings("hv"):
-            assert key == sum(ks[c] << sh for ks, c, sh in zip(rows.keys, cs, rows.place.kshift))
+        rows, fillings = _fillings(t, s, "hv")
+        lengths = [s.lam[i] - s.mu[i] for i in range(1, len(s.lam) + 1)]
+        for _pi, cs, key in fillings:
+            parts = zip(lengths, cs, rows.place.kshift)
+            assert key == sum(_table_keys(t, r, rows.place.w)[c] << sh for r, c, sh in parts)
             seen += 1
     assert seen == {"A2": 1_886, "B2": 9_502, "C2": 5_262, "C3": 19_144}[str(t)]
 

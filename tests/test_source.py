@@ -247,8 +247,8 @@ def test_one_way_to_add_and_one_way_to_build_in_the_ring():
 
 
 def test_the_vertical_rule_is_the_pair_mask():
-    # the rows that may lie under a row are the paths' pair masks
-    # (tableaux._below reads paths._pair_masks): no module keeps the
+    # the rows that may lie under a row are the paths' pair masks (the
+    # tableau search runs the frame's pair test): no module keeps the
     # vertical cell rule (the tests keep it as the oracle), and the one
     # tableau mask table is the two-row rule's
     trees = dict(modules())
@@ -258,3 +258,31 @@ def test_the_vertical_rule_is_the_pair_mask():
     tables = [n.name for n in ast.walk(trees["tableaux.py"]) if isinstance(n, ast.FunctionDef)
               and any(getattr(x, "id", getattr(x, "attr", None)) == "_mask_table" for x in n.decorator_list)]
     assert tables == ["_below_2row"]
+
+
+def test_one_frame_for_paths_and_tableaux():
+    # a tableau is a path tuple of the identity permutation: the tableau
+    # layer keeps no frame of its own (_Rows) and no adjacent-row rule apart
+    # from the frame's pair tests (_below), and reaches the search and the
+    # row keys through paths._Frame alone; a frame looks up a permutation's
+    # rows when the search starts it, so its __init__ tabulates nothing and
+    # builds no list per (row, destination), a comprehension in another
+    trees = dict(modules())
+    tableaux = trees["tableaux.py"]
+    defined = [
+        n.name for n in ast.walk(tableaux) if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name in ("_Rows", "_below")
+    ]
+    called = [
+        f"{n.lineno}:{ast.unparse(n.func)}"
+        for n in ast.walk(tableaux)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) in ("_search", "_table_keys")
+    ]
+    assert (defined, called) == ([], [])
+    frame = next(n for n in trees["paths.py"].body if getattr(n, "name", None) == "_Frame")
+    init = next(n for n in frame.body if getattr(n, "name", None) == "__init__")
+    comps = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    nested = [
+        ast.unparse(n) for n in ast.walk(init) if isinstance(n, comps) and any(isinstance(x, comps) for x in list(ast.walk(n))[1:])
+    ]
+    tabulated = [ast.unparse(n) for n in ast.walk(init) if isinstance(n, ast.Name) and n.id in ("_hpath_table", "_table_keys")]
+    assert (nested, tabulated) == ([], [])

@@ -9,12 +9,13 @@ import pytest
 
 import qjt.paths as paths_module
 import qjt.tableaux as tableaux_module
-from qjt.jacobitrudi import chi_h
+from qjt.jacobitrudi import chi_e, chi_h
 from qjt.paths import (
     Path,
     PathTuple,
     _Frame,
     _hpath_table,
+    _pair_masks,
     _table_keys,
     _transposed,
     band,
@@ -23,6 +24,7 @@ from qjt.paths import (
     model_status,
     no_ordinary_tuples,
     p_tilde,
+    signed_path_sum,
 )
 from qjt.ring import AlgType, RingElem, delta, letter_order, letter_str, letters, make_type, word_keys, z_product
 from qjt.shapes import shape
@@ -30,8 +32,6 @@ from qjt.tableaux import (
     RULESETS,
     Tableau,
     _2col_ok,
-    _Rows,
-    _below,
     _cmp,
     _col_layout,
     _far_pairs,
@@ -569,10 +569,11 @@ def test_adjacent_pair_masks_are_below(fam, ranks):
     # la long, and ends no further right (lb + off <= la).  Their paths start
     # d = 1 - off >= 1 columns apart and end d + la - lb >= 1 apart, so they
     # are never transposed; and since path c of a table reads its row word
-    # c, _below, the path layer's mask of what may follow path c (disjoint
-    # paths for A, no ordinary meeting for B and C), is the vertical cell
-    # rule's mask, below_oracle.  Rows of 0-4 cells with -4 <= off; B4 and C4
-    # are left out, as their oracle masks alone take seconds.
+    # c, the path layer's pair mask of what may follow path c at d (disjoint
+    # paths for A, no ordinary meeting for B and C), the tableau search's
+    # pair test, is the vertical cell rule's mask, below_oracle.  Rows of 0-4
+    # cells with -4 <= off; B4 and C4 are left out, as their oracle masks
+    # alone take seconds.
     seen = 0
     for n in ranks:
         t = make_type(fam, n)
@@ -580,7 +581,9 @@ def test_adjacent_pair_masks_are_below(fam, ranks):
             for off in range(-4, min(0, la - lb) + 1):
                 assert not _transposed(1 - off, 1 - off + la, 0, lb)
                 for c in range(len(_hpath_table(t, la).words)):
-                    assert _below(t, la, lb, off, c) == below_oracle(t, la, lb, off, c), (t, la, lb, off, c)
+                    disjoint, special = _pair_masks(t, la, lb, 1 - off, c)
+                    below = disjoint if fam == "A" else disjoint | special
+                    assert below == below_oracle(t, la, lb, off, c), (t, la, lb, off, c)
                     seen += 1
     assert seen == {"A": 340 + 819 + 1_666 + 3_030, "B": 575 + 2_513 + 7_140, "C": 510 + 2_059 + 5_801}[fam]
 
@@ -1144,12 +1147,27 @@ def test_row_tables_match_cell_search_C3_columns():
         assert_row_tables_match_oracle(t, s, ["columns"])
 
 
+def test_long_rows_are_searched():
+    # the h-path search keeps its own stack, so no row is too long for it:
+    # A1 (2000,) has 2,001 tableaux, 1^k 2^(2000-k) for k = 2000 down to 0,
+    # and its tableau sum, its path sum and the sum of the tableaux'
+    # weights agree.  The sum of a row of 60 is chi_e; chi_e of (2000,) is
+    # a determinant of 2000 rows, whose cofactor expansion recurses once
+    # per row.
+    t = make_type("A", 1)
+    assert tableau_sum(t, shape((60,))) == chi_e(t, shape((60,)))
+    s = shape((2000,))
+    tabs, total = tableaux_with_sum(t, s)
+    assert [T.cells for T in tabs] == [((1,) * k + (2,) * (2000 - k),) for k in range(2000, -1, -1)]
+    assert total == RingElem.sum(T.weight(t) for T in tabs) == tableau_sum(t, s) == signed_path_sum(t, s)
+
+
 def test_row_keys_widen_with_the_exponent_bound():
     # a 128-row A1 ribbon: the placement holds _ROW_BOUND = 6 per row, past
     # the 127 of 8-bit digits, so the rows' words are packed at 16 bits
     t = make_type("A", 1)
     s = shape(tuple(range(129, 1, -1)), tuple(range(127, 0, -1)))
-    assert _Rows(t, s).place.bound > 127
+    assert _Frame(t, s).place.bound > 127
     tabs, total = tableaux_with_sum(t, s, 5)
     assert len(tabs) == 4
     assert total._w == 16
@@ -1160,11 +1178,11 @@ def test_row_keys_widen_with_the_exponent_bound():
 @pytest.mark.parametrize("l, w", [(21, 8), (22, 16)])
 def test_placements_widen_past_21_rows(l, w):
     # 6 per row: 21 rows hold 126 in 8-bit digits and 22 rows need 16 bits,
-    # in the path frame and the tableau rows alike; an l-row A1 ribbon of
+    # in the path frame that the tableau sums share; an l-row A1 ribbon of
     # two-cell rows has 4 tableaux, and its sum is their z_products
     t = make_type("A", 1)
     s = shape(tuple(range(l + 1, 1, -1)), tuple(range(l - 1, 0, -1)))
-    assert _Frame(t, s).place.w == _Rows(t, s).place.w == w
+    assert _Frame(t, s).place.w == w
     tabs, total = tableaux_with_sum(t, s, 5)
     assert len(tabs) == 4 and total._w == w
     assert total == RingElem.sum(T.weight(t, 5) for T in tabs)
@@ -1182,7 +1200,7 @@ def test_wide_rows_reuse_the_tables():
     tableau_sum(t, shape((2,)))
     before = _hpath_table.cache_info().currsize
     s = shape(tuple(range(129, 1, -1)), tuple(range(127, 0, -1)))
-    assert _Rows(t, s).place.w == 16
+    assert _Frame(t, s).place.w == 16
     assert tableau_sum(t, s).num_terms() == 4
     assert _hpath_table.cache_info().currsize == before
 
