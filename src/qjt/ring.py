@@ -12,16 +12,23 @@ in which each image is an earlier one times A_{i,a}^{-1} (``_a_inverse``).
 A ring element stores each monomial as one packed integer key (Monagan and
 Pearce's packed exponent vectors).  The exponent of Y[i,s] is a balanced
 w-bit digit at slot (s - lo) * n + i - 1: spectral shift major, node index
-minor, with lo, the stride n and the width w kept per element.  Multiplying
-two monomials is then one integer add, and a spectral shift is O(1): it
-moves lo and shares the key dict.  Operands of + and * are aligned first
-(a lower lo is a left shift of the keys; a larger n or w is a re-encoding),
-a determinant's entries only where they meet a nonzero minor.  == compares
-the dicts of one layout; where the layouts differ in lo alone, it looks the
-higher side's keys, shifted, up in the other's dict, and elsewhere it
-aligns them too.  Each element tracks a bound on its exponents;
-when a product could exceed the digit range, the operands are re-encoded at
-twice the width, so a digit never wraps.  Products are accumulated in one
+minor, with lo, the stride n and the width w (4, 8, 16, ...) kept per
+element.  The stored key is that vector times one odd constant, _SPREAD:
+vectors that differ only in high digits share their low bits, and so their
+dict buckets, while their multiples do not.  Sums and left shifts of keys
+are sums and shifts of vectors, so multiplying two monomials is still one
+integer add, and a spectral shift is O(1): it moves lo and shares the key
+dict.  Only the encodes, the decode and the bound check multiply or
+divide by _SPREAD.
+Operands of + and * are aligned first (a lower lo is a left shift of the
+keys; a larger w alone is a bulk widening of each key's bytes, and a larger
+n a re-packing of its digits), a determinant's entries only where they meet
+a nonzero minor.  == compares the dicts of one layout; where the layouts
+differ in lo alone, it looks the higher side's keys, shifted, up in the
+other's dict, and elsewhere it aligns them too.  Each element tracks a
+bound b < 2**(w - 1) on its exponents; when a product could exceed the digit
+range, the operands are re-encoded at twice the width, so a digit never
+wraps.  Products are accumulated in one
 fresh dict (``RingElem.sum_products``, ``RingElem.determinant``) by the
 ring's one pair loop (``_add_product``, whose first term into an empty dict
 is a comprehension); a sum is a sum of products with 1 (``RingElem.sum``).
@@ -32,10 +39,17 @@ No stored dict is ever mutated, so shifted elements may share one.  The
 JSON, classical projection) and cached; a decode builds one (i, s, e) tuple
 per (slot, exponent), which all its monomials share.
 
-The path and tableau models sum weights over tuples of rows.  A weight is a
-product of letter images, so its key is a sum of letter keys, one cached
-per (type, width): ``word_keys`` adds them per row word at the width of a
-shape's ``Placement`` (``_ROW_BOUND`` per row), which shifts the keys of a
+The bounds come from the letter images.  A row word, a row of a path or
+tableau tuple and a term of h_k or e_k are each a product of letter images
+at distinct shifts 0, 2 delta, 4 delta, ..., so their exponents are within
+``row_bound(t)`` (1 or 2, read off the images).  The series build declares
+it for every coefficient it makes, after ``RingElem.bounded`` has checked
+every key (an ArithmeticError if one is outside), so an l-row determinant
+holds l row bounds and packs at 4 bits up to 3 rows.  The path and tableau
+models sum weights over tuples of rows.  A weight is a product of letter
+images, so its key is a sum of letter keys, one cached per (type, width):
+``word_keys`` adds them per row word at the width of a shape's
+``Placement`` (``row_bound(t)`` per row), which shifts the keys of a
 tuple's rows so that their sum is the key of the tuple's weight
 (``rows_weight`` reads it as a ``RingElem``).
 
@@ -49,6 +63,7 @@ layer reads those heights back from it.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 
@@ -217,22 +232,32 @@ class RingElem:
 
         One scan of the entries fixes the layout of ``_align``, in a width
         that holds the sum over the rows of the row's largest exponent
-        bound, which bounds every product in the expansion.  The minor on the
-        last popcount(mask) rows and the columns in mask is a key dict
-        memoized by the bitmask; a last-row minor is its entry's keys.  Zero
-        entries and minors are skipped, and an entry's keys are moved into
-        the layout (``_moved``) only where the entry meets a nonzero minor.
+        bound, which bounds every product in the expansion.  The minor on
+        rows i.. and the columns in mask is a key dict keyed by the bitmask;
+        a last-row minor is its entry's keys.  The minors are built up the
+        rows without recursion: row i's nonzero entry in column j, times
+        each nonzero minor of rows i+1.. that misses column j, is added to
+        the minor with column j put back, in the order of j, which is the
+        expansion of that minor along its first row.  A minor whose other
+        columns have no nonzero entry in the rows above is never needed and
+        is not made.  An entry's keys are moved into the layout (``_moved``)
+        once, and only where the entry meets a nonzero minor.
         """
         l = len(matrix)
         if l == 0:
             return ONE
         bound, lo, n, w = 0, None, 1, _W0
+        full, held = (1 << l) - 1, 0
+        nonzero, bare = [], []  # per row: the columns of its nonzero entries, and those with none in the rows above
         for row in matrix:
             if len(row) != l:
                 raise ValueError(f"determinant of a non-square matrix: row lengths {[len(row) for row in matrix]}")
-            rb = 0
-            for x in row:
+            rb, js = 0, []
+            bare.append(full ^ held)
+            for j, x in enumerate(row):
                 if x._keys:
+                    js.append(j)
+                    held |= 1 << j
                     if x._b > rb:
                         rb = x._b
                     if not _is_const(x):
@@ -240,26 +265,26 @@ class RingElem:
                             lo = x._lo
                         n, w = max(n, x._n), max(w, x._w)
             bound += rb
+            nonzero.append(js)
+        if held != full:
+            return ZERO
         lo, w = lo or 0, max(w, _width(bound))
-        memo: dict[int, dict] = {}
-
-        def minor(mask: int) -> dict:
-            out = memo.get(mask)
-            if out is None:
-                i = l - mask.bit_count()
-                if i == l - 1:
-                    out = _moved(matrix[i][mask.bit_length() - 1], lo, n, w)
-                else:
-                    row, out, sign = matrix[i], {}, 1
-                    for j in range(l):
-                        if mask >> j & 1:
-                            if row[j]._keys and (sub := minor(mask ^ 1 << j)):
-                                out = _add_product(out, sign, _moved(row[j], lo, n, w), sub)
-                            sign = -sign
-                memo[mask] = out
-            return out
-
-        return RingElem._make(minor((1 << l) - 1), lo, n, w, bound)
+        memo, last = {}, matrix[l - 1]
+        for j in nonzero[l - 1]:
+            if not (full ^ 1 << j) & bare[l - 1]:
+                memo[1 << j] = _moved(last[j], lo, n, w)
+        for i in range(l - 2, -1, -1):
+            row, minors, off = matrix[i], {}, bare[i]
+            for j in nonzero[i]:
+                bit, keys = 1 << j, None
+                for mask, sub in memo.items():
+                    if sub and not mask & bit and not (full ^ mask ^ bit) & off:
+                        if keys is None:
+                            keys = _moved(row[j], lo, n, w)
+                        up = mask | bit
+                        minors[up] = _add_product(minors.get(up) or {}, -1 if (up & bit - 1).bit_count() & 1 else 1, keys, sub)
+            memo = minors
+        return RingElem._make(memo.get(full) or {}, lo, n, w, bound)
 
     # -- ring operations
 
@@ -279,6 +304,18 @@ class RingElem:
         if c == 0:
             return RingElem.const(0)
         return RingElem._make({k: c * cc for k, cc in self._keys.items()}, self._lo, self._n, self._w, self._b)
+
+    def bounded(self, b: int) -> "RingElem":
+        """self, declared to have every |exponent| at most b, after a check of
+        every key (``_within``): ArithmeticError if an exponent exceeds b.
+        A bound no smaller than the one self carries holds already."""
+        if b < 0:
+            raise ValueError(f"negative exponent bound {b}")
+        if b >= self._b:
+            return self
+        if not _within(self._keys, self._w, b):
+            raise ArithmeticError(f"an exponent exceeds the declared bound {b}: {self.to_text()[:200]}")
+        return RingElem._make(self._keys, self._lo, self._n, self._w, b)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElem):
@@ -353,11 +390,20 @@ class RingElem:
 # Packed keys
 
 
-_W0 = 8  # digit width of a new element; doubled while the bound needs it
+_W0 = 4  # digit width of a new element; doubled while the bound needs it
+# A stored key is its packed vector times this odd constant.  Sums and left
+# shifts of keys are sums and shifts of vectors, so products and spectral
+# shifts never see it; only the encodes (_encode, _letter_keys, _recode),
+# the decode (_digits) and the bound check (_within) multiply or divide by
+# it.  It spreads the hashes: packed vectors that differ only in high digits
+# share their low bits, and so their dict buckets.  It is 2**30 over the
+# golden ratio, made odd: below 2**30 it is one CPython digit, which divides
+# fastest.
+_SPREAD = 0x278DDE6D
 
 
 def _width(bound: int) -> int:
-    """Smallest width (8, 16, 32, ...) whose balanced digits hold |e| <= bound."""
+    """Smallest width (4, 8, 16, ...) whose balanced digits hold |e| <= bound."""
     w = _W0
     while bound >= 1 << (w - 1):
         w *= 2
@@ -385,22 +431,102 @@ def _encode(items: list[tuple[dict, int]], n: int = 1) -> tuple[dict, int, int, 
     w = _width(b)
     keys: dict[int, int] = {}
     for exps, c in items:
-        key = sum(e << (w * ((s - lo) * n + i - 1)) for (i, s), e in exps.items())
+        key = _SPREAD * sum(e << (w * ((s - lo) * n + i - 1)) for (i, s), e in exps.items())
         keys[key] = keys.get(key, 0) + c
     return {k: c for k, c in keys.items() if c}, lo, n, w, b
 
 
+# Byte tables of the bulk digit reads: a hex character of an offset 4-bit
+# digit to its signed value (_HEX); a byte of two offset 4-bit digits to each
+# digit offset at 8 bits, d + 8 -> d + 128 (_LOW8, _HIGH8); an offset 8-bit
+# digit to its signed value, which is also the low byte of the digit offset
+# at 16 bits (_FLIP); and the top byte of an offset digit to the other bytes
+# (_FILL) and the top byte (_TOP) of the high half of that digit offset at
+# twice the width.
+_HEX = bytes((int(chr(x), 16) - 8) & 255 if chr(x) in "0123456789abcdef" else 0 for x in range(256))
+_LOW8 = bytes((x & 15) + 120 for x in range(256))
+_HIGH8 = bytes((x >> 4) + 120 for x in range(256))
+_FLIP = bytes(x ^ 128 for x in range(256))
+_FILL = bytes(0 if x & 128 else 255 for x in range(256))
+_TOP = bytes(128 if x & 128 else 127 for x in range(256))
+
+
+@lru_cache(maxsize=256)
+def _offset(w: int, size: int) -> int:
+    """The int whose size bytes hold half a digit, 2**(w - 1), at every
+    w-bit place."""
+    unit = b"\x88" if w == 4 else (1 << (w - 1)).to_bytes(w // 8, "little")
+    return int.from_bytes(unit * (size // len(unit)), "little")
+
+
+def _offset_bytes(key: int, w: int) -> bytes:
+    """The packed vector of a stored key, half a digit added at every w-bit
+    place (w = 4 or a multiple of 8), little-endian: each balanced digit e
+    becomes e + 2**(w - 1) >= 0, with no carry, so the digits are the
+    nibbles or bytes.  The places run one past the top digit, and fill
+    whole bytes."""
+    v = key // _SPREAD
+    size = v.bit_length() // 8 + 1 if w <= 8 else (v.bit_length() // w + 1) * (w // 8)
+    return (v + _offset(w, size)).to_bytes(size, "little")
+
+
 def _digits(key: int, w: int) -> list[int]:
-    """Balanced base-2**w digits of key, least significant first (w a
-    multiple of 8).  Adding half a digit to every place makes each digit
-    non-negative, so the digits are read off the bytes."""
+    """Balanced base-2**w digits of a stored key's packed vector, least
+    significant first, read off its offset bytes (``_offset_bytes``): by
+    table, from the hex form for w = 4 and from the bytes for w = 8."""
+    raw = _offset_bytes(key, w)
+    if w == 4:
+        return memoryview(raw[::-1].hex().encode()[::-1].translate(_HEX)).cast("b").tolist()
+    if w == 8:
+        return memoryview(raw.translate(_FLIP)).cast("b").tolist()
+    nb, half = w // 8, 1 << (w - 1)
+    return [int.from_bytes(raw[j : j + nb], "little") - half for j in range(0, len(raw), nb)]
+
+
+def _doubled(raw: bytes, w: int) -> bytearray:
+    """Offset bytes at width w re-read at width 2w: each digit's bytes
+    interleaved with its new high half.  A 4-bit digit d + 8 becomes the
+    byte d + 128; a wider digit keeps its bytes, top bit flipped, and gains
+    the high half of its sign, offset."""
+    out = bytearray(2 * len(raw))
+    if w == 4:
+        out[0::2], out[1::2] = raw.translate(_LOW8), raw.translate(_HIGH8)
+        return out
     nb = w // 8
-    m = key.bit_length() // w + 1
-    half = 1 << (w - 1)
-    raw = (key + int.from_bytes(half.to_bytes(nb, "little") * m, "little")).to_bytes(m * nb, "little")
-    if nb == 1:
-        return [x - half for x in raw]
-    return [int.from_bytes(raw[j : j + nb], "little") - half for j in range(0, m * nb, nb)]
+    tops = raw[nb - 1 :: nb]
+    for j in range(nb - 1):
+        out[j :: 2 * nb] = raw[j::nb]
+        out[nb + j :: 2 * nb] = tops.translate(_FILL)
+    out[nb - 1 :: 2 * nb] = tops.translate(_FLIP)
+    out[2 * nb - 1 :: 2 * nb] = tops.translate(_TOP)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _allowed(w: int, b: int) -> bytes:
+    """The byte values of offset w-bit digits (w = 4 or 8) within [-b, b]:
+    one digit e + 128 per byte at 8 bits, two digits e + 8 at 4."""
+    ok = range((1 << (w - 1)) - b, (1 << (w - 1)) + b + 1)
+    return bytes(ok) if w == 8 else bytes(hi << 4 | lo for hi in ok for lo in ok)
+
+
+def _within(keys, w: int, b: int) -> bool:
+    """Whether every balanced w-bit digit of every key is within [-b, b],
+    by three big-int operations per key and a few passes over them all.
+    Each key plus _SPREAD times half a digit at every place is cut to one
+    byte size for all, 4 bytes more than its vector needs, as _SPREAD <
+    2**30; the pieces, read as one int and divided by _SPREAD, hold each
+    digit e as e + 2**(w - 1), and 0 in the 4 bytes, which are then offset
+    too.  Deleting the bytes of digits within b leaves nothing.  Digits of
+    16 bits or more are read one by one."""
+    if w > 8:
+        return all(max(map(abs, _digits(k, w))) <= b for k in keys)
+    size = max(map(int.bit_length, keys), default=0) // 8 + 1  # past every vector's top place, as _SPREAD > 2**29
+    lift = _SPREAD * _offset(w, size)
+    pieces = b"".join(map(int.to_bytes, map(lift.__add__, keys), repeat(size + 4), repeat("little")))
+    rooms = int.from_bytes((bytes(size) + _offset(w, 4).to_bytes(4, "little")) * len(keys), "little")
+    raw = (int.from_bytes(pieces, "little") // _SPREAD + rooms).to_bytes(len(pieces), "little")
+    return not raw.translate(None, _allowed(w, b))
 
 
 def _is_const(x: RingElem) -> bool:
@@ -458,15 +584,26 @@ def _align(elems, bound: int) -> tuple[list[dict], int, int, int]:
 
 def _recode(x: RingElem, lo: int, n: int, w: int) -> dict:
     """x's keys in the layout (lo, n, w), with lo <= x._lo, n >= x._n and
-    w >= x._w."""
+    w >= x._w.  In x's own stride, each key is widened in bulk, w -> 2w
+    (``_doubled``) until it has width w, and shifted; in a larger stride,
+    each digit is re-packed at its new slot."""
+    sh = w * n * (x._lo - lo)
+    if x._n == n:
+        out = {}
+        for key, c in x._keys.items():
+            raw, v = _offset_bytes(key, x._w), x._w
+            while v < w:
+                raw, v = _doubled(raw, v), 2 * v
+            out[_SPREAD * (int.from_bytes(raw, "little") - _offset(w, len(raw))) << sh] = c
+        return out
     out = {}
     for key, c in x._keys.items():
         new = 0
         for slot, e in enumerate(_digits(key, x._w)):
             if e:
                 s, i = divmod(slot, x._n)
-                new += e << (w * ((s + x._lo - lo) * n + i))
-        out[new] = c
+                new += e << (w * (s * n + i))
+        out[_SPREAD * new << sh] = c
     return out
 
 
@@ -566,12 +703,25 @@ def _key_base(t: AlgType) -> int:
     return min((s for c in letters(t) for _i, s, _e in _f_factors(t, c)), default=0)
 
 
-# A factor (i, s, e) of a letter's image reaches a slot of a row word (letter
-# m at shift 2 delta m) from one position at most, so over all letters the
-# factors of index i bound a row's exponents at slots of index i: by 6 in
-# every type (the tests check every rank up to 40).  A placement of l rows
-# packs at the width that holds 6 l: 8 bits up to 21 rows.
-_ROW_BOUND = 6
+@lru_cache(maxsize=None)
+def row_bound(t: AlgType) -> int:
+    """A bound on every |exponent| of a product of letter images at distinct
+    shifts 0, 2 delta, 4 delta, ...: a row word, a row of a tuple, a term of
+    h_k or e_k.  Such a product gets at most one factor of node i at a slot
+    from each letter position, all at relative shifts of one residue mod
+    2 delta; so an exponent is at most the sum, over the relative shifts s
+    of one node and one residue, of the largest positive exponent of any
+    letter at (i, s), and at least minus the like sum of the largest
+    negative ones.  The bound is the largest of those sums: 1 for A, B, C1
+    and D2, 2 for C2+ and D3+."""
+    f, most = 2 * delta(t), {}
+    for c in letters(t):
+        for i, s, e in _f_factors(t, c):
+            most[e > 0, i, s] = max(most.get((e > 0, i, s), 0), abs(e))
+    sums: dict[tuple[bool, int, int], int] = {}
+    for (sign, i, s), e in most.items():
+        sums[sign, i, s % f] = sums.get((sign, i, s % f), 0) + e
+    return max(sums.values(), default=0)
 
 
 @lru_cache(maxsize=None)
@@ -579,16 +729,32 @@ def _letter_keys(t: AlgType, w: int) -> dict[int, int]:
     """Each letter's image at shift 0 as one key in the type's layout (base
     _key_base(t), stride t.rank, width w)."""
     lo, n = _key_base(t), t.rank
-    return {c: sum(e << w * ((s - lo) * n + i - 1) for i, s, e in _f_factors(t, c)) for c in letters(t)}
+    return {c: _SPREAD * sum(e << w * ((s - lo) * n + i - 1) for i, s, e in _f_factors(t, c)) for c in letters(t)}
+
+
+def _placed_sum(keys: list[int], step: int) -> int:
+    """The sum of keys[m] << step * m, added in pairs, level by level: a word
+    of L letters costs O(L log L) bit operations, not the O(L^2) of adding
+    its shifted keys one at a time."""
+    while len(keys) > 1:
+        if len(keys) & 1:
+            keys.append(0)
+        keys = [a + (b << step) for a, b in zip(keys[0::2], keys[1::2])]
+        step *= 2
+    return keys[0]
 
 
 def word_keys(t: AlgType, w: int, words) -> tuple[int, ...]:
     """The key of each row word's weight, letter m at shift 2 delta m, in
     the type's layout (base _key_base(t), stride t.rank, width w): its
-    letters' keys, letter m's moved 2 delta m w n bits."""
+    letters' keys, letter m's moved 2 delta m w n bits, added one by one in
+    a word of at most 16 letters and in pairs (``_placed_sum``) past that."""
     lk, step = _letter_keys(t, w), 2 * delta(t) * w * t.rank
     try:
-        return tuple(sum(lk[c] << step * m for m, c in enumerate(word)) for word in words)
+        return tuple(
+            sum(lk[c] << step * m for m, c in enumerate(word)) if len(word) <= 16 else _placed_sum([lk[c] for c in word], step)
+            for word in words
+        )
     except KeyError as e:
         letter_order(t, e.args[0])  # raises ValueError: a letter outside the alphabet
         raise
@@ -607,12 +773,12 @@ class Placement:
     """A shape's layout for a sum over tuples of rows: row i's key from
     ``word_keys`` at width w moves shifts[i] spectral steps, a left shift
     by kshift[i] bits, and a tuple's shifted keys add up to the key of its
-    product, in a width that holds bound, _ROW_BOUND per row."""
+    product, in a width that holds bound, row_bound(t) per row."""
 
     __slots__ = ("n", "w", "bound", "lo", "kshift")
 
     def __init__(self, t: AlgType, shifts):
-        x0, self.bound = min(shifts, default=0), _ROW_BOUND * len(shifts)
+        x0, self.bound = min(shifts, default=0), row_bound(t) * len(shifts)
         self.n, self.w = t.rank, _width(self.bound)
         self.lo = _key_base(t) + x0
         self.kshift = tuple(self.w * self.n * (x - x0) for x in shifts)

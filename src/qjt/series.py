@@ -20,7 +20,7 @@ degree asked later rebuilds it to that degree.
 
 from __future__ import annotations
 
-from .ring import ONE, ZERO, AlgType, RingElem, delta, f_hom
+from .ring import ONE, ZERO, AlgType, RingElem, delta, f_hom, row_bound
 
 
 def _each(letters, sign: int, inverted: bool) -> list:
@@ -53,8 +53,11 @@ def _build(t: AlgType, factors, trunc: int) -> list[RingElem]:
     q_k = p_k + p_{k-m} c_{k-m}, and dividing p by it gives
     q_k = p_k - q_{k-m} c_{k-m}.  Both run in place: a product from the top
     degree down, as q_k reads the old lower degrees, and a quotient from the
-    bottom up, as q_k reads the new ones."""
-    d = delta(t)
+    bottom up, as q_k reads the new ones.  Each q_k is a sum of products
+    of letter images at distinct shifts, so it is declared, checked, to be
+    within ``row_bound(t)``: its exponent bound does not grow with k, and
+    the build stays at 4-bit digits."""
+    d, bound = delta(t), row_bound(t)
     p = [ONE] + [ZERO] * trunc
     for word, sign, inverted in factors:
         m = len(word)
@@ -63,7 +66,7 @@ def _build(t: AlgType, factors, trunc: int) -> list[RingElem]:
             c = c * f_hom(t, letter, -2 * d * j)
         s = -1 if inverted else 1
         for k in range(m, trunc + 1) if inverted else range(trunc, m - 1, -1):
-            p[k] = RingElem.sum_products(((1, p[k], ONE), (s, p[k - m], c.shift_spectral(-2 * d * (k - m)))))
+            p[k] = RingElem.sum_products(((1, p[k], ONE), (s, p[k - m], c.shift_spectral(-2 * d * (k - m))))).bounded(bound)
     return p
 
 

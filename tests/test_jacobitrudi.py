@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -32,6 +33,30 @@ def test_determinant_basics():
         term = m[0][perm[0]] * m[1][perm[1]] * m[2][perm[2]]
         leib = leib + (term if sgn == 1 else -term)
     assert RingElem.determinant(m) == leib
+
+
+def banded(l, entries):
+    """The l x l matrix with entries[d] on its d-th diagonal (d = j - i)
+    and ZERO off the band."""
+    return [[entries.get(j - i, ZERO) for j in range(l)] for i in range(l)]
+
+
+def test_long_banded_determinants_need_no_recursion():
+    # the minors are built up the rows, not by recursion, from each row's
+    # nonzero entries, so 1,500 rows take well under a second at the
+    # default recursion limit.  3 on the diagonal and 1 beside it: D_l =
+    # 3 D_(l-1) - D_(l-2), D_0 = 1, D_1 = 3, which is the Fibonacci number
+    # F(2l + 2).  An upper band of width 2 with 2 on the diagonal: 2^l.
+    assert sys.getrecursionlimit() <= 1000
+    l = 1500
+    fib = [0, 1]
+    while len(fib) < 2 * l + 3:
+        fib.append(fib[-1] + fib[-2])
+    three = RingElem.const(3)
+    assert RingElem.determinant(banded(l, {-1: ONE, 0: three, 1: ONE})) == RingElem.const(fib[2 * l + 2])
+    assert RingElem.determinant(banded(l, {0: RingElem.const(2), 1: three, 2: ONE})) == RingElem.const(2**l)
+    x = y_monomial(1, 0)
+    assert RingElem.determinant(banded(40, {-1: ONE, 0: x, 1: ONE})).terms[((1, 0, 40),)] == 1
 
 
 def leibniz_terms(matrix):

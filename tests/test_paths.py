@@ -414,9 +414,9 @@ def test_pair_classes_match_reference():
 
 
 def test_wide_keys_for_many_rows():
-    # a 128-row column: its placement holds _ROW_BOUND = 6 per row, past the
-    # 127 that 8-bit digits hold, so the frame packs the tables' words at 16
-    # bits
+    # a 128-row column: its placement holds row_bound(A1) = 1 per row, past
+    # the 127 that 8-bit digits hold, so the frame packs the tables' words at
+    # 16 bits
     t = make_type("A", 1)
     s = shape([1] * 128)
     frame = _Frame(t, s)

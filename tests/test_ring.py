@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,8 @@ from qjt.ring import (
     z_product,
 )
 from qjt import ring, series
-from qjt.ring import _ROW_BOUND, _align, _digits, _f_factors, _key_base, _moved, _recode, delta
+from qjt.jacobitrudi import chi_e, chi_h
+from qjt.ring import _SPREAD, _align, _digits, _f_factors, _key_base, _moved, _recode, delta, row_bound
 from qjt.paths import Path, _hpath_table, _table_keys, band, east_labels
 from qjt.shapes import shape
 
@@ -450,20 +452,19 @@ def repack(t: AlgType, w: int, monomials) -> tuple[int, ...]:
     return tuple(_recode(x, _key_base(t), t.rank, w).popitem()[0] for x in monomials)
 
 
-def test_row_exponents_fit_eight_bits():
-    # the ring's _ROW_BOUND: a factor (i, s, e) of a letter's image reaches
-    # a slot of a row from one position at most, so the sum of |e| over all
-    # letters' factors of index i bounds a row's exponents at slots of
-    # index i; it is at most 6 at every rank, and a placement holds 6 per row
+def test_row_exponents_fit_four_bits():
+    # the ring's row_bound: a row puts one letter's factors at each position,
+    # so a slot's exponent is at most the sum, over the relative shifts of
+    # its node and residue mod 2 delta, of the largest exponent any letter
+    # has there; it is 1 for A, B, C1 and D2 and 2 for C2+ and D3+ at every
+    # rank, so a placement of up to 3 rows packs at 4 bits
     seen = 0
     for fam in "ABCD":
         for n in range(2 if fam == "D" else 1, 41):
             t = make_type(fam, n)
-            per_index = {}
-            for c in letters(t):
-                for i, _s, e in _f_factors(t, c):
-                    per_index[i] = per_index.get(i, 0) + abs(e)
-            assert max(per_index.values()) <= _ROW_BOUND, t
+            want = 2 if (fam == "C" and n >= 2) or (fam == "D" and n >= 3) else 1
+            assert row_bound(t) == want, t
+            assert Placement(t, [0] * (7 // want)).w == 4 and Placement(t, [0] * (7 // want + 1)).w == 8, t
             seen += 1
     assert seen == 159
 
@@ -474,14 +475,18 @@ BOUND_TYPES = [make_type(f, n) for f in "ABCD" for n in range(2 if f == "D" else
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(BOUND_TYPES), st.lists(st.integers(0, 13), max_size=8))
 def test_any_row_word_keeps_its_exponents_within_the_row_bound(t, picks):
-    # every placement packs each row at _ROW_BOUND, so it must hold for any
-    # word of letters, repeats and all, not only for the rows of the tables
+    # every placement packs each row at row_bound, so it must hold for any
+    # word of letters, repeats and all, not only for the rows of the tables;
+    # the exponents are read through the decode of the row's element
     alphabet = letters(t)
     word = [alphabet[c % len(alphabet)] for c in picks]
-    (key,) = word_keys(t, 8, [word])
-    assert max(map(abs, _digits(key, 8))) <= _ROW_BOUND, (t, word)
+    place = Placement(t, [0])
+    (key,) = word_keys(t, place.w, [word])
+    x = place.elem({key: 1})
+    assert max((abs(e) for m in x.terms for _i, _s, e in m), default=0) <= row_bound(t), (t, word)
     f = 2 * delta(t)
-    assert (key,) == repack(t, 8, [z_product(t, [(c, f * m) for m, c in enumerate(word)])]), (t, word)
+    want = z_product(t, [(c, f * m) for m, c in enumerate(word)])
+    assert x == want and (key,) == repack(t, place.w, [want]), (t, word)
 
 
 def test_row_keys_are_the_repacked_z_products():
@@ -517,11 +522,11 @@ def test_row_keys_are_the_repacked_z_products():
 
 
 # Rows of letter words: per row, the words a tuple may pick, each a list of
-# letter indices, and its spectral shift; up to 21 rows, which a placement
-# packs at 8 bits, or 22-24, which it packs at 16; and a few picks, one word
-# per row each
+# letter indices, and its spectral shift; up to 3 rows, which a placement
+# packs at 4 bits, or 4-24, which it packs at 4 bits up to 7 exponents and
+# at 8 past them; and a few picks, one word per row each
 row_words = st.tuples(st.lists(st.lists(st.integers(0, 7), max_size=4), min_size=1, max_size=3), st.integers(-8, 8))
-placed_rows = st.one_of(st.lists(row_words, max_size=21), st.lists(row_words, min_size=22, max_size=24))
+placed_rows = st.one_of(st.lists(row_words, max_size=3), st.lists(row_words, min_size=4, max_size=24))
 
 
 @settings(max_examples=60, deadline=None)
@@ -535,7 +540,7 @@ def test_placed_keys_sum_to_shifted_products(t, rows, picks, a_offset):
     shifts = [d for _row, d in rows]
     monos = [[z_product(t, [(c, f * m) for m, c in enumerate(word)]) for word in row] for row in words]
     place = Placement(t, shifts)
-    assert place.w == (8 if len(rows) <= 21 else 16)
+    assert place.w == (4 if row_bound(t) * len(rows) <= 7 else 8)
     keys = [word_keys(t, place.w, row) for row in words]
     assert keys == [repack(t, place.w, row) for row in monos]
     acc: dict = {}
@@ -549,3 +554,123 @@ def test_placed_keys_sum_to_shifted_products(t, rows, picks, a_offset):
             x = x * row[c].shift_spectral(d + a_offset)
         want.append(x)
     assert place.elem(acc, a_offset) == RingElem.sum(want)
+
+
+# ---------------------------------------------------------------------------
+# Exponent bounds, digit widths and the spread of the keys
+
+RANK_4_TYPES = [make_type(f, n) for f in "ABCD" for n in range(2 if f == "D" else 1, 5)]
+
+
+@pytest.mark.parametrize("t", RANK_4_TYPES, ids=str)
+def test_row_bound_is_the_brute_force_maximum(t):
+    # the largest |exponent| of any word of at most 4 letters, repeats and
+    # all, letter m at shift 2 delta m, is row_bound(t)
+    f, seen = 2 * delta(t), 0
+    for length in range(1, 5):
+        for word in itertools.product(letters(t), repeat=length):
+            x = z_product(t, [(c, f * m) for m, c in enumerate(word)])
+            (m,) = x.terms
+            seen = max([seen] + [abs(e) for _i, _s, e in m])
+    assert seen == row_bound(t)
+
+
+@pytest.mark.parametrize("t", RANK_4_TYPES, ids=str)
+def test_series_coefficients_stay_within_the_row_bound(t):
+    # the build declares row_bound(t) for every coefficient, after checking
+    # it: each h_k and e_k up to degree 8 is read back within it, at 4 bits
+    for x in [*series.H_series(t, 8), *series.E_series(t, 8)]:
+        assert x._b <= row_bound(t) and x._w == 4, t
+        assert max((abs(e) for m in x.terms for _i, _s, e in m), default=0) <= row_bound(t), t
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_dicts, st.integers(0, 300))
+def test_a_declared_bound_is_checked_on_every_digit(x, b):
+    # bounded(b) keeps the keys and declares b where every exponent is
+    # within it, and raises where one is not, whatever the width and sign
+    X = RingElem(x.items())
+    most = max((abs(e) for m in x for _i, _s, e in m), default=0)
+    if b >= X._b:
+        assert X.bounded(b) is X
+    elif most <= b:
+        Y = X.bounded(b)
+        assert (Y._keys, Y._w, Y._b) == (X._keys, X._w, b)
+    else:
+        with pytest.raises(ArithmeticError, match="declared bound"):
+            X.bounded(b)
+
+
+def test_a_wrong_bound_is_refused():
+    x = RingElem.monomial([(1, 0, 2), (2, 5, -1)]) * y_monomial(2, 5, -1)  # Y[2,5]^-2, its bound 3
+    assert x._b == 3 and x.bounded(2)._b == 2
+    for y in (x, x.scalar_mul(-1), x * y_monomial(3, -40, 1), RingElem.monomial([(1, 0, -3)]) * ONE):
+        with pytest.raises(ArithmeticError, match="declared bound 1"):
+            y.bounded(1)
+    with pytest.raises(ValueError, match="negative"):
+        x.bounded(-1)
+
+
+def det_universe_shapes():
+    """Every skew shape of the benchmark's det workload: lambda in a 3 x 3
+    box, mu inside it, 1-6 boxes."""
+    lams = [lam for r in range(1, 4) for lam in itertools.combinations_with_replacement(range(3, 0, -1), r)]
+    for lam in lams:
+        for mu in itertools.product(*(range(p + 1) for p in lam)):
+            if list(mu) == sorted(mu, reverse=True) and 0 < sum(lam) - sum(mu) <= 6:
+                yield shape(lam, tuple(p for p in mu if p))
+
+
+def test_det_universe_packs_at_four_bits():
+    shapes = list(det_universe_shapes())
+    assert len(shapes) == 147
+    for t in (make_type(f, n) for f in "ABCD" for n in (2, 3)):
+        for s in shapes:
+            assert (chi_h(t, s)._w, chi_e(t, s)._w) == (4, 4), (t, s)
+
+
+def digitwise(x: RingElem, w: int) -> dict:
+    """The oracle of the bulk re-encode: x's keys re-packed digit by digit at
+    width w, in its own base and stride."""
+    return {_SPREAD * sum(e << w * slot for slot, e in enumerate(_digits(k, x._w))): c for k, c in x._keys.items()}
+
+
+# Exponents that fill 4, 8 and 16-bit digits, negative ones included
+wide_factor = st.sampled_from([7, 127, 32767]).flatmap(
+    lambda top: st.tuples(st.integers(1, 3), st.integers(-6, 6), st.integers(-top, top))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.lists(wide_factor, min_size=1, max_size=6), st.integers(-3, 3)), max_size=6), st.integers(1, 3))
+def test_bulk_widening_is_the_digitwise_recode(pairs, doublings):
+    X = RingElem(pairs)
+    w = X._w << doublings
+    keys = _recode(X, X._lo, X._n, w)
+    assert keys == digitwise(X, w)
+    assert RingElem._make(keys, X._lo, X._n, w, X._b).terms == X.terms
+    low = _recode(X, X._lo - 2, X._n, w)  # widened, then shifted
+    assert low == {k << w * X._n * 2: c for k, c in keys.items()}
+
+
+def test_spread_keys_fill_the_low_hash_buckets():
+    # the 2,352 keys of chi_h of B3 (3,2,1) are 4-bit vectors times one odd
+    # constant; the vectors alone share 229 of 4,096 low-hash buckets (115
+    # at 8 bits)
+    x = chi_h(make_type("B", 3), shape((3, 2, 1)))
+    assert len(x._keys) == 2352 and x._w == 4
+    assert len({hash(k) & 4095 for k in x._keys}) >= 1500
+
+
+@pytest.mark.parametrize("t", [make_type("A", 1), make_type("B", 2), make_type("C", 3), make_type("D", 3)], ids=str)
+def test_long_words_are_the_z_products(t):
+    # word_keys adds a word's letter keys in pairs, so 2,000 letters cost
+    # about as much as their keys' length: the keys are z_product's
+    rng = random.Random(2000)
+    alphabet, f = letters(t), 2 * delta(t)
+    words = [sorted(rng.choice(alphabet) for _ in range(2000)), [rng.choice(alphabet) for _ in range(2001)]]
+    for w in (4, 16):
+        for word, key in zip(words, word_keys(t, w, words)):
+            want = z_product(t, [(c, f * m) for m, c in enumerate(word)])
+            assert (key,) == repack(t, w, [want])
+            assert RingElem._make({key: 1}, _key_base(t), t.rank, w, row_bound(t)) == want

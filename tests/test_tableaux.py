@@ -1163,8 +1163,8 @@ def test_long_rows_are_searched():
 
 
 def test_row_keys_widen_with_the_exponent_bound():
-    # a 128-row A1 ribbon: the placement holds _ROW_BOUND = 6 per row, past
-    # the 127 of 8-bit digits, so the rows' words are packed at 16 bits
+    # a 128-row A1 ribbon: the placement holds row_bound(A1) = 1 per row,
+    # past the 127 of 8-bit digits, so the rows' words are packed at 16 bits
     t = make_type("A", 1)
     s = shape(tuple(range(129, 1, -1)), tuple(range(127, 0, -1)))
     assert _Frame(t, s).place.bound > 127
@@ -1175,11 +1175,12 @@ def test_row_keys_widen_with_the_exponent_bound():
     assert tableau_sum(t, s, 5).terms == total.terms
 
 
-@pytest.mark.parametrize("l, w", [(21, 8), (22, 16)])
-def test_placements_widen_past_21_rows(l, w):
-    # 6 per row: 21 rows hold 126 in 8-bit digits and 22 rows need 16 bits,
-    # in the path frame that the tableau sums share; an l-row A1 ribbon of
-    # two-cell rows has 4 tableaux, and its sum is their z_products
+@pytest.mark.parametrize("l, w", [(7, 4), (8, 8), (127, 8), (128, 16)])
+def test_placements_widen_past_7_and_127_rows(l, w):
+    # row_bound(A1) = 1 per row: 7 rows fit 4-bit digits, 127 rows 8-bit
+    # ones, and 128 rows need 16 bits, in the path frame that the tableau
+    # sums share; an l-row A1 ribbon of two-cell rows has 4 tableaux, and
+    # its sum is their z_products
     t = make_type("A", 1)
     s = shape(tuple(range(l + 1, 1, -1)), tuple(range(l - 1, 0, -1)))
     assert _Frame(t, s).place.w == w
