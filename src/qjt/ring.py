@@ -43,13 +43,15 @@ The bounds come from the letter images.  A row word, a row of a path or
 tableau tuple and a term of h_k or e_k are each a product of letter images
 at distinct shifts 0, 2 delta, 4 delta, ..., so their exponents are within
 ``row_bound(t)`` (1 or 2, read off the images).  The series build declares
-it for every coefficient it makes, after ``RingElem.bounded`` has checked
-every key (an ArithmeticError if one is outside), so an l-row determinant
-holds l row bounds and packs at 4 bits up to 3 rows.  The path and tableau
-models sum weights over tuples of rows.  A weight is a product of letter
-images, so its key is a sum of letter keys, one cached per (type, width):
-``word_keys`` adds them per row word at the width of a shape's
-``Placement`` (``row_bound(t)`` per row), which shifts the keys of a
+it on each finished coefficient, and on an operand whose product with the
+next factor could otherwise leave its digits (``RingElem.widens``), after
+``RingElem.bounded`` has checked every key (an ArithmeticError if one is
+outside), so an l-row determinant holds l row bounds and packs at 4 bits
+up to 3 rows.  The path and tableau models sum weights over tuples of
+rows.  A weight is a product of letter images, so its key is a sum of
+letter keys, one cached per (type, width):
+``word_keys`` adds them per row word, in pairs (``_placed_sum``), at the
+width of a shape's ``Placement`` (``row_bound(t)`` per row), which shifts the keys of a
 tuple's rows so that their sum is the key of the tuple's weight
 (``rows_weight`` reads it as a ``RingElem``).
 
@@ -308,14 +310,20 @@ class RingElem:
     def bounded(self, b: int) -> "RingElem":
         """self, declared to have every |exponent| at most b, after a check of
         every key (``_within``): ArithmeticError if an exponent exceeds b.
-        A bound no smaller than the one self carries holds already."""
-        if b < 0:
-            raise ValueError(f"negative exponent bound {b}")
-        if b >= self._b:
+        A bound no smaller than the one self carries holds already; at digits
+        wider than 8 bits, which no series build reaches, none is declared.
+        Either way self is returned as it is."""
+        if b >= self._b or self._w > 8:
             return self
         if not _within(self._keys, self._w, b):
             raise ArithmeticError(f"an exponent exceeds the declared bound {b}: {self.to_text()[:200]}")
         return RingElem._make(self._keys, self._lo, self._n, self._w, b)
+
+    def widens(self, other: "RingElem") -> bool:
+        """Whether a product with other could hold exponents past the digits
+        of self's width, by the bounds they carry: where it could, a tighter
+        bound declared first (``bounded``) may keep it at that width."""
+        return self._b + other._b >= 1 << (self._w - 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElem):
@@ -511,22 +519,18 @@ def _allowed(w: int, b: int) -> bytes:
 
 
 def _within(keys, w: int, b: int) -> bool:
-    """Whether every balanced w-bit digit of every key is within [-b, b],
-    by three big-int operations per key and a few passes over them all.
-    Each key plus _SPREAD times half a digit at every place is cut to one
-    byte size for all, 4 bytes more than its vector needs, as _SPREAD <
+    """Whether every balanced w-bit digit (w = 4 or 8) of every key is within
+    [-b, b], by three big-int operations per key and a few passes over them
+    all.  Each key plus _SPREAD times half a digit at every place is cut to
+    one byte size for all, 4 bytes more than its vector needs, as _SPREAD <
     2**30; the pieces, read as one int and divided by _SPREAD, hold each
-    digit e as e + 2**(w - 1), and 0 in the 4 bytes, which are then offset
-    too.  Deleting the bytes of digits within b leaves nothing.  Digits of
-    16 bits or more are read one by one."""
-    if w > 8:
-        return all(max(map(abs, _digits(k, w))) <= b for k in keys)
+    digit e as e + 2**(w - 1), and 0 in the 4 bytes.  Deleting the bytes of
+    digits within b leaves those zero bytes alone, as b < 2**(w - 1)."""
     size = max(map(int.bit_length, keys), default=0) // 8 + 1  # past every vector's top place, as _SPREAD > 2**29
     lift = _SPREAD * _offset(w, size)
     pieces = b"".join(map(int.to_bytes, map(lift.__add__, keys), repeat(size + 4), repeat("little")))
-    rooms = int.from_bytes((bytes(size) + _offset(w, 4).to_bytes(4, "little")) * len(keys), "little")
-    raw = (int.from_bytes(pieces, "little") // _SPREAD + rooms).to_bytes(len(pieces), "little")
-    return not raw.translate(None, _allowed(w, b))
+    raw = (int.from_bytes(pieces, "little") // _SPREAD).to_bytes(len(pieces), "little")
+    return raw.translate(None, _allowed(w, b)) == bytes(4 * len(keys))
 
 
 def _is_const(x: RingElem) -> bool:
@@ -739,22 +743,20 @@ def _placed_sum(keys: list[int], step: int) -> int:
     while len(keys) > 1:
         if len(keys) & 1:
             keys.append(0)
-        keys = [a + (b << step) for a, b in zip(keys[0::2], keys[1::2])]
+        pairs = iter(keys)
+        keys = [a + (b << step) for a, b in zip(pairs, pairs)]
         step *= 2
-    return keys[0]
+    return sum(keys)  # the one key left, or 0 for an empty word
 
 
 def word_keys(t: AlgType, w: int, words) -> tuple[int, ...]:
     """The key of each row word's weight, letter m at shift 2 delta m, in
     the type's layout (base _key_base(t), stride t.rank, width w): its
-    letters' keys, letter m's moved 2 delta m w n bits, added one by one in
-    a word of at most 16 letters and in pairs (``_placed_sum``) past that."""
+    letters' keys, letter m's moved 2 delta m w n bits, added in pairs
+    (``_placed_sum``)."""
     lk, step = _letter_keys(t, w), 2 * delta(t) * w * t.rank
     try:
-        return tuple(
-            sum(lk[c] << step * m for m, c in enumerate(word)) if len(word) <= 16 else _placed_sum([lk[c] for c in word], step)
-            for word in words
-        )
+        return tuple(_placed_sum([lk[c] for c in word], step) for word in words)
     except KeyError as e:
         letter_order(t, e.args[0])  # raises ValueError: a letter outside the alphabet
         raise

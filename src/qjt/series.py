@@ -53,10 +53,12 @@ def _build(t: AlgType, factors, trunc: int) -> list[RingElem]:
     q_k = p_k + p_{k-m} c_{k-m}, and dividing p by it gives
     q_k = p_k - q_{k-m} c_{k-m}.  Both run in place: a product from the top
     degree down, as q_k reads the old lower degrees, and a quotient from the
-    bottom up, as q_k reads the new ones.  Each q_k is a sum of products
-    of letter images at distinct shifts, so it is declared, checked, to be
-    within ``row_bound(t)``: its exponent bound does not grow with k, and
-    the build stays at 4-bit digits."""
+    bottom up, as q_k reads the new ones.  Each q_k, finished or not, is a
+    sum of products of letter images at distinct shifts, so it is within
+    ``row_bound(t)``.  The bound q_{k-m} carries grows by c's at each step;
+    where its product with c could leave its digits' width, it is first
+    declared, checked, within row_bound(t), so the build stays at 4-bit
+    digits.  Each finished coefficient is declared, checked, once more."""
     d, bound = delta(t), row_bound(t)
     p = [ONE] + [ZERO] * trunc
     for word, sign, inverted in factors:
@@ -66,8 +68,10 @@ def _build(t: AlgType, factors, trunc: int) -> list[RingElem]:
             c = c * f_hom(t, letter, -2 * d * j)
         s = -1 if inverted else 1
         for k in range(m, trunc + 1) if inverted else range(trunc, m - 1, -1):
-            p[k] = RingElem.sum_products(((1, p[k], ONE), (s, p[k - m], c.shift_spectral(-2 * d * (k - m))))).bounded(bound)
-    return p
+            if p[k - m].widens(c):
+                p[k - m] = p[k - m].bounded(bound)
+            p[k] = RingElem.sum_products(((1, p[k], ONE), (s, p[k - m], c.shift_spectral(-2 * d * (k - m)))))
+    return [x.bounded(bound) for x in p]
 
 
 def E_series(t: AlgType, trunc: int) -> list[RingElem]:

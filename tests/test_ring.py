@@ -588,10 +588,11 @@ def test_series_coefficients_stay_within_the_row_bound(t):
 @given(term_dicts, st.integers(0, 300))
 def test_a_declared_bound_is_checked_on_every_digit(x, b):
     # bounded(b) keeps the keys and declares b where every exponent is
-    # within it, and raises where one is not, whatever the width and sign
+    # within it, and raises where one is not, at 4 and 8 bits and either
+    # sign; at 16 bits and more it declares nothing
     X = RingElem(x.items())
     most = max((abs(e) for m in x for _i, _s, e in m), default=0)
-    if b >= X._b:
+    if b >= X._b or X._w > 8:
         assert X.bounded(b) is X
     elif most <= b:
         Y = X.bounded(b)
@@ -607,8 +608,17 @@ def test_a_wrong_bound_is_refused():
     for y in (x, x.scalar_mul(-1), x * y_monomial(3, -40, 1), RingElem.monomial([(1, 0, -3)]) * ONE):
         with pytest.raises(ArithmeticError, match="declared bound 1"):
             y.bounded(1)
-    with pytest.raises(ValueError, match="negative"):
-        x.bounded(-1)
+
+
+def test_a_product_widens_past_the_digits_by_the_carried_bounds():
+    # widens reads the bounds the operands carry: a product needs 8 bits
+    # where they sum past 7, and a tighter bound declared first keeps it at 4
+    x = y_monomial(1, 0, 3) * y_monomial(2, 4, -2)  # bound 5, exponents within 3
+    y = y_monomial(1, 0, -1) * y_monomial(2, 2, 1)  # bound 2
+    assert (x._w, x._b, y._b) == (4, 5, 2)
+    assert not x.widens(y) and (x * y)._w == 4
+    assert x.widens(y * y) and (x * (y * y))._w == 8
+    assert not x.bounded(3).widens(y * y) and (x.bounded(3) * (y * y))._w == 4
 
 
 def det_universe_shapes():
@@ -665,10 +675,12 @@ def test_spread_keys_fill_the_low_hash_buckets():
 @pytest.mark.parametrize("t", [make_type("A", 1), make_type("B", 2), make_type("C", 3), make_type("D", 3)], ids=str)
 def test_long_words_are_the_z_products(t):
     # word_keys adds a word's letter keys in pairs, so 2,000 letters cost
-    # about as much as their keys' length: the keys are z_product's
+    # about as much as their keys' length: the keys are z_product's, for
+    # the empty word and words of odd and even length alike
     rng = random.Random(2000)
     alphabet, f = letters(t), 2 * delta(t)
-    words = [sorted(rng.choice(alphabet) for _ in range(2000)), [rng.choice(alphabet) for _ in range(2001)]]
+    lengths = (0, 1, 2, 3, 2000, 2001)
+    words = [sorted(rng.choice(alphabet) for _ in range(L)) if L % 2 == 0 else [rng.choice(alphabet) for _ in range(L)] for L in lengths]
     for w in (4, 16):
         for word, key in zip(words, word_keys(t, w, words)):
             want = z_product(t, [(c, f * m) for m, c in enumerate(word)])
