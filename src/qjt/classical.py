@@ -86,26 +86,15 @@ def lr_coeff(lam, mu, nu) -> int:
     count = 0
     lnu = len(nu_p)
     for T in enumerate_tableaux(AlgType("A", max(lnu, 1) - 1), s, "hv"):
+        # reverse reading word: right to left along rows, top to bottom; no
+        # prefix of a lattice word holds more v's than (v - 1)'s
         content = [0] * (lnu + 1)
-        for row in T.cells:
-            for v in row:
-                content[v - 1] += 1
-        if tuple(content[:lnu]) != nu_p.parts:
-            continue
-        # reverse reading word: right to left along rows, top to bottom
-        running = [0] * (lnu + 1)
-        ok = True
-        for i in range(1, len(lam_p) + 1):
-            for j in range(lam_p[i], mu_p[i], -1):
-                v = T.entry(i, j)
-                running[v - 1] += 1
-                if v > 1 and running[v - 1] > running[v - 2]:
-                    ok = False
-                    break
-            if not ok:
+        for v in (v for row in T.cells for v in reversed(row)):
+            content[v - 1] += 1
+            if v > 1 and content[v - 1] > content[v - 2]:
                 break
-        if ok:
-            count += 1
+        else:
+            count += tuple(content[:lnu]) == nu_p.parts
     return count
 
 

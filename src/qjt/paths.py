@@ -22,16 +22,16 @@ the search that enumerates them, for rows of any length.  The weight keys
 of a table's words, at a placement's width, are packed once by
 ``ring.word_keys`` (``_table_keys``):
 the m-th east step of any path reads its letter at x = ux + m, so a path's
-labels are a row word from 2 delta ux.  Path weights (``path_weight``,
-``PathTuple.weight``) read their words so, off the runs of east steps, with
-no (letter, shift) pair built; ``east_labels`` is the labeling they must
-agree with.  In enumeration order the words are the rows of length r of
-``qjt.tableaux`` in lexicographic alphabet order, so this one table per
+labels are a row word from 2 delta ux.  ``PathTuple.weight`` reads its
+paths' words so, off the runs of east steps (``_word``), with no (letter,
+shift) pair built; the tests' step-by-step labeling is the oracle they
+must agree with.  In enumeration order the words are the rows of length r
+of ``qjt.tableaux`` in lexicographic alphabet order, so this one table per
 (type, r) serves both layers: path i reads row word i by construction.
 
 Other paths' points are walked off their steps once, into one bounded
 cached geometry record per path (``_geometry``): a point -> index map
-in path order and the least and greatest x at each height.  ``Path.points``,
+in path order and the least and greatest x at each height.
 ``common_points`` and the probes of ``qjt.resolutions`` read it.  The one
 definition of a path's end, ``Path.end``, counts the steps instead: most
 paths asked only for their end, such as a tableau's paths, are never probed.
@@ -83,21 +83,6 @@ class Path(NamedTuple):
         east = self.steps.count("E")
         return (x + east, y + len(self.steps) - east)
 
-    def points(self) -> tuple[tuple[int, int], ...]:
-        return tuple(_geometry(self).index)
-
-    def east_steps(self) -> list[tuple[int, int]]:
-        """Start points (x, y) of the eastward steps, in path order."""
-        x, y = self.start
-        out = []
-        for s in self.steps:
-            if s == "E":
-                out.append((x, y))
-                x += 1
-            else:
-                y += 1
-        return out
-
     def to_text(self) -> str:
         return f"({self.start[0]},{self.start[1]}):{self.steps}"
 
@@ -136,17 +121,6 @@ def band(t: AlgType) -> tuple[int, int]:
     return (0, t.rank) if t.family == "A" else (-t.rank, t.rank)
 
 
-def enumerate_hpaths(t: AlgType, u: tuple[int, int], v: tuple[int, int]) -> list[Path]:
-    """All h-paths of the type from u to v (empty if unreachable): the table
-    of width v_x - u_x (_hpath_table), from u.  Type D is refused,
-    whatever the endpoints."""
-    model_status(t, "path")
-    bot, top = band(t)
-    if u[1] != bot or v[1] != top or v[0] < u[0]:
-        return []
-    return [Path(u, s) for s in _hpath_table(t, v[0] - u[0]).steps]
-
-
 def model_status(t: AlgType, model: str, s: SkewShape | None = None) -> str:
     """The one table of the models the paper proves for type t on shape s
     (model: 'path', 'hv', 'rows' or 'columns'): 'proven', or 'not a
@@ -172,30 +146,9 @@ def model_status(t: AlgType, model: str, s: SkewShape | None = None) -> str:
     return "not a character" if model == "hv" else "proven"
 
 
-def east_labels(t: AlgType, p: Path) -> list[tuple[int, int]]:
-    """(letter, spectral shift) for each east step, in path order (see the
-    module docstring)."""
-    model_status(t, "path")
-    bot, top = band(t)
-    alphabet, f, fam_c = letters(t), 2 * delta(t), t.family == "C"
-    out = []
-    zero_seen = 0
-    for x, y in p.east_steps():
-        if not bot <= y <= top:
-            raise ValueError(f"{p.to_text()} leaves the band of {t}")
-        i = y - bot
-        if fam_c and y == 0:
-            i -= zero_seen % 2
-            zero_seen += 1
-        elif fam_c and y > 0:
-            i -= 1
-        out.append((alphabet[i], f * x))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _reads(t: AlgType) -> tuple[tuple[int, int], ...]:
-    """The letters of east_labels by height, from the band's bottom: at
+    """The letters of the east steps by height, from the band's bottom: at
     each height, the letter of an east step with an even and with an odd
     number of east steps before it at that height.  The two differ only at
     C's height 0, which reads n-bar, n in turn.  ValueError for a type with
@@ -210,8 +163,8 @@ def _reads(t: AlgType) -> tuple[tuple[int, int], ...]:
 
 
 def _word(t: AlgType, p: Path) -> tuple[int, ...]:
-    """p's letters, the letters of east_labels read off its runs of east
-    steps: a row word from shift 2 delta p.start[0]."""
+    """The letters of p's east steps (see the module docstring), read off
+    its runs of east steps: a row word from shift 2 delta p.start[0]."""
     reads = _reads(t)
     word: list[int] = []
     for y, run in enumerate(p.steps.split("N"), p.start[1] - band(t)[0]):
@@ -221,10 +174,6 @@ def _word(t: AlgType, p: Path) -> tuple[int, ...]:
             k = len(run)
             word += (reads[y] * k)[:k]
     return tuple(word)
-
-
-def path_weight(t: AlgType, p: Path, a_offset: int = 0) -> RingElem:
-    return rows_weight(t, [_word(t, p)], [2 * delta(t) * p.start[0]], a_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +205,6 @@ def _transposed(x1: int, v1: int, x2: int, v2: int) -> bool:
     """Paths from x1 to v1 and from x2 to v2 have opposite start and end
     orders."""
     return (x1 - x2) * (v1 - v2) < 0
-
-
-def is_transposed(t: AlgType, p: Path, q: Path) -> bool:
-    """For non-ordinarily-intersecting pairs: opposite start-x/end-x orders.
-    An ordinarily intersecting pair raises ValueError."""
-    if classify_pair(t, p, q) == "ordinarily":
-        raise ValueError(f"{p.to_text()} and {q.to_text()} intersect ordinarily in {t}")
-    return _transposed(p.start[0], p.end[0], q.start[0], q.end[0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ splices in ``qjt.resolutions``.
 Each new path is a list of points (a prefix of one path, a joint, a suffix
 of another) turned back into steps; a list that is not a path of unit steps
 is not applicable.  The bodies are those of the library before it spliced
-step strings; the probes, ``retuple`` and omega are the library's.
+step strings, with the points walked off the steps by the tests' ``walk``;
+the probes, ``retuple`` and omega are the library's.
 """
 
 from __future__ import annotations
@@ -25,13 +26,15 @@ from qjt.resolutions import (
 )
 from qjt.ring import AlgType
 
+from test_paths import walk
+
 
 def _prefix_points(p: Path, pt) -> list:
-    return list(p.points()[: _index(p, pt) + 1])
+    return walk(p)[: _index(p, pt) + 1]
 
 
 def _suffix_points(p: Path, pt) -> list:
-    return list(p.points()[_index(p, pt) :])
+    return walk(p)[_index(p, pt) :]
 
 
 def _east_run(a, b) -> list:

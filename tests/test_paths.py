@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from qjt.paths import (
     Path,
     PathTuple,
     _Frame,
+    _geometry,
     _hpath_table,
     _pair_masks,
     _signed_sum,
@@ -17,20 +19,16 @@ from qjt.paths import (
     band,
     classify_pair,
     common_points,
-    east_labels,
     endpoints,
-    enumerate_hpaths,
-    is_transposed,
     nonintersecting_tuples,
     no_ordinary_tuples,
     p_k_tuples,
     p_tilde,
-    path_weight,
     signed_path_sum,
     surviving_tuples_with_sum,
 )
 from qjt.resolutions import NotApplicable, _common, _index, _leftmost, _on, _rightmost
-from qjt.ring import RingElem, delta, make_type, z_product
+from qjt.ring import RingElem, delta, letters, make_type, z_product
 from qjt.tableaux import _fillings
 from qjt.series import h_coeff
 from qjt.shapes import shape
@@ -47,37 +45,84 @@ def parse_path(text: str) -> Path:
     return Path((int(x), int(y)), steps)
 
 
+# ---------------------------------------------------------------------------
+# The path model of the paper, computed from the steps alone: the oracles of
+# the geometry records, the words and the h-path tables of qjt.paths.
+
+
+def walk(p: Path) -> list:
+    """p's points, in path order."""
+    x, y = p.start
+    pts = [(x, y)]
+    for s in p.steps:
+        x, y = (x + 1, y) if s == "E" else (x, y + 1)
+        pts.append((x, y))
+    return pts
+
+
+def east_labels(t, p: Path):
+    """(letter, spectral shift) for each east step of p, in path order: a
+    step from (x, y) reads letters(t)[y - bot] at shift 2 delta x, one
+    letter lower above C's axis, and C's height-0 steps read n-bar, n in
+    turn.  None where an east step leaves the band."""
+    bot, top = band(t)
+    alphabet, f, fam_c = letters(t), 2 * delta(t), t.family == "C"
+    out, axis = [], 0
+    for (x, y), s in zip(walk(p), p.steps):
+        if s == "N":
+            continue
+        if not bot <= y <= top:
+            return None
+        i = y - bot
+        if fam_c and y == 0:
+            i -= axis % 2
+            axis += 1
+        elif fam_c and y > 0:
+            i -= 1
+        out.append((alphabet[i], f * x))
+    return out
+
+
+@lru_cache(maxsize=None)
+def hpath_steps(t, r: int) -> tuple:
+    """The steps of the h-paths from (0, bot) to (r, top), by brute force:
+    every E/N word of r E's and top - bot N's whose run of E's at height 0
+    (after -bot N's) has at most one step (B) or an even number (C), sorted
+    with E before N.  Empty for r < 0: no h-path ends west of its start."""
+    if r < 0:
+        return ()
+    bot, top = band(t)
+    kept = []
+    for east in itertools.combinations(range(r + top - bot), r):
+        w = "".join("E" if m in east else "N" for m in range(r + top - bot))
+        zero = len(w.split("N")[-bot])
+        if t.family == "A" or (zero <= 1 if t.family == "B" else zero % 2 == 0):
+            kept.append(w)
+    return tuple(sorted(kept))  # "E" < "N"
+
+
 def test_path_basics():
     p = Path((0, 0), "ENNE")
     assert p.end == (2, 2)
-    assert p.points() == ((0, 0), (1, 0), (1, 1), (1, 2), (2, 2))
-    assert p.east_steps() == [(0, 0), (1, 2)]
+    assert walk(p) == [(0, 0), (1, 0), (1, 1), (1, 2), (2, 2)]
     assert parse_path(p.to_text()) == p
     assert parse_path("(-1,-2):NE") == Path((-1, -2), "NE")
 
 
 def test_enumerate_counts():
-    tA = make_type("A", 2)
     # r east steps interleaved with n north steps: C(r+n, r)
-    assert len(enumerate_hpaths(tA, (0, 0), (3, 2))) == 10
-    assert enumerate_hpaths(tA, (2, 0), (1, 2)) == []
-    # B: at most one east step at height 0
-    tB = make_type("B", 1)
-    paths = enumerate_hpaths(tB, (0, -1), (2, 1))
-    assert all(p.end == (2, 1) and sum(1 for _, y in p.east_steps() if y == 0) <= 1 for p in paths)
-    assert len(paths) == 5  # C(4,2)=6 minus the one with both easts at height 0
-    # C: even number of east steps at height 0
-    tC = make_type("C", 1)
-    paths = enumerate_hpaths(tC, (0, -1), (2, 1))
-    assert all(sum(1 for _, y in p.east_steps() if y == 0) % 2 == 0 for p in paths)
-    assert len(paths) == 4  # EE at 0, or both easts off height 0 (3 ways)
+    assert len(_hpath_table(make_type("A", 2), 3).steps) == 10
+    # B: at most one east step at height 0, C(4,2)=6 minus the one with both there
+    assert len(_hpath_table(make_type("B", 1), 2).steps) == 5
+    # C: an even number there, EE at 0 or both easts off height 0 (3 ways)
+    assert len(_hpath_table(make_type("C", 1), 2).steps) == 4
 
 
 def test_labels_A():
     t = make_type("A", 2)
     p = Path((1, 0), "ENEN")  # east at (1,0) letter 1, east at (2,1) letter 2
     assert east_labels(t, p) == [(1, 2), (2, 4)]
-    assert path_weight(t, p, 0) == z_product(t, [(1, 2), (2, 4)])
+    assert PathTuple((p,), (0,), shape(())).weight(t, 0) == z_product(t, [(1, 2), (2, 4)])
 
 
 def test_labels_B():
@@ -95,24 +140,11 @@ def test_labels_C_alternation():
     assert labs == [(-2, 0), (2, 2), (-2, 4), (-1, 6)]
 
 
-def test_labels_refuse_paths_off_the_band():
-    # a height outside the band has no letter: letters(t)[y - bot] would wrap
-    t = make_type("C", 2)
-    for p in (Path((0, -3), "EN"), Path((0, 2), "NE")):
-        with pytest.raises(ValueError, match="leaves the band of C2"):
-            east_labels(t, p)
-
-
 @pytest.mark.parametrize("fam", "ABCD")
 def test_words_are_the_letters_of_the_labels(fam):
-    # _word walks the runs of east steps directly; east_labels is its oracle,
-    # refusals (a height off the band, type D) and their messages included
-    def outcome(f, t, p):
-        try:
-            return tuple(f(t, p))
-        except ValueError as exc:
-            return str(exc)
-
+    # _word walks the runs of east steps directly; east_labels is its
+    # oracle.  It refuses a path with an east step off the band (a height
+    # there has no letter: letters(t)[y - bot] would wrap) and type D
     counts = [0, 0]
     for n in range(2 if fam == "D" else 1, 4):
         t = make_type(fam, n)
@@ -120,11 +152,19 @@ def test_words_are_the_letters_of_the_labels(fam):
             for steps in map("".join, itertools.product("NE", repeat=length)):
                 for y0 in range(-n - 2, n + 2):
                     p = Path((1, y0), steps)
-                    want = outcome(east_labels, t, p)
-                    if not isinstance(want, str):
-                        want = tuple(c for c, _shift in want)
-                    assert outcome(_word, t, p) == want, (t, p)
-                    counts[isinstance(want, str)] += 1
+                    labels = None if fam == "D" else east_labels(t, p)
+                    if labels is not None:
+                        want = tuple(c for c, _shift in labels)
+                    elif fam == "D":
+                        want = f"the path model covers types A, B and C, not {t}"
+                    else:
+                        want = f"{p.to_text()} leaves the band of {t}"
+                    try:
+                        got = _word(t, p)
+                    except ValueError as exc:
+                        got = str(exc)
+                    assert got == want, (t, p)
+                    counts[labels is None] += 1
     assert counts == {"A": [567, 945], "B": [894, 618], "C": [894, 618], "D": [0, 1134]}[fam]
 
 
@@ -162,10 +202,10 @@ def test_classify_pair_C():
     a = Path((2, -1), "NEEN")  # (2,-1) -> (4,1)
     b = Path((3, -1), "NEEN")  # (3,-1) -> (5,1)
     assert classify_pair(t, a, b) == "specially"
-    assert not is_transposed(t, a, b)
+    assert PathTuple((a, b), (0, 1), shape(())).transposed_pairs(t) == []
     c = Path((2, -1), "NN")  # (2,-1) -> (2,1): starts right of p2, ends left
     assert classify_pair(t, p2, c) == "specially"
-    assert is_transposed(t, p2, c)
+    assert PathTuple((p2, c), (0, 1), shape(())).transposed_pairs(t) == [(0, 1)]
 
 
 def test_gv_involution_A():
@@ -260,45 +300,26 @@ def test_path_layer_refuses_type_D():
     for fn in (signed_path_sum, surviving_tuples_with_sum, nonintersecting_tuples, no_ordinary_tuples):
         with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
             fn(t, s)
-    # the labels gave D the C letters; read off letters(D3), a step at the top
-    # of the band would index past the alphabet
-    with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
-        east_labels(t, Path((0, -3), "NNNNNNE"))
     # the pair classification gave D the C verdict: this pair read specially,
     # and transposed_pairs read [] for the tuple of the two
     p, q = parse_path("(0,-3):NNNEENNN"), parse_path("(1,-3):NNNEENNN")
-    for fn in (classify_pair, is_transposed):
-        with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
-            fn(t, p, q)
+    with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
+        classify_pair(t, p, q)
     with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
         PathTuple((p, q), (0, 1), s).transposed_pairs(t)
-    # the h-paths are the table's, which has no D rules: this gave 28
-    # unlabelled band walks; endpoints off the band's bottom or top gave []
-    for u, v in (((0, -3), (2, 3)), ((0, 0), (2, 3)), ((0, -3), (2, 2))):
-        with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
-            enumerate_hpaths(t, u, v)
-
-
-def test_is_transposed_fails_closed_on_ordinary_pair():
-    t = make_type("C", 2)
-    p, q = parse_path("(0,-2):NNNN"), parse_path("(-1,-2):ENNNN")
-    assert classify_pair(t, p, q) == "ordinarily"
-    with pytest.raises(ValueError, match="intersect ordinarily"):
-        is_transposed(t, p, q)
-    assert error_under_O(
-        "from qjt.paths import Path, is_transposed; from qjt.ring import make_type; "
-        "is_transposed(make_type('C', 2), Path((0, -2), 'NNNN'), Path((-1, -2), 'ENNNN'))"
-    ).startswith("ValueError: (0,-2):NNNN and (-1,-2):ENNNN intersect ordinarily in C2")
+    # the h-path table has no D rules: it would hold unlabelled band walks
+    with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
+        _hpath_table(t, 2)
 
 
 # ---------------------------------------------------------------------------
 # The enumeration before h-paths were tabulated per (type, width), kept as
-# the oracle: candidates re-enumerated for every permutation, pairs
-# classified on frozenset point sets.
+# the oracle: every permutation's candidates from the brute-force h-paths,
+# pairs classified on frozenset point sets.
 
 
 def _ref_classify(t, p, q):
-    pp, qq = frozenset(p.points()), frozenset(q.points())
+    pp, qq = frozenset(walk(p)), frozenset(walk(q))
     common = pp & qq
     if not common:
         return "disjoint"
@@ -324,7 +345,7 @@ def _ref_tuples(t, s, pair_ok, adjacent_only=False):
     l = len(us)
     out = []
     for pi in itertools.permutations(range(l)):
-        cands = [enumerate_hpaths(t, us[i], vs[pi[i]]) for i in range(l)]
+        cands = [[Path(us[i], w) for w in hpath_steps(t, vs[pi[i]][0] - us[i][0])] for i in range(l)]
         chosen = []
 
         def rec(i):
@@ -403,8 +424,6 @@ def test_pair_classes_match_reference():
                 for p, q in itertools.combinations(pt.paths, 2):
                     c = classify_pair(t, p, q)
                     assert c == _ref_classify(t, p, q), (t, p, q)
-                    if c != "ordinarily":
-                        assert is_transposed(t, p, q) == _ref_transposed(p, q)
                 assert pt.transposed_pairs(t) == [
                     (i, j)
                     for i, j in itertools.combinations(range(len(pt.paths)), 2)
@@ -507,20 +526,11 @@ def test_pair_masks_match_classify(fam):
     assert seen == {"A": 31_750, "B": 490_430, "C": 325_005}[fam]
 
 
-def _walk(p):
-    x, y = p.start
-    pts = [(x, y)]
-    for s in p.steps:
-        x, y = (x + 1, y) if s == "E" else (x, y + 1)
-        pts.append((x, y))
-    return pts
-
-
 def _walk_rec(p, bot, h):
     """The point mask and leftmost height-0 x of a path from (0, bot) in
     the frame with origin (0, bot) and h heights, read off its walked
     points."""
-    pts = _walk(p)
+    pts = walk(p)
     zero = [x for x, y in pts if y == 0]
     return sum(1 << (x * h + y - bot) for x, y in pts), min(zero) if zero else None
 
@@ -543,22 +553,13 @@ def test_table_records_are_the_geometry_records(fam):
 
 @pytest.mark.parametrize("fam", ["A", "B", "C"])
 def test_table_steps_are_the_brute_force_hpaths(fam):
-    # every E/N word of r E's and h - 1 N's whose run of E's at height 0
-    # (after -bot N's) has at most one step (B) or an even number (C),
-    # sorted with E before N: the h-paths in table order
+    # the table holds the brute-force h-paths, in their order
     seen = 0
     for n in (1, 2, 3, 4):
         t = make_type(fam, n)
-        bot, top = band(t)
         for r in range(6):
-            kept = []
-            for east in itertools.combinations(range(r + top - bot), r):
-                w = "".join("E" if m in east else "N" for m in range(r + top - bot))
-                zero = len(w.split("N")[-bot])
-                if fam == "A" or (zero <= 1 if fam == "B" else zero % 2 == 0):
-                    kept.append(w)
-            assert _hpath_table(t, r).steps == tuple(sorted(kept)), (t, r)  # "E" < "N"
-            seen += len(kept)
+            assert _hpath_table(t, r).steps == hpath_steps(t, r), (t, r)
+            seen += len(hpath_steps(t, r))
     assert seen == {"A": 455, "B": 2_686, "C": 2_214}[fam]
 
 
@@ -600,8 +601,8 @@ def test_geometry_matches_list_scans(fam):
             for steps in _hpath_table(t, r).steps:
                 for sx, sy in ((0, bot), (-3, bot), (2, bot + 1)):
                     p = Path((sx, sy), steps)
-                    pts = _walk(p)
-                    assert p.points() == tuple(pts) and p.end == pts[-1]
+                    pts = walk(p)
+                    assert list(_geometry(p).index) == pts and p.end == pts[-1]
                     for y in range(sy - 1, sy + top - bot + 2):
                         assert _outcome(_leftmost, p, y) == _outcome(_ref_leftmost, pts, y)
                         assert _outcome(_rightmost, p, y) == _outcome(_ref_rightmost, pts, y)
@@ -609,8 +610,8 @@ def test_geometry_matches_list_scans(fam):
                         assert _outcome(_index, p, pt) == _outcome(_ref_index, pts, pt)
                         assert _on(p, pt) == (pt in pts)
                     q = Path((sx + 1, sy), steps)
-                    assert common_points(p, q) == set(pts) & set(_walk(q))
-                    assert _outcome(_common, p, q) == (set(pts) & set(_walk(q)) or "paths do not intersect")
+                    assert common_points(p, q) == set(pts) & set(walk(q))
+                    assert _outcome(_common, p, q) == (set(pts) & set(walk(q)) or "paths do not intersect")
                     seen += 1
     assert seen == {"A": 360, "B": 1_272, "C": 1_041}[fam]
 
@@ -674,10 +675,7 @@ def typed_paths(draw, count):
 @given(typed_paths((2, 2)))
 def test_classify_pair_on_arbitrary_paths(drawn):
     t, (p, q) = drawn
-    verdict = classify_pair(t, p, q)
-    assert verdict == _ref_classify(t, p, q)
-    if verdict != "ordinarily":
-        assert is_transposed(t, p, q) == _ref_transposed(p, q)
+    assert classify_pair(t, p, q) == _ref_classify(t, p, q)
 
 
 @settings(max_examples=200, deadline=None)

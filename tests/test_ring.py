@@ -27,7 +27,7 @@ from qjt.ring import (
 from qjt import ring, series
 from qjt.jacobitrudi import chi_e, chi_h
 from qjt.ring import _SPREAD, _align, _digits, _f_factors, _key_base, _moved, _recode, delta, row_bound
-from qjt.paths import Path, _hpath_table, _table_keys, band, east_labels
+from qjt.paths import Path, _hpath_table, _table_keys, band
 from qjt.shapes import shape
 
 from letter_images import (
@@ -40,6 +40,7 @@ from letter_images import (
     oracle_factors,
     relation_failures,
 )
+from test_paths import east_labels
 from test_tableaux import parse_letter, rows_oracle
 
 A1 = make_type("A", 1)

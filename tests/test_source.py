@@ -121,8 +121,7 @@ def test_one_row_table_for_paths_and_tableaux():
     # ring.rows_weight alone call word_keys, no second packing of rows
     # (row_keys, recode) exists, and no module builds rows apart from the
     # cell rules (which the tests keep as the oracle); the table's one
-    # search records each path as it steps (no second walk, _walk_steps),
-    # and enumerate_hpaths reads the table with no search of its own
+    # search records each path as it steps (no second walk, _walk_steps)
     banned = ("_row_table", "_h_ok", "_h_triple_ok", "row_keys", "recode", "_walk_steps")
     callers, defined = [], []
     for name, tree in modules():
@@ -135,14 +134,27 @@ def test_one_row_table_for_paths_and_tableaux():
                 callers.append(f"{name}:{max(inner, key=lambda d: d.lineno).name if inner else '<module>'}")
     assert callers == ["paths.py:_table_keys", "ring.py:rows_weight"]
     assert defined == []
-    enum = next(n for n in dict(modules())["paths.py"].body if getattr(n, "name", None) == "enumerate_hpaths")
-    nested = [n.name for n in ast.walk(enum) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n is not enum]
-    assert nested == []
+
+
+def test_path_oracles_live_in_the_tests():
+    # the step-by-step labeling, the h-path list, a path's point list, the
+    # one-path weight and the transposition of a single pair have no caller
+    # in the library: the tests keep the labeling, the list and the walk as
+    # oracles (test_paths.east_labels, hpath_steps, walk), and the weight
+    # and the transposed pairs are PathTuple's
+    gone = {"enumerate_hpaths", "east_labels", "east_steps", "points", "path_weight", "is_transposed"}
+    found = [
+        f"{name}:{n.lineno}:{n.name}"
+        for name, tree in modules()
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name in gone
+    ]
+    assert found == []
 
 
 def test_only_the_path_layer_reads_path_points():
     # a path's points, point index, heights and mask come from one cached
-    # geometry record in qjt.paths; no other module scans Path.points()
+    # geometry record in qjt.paths; no other module scans a list of points
     found = []
     for name, tree in modules():
         if name == "paths.py":

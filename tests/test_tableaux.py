@@ -19,8 +19,6 @@ from qjt.paths import (
     _table_keys,
     _transposed,
     band,
-    east_labels,
-    enumerate_hpaths,
     model_status,
     no_ordinary_tuples,
     p_tilde,
@@ -48,6 +46,7 @@ from qjt.tableaux import (
 
 from optimized import error_under_O
 from test_acceptance import a_shapes, c_class_shapes, criterion_08_cases, skew_shapes
+from test_paths import east_labels, hpath_steps, walk
 from test_shapes import all_partitions, subpartitions
 
 
@@ -405,7 +404,7 @@ def _path_word(t: AlgType, y0: int, steps: str) -> tuple:
 
 def _row_heights(t: AlgType, row: tuple) -> list[int]:
     """Heights of the east steps realizing this row, the inverse of
-    ``paths.east_labels``; unique by monotonicity.  In C an n or n-bar sits
+    ``east_labels``; unique by monotonicity.  In C an n or n-bar sits
     at height 0 inside the block n-bar, n, ..., n-bar, n that starts at the
     first n-bar directly followed by n."""
     model_status(t, "hv")
@@ -498,7 +497,7 @@ def test_row_heights_invert_the_path_labels(fam):
         bot = band(t)[0]
         for r in range(4):
             for steps in _hpath_table(t, r).steps:
-                heights = [y for _x, y in Path((0, bot), steps).east_steps()]
+                heights = [y for (_x, y), e in zip(walk(Path((0, bot), steps)), steps) if e == "E"]
                 assert _row_heights(t, _path_word(t, bot, steps)) == heights, (t, steps)
                 seen += 1
     assert seen == {"A": 121, "B": 388, "C": 318}[fam]
@@ -535,7 +534,7 @@ def test_bijection_matches_the_path_labels(fam):
         bot, top = band(t)
         for m in (1, 2, 3):
             s, length = shape((m,)), m + top - bot
-            hpaths = {p.steps for p in enumerate_hpaths(t, (0, bot), (m, top))}
+            hpaths = set(hpath_steps(t, m))
             for row in itertools.product(letters(t), repeat=m):
                 try:
                     steps = _row_steps(t, row)
