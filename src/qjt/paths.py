@@ -18,36 +18,37 @@ enumerated once, into one table (``_hpath_table``) of parallel tuples, with
 no Path object: each path's steps, its point set as an int bitmask (bit
 (x - x0) * h + y - y0 for the point (x, y) in a frame with origin (x0, y0)
 and h heights), its leftmost x at height 0 and its word, all recorded by
-the search that enumerates them, for rows of any length.  The weight keys
-of a table's words, at a placement's width, are packed once by
-``ring.word_keys`` (``_table_keys``):
-the m-th east step of any path reads its letter at x = ux + m, so a path's
-labels are a row word from 2 delta ux.  ``PathTuple.weight`` reads its
-paths' words so, off the runs of east steps (``_word``), with no (letter,
-shift) pair built; the tests' step-by-step labeling is the oracle they
-must agree with.  In enumeration order the words are the rows of length r
-of ``qjt.tableaux`` in lexicographic alphabet order, so this one table per
-(type, r) serves both layers: path i reads row word i by construction.
+the search that enumerates them, for rows of any length.  The m-th east
+step of any path reads its letter at x = ux + m, so a path's labels are a
+row word from 2 delta ux (the tests' step-by-step labeling is the oracle
+of the table's words), and the weight keys of a table's words, at a
+placement's width, are packed once by ``ring.word_keys`` (``_table_keys``).
+In enumeration order the words are the rows of length r of ``qjt.tableaux``
+in lexicographic alphabet order, so this one table per (type, r) serves
+both layers: path i reads row word i by construction.  Every fact about a
+path of a tuple is read off its entry, which ``_entry`` finds through the
+one index per table (``_table_index``: steps and words -> entry), refusing
+any path that is no h-path; ``PathTuple.weight`` reads the entries' words.
 
-Other paths' points are walked off their steps once, into one bounded
-cached geometry record per path (``_geometry``): a point -> index map
-in path order and the least and greatest x at each height.
-``common_points`` and the probes of ``qjt.resolutions`` read it.  The one
-definition of a path's end, ``Path.end``, counts the steps instead: most
-paths asked only for their end, such as a tableau's paths, are never probed.
+The probes of ``qjt.resolutions`` walk a path's points off its steps once,
+into one bounded cached geometry record per path (``_geometry``): a point
+-> index map in path order and the least and greatest x at each height;
+``common_points`` reads it.  The one definition of a path's end,
+``Path.end``, counts the steps instead: most paths asked only for their
+end, such as a tableau's paths, are never probed.
 
 Two paths are disjoint when they share no point, specially intersecting
 when every shared point is at height 0 (for C also the leftmost height-0
 x's differ by an odd number), and ordinarily intersecting otherwise.
-``classify_pair`` reads the verdict off ``common_points``, the one
-definition of where two paths meet.  Within the h-path tables the verdicts
-on one path against a table form two bitmasks.  A tuple enumeration
-(``_Frame``) looks up the table of each row i's width vx_pi(i) - ux_i when
-its search starts the permutation pi (``_Frame.rows``), and reads it in
-place.  Seen from row k > i, a path of row i lies d = ux_i - ux_k further
-east, and the verdicts on table path c of width r_i, moved d east, against
-the table of width r_k depend only on (type, r_i, r_k, d, c)
-(``_pair_masks``).  They form one mask table per (type, r_i, r_k, d)
+Within the h-path tables the verdicts on one path against a table form two
+bitmasks, the one definition of where two paths meet: ``classify_pair``
+reads its verdict off the masks of the eastern path at the western path's
+index.  A tuple enumeration (``_Frame``) looks up the table of each row
+i's width vx_pi(i) - ux_i when its search starts the permutation pi
+(``_Frame.rows``), and reads it in place.  Seen from row k > i, a path of
+row i lies d = ux_i - ux_k further east, and the verdicts on table path c
+of width r_i, moved d east, against the table of width r_k depend only on
+(type, r_i, r_k, d, c) (``_pair_masks``).  They form one mask table per (type, r_i, r_k, d)
 (``_mask_table``): a list indexed by c, filled on first use and shared
 across shapes and with the tableau layer, so a mask costs one list slot.
 The depth-first search (``_search``) yields each tuple as one index per row
@@ -151,8 +152,8 @@ def _reads(t: AlgType) -> tuple[tuple[int, int], ...]:
     """The letters of the east steps by height, from the band's bottom: at
     each height, the letter of an east step with an even and with an odd
     number of east steps before it at that height.  The two differ only at
-    C's height 0, which reads n-bar, n in turn.  ValueError for a type with
-    no path model."""
+    C's height 0, which reads n-bar, n in turn.  Read by the h-path search
+    alone; ValueError for a type with no path model."""
     model_status(t, "path")
     alphabet = letters(t)
     reads = [(c, c) for c in alphabet]
@@ -162,43 +163,14 @@ def _reads(t: AlgType) -> tuple[tuple[int, int], ...]:
     return tuple(reads)
 
 
-def _word(t: AlgType, p: Path) -> tuple[int, ...]:
-    """The letters of p's east steps (see the module docstring), read off
-    its runs of east steps: a row word from shift 2 delta p.start[0]."""
-    reads = _reads(t)
-    word: list[int] = []
-    for y, run in enumerate(p.steps.split("N"), p.start[1] - band(t)[0]):
-        if run:
-            if not 0 <= y < len(reads):
-                raise ValueError(f"{p.to_text()} leaves the band of {t}")
-            k = len(run)
-            word += (reads[y] * k)[:k]
-    return tuple(word)
-
-
 # ---------------------------------------------------------------------------
-# Pair classification
+# Common points and transposition
 
 
 def common_points(p: Path, q: Path) -> set:
     """The points that p and q share: the keys common to their geometry
     records' index maps."""
     return _geometry(p).index.keys() & _geometry(q).index.keys()
-
-
-def classify_pair(t: AlgType, p: Path, q: Path) -> str:
-    """'disjoint', 'specially' or 'ordinarily', read off the common points
-    (see the module docstring)."""
-    model_status(t, "path")
-    common = common_points(p, q)
-    if not common:
-        return "disjoint"
-    if t.family == "A" or any(y for _x, y in common):
-        return "ordinarily"
-    # both paths reach height 0, so both geometry records have a left x there
-    if t.family == "B" or (_geometry(p).left[-p.start[1]] - _geometry(q).left[-q.start[1]]) % 2:
-        return "specially"
-    return "ordinarily"
 
 
 def _transposed(x1: int, v1: int, x2: int, v2: int) -> bool:
@@ -228,7 +200,7 @@ def _hpath_table(t: AlgType, r: int) -> _Table:
     Its stack holds one entry per height a path reaches, so a row of any
     length is searched: each run of e east steps at height y, longest
     first, and the north step after it extend the path's steps, point
-    mask, leftmost height-0 x and word (_word).  No Path is kept."""
+    mask, leftmost height-0 x and word.  No Path is kept."""
     bot, reads, fam = band(t)[0], _reads(t), t.family
     h, top, found = len(reads), len(reads) - 1, []
     # from (0, 0), e east steps: the points they reach, and with a north step
@@ -258,6 +230,26 @@ def _hpath_table(t: AlgType, r: int) -> _Table:
 def _table_keys(t: AlgType, r: int, w: int) -> tuple[int, ...]:
     """The weight keys of the words of _hpath_table(t, r), at width w."""
     return word_keys(t, w, _hpath_table(t, r).words)
+
+
+@lru_cache(maxsize=None)
+def _table_index(t: AlgType, r: int) -> tuple[dict, dict]:
+    """(steps -> index, word -> index) over _hpath_table(t, r): the one index
+    of a table, for the path weights and verdicts and the bijection."""
+    table = _hpath_table(t, r)
+    return {steps: c for c, steps in enumerate(table.steps)}, {word: c for c, word in enumerate(table.words)}
+
+
+def _entry(t: AlgType, p: Path) -> tuple[int, int]:
+    """(width, index) of p in the h-path table of its width.  ValueError for
+    a path that is no h-path of t, and through the table for a type with no
+    path model."""
+    (bot, top), r = band(t), p.steps.count("E")
+    # a path off the band's span is refused before a table of its width is built
+    c = _table_index(t, r)[0].get(p.steps) if p.start[1] == bot and len(p.steps) - r == top - bot else None
+    if c is None:
+        raise ValueError(f"{p.to_text()} is no h-path of {t}")
+    return r, c
 
 
 def _mask_table(build):
@@ -301,6 +293,17 @@ def _pair_masks(t: AlgType, ri: int, rk: int, d: int, c: int) -> tuple[int, int]
     return disjoint, special
 
 
+def classify_pair(t: AlgType, p: Path, q: Path) -> str:
+    """'disjoint', 'specially' or 'ordinarily': the pair masks of the eastern
+    path, x_east - x_west columns east, read at the western path's index.
+    ValueError for a path that is no h-path of t (_entry)."""
+    if p.start[0] > q.start[0]:
+        p, q = q, p
+    (west, c), (east, e) = _entry(t, p), _entry(t, q)
+    disjoint, special = _pair_masks(t, east, west, q.start[0] - p.start[0], e)
+    return "disjoint" if disjoint >> c & 1 else "specially" if special >> c & 1 else "ordinarily"
+
+
 # ---------------------------------------------------------------------------
 # Tuples
 
@@ -330,15 +333,19 @@ class PathTuple(NamedTuple):
         return _sign(self.pi)
 
     def weight(self, t: AlgType, a_offset: int = 0) -> RingElem:
+        """The product of the words of the paths' table entries (_entry),
+        path i's from 2 delta x_i + a_offset."""
         f = 2 * delta(t)
-        return rows_weight(t, [_word(t, p) for p in self.paths], [f * p.start[0] for p in self.paths], a_offset)
+        words = [_hpath_table(t, r).words[c] for r, c in (_entry(t, p) for p in self.paths)]
+        return rows_weight(t, words, [f * p.start[0] for p in self.paths], a_offset)
 
     def transposed_pairs(self, t: AlgType) -> list[tuple[int, int]]:
         """The transposed pairs (i, j), i < j, that do not intersect
-        ordinarily: only the transposed pairs are classified."""
+        ordinarily: only the transposed pairs are classified.  ValueError
+        for a path that is no h-path of t (_entry)."""
         model_status(t, "path")
         paths = self.paths
-        ends = [(p.start[0], p.end[0]) for p in paths]
+        ends = [(p.start[0], p.start[0] + _entry(t, p)[0]) for p in paths]
         return [
             (i, j)
             for i, j in itertools.combinations(range(len(paths)), 2)

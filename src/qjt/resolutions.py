@@ -11,11 +11,12 @@ tuple; callers probe applicability with the `NotApplicable` exception or
 the condition predicates.  The probes (a point on a path, its index, the
 leftmost or rightmost point at a height) are lookups in the path's cached
 geometry record (``paths._geometry``); the common points of two paths are
-``paths.common_points``, which ``paths.classify_pair`` reads too.  Each
-new path is spliced from step strings (``_splice``): the steps of one path
-up to a point, a joint, and the steps of another from a point on.  omega
-caches the rotated shape per (shape, center).  ``retuple`` still checks
-the count, starts, ends and permutation of every tuple that a map builds.
+``paths.common_points``; ``paths.classify_pair`` reads the pair masks, so
+r_0 refuses a path that is no h-path.  Each new path is spliced from step
+strings (``_splice``): the steps of one path up to a point, a joint, and
+the steps of another from a point on.  omega caches the rotated shape per
+(shape, center).  ``retuple`` still checks the count, starts, ends and
+permutation of every tuple that a map builds.
 """
 
 from __future__ import annotations

@@ -343,12 +343,6 @@ class RingElem:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def is_zero(self) -> bool:
-        return not self._keys
-
-    def is_one(self) -> bool:
-        return self._keys == {0: 1}
-
     def num_terms(self) -> int:
         """Number of monomials counted with multiplicity (sum of |coef|)."""
         return sum(abs(c) for c in self._keys.values())

@@ -81,12 +81,12 @@ AMS 1999; Lecouvey, J. Algebra 2002).  No path tuple is searched.
 
 H-path i of width r reads row word i of length r, one entry of one table,
 and both searches yield one index per row into it.  The path
-correspondence maps steps to words and words to steps directly, per length
-(``_row_index``), and reads them through one bounded cached record per
-(type, shape) (``_links``): each row's start, end and steps -> word map,
-the identity permutation, and a memo of the Path from the row's start of
-each word that has passed every check, so a round trip builds each row's
-Path once per shape.
+correspondence maps steps and words to that entry through the path layer's
+one index per table (``paths._table_index``), and reads them through one
+bounded cached record per (type, shape) (``_links``): each row's start,
+end, steps -> entry map and words, the identity permutation, and a memo of
+the Path from the row's start of each word that has passed every check, so
+a round trip builds each row's Path once per shape.
 """
 
 from __future__ import annotations
@@ -98,7 +98,8 @@ from typing import NamedTuple
 
 from .ring import AlgType, RingElem, delta, letter_order, letters, rows_weight
 from .shapes import SkewShape
-from .paths import Path, PathTuple, _Frame, _hpath_table, _mask_table, _pair_masks, _signed_sum, endpoints, model_status
+from .paths import Path, PathTuple, _Frame, _hpath_table, _mask_table, _pair_masks, _signed_sum, _table_index
+from .paths import endpoints, model_status
 
 
 class Tableau(NamedTuple):
@@ -439,24 +440,18 @@ def tableau_sum(t: AlgType, s: SkewShape, a_offset: int = 0, ruleset: str = "aut
 # Path correspondence
 
 
-@lru_cache(maxsize=None)
-def _row_index(t: AlgType, r: int) -> tuple[dict, dict]:
-    """(steps -> word, word -> steps) over the h-path table of width r:
-    path i reads row word i."""
-    table = _hpath_table(t, r)
-    return dict(zip(table.steps, table.words)), dict(zip(table.words, table.steps))
-
-
 class _Link(NamedTuple):
-    """A row of a shape: its path runs from u to v, word maps the steps of
-    the h-paths of the row's width to their words, and made memoizes the
-    Path from u of each word that has passed every check.  made is a plain
-    dict, bounded by the row table of the row's width: it holds at most one
-    Path per word of that table, and _links keeps at most 32 shapes."""
+    """A row of a shape: its path runs from u to v, index maps the steps of
+    the h-paths of the row's width to their entries (paths._table_index),
+    words are the entries' words, and made memoizes the Path from u of each
+    word that has passed every check.  made is a plain dict, bounded by the
+    row table of the row's width: it holds at most one Path per word of
+    that table, and _links keeps at most 32 shapes."""
 
     u: tuple
     v: tuple
-    word: dict
+    index: dict
+    words: tuple
     made: dict
 
 
@@ -466,7 +461,9 @@ def _links(t: AlgType, s: SkewShape) -> tuple[tuple[_Link, ...], tuple[int, ...]
     """The links of the shape's rows, and the identity permutation of them."""
     model_status(t, "hv")
     us, vs = endpoints(t, s)
-    links = tuple(_Link(u, v, _row_index(t, v[0] - u[0])[0], {}) for u, v in zip(us, vs))
+    links = tuple(
+        _Link(u, v, _table_index(t, v[0] - u[0])[0], _hpath_table(t, v[0] - u[0]).words, {}) for u, v in zip(us, vs)
+    )
     return links, tuple(range(len(links)))
 
 
@@ -482,10 +479,10 @@ def path_tuple_to_tableau(t: AlgType, pt: PathTuple) -> Tableau:
         raise ValueError(f"rows permuted by {pt.to_json_obj()['pi']}; no tableau attached")
     words = []
     for i, (p, link) in enumerate(zip(pt.paths, links), start=1):
-        word = link.word.get(p.steps) if p.start == link.u else None
-        if word is None:
+        c = link.index.get(p.steps) if p.start == link.u else None
+        if c is None:
             raise ValueError(f"path {i} {p.to_text()} is no h-path of {t} from {link.u} to {link.v}")
-        words.append(word)
+        words.append(link.words[c])
     return Tableau(pt.shape, tuple(words))
 
 
@@ -503,11 +500,11 @@ def tableau_to_path_tuple(t: AlgType, T: Tableau) -> PathTuple:
         p = link.made.get(row)
         if p is None:
             u, v = link.u, link.v
-            steps = _row_index(t, len(row))[1].get(row)
-            if steps is None:
+            c = _table_index(t, len(row))[1].get(row)
+            if c is None:
                 raise ValueError(f"row {i} {row} is read by no h-path of {t}")
             if u[0] + len(row) != v[0]:
                 raise ValueError(f"row {i} {row} gives a path ending at {(u[0] + len(row), v[1])}, not {v}")
-            p = link.made[row] = Path(u, steps)
+            p = link.made[row] = Path(u, _hpath_table(t, len(row)).steps[c])
         paths.append(p)
     return PathTuple(tuple(paths), identity, s)

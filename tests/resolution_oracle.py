@@ -4,13 +4,14 @@ splices in ``qjt.resolutions``.
 Each new path is a list of points (a prefix of one path, a joint, a suffix
 of another) turned back into steps; a list that is not a path of unit steps
 is not applicable.  The bodies are those of the library before it spliced
-step strings, with the points walked off the steps by the tests' ``walk``;
-the probes, ``retuple`` and omega are the library's.
+step strings, with the points walked off the steps by the tests' ``walk``
+and pairs classified by the tests' ``_ref_classify``; the probes,
+``retuple`` and omega are the library's.
 """
 
 from __future__ import annotations
 
-from qjt.paths import Path, PathTuple, _transposed, classify_pair
+from qjt.paths import Path, PathTuple, _transposed
 from qjt.resolutions import (
     NotApplicable,
     _common,
@@ -26,7 +27,7 @@ from qjt.resolutions import (
 )
 from qjt.ring import AlgType
 
-from test_paths import walk
+from test_paths import _ref_classify, walk
 
 
 def _prefix_points(p: Path, pt) -> list:
@@ -59,7 +60,7 @@ def _path_from_points(pts) -> Path:
 def r_y_pair(t: AlgType, p1: Path, p2: Path, y: int) -> tuple:
     """Resolve the pair along heights ±y (y >= 1) or 0 (see r_0 cases)."""
     ends = (p1.start[0], p1.end[0], p2.start[0], p2.end[0])
-    if y == 0 and classify_pair(t, p1, p2) == "specially" and _transposed(*ends):
+    if y == 0 and _ref_classify(t, p1, p2) == "specially" and _transposed(*ends):
         return _r0_transposed(p1, p2)
     w1 = _leftmost(p1, -y)
     w2 = _rightmost(p2, y)

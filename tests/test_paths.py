@@ -1,9 +1,8 @@
 import itertools
-import random
+import re
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from qjt.jacobitrudi import chi_h
 from qjt.paths import (
@@ -15,7 +14,6 @@ from qjt.paths import (
     _pair_masks,
     _signed_sum,
     _table_keys,
-    _word,
     band,
     classify_pair,
     common_points,
@@ -140,34 +138,6 @@ def test_labels_C_alternation():
     assert labs == [(-2, 0), (2, 2), (-2, 4), (-1, 6)]
 
 
-@pytest.mark.parametrize("fam", "ABCD")
-def test_words_are_the_letters_of_the_labels(fam):
-    # _word walks the runs of east steps directly; east_labels is its
-    # oracle.  It refuses a path with an east step off the band (a height
-    # there has no letter: letters(t)[y - bot] would wrap) and type D
-    counts = [0, 0]
-    for n in range(2 if fam == "D" else 1, 4):
-        t = make_type(fam, n)
-        for length in range(6):
-            for steps in map("".join, itertools.product("NE", repeat=length)):
-                for y0 in range(-n - 2, n + 2):
-                    p = Path((1, y0), steps)
-                    labels = None if fam == "D" else east_labels(t, p)
-                    if labels is not None:
-                        want = tuple(c for c, _shift in labels)
-                    elif fam == "D":
-                        want = f"the path model covers types A, B and C, not {t}"
-                    else:
-                        want = f"{p.to_text()} leaves the band of {t}"
-                    try:
-                        got = _word(t, p)
-                    except ValueError as exc:
-                        got = str(exc)
-                    assert got == want, (t, p)
-                    counts[labels is None] += 1
-    assert counts == {"A": [567, 945], "B": [894, 618], "C": [894, 618], "D": [0, 1134]}[fam]
-
-
 @pytest.mark.parametrize("fam,n", [("A", 2), ("A", 3), ("B", 2), ("C", 2), ("C", 3)])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_single_row_equals_h(fam, n, r):
@@ -197,8 +167,7 @@ def test_classify_pair_C():
     assert classify_pair(t, p, q3) == "ordinarily"
     # transposed: crossing endpoints
     p2 = Path((1, -1), "NEEN")
-    q2 = Path((2, -1), "NE" + "E" * 0 + "N")  # (2,-1)->(3,1), no height-0 east pair
-    # build a crossing specially intersecting pair explicitly
+    # a specially intersecting pair that does not cross
     a = Path((2, -1), "NEEN")  # (2,-1) -> (4,1)
     b = Path((3, -1), "NEEN")  # (3,-1) -> (5,1)
     assert classify_pair(t, a, b) == "specially"
@@ -307,9 +276,36 @@ def test_path_layer_refuses_type_D():
         classify_pair(t, p, q)
     with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
         PathTuple((p, q), (0, 1), s).transposed_pairs(t)
+    with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
+        PathTuple((p, q), (0, 1), s).weight(t)
     # the h-path table has no D rules: it would hold unlabelled band walks
     with pytest.raises(ValueError, match="the path model covers types A, B and C, not D3"):
         _hpath_table(t, 2)
+
+
+@pytest.mark.parametrize("text", ["(0,-2):NNEENN", "(0,-1):ENNN", "(0,-2):ENNN"])
+def test_path_facts_refuse_what_is_no_h_path(text):
+    # a path's word and its verdicts are read off its h-path table entry:
+    # two B east steps at height 0, a start above the band's bottom and an
+    # end below its top have none, in either place of a pair, also under -O
+    t, p, q = make_type("B", 2), parse_path(text), parse_path("(1,-2):NNNN")
+    message = f"{text} is no h-path of B2"
+    calls = (
+        "classify_pair(t, p, q)",
+        "classify_pair(t, q, p)",
+        "PathTuple((q, p), (0, 1), shape(())).transposed_pairs(t)",
+        "PathTuple((p,), (0,), shape(())).weight(t)",
+    )
+    names = {"t": t, "p": p, "q": q, "classify_pair": classify_pair, "PathTuple": PathTuple, "shape": shape}
+    setup = (
+        "from qjt.paths import Path, PathTuple, classify_pair; from qjt.ring import make_type; "
+        f"from qjt.shapes import shape; t = make_type('B', 2); p = Path({p.start}, {p.steps!r}); "
+        f"q = Path({q.start}, {q.steps!r}); "
+    )
+    for code in calls:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            eval(code, names)
+        assert error_under_O(setup + code) == f"ValueError: {message}", code
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +314,13 @@ def test_path_layer_refuses_type_D():
 # pairs classified on frozenset point sets.
 
 
+@lru_cache(maxsize=None)
+def _point_set(p: Path) -> frozenset:
+    return frozenset(walk(p))
+
+
 def _ref_classify(t, p, q):
-    pp, qq = frozenset(walk(p)), frozenset(walk(q))
+    pp, qq = _point_set(p), _point_set(q)
     common = pp & qq
     if not common:
         return "disjoint"
@@ -509,7 +510,8 @@ def test_wide_frames_reuse_the_tables():
 @pytest.mark.parametrize("fam", ["A", "B", "C"])
 def test_pair_masks_match_classify(fam):
     # path c of width ri moved d columns east against each path e of width
-    # rk, classified by their common points
+    # rk, classified by their walked points (_ref_classify); classify_pair
+    # reads the masks, in either order of the pair
     seen = 0
     for n in (1, 2, 3):
         t = make_type(fam, n)
@@ -520,8 +522,9 @@ def test_pair_masks_match_classify(fam):
                 disjoint, special = _pair_masks(t, ri, rk, d, c)
                 p = Path((d, bot), steps)
                 for e, q in enumerate(others):
-                    verdict = classify_pair(t, p, q)
+                    verdict = _ref_classify(t, p, q)
                     assert (disjoint >> e & 1, special >> e & 1) == (verdict == "disjoint", verdict == "specially")
+                    assert classify_pair(t, p, q) == classify_pair(t, q, p) == verdict, (t, p, q)
                     seen += 1
     assert seen == {"A": 31_750, "B": 490_430, "C": 325_005}[fam]
 
@@ -635,56 +638,3 @@ def test_search_keys_are_the_row_sums(fam, n):
             assert key == sum(_table_keys(t, r, rows.place.w)[c] << sh for r, c, sh in parts)
             seen += 1
     assert seen == {"A2": 1_886, "B2": 9_502, "C2": 5_262, "C3": 19_144}[str(t)]
-
-
-def test_classify_pair_across_spans():
-    # pairs of paths that span different heights, some of them starting or
-    # ending off the axis
-    words = ["".join(w) for k in (2, 3, 4) for w in itertools.product("NE", repeat=k)]
-    paths = [Path((x, y), w) for x in (0, 1) for y in (-2, -1, 0) for w in words]
-    seen = 0
-    for fam in "ABC":
-        t = make_type(fam, 2)
-        for p, q in itertools.combinations(paths[::3], 2):
-            assert classify_pair(t, p, q) == _ref_classify(t, p, q), (t, p, q)
-            seen += p.end[1] - p.start[1] != q.end[1] - q.start[1]
-    assert seen == 3_408
-
-
-# Arbitrary paths: N/E step strings of length <= 8 from starts in and
-# around the band, not only the h-paths of a tuple.  Free step strings
-# rarely meet at height 0 alone, so half the draws are axis paths: north to
-# height 0, a run east along it, north again.
-PAIR_TYPES = [make_type(f, n) for f, n in (("A", 2), ("B", 2), ("C", 2), ("C", 3))]
-
-
-def _axis_path(x, below, run, above):
-    return Path((x, -below), "N" * below + "E" * run + "N" * above)
-
-
-@st.composite
-def typed_paths(draw, count):
-    t = draw(st.sampled_from(PAIR_TYPES))
-    bot, top = band(t)
-    free = st.builds(Path, st.tuples(st.integers(-2, 3), st.integers(bot - 2, top + 1)), st.text("NE", max_size=8))
-    axis = st.builds(_axis_path, st.integers(-2, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
-    return t, draw(st.lists(free | axis, min_size=count[0], max_size=count[1]))
-
-
-@settings(max_examples=400, deadline=None)
-@given(typed_paths((2, 2)))
-def test_classify_pair_on_arbitrary_paths(drawn):
-    t, (p, q) = drawn
-    assert classify_pair(t, p, q) == _ref_classify(t, p, q)
-
-
-@settings(max_examples=200, deadline=None)
-@given(typed_paths((2, 3)))
-def test_transposed_pairs_on_arbitrary_paths(drawn):
-    t, paths = drawn
-    pt = PathTuple(tuple(paths), tuple(range(len(paths))), shape(()))
-    assert pt.transposed_pairs(t) == [
-        (i, j)
-        for i, j in itertools.combinations(range(len(paths)), 2)
-        if _ref_classify(t, paths[i], paths[j]) != "ordinarily" and _ref_transposed(paths[i], paths[j])
-    ]

@@ -298,3 +298,24 @@ def test_one_frame_for_paths_and_tableaux():
     ]
     tabulated = [ast.unparse(n) for n in ast.walk(init) if isinstance(n, ast.Name) and n.id in ("_hpath_table", "_table_keys")]
     assert (nested, tabulated) == ([], [])
+
+
+def test_one_rule_for_where_h_paths_meet():
+    # a path of a tuple is an entry of its h-path table: its word is the
+    # table's (no word read off its runs, _word), its entry is found in the
+    # one index per table (no second index, _row_index), and classify_pair
+    # reads the pair masks, not the points (_geometry, common_points); the
+    # letters by height (_reads) are read by the table's search alone
+    trees = dict(modules())
+    defined = [f"{name}:{n.name}" for name, tree in trees.items() for n in ast.walk(tree)
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name in ("_word", "_row_index")]
+    classify = next(n for n in trees["paths.py"].body if getattr(n, "name", None) == "classify_pair")
+    named = [n.id for n in ast.walk(classify) if isinstance(n, ast.Name) and n.id in ("_geometry", "common_points")]
+    callers = []
+    for name, tree in trees.items():
+        defs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_reads":
+                inner = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+                callers.append(f"{name}:{max(inner, key=lambda d: d.lineno).name if inner else '<module>'}")
+    assert (defined, named, callers) == ([], [], ["paths.py:_hpath_table"])
