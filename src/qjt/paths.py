@@ -26,9 +26,10 @@ placement's width, are packed once by ``ring.word_keys`` (``_table_keys``).
 In enumeration order the words are the rows of length r of ``qjt.tableaux``
 in lexicographic alphabet order, so this one table per (type, r) serves
 both layers: path i reads row word i by construction.  Every fact about a
-path of a tuple is read off its entry, which ``_entry`` finds through the
-one index per table (``_table_index``: steps and words -> entry), refusing
-any path that is no h-path; ``PathTuple.weight`` reads the entries' words.
+path of a tuple is read off its entry and start x, which ``_entry`` finds
+through the one index per table (``_table_index``: steps and words ->
+entry), refusing any path that is no h-path; ``PathTuple.weight`` sums the
+entries' keys (``_table_keys``).
 
 The probes of ``qjt.resolutions`` walk a path's points off its steps once,
 into one bounded cached geometry record per path (``_geometry``): a point
@@ -37,18 +38,19 @@ into one bounded cached geometry record per path (``_geometry``): a point
 ``Path.end``, counts the steps instead: most paths asked only for their
 end, such as a tableau's paths, are never probed.
 
-Two paths are disjoint when they share no point, specially intersecting
-when every shared point is at height 0 (for C also the leftmost height-0
-x's differ by an odd number), and ordinarily intersecting otherwise.
-Within the h-path tables the verdicts on one path against a table form two
-bitmasks, the one definition of where two paths meet: ``classify_pair``
-reads its verdict off the masks of the eastern path at the western path's
-index.  A tuple enumeration (``_Frame``) looks up the table of each row
-i's width vx_pi(i) - ux_i when its search starts the permutation pi
-(``_Frame.rows``), and reads it in place.  Seen from row k > i, a path of
-row i lies d = ux_i - ux_k further east, and the verdicts on table path c
-of width r_i, moved d east, against the table of width r_k depend only on
-(type, r_i, r_k, d, c) (``_pair_masks``).  They form one mask table per (type, r_i, r_k, d)
+Two paths are disjoint when they share no point, specially intersecting when
+every shared point is at height 0 (for C also the leftmost height-0 x's
+differ by an odd number), and ordinarily intersecting otherwise.  Within the
+h-path tables the verdicts on one path against a table form two bitmasks,
+the one definition of where two paths meet: ``_verdict`` reads it off the
+masks of the eastern path's entry at the western path's index, for
+``classify_pair`` and ``PathTuple.transposed_pairs``.  A tuple enumeration
+(``_Frame``) looks up the table of each row i's width vx_pi(i) - ux_i when
+its search starts the permutation pi (``_Frame.rows``), and reads it in
+place.  Seen from row k > i, a path of row i lies d = ux_i - ux_k further
+east, and the verdicts on table path c of width r_i, moved d east, against
+the table of width r_k depend only on (type, r_i, r_k, d, c)
+(``_pair_masks``).  They form one mask table per (type, r_i, r_k, d)
 (``_mask_table``): a list indexed by c, filled on first use and shared
 across shapes and with the tableau layer, so a mask costs one list slot.
 The depth-first search (``_search``) yields each tuple as one index per row
@@ -67,10 +69,10 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, partial, wraps
-from operator import and_, itemgetter, or_
+from operator import and_, itemgetter, lshift, or_
 from typing import NamedTuple
 
-from .ring import AlgType, Placement, RingElem, delta, letters, rows_weight, word_keys
+from .ring import AlgType, Placement, RingElem, delta, letters, word_keys
 from .shapes import SkewShape
 
 
@@ -240,16 +242,16 @@ def _table_index(t: AlgType, r: int) -> tuple[dict, dict]:
     return {steps: c for c, steps in enumerate(table.steps)}, {word: c for c, word in enumerate(table.words)}
 
 
-def _entry(t: AlgType, p: Path) -> tuple[int, int]:
-    """(width, index) of p in the h-path table of its width.  ValueError for
-    a path that is no h-path of t, and through the table for a type with no
-    path model."""
+def _entry(t: AlgType, p: Path) -> tuple[int, int, int]:
+    """(width, index, x) of p: entry index of the h-path table of its width,
+    moved x = p's start x east.  ValueError for a path that is no h-path of
+    t, and through the table for a type with no path model."""
     (bot, top), r = band(t), p.steps.count("E")
     # a path off the band's span is refused before a table of its width is built
     c = _table_index(t, r)[0].get(p.steps) if p.start[1] == bot and len(p.steps) - r == top - bot else None
     if c is None:
         raise ValueError(f"{p.to_text()} is no h-path of {t}")
-    return r, c
+    return r, c, p.start[0]
 
 
 def _mask_table(build):
@@ -293,15 +295,18 @@ def _pair_masks(t: AlgType, ri: int, rk: int, d: int, c: int) -> tuple[int, int]
     return disjoint, special
 
 
-def classify_pair(t: AlgType, p: Path, q: Path) -> str:
-    """'disjoint', 'specially' or 'ordinarily': the pair masks of the eastern
-    path, x_east - x_west columns east, read at the western path's index.
-    ValueError for a path that is no h-path of t (_entry)."""
-    if p.start[0] > q.start[0]:
-        p, q = q, p
-    (west, c), (east, e) = _entry(t, p), _entry(t, q)
-    disjoint, special = _pair_masks(t, east, west, q.start[0] - p.start[0], e)
+def _verdict(t: AlgType, a: tuple[int, int, int], b: tuple[int, int, int]) -> str:
+    """'disjoint', 'specially' or 'ordinarily' for the paths of entries a, b
+    (_entry): the eastern one's pair masks, read at the western one's index."""
+    (west, c, x), (east, e, z) = (a, b) if a[2] <= b[2] else (b, a)
+    disjoint, special = _pair_masks(t, east, west, z - x, e)
     return "disjoint" if disjoint >> c & 1 else "specially" if special >> c & 1 else "ordinarily"
+
+
+def classify_pair(t: AlgType, p: Path, q: Path) -> str:
+    """The verdict on p and q (_verdict).  ValueError for a path that is no
+    h-path of t (_entry)."""
+    return _verdict(t, _entry(t, p), _entry(t, q))
 
 
 # ---------------------------------------------------------------------------
@@ -333,23 +338,22 @@ class PathTuple(NamedTuple):
         return _sign(self.pi)
 
     def weight(self, t: AlgType, a_offset: int = 0) -> RingElem:
-        """The product of the words of the paths' table entries (_entry),
-        path i's from 2 delta x_i + a_offset."""
-        f = 2 * delta(t)
-        words = [_hpath_table(t, r).words[c] for r, c in (_entry(t, p) for p in self.paths)]
-        return rows_weight(t, words, [f * p.start[0] for p in self.paths], a_offset)
+        """The product of the paths' words: their entries' keys (_entry,
+        _table_keys), path i's moved 2 delta x_i by a Placement, summed."""
+        place = Placement(t, [2 * delta(t) * p.start[0] for p in self.paths])
+        keys = (_table_keys(t, r, place.w)[c] for r, c, _x in (_entry(t, p) for p in self.paths))
+        return place.elem({sum(map(lshift, keys, place.kshift)): 1}, a_offset)
 
     def transposed_pairs(self, t: AlgType) -> list[tuple[int, int]]:
         """The transposed pairs (i, j), i < j, that do not intersect
-        ordinarily: only the transposed pairs are classified.  ValueError
-        for a path that is no h-path of t (_entry)."""
+        ordinarily, read off each path's entry (_entry, looked up once) by
+        _verdict.  ValueError for a path that is no h-path of t."""
         model_status(t, "path")
-        paths = self.paths
-        ends = [(p.start[0], p.start[0] + _entry(t, p)[0]) for p in paths]
+        entries = [_entry(t, p) for p in self.paths]
         return [
             (i, j)
-            for i, j in itertools.combinations(range(len(paths)), 2)
-            if _transposed(*ends[i], *ends[j]) and classify_pair(t, paths[i], paths[j]) != "ordinarily"
+            for (i, a), (j, b) in itertools.combinations(enumerate(entries), 2)
+            if _transposed(a[2], a[2] + a[0], b[2], b[2] + b[0]) and _verdict(t, a, b) != "ordinarily"
         ]
 
     def to_json_obj(self) -> dict:
@@ -538,6 +542,14 @@ def no_ordinary_tuples(t: AlgType, s: SkewShape) -> list[PathTuple]:
 def _require_C(t: AlgType, name: str) -> None:
     if t.family != "C":
         raise ValueError(f"{name} is defined for type C only, not {t}")
+
+
+def _three_rows(t: AlgType, pt: PathTuple, name: str) -> tuple[Path, ...]:
+    """The paths of a three-row C tuple; ValueError for another type or row count."""
+    _require_C(t, name)
+    if len(pt.paths) != 3:
+        raise ValueError(f"{name} is defined for three-row tuples only, not {len(pt.paths)} rows")
+    return pt.paths
 
 
 def p_k_tuples(t: AlgType, s: SkewShape) -> dict[int, list[PathTuple]]:

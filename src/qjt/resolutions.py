@@ -25,7 +25,8 @@ from functools import lru_cache
 
 from .ring import AlgType
 from .shapes import Partition, SkewShape
-from .paths import Path, PathTuple, _geometry, _require_C, _transposed, classify_pair, common_points, endpoints
+from .paths import Path, PathTuple, _geometry, _require_C, _three_rows, _transposed
+from .paths import classify_pair, common_points, endpoints
 
 
 class NotApplicable(Exception):
@@ -199,8 +200,7 @@ def transposed_index_pairs(t: AlgType, pt: PathTuple) -> list:
 
 def crossing_markers(t: AlgType, pt: PathTuple):
     """(u, u', v, v') for a two-transposed-pair three-row tuple."""
-    _require_C(t, "crossing_markers")
-    p1, p2, p3 = pt.paths
+    p1, p2, p3 = _three_rows(t, pt, "crossing_markers")
     u = min(_common(p1, p3))
     v = max(_common(p2, p3))
     return u, _pt_add(u, (-1, 1)), v, _pt_add(v, (1, -1))
@@ -208,6 +208,7 @@ def crossing_markers(t: AlgType, pt: PathTuple):
 
 def is_p2_cross(t: AlgType, pt: PathTuple) -> bool:
     """Whether both crossing corners lie on the tuple (the g-map domain)."""
+    _three_rows(t, pt, "is_p2_cross")
     u, u_, v, v_ = crossing_markers(t, pt)
     on_u = any(_on(p, u_) for p in pt.paths)
     on_v = any(_on(p, v_) for p in pt.paths)
@@ -217,8 +218,7 @@ def is_p2_cross(t: AlgType, pt: PathTuple) -> bool:
 def g_map(t: AlgType, pt: PathTuple) -> PathTuple:
     """Straighten a doubly-crossed three-row tuple into the adjacent-pair
     constrained class without changing weight or sign."""
-    _require_C(t, "g_map")
-    p1, p2, p3 = pt.paths
+    p1, p2, p3 = _three_rows(t, pt, "g_map")
     u, u_, v, v_ = crossing_markers(t, pt)
     if not (_on(p2, u_) and _on(p1, v_)):
         raise NotApplicable("crossing corners not on the expected rows")
@@ -237,8 +237,7 @@ def g_map(t: AlgType, pt: PathTuple) -> PathTuple:
 def f2_13(t: AlgType, pt: PathTuple) -> PathTuple:
     """Resolve the (1,3) transposed pair of a doubly-crossed tuple that is
     not in the g-map domain; lands in the (2,3)-transposed class."""
-    _require_C(t, "f2_13")
-    p1, p2, p3 = pt.paths
+    p1, p2, p3 = _three_rows(t, pt, "f2_13")
     u = min(_common(p1, p3))
     u_ = _pt_add(u, (-1, 1))
     paths = list(pt.paths)
@@ -249,18 +248,16 @@ def f2_13(t: AlgType, pt: PathTuple) -> PathTuple:
     return r_y(t, out, 1, 2, 1)
 
 
-def f2_23(t: AlgType, pt: PathTuple, xhat2: int | None = None) -> PathTuple:
-    _require_C(t, "f2_23")
-    if xhat2 is None:
-        xhat2 = default_center(pt.shape)
-    return omega(t, f2_13(t, omega(t, pt, xhat2)), xhat2)
+def f2_23(t: AlgType, pt: PathTuple) -> PathTuple:
+    _three_rows(t, pt, "f2_23")
+    c = default_center(pt.shape)
+    return omega(t, f2_13(t, omega(t, pt, c)), c)
 
 
 def f1_12(t: AlgType, pt: PathTuple) -> PathTuple:
     """Resolve the (1,2) transposed pair of a singly-crossed tuple; lands in
     the crossing-free class."""
-    _require_C(t, "f1_12")
-    p1, p2, p3 = pt.paths
+    p1, p2, p3 = _three_rows(t, pt, "f1_12")
     w1 = _leftmost(p1, -1)
     w1s = _pt_add(w1, (-2, 2))
     u = min(_common(p1, p2))
@@ -276,11 +273,10 @@ def f1_12(t: AlgType, pt: PathTuple) -> PathTuple:
     return r_y(t, out2, 1, 3, 1)
 
 
-def f1_23(t: AlgType, pt: PathTuple, xhat2: int | None = None) -> PathTuple:
-    _require_C(t, "f1_23")
-    if xhat2 is None:
-        xhat2 = default_center(pt.shape)
-    return omega(t, f1_12(t, omega(t, pt, xhat2)), xhat2)
+def f1_23(t: AlgType, pt: PathTuple) -> PathTuple:
+    _three_rows(t, pt, "f1_23")
+    c = default_center(pt.shape)
+    return omega(t, f1_12(t, omega(t, pt, c)), c)
 
 
 # ---------------------------------------------------------------------------
@@ -315,20 +311,18 @@ def _cond_core(t: AlgType, pa: Path, pb: Path, pc: Path):
 
 def condition_f2_13(t: AlgType, pt: PathTuple):
     """Image test for f2_13 on a (2,3)-transposed tuple: 'a', 'b' or None."""
-    _require_C(t, "condition_f2_13")
-    p1, p2, p3 = pt.paths
+    p1, p2, p3 = _three_rows(t, pt, "condition_f2_13")
     return _cond_core(t, p1, p3, p2)
 
 
 def condition_f2_23(t: AlgType, pt: PathTuple):
-    _require_C(t, "condition_f2_23")
+    _three_rows(t, pt, "condition_f2_23")
     return condition_f2_13(t, omega(t, pt))
 
 
 def condition_f1_12(t: AlgType, pt: PathTuple):
     """Image test for f1_12 on a crossing-free tuple: 'a', 'b1', 'b2', None."""
-    _require_C(t, "condition_f1_12")
-    p1, p2, p3 = pt.paths
+    p1, p2, p3 = _three_rows(t, pt, "condition_f1_12")
     res = _cond_core(t, p1, p2, p3)
     if res != "b":
         return res
@@ -347,5 +341,5 @@ def condition_f1_12(t: AlgType, pt: PathTuple):
 
 
 def condition_f1_23(t: AlgType, pt: PathTuple):
-    _require_C(t, "condition_f1_23")
+    _three_rows(t, pt, "condition_f1_23")
     return condition_f1_12(t, omega(t, pt))

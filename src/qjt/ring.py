@@ -52,8 +52,8 @@ rows.  A weight is a product of letter images, so its key is a sum of
 letter keys, one cached per (type, width):
 ``word_keys`` adds them per row word, in pairs (``_placed_sum``), at the
 width of a shape's ``Placement`` (``row_bound(t)`` per row), which shifts the keys of a
-tuple's rows so that their sum is the key of the tuple's weight
-(``rows_weight`` reads it as a ``RingElem``).
+tuple's rows so that their sum is the key of the tuple's weight, and reads
+such keys as a ``RingElem``; ``paths._table_keys`` packs each h-path table.
 
 Letters are encoded as ints: k > 0 is the unbarred letter k, 0 is the type-B
 zero letter, -k is the barred letter k-bar.  ``letters(t)`` is the one
@@ -680,7 +680,7 @@ def f_hom(t: AlgType, letter: int, shift: int = 0) -> RingElem:
 def z_product(t: AlgType, zvars: Iterable[tuple[int, int]]) -> RingElem:
     """f-image of a product of z-variables given as (letter, shift) pairs,
     through their summed exponents: the series' letter images, and the
-    tests' oracle of ``word_keys`` and ``rows_weight``."""
+    tests' oracle of ``word_keys`` and of the path and tableau weights."""
     exps = _exponents((i, s + shift, e) for letter, shift in zvars for i, s, e in _f_factors(t, letter))
     return RingElem._make(*_encode([(exps, 1)], t.rank))
 
@@ -754,15 +754,6 @@ def word_keys(t: AlgType, w: int, words) -> tuple[int, ...]:
     except KeyError as e:
         letter_order(t, e.args[0])  # raises ValueError: a letter outside the alphabet
         raise
-
-
-def rows_weight(t: AlgType, words, starts, a_offset: int = 0) -> RingElem:
-    """The weight of rows of letters, row k's letter m at spectral shift
-    starts[k] + 2 delta m, moved a_offset: the rows' word keys summed
-    through their Placement."""
-    place = Placement(t, starts)
-    key = sum(k << sh for k, sh in zip(word_keys(t, place.w, words), place.kshift))
-    return place.elem({key: 1}, a_offset)
 
 
 class Placement:

@@ -33,7 +33,8 @@ order, each with its weight key: the sum of the row keys, row i's moved by
 (``paths._signed_sum``), every sign +1: each key added into one dict, which
 the placement reads as one ``RingElem``.  No ``Tableau`` is built for a
 sum; tableaux and the column rule read the words of the row tables that
-the frame hands out (``_Frame.rows``).
+the frame hands out (``_Frame.rows``).  Row i's path reads cell (i, j) at 2
+delta (j - i), so a tableau's weight is its path tuple's (``Tableau.weight``).
 
 For the C family the generating function identity requires extra rules that
 depend on the shape (``paths.model_status`` says where each holds): a
@@ -96,7 +97,7 @@ from functools import lru_cache
 from operator import getitem, sub
 from typing import NamedTuple
 
-from .ring import AlgType, RingElem, delta, letter_order, letters, rows_weight
+from .ring import AlgType, RingElem, letter_order, letters
 from .shapes import SkewShape
 from .paths import Path, PathTuple, _Frame, _hpath_table, _mask_table, _pair_masks, _signed_sum, _table_index
 from .paths import endpoints, model_status
@@ -117,9 +118,9 @@ class Tableau(NamedTuple):
         return row[j - mu_i - 1]
 
     def weight(self, t: AlgType, a_offset: int = 0) -> RingElem:
-        """The product of the letter images, cell (i, j)'s at 2 delta (j - i) + a_offset."""
-        f, mu = 2 * delta(t), self.shape.mu
-        return rows_weight(t, self.cells, [f * (mu[i] + 1 - i) for i in range(1, len(self.cells) + 1)], a_offset)
+        """The product of the cells' letter images, cell (i, j)'s at 2 delta (j - i)
+        + a_offset: its path tuple's weight (ValueError where tableau_to_path_tuple refuses T)."""
+        return tableau_to_path_tuple(t, self).weight(t, a_offset)
 
 
 # ---------------------------------------------------------------------------

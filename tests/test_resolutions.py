@@ -122,7 +122,7 @@ def test_splice_refuses_a_joint_that_misses_its_end():
 REFUSALS = {
     "r_y_pair": "r_y_pair(t, pt.paths[0], pt.paths[1], 0)",
     "r_y": "r_y(t, pt, 1, 2, 0)",
-    **{f: f"{f}(t, pt)" for f in ("omega", "crossing_markers", "g_map", "f2_13", "f2_23", "f1_12", "f1_23")},
+    **{f: f"{f}(t, pt)" for f in ("omega", "crossing_markers", "is_p2_cross", "g_map", "f2_13", "f2_23", "f1_12", "f1_23")},
     **{f"condition_{f}": f"condition_{f}(t, pt)" for f in ("f2_13", "f2_23", "f1_12", "f1_23")},
 }
 
@@ -142,6 +142,22 @@ def test_maps_and_conditions_refuse_types_other_than_C(name):
         "t = make_type('B', 2); pt = no_ordinary_tuples(t, shape((2, 2, 1)))[0]; "
     )
     assert error_under_O(prelude + REFUSALS[name]) == f"ValueError: {message}"
+
+
+@pytest.mark.parametrize("name", [name for name in REFUSALS if name not in ("r_y_pair", "r_y", "omega")])
+def test_three_row_maps_and_conditions_refuse_other_row_counts(name):
+    # they unpacked three paths: a C2 (2,2,1,1) or (2,1) tuple failed with
+    # "too many values to unpack" or "not enough values", also under -O
+    for lam in ((2, 2, 1, 1), (2, 1)):
+        message = f"{name} is defined for three-row tuples only, not {len(lam)} rows"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            eval(REFUSALS[name], vars(R), {"t": T2, "pt": p_tilde(T2, shape(lam))[0]})
+        prelude = (
+            "from qjt.paths import p_tilde; from qjt.resolutions import *; "
+            "from qjt.ring import make_type; from qjt.shapes import shape; "
+            f"t = make_type('C', 2); pt = p_tilde(t, shape({lam}))[0]; "
+        )
+        assert error_under_O(prelude + REFUSALS[name]) == f"ValueError: {message}"
 
 
 def test_r_y_rejects_rows_out_of_range():

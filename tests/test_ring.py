@@ -19,7 +19,6 @@ from qjt.ring import (
     letter_str,
     letters,
     make_type,
-    rows_weight,
     word_keys,
     y_monomial,
     z_product,
@@ -495,7 +494,8 @@ def test_row_keys_are_the_repacked_z_products():
     # h-path table), ranks 1-4, lengths 0-5, and the A1 h-path tables up to
     # width 128, as test_wide_frames_reuse_the_tables builds them: the keys
     # at widths 8 and 16 equal the z_product weights re-packed, and one
-    # row's rows_weight is its z_product
+    # row's key, read through its Placement, is its z_product (D too, which
+    # has no path or tableau weight)
     seen = 0
     for t in ALL_TYPES:
         f = 2 * delta(t)
@@ -512,8 +512,10 @@ def test_row_keys_are_the_repacked_z_products():
             weights = [z_product(t, [(c, f * m) for m, c in enumerate(word)]) for word in words]
             for w, ks in keys.items():
                 assert ks == repack(t, w, weights), (t, r, w)
+            place = Placement(t, [-f])
             for word, x in zip(words[::7], weights[::7]):
-                assert rows_weight(t, [word], [-f], 3) == x.shift_spectral(3 - f), (t, word)
+                (key,) = word_keys(t, place.w, [word])
+                assert place.elem({key << place.kshift[0]: 1}, 3) == x.shift_spectral(3 - f), (t, word)
             seen += 1
     for r in range(6, 129):
         labels = (east_labels(A1, Path((0, 0), steps)) for steps in _hpath_table(A1, r).steps)

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from qjt.ring import AlgType, RingElem, delta, make_type, y_monomial
+from qjt.ring import AlgType, RingElem, delta, make_type, y_monomial, z_product
 from qjt.shapes import (
     Partition,
     SkewShape,
@@ -177,9 +177,12 @@ def test_hw_monomial_matches_tableau_weight():
                     for i in range(1, len(s.lam) + 1)
                 )
                 for off in (0, 3):
-                    assert hw_monomial(t, s, off) == Tableau(s, rows).weight(t, off), (
-                        t, lam, mu, off,
+                    # D has no path tuple, so no Tableau.weight: its oracle, z_product of the cells
+                    want = (
+                        z_product(t, [(c, off + 2 * delta(t) * (j - i)) for (i, j), c in hw.items()])
+                        if t.family == "D" else Tableau(s, rows).weight(t, off)
                     )
+                    assert hw_monomial(t, s, off) == want, (t, lam, mu, off)
 
 
 def test_hw_monomial_depth_error():

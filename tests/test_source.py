@@ -39,8 +39,8 @@ def test_no_module_level_dict_caches():
 
 def test_packed_layout_stays_in_the_ring():
     # qjt.ring alone knows how a monomial is packed: the other modules reach
-    # packed keys through word_keys, rows_weight and Placement, never a
-    # private name or field
+    # packed keys through word_keys and Placement, never a private name or
+    # field
     fields = {"_make", "_keys", "_b", "_w", "_lo", "_n"}
     found = []
     for name, tree in modules():
@@ -56,8 +56,9 @@ def test_packed_layout_stays_in_the_ring():
 
 def test_weights_sum_letter_keys_outside_the_ring():
     # z_product sums exponent dicts: the series' letter images and the
-    # tests' oracle; the path and tableau weights sum letter keys through
-    # qjt.ring's word_keys and rows_weight, so no other module names it
+    # tests' oracle; the path and tableau weights sum the h-path tables'
+    # keys (paths._table_keys, from qjt.ring's word_keys) through a
+    # Placement, so no other module names it
     found = []
     for name, tree in modules():
         if name == "ring.py":
@@ -117,12 +118,13 @@ def test_tableaux_runs_no_path_tuple_search():
 
 def test_one_row_table_for_paths_and_tableaux():
     # the rows of a tableau are the words of the h-path table of their
-    # width, packed at a placement's width by paths._table_keys: it and
-    # ring.rows_weight alone call word_keys, no second packing of rows
-    # (row_keys, recode) exists, and no module builds rows apart from the
-    # cell rules (which the tests keep as the oracle); the table's one
-    # search records each path as it steps (no second walk, _walk_steps)
-    banned = ("_row_table", "_h_ok", "_h_triple_ok", "row_keys", "recode", "_walk_steps")
+    # width, packed at a placement's width by paths._table_keys: it alone
+    # calls word_keys, so both weights read its keys and no second packing
+    # of rows (row_keys, recode, rows_weight) exists, and no module builds
+    # rows apart from the cell rules (which the tests keep as the oracle);
+    # the table's one search records each path as it steps (no second walk,
+    # _walk_steps)
+    banned = ("_row_table", "_h_ok", "_h_triple_ok", "row_keys", "recode", "rows_weight", "_walk_steps")
     callers, defined = [], []
     for name, tree in modules():
         defs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
@@ -132,8 +134,23 @@ def test_one_row_table_for_paths_and_tableaux():
             if getattr(func, "id", None) == "word_keys" or getattr(func, "attr", None) == "word_keys":
                 inner = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
                 callers.append(f"{name}:{max(inner, key=lambda d: d.lineno).name if inner else '<module>'}")
-    assert callers == ["paths.py:_table_keys", "ring.py:rows_weight"]
+    assert callers == ["paths.py:_table_keys"]
     assert defined == []
+
+
+def test_transposed_pairs_looks_each_entry_up_once():
+    # PathTuple.transposed_pairs finds each path's table entry once, in one
+    # comprehension over the paths, and reads each transposed pair's verdict
+    # off those entries (paths._verdict), not through classify_pair, which
+    # would look both paths up again
+    tree = dict(modules())["paths.py"]
+    path_tuple = next(n for n in tree.body if getattr(n, "name", None) == "PathTuple")
+    method = next(n for n in path_tuple.body if getattr(n, "name", None) == "transposed_pairs")
+    called = [n for n in ast.walk(method) if isinstance(n, ast.Call)]
+    named = lambda name: [n for n in called if getattr(n.func, "id", getattr(n.func, "attr", None)) == name]
+    comps = [n for n in ast.walk(method) if isinstance(n, ast.ListComp) and any(c in named("_entry") for c in ast.walk(n.elt))]
+    assert (len(named("_entry")), len(comps), named("classify_pair")) == (1, 1, [])
+    assert [ast.unparse(g.iter) for g in comps[0].generators] == ["self.paths"]
 
 
 def test_path_oracles_live_in_the_tests():

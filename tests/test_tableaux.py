@@ -346,10 +346,11 @@ def test_path_tableau_roundtrip(fam, n):
 
 
 def test_weights_are_the_z_products_on_criterion_8_shapes():
-    # Tableau.weight and PathTuple.weight sum letter keys; z_product, which
-    # sums exponents, is their oracle.  Every 50th hv tableau of each of
-    # criterion 8's shapes, the first included, and its path tuple, at
-    # offsets 0 and -3: rows below the first start left of x = 0
+    # Tableau.weight is its path tuple's weight, which sums the keys of the
+    # h-path tables; z_product, which sums exponents, is their oracle.
+    # Every 50th hv tableau of each of criterion 8's shapes, the first
+    # included, and its path tuple, at offsets 0 and -3: rows below the
+    # first start left of x = 0
     seen = 0
     for t, shapes in criterion_08_cases():
         f = 2 * delta(t)
@@ -367,8 +368,25 @@ def test_weights_are_the_z_products_on_criterion_8_shapes():
 
 def test_weights_refuse_letters_outside_the_alphabet():
     t = make_type("C", 2)
-    with pytest.raises(ValueError, match="letter 0 not in alphabet of C2"):
+    with pytest.raises(ValueError, match=re.escape("row 1 (1, 0) is read by no h-path of C2")):
         Tableau(shape((2,)), ((1, 0),)).weight(t)
+
+
+@pytest.mark.parametrize("fam,n,lam,row,message", [
+    ("D", 3, (1,), (1,), "the tableau model covers types A, B and C, not D3"),
+    ("B", 2, (2,), (0, 0), "row 1 (0, 0) is read by no h-path of B2"),
+    ("A", 2, (2,), (1,), "row 1 (1,) gives a path ending at (1, 2), not (2, 2)"),
+])
+def test_tableau_weight_refuses_what_no_path_tuple_reads(fam, n, lam, row, message):
+    # a tableau's weight is its path tuple's: D has no path model, B's row
+    # (0, 0) repeats the 0, which no h-path reads, and a one-letter row does
+    # not fill a two-cell row; also under -O
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Tableau(shape(lam), (row,)).weight(make_type(fam, n))
+    assert error_under_O(
+        "from qjt.ring import make_type; from qjt.shapes import shape; from qjt.tableaux import Tableau; "
+        f"Tableau(shape({lam}), ({row},)).weight(make_type({fam!r}, {n}))"
+    ) == f"ValueError: {message}"
 
 
 @pytest.mark.parametrize("fam,n", [("A", 2), ("B", 2), ("C", 2)])
